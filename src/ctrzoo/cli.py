@@ -255,14 +255,25 @@ def _rebuild_run(run_dir):
     params_path = root / "params.json"
     if not model_path.is_file() or not params_path.is_file():
         raise DataError(f"{run_dir}: expected model.json and params.json")
-    with open(model_path, "r", encoding="utf-8") as fh:
-        run_config = json.load(fh)
+    try:
+        with open(model_path, "r", encoding="utf-8") as fh:
+            run_config = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{model_path}: not valid JSON: {exc}") from exc
+    if not isinstance(run_config, dict) or "model" not in run_config:
+        raise DataError(f"{model_path}: no 'model' entry")
     spec = ModelSpec.from_dict(run_config["model"])
     store = ParameterStore.load(params_path)
     cfg = spec.fi_config()
     built = build_model(spec, seed=0)
     if sorted(store.names()) != sorted(built.store.names()):
         raise DataError(f"{run_dir}: checkpoint slots do not match the model config")
+    for name in built.store.names():
+        got, want = store.value(name).shape, built.store.value(name).shape
+        if got != want:
+            raise DataError(
+                f"{run_dir}: checkpoint slot {name!r} has shape {got}, the model config needs {want}"
+            )
     model = Model(spec, store, cfg, built.st_spec)
     return model, run_config
 
@@ -274,9 +285,10 @@ def cmd_eval(args):
     if args.split == "all":
         part = dataset
     else:
-        ratios = tuple(run_config["split"]["ratios"])
-        seed = run_config["split"]["seed"]
-        split = datamod.split_dataset(dataset, ratios, seed=seed)
+        recorded = run_config.get("split")
+        if not isinstance(recorded, dict) or not {"ratios", "seed"} <= set(recorded):
+            raise DataError(f"{args.run}: model.json has no 'split' entry with ratios and seed")
+        split = datamod.split_dataset(dataset, tuple(recorded["ratios"]), seed=recorded["seed"])
         part = getattr(split, args.split)
     report = evaluate(model.predict(part.indices), part.labels)
     print(json.dumps({"split": args.split, "records": len(part), **report.to_dict()}))

@@ -1,6 +1,6 @@
 """Aggregation of per-field interaction outputs and the transform stack.
 
-Aggregation turns the list of FI outputs into one tensor: concatenation,
+Aggregation turns the stacked FI output into one tensor: concatenation,
 plain sum, mean, or a field combination (a trainable weighted sum). The
 transform stack is a standard MLP; zero hidden layers make it a single
 affine map and is how the linear heads are expressed.
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
+from .tape import Node
 
 AGGREGATIONS = ("concat", "sum", "mean", "field_combination")
 
@@ -51,6 +52,9 @@ def aggregate(spec, vectors):
 
 
 def sum_nodes(tape, nodes):
+    """Sum over fields: axis 1 of a stacked (B, n, ...) node, or a list of same-shape nodes."""
+    if isinstance(nodes, Node):
+        return tape.sum_axis(nodes, 1)
     if not nodes:
         raise DomainError("sum of no nodes")
     total = nodes[0]
@@ -59,11 +63,19 @@ def sum_nodes(tape, nodes):
     return total
 
 
-def combine_fields_nodes(tape, nodes, weight_elems):
-    """Trainable weighted sum: one 0-d weight node per field vector."""
-    if len(weight_elems) != len(nodes):
-        raise ShapeError("field_combination needs one weight per vector")
-    return sum_nodes(tape, [tape.scale_by(v, w) for v, w in zip(nodes, weight_elems)])
+def combine_fields_nodes(tape, fields, weights):
+    """Trainable weighted sum over fields, sum_i w_i z_i: (B, n, d) with (n,) -> (B, d).
+
+    A list of n (B, d) field nodes and a list of n 0-d weight nodes are
+    stacked first.
+    """
+    if not isinstance(fields, Node):
+        fields = tape.stack_last(fields, axis=1)
+    if not isinstance(weights, Node):
+        weights = tape.stack_last(weights)
+    if fields.value.ndim != 3 or weights.value.shape != fields.value.shape[1:2]:
+        raise ShapeError("field_combination needs one weight per field vector")
+    return tape.inner(tape.transpose(fields, (0, 2, 1)), weights)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .errors import ContractError, DomainError, NumericError, ShapeError
+from .errors import ContractError, DataError, DomainError, NumericError, ShapeError
 
 __all__ = [
     "inner",
@@ -246,14 +246,37 @@ class ParameterStore:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != "ctrzoo-params-v1":
+        """Read a checkpoint written by `save`.
+
+        A file that is not JSON, lacks an entry, or holds values that do
+        not fit their shape raises DataError naming `path`.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict) or "format" not in payload:
+            raise DataError(f"{path}: checkpoint has no 'format' entry")
+        if payload["format"] != "ctrzoo-params-v1":
             raise DomainError(f"{path}: not a parameter checkpoint")
+        slots = payload.get("slots")
+        if not isinstance(slots, dict):
+            raise DataError(f"{path}: checkpoint has no 'slots' object")
         store = cls(seed=payload.get("seed", 0))
-        for name, rec in payload["slots"].items():
-            arr = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
-            store._insert(name, arr, rec["trainable"])
+        for name, rec in slots.items():
+            try:
+                shape, values, trainable = rec["shape"], rec["values"], rec["trainable"]
+            except (KeyError, TypeError) as exc:
+                raise DataError(f"{path}: slot {name!r} has no {exc} entry") from exc
+            try:
+                arr = np.array(values, dtype=np.float64).reshape(shape)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}: slot {name!r} values do not fit shape {shape}: {exc}") from exc
+            try:
+                store._insert(name, arr, bool(trainable))
+            except NumericError as exc:
+                raise DataError(f"{path}: {exc}") from exc
         return store
 
 
@@ -277,9 +300,73 @@ class Node:
 
 
 def _bump(node, g):
+    # Node gradients are never updated in place, so the first contribution
+    # can be kept as passed (it may be a view another node also holds).
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        node.grad = g
+    else:
+        node.grad = node.grad + g
+
+
+def _needs_grad(node):
+    """False for constants: leaves recorded without a backward closure."""
+    return node._backward is not None
+
+
+def _unbroadcast(g, shape):
+    """Sum a gradient down to `shape`, undoing numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    axes = tuple(k for k, size in enumerate(shape) if size == 1 and g.shape[k] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _product_grad(g, other, shape):
+    """g * other summed down to `shape`: the gradient of a broadcast product.
+
+    The reduction runs inside one einsum, so the full-size product of a
+    broadcast operand is never formed.
+    """
+    if g.shape == shape:
+        return g * other
+    names = "abcdefghijklmnopqrstuvwxyz"
+    ndim = g.ndim
+    g_sub = names[:ndim]
+    other_sub = "".join(
+        g_sub[k] if other.shape[k] == g.shape[k] else names[ndim + k] for k in range(ndim)
+    )
+    out_sub = "".join(g_sub[k] for k in range(ndim) if shape[k] == g.shape[k])
+    return np.einsum(f"{g_sub},{other_sub}->{out_sub}", g, other).reshape(shape)
+
+
+def _broadcast(op, a, b):
+    """Shape of a (op) b: equal ranks, each axis equal or 1 on one side."""
+    ashape, bshape = a.value.shape, b.value.shape
+    if len(ashape) == len(bshape):
+        try:
+            return np.broadcast_shapes(ashape, bshape)
+        except ValueError:
+            pass
+    raise ShapeError(f"{op} shape mismatch: {ashape} vs {bshape}")
+
+
+def _last_axis_product(x, m):
+    """x (..., q) @ m (q, p) as one 2-D product (numpy would loop over the leading axes)."""
+    return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape[:-1] + m.shape[-1:])
+
+
+def _axes(axis, ndim):
+    """An int or tuple axis argument as a sorted tuple of non-negative axes."""
+    axes = (axis,) if isinstance(axis, (int, np.integer)) else tuple(axis)
+    if any(not -ndim <= a < ndim for a in axes):
+        raise ShapeError(f"axis {axis} out of range for a {ndim}-D node")
+    axes = tuple(sorted({int(a) % ndim for a in axes}))
+    if len(axes) != len(np.atleast_1d(axis)):
+        raise ShapeError(f"repeated axis in {axis}")
+    return axes
 
 
 class Tape:
@@ -297,9 +384,11 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def _emit(self, value, backward=None):
+    def _emit(self, value, backward=None, moved=False):
+        """Append a node. `moved` marks a value that only rearranges entries
+        of nodes already on the tape, which were checked to be finite."""
         value = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(value)):
+        if not moved and not np.all(np.isfinite(value)):
             raise NumericError("non-finite value produced on tape")
         node = Node(value, backward)
         self._nodes.append(node)
@@ -319,17 +408,6 @@ class Tape:
                 slot.grad += g
 
         return self._emit(slot.value, backward)
-
-    def row(self, store, name, i):
-        """Row `i` of a 2-D slot as an unbatched leaf."""
-        slot = store.slot(name)
-        i = int(i)
-
-        def backward(g):
-            if slot.grad is not None:
-                slot.grad[i] += g
-
-        return self._emit(slot.value[i], backward)
 
     def element(self, store, name, index):
         """Single entry of a slot as a 0-d leaf."""
@@ -367,34 +445,37 @@ class Tape:
 
     # -- arithmetic --------------------------------------------------------
 
+    # Binary element-wise ops take equal-rank operands; an axis of size 1 on
+    # one side broadcasts against the other, so (B, n, 1, d) * (B, 1, n, d)
+    # is the (B, n, n, d) grid of pair products.
+
     def add(self, a, b):
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
+        _broadcast("add", a, b)
 
         def backward(g):
-            _bump(a, g)
-            _bump(b, g)
+            _bump(a, _unbroadcast(g, a.value.shape))
+            _bump(b, _unbroadcast(g, b.value.shape))
 
         return self._emit(a.value + b.value, backward)
 
     def sub(self, a, b):
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"sub shape mismatch: {a.value.shape} vs {b.value.shape}")
+        _broadcast("sub", a, b)
 
         def backward(g):
-            _bump(a, g)
-            _bump(b, -g)
+            _bump(a, _unbroadcast(g, a.value.shape))
+            _bump(b, _unbroadcast(-g, b.value.shape))
 
         return self._emit(a.value - b.value, backward)
 
     def mul(self, a, b):
-        """Element-wise (Hadamard) product of same-shape nodes."""
-        if a.value.shape != b.value.shape:
-            raise ShapeError(f"mul shape mismatch: {a.value.shape} vs {b.value.shape}")
+        """Element-wise (Hadamard) product."""
+        _broadcast("mul", a, b)
 
         def backward(g):
-            _bump(a, g * b.value)
-            _bump(b, g * a.value)
+            if _needs_grad(a):
+                _bump(a, _product_grad(g, b.value, a.value.shape))
+            if _needs_grad(b):
+                _bump(b, _product_grad(g, a.value, b.value.shape))
 
         return self._emit(a.value * b.value, backward)
 
@@ -431,29 +512,37 @@ class Tape:
     def inner(self, u, v):
         """Dot product, batched or not.
 
-        (B,d)x(B,d) -> (B,) row-wise; (B,d)x(d,) and (d,)x(B,d) -> (B,);
-        (d,)x(d,) -> 0-d.
+        (..., d)x(..., d) -> (...) entry-wise over the leading axes, e.g.
+        (B,d)x(B,d) -> (B,); (..., d)x(d,) and (d,)x(..., d) -> (...),
+        contracting the last axis with a fixed vector; (d,)x(d,) -> 0-d.
         """
         ushape, vshape = u.value.shape, v.value.shape
-        if len(ushape) == 2 and len(vshape) == 2:
+        if len(ushape) >= 2 and len(vshape) >= 2:
             if ushape != vshape:
                 raise ShapeError(f"inner shape mismatch: {ushape} vs {vshape}")
 
-            def backward(g):
-                _bump(u, g[:, None] * v.value)
-                _bump(v, g[:, None] * u.value)
+            out = np.einsum("...d,...d->...", u.value, v.value)
 
-            return self._emit(np.einsum("bd,bd->b", u.value, v.value), backward)
-        if len(ushape) == 2 and len(vshape) == 1:
-            if ushape[1] != vshape[0]:
+            def backward(g):
+                # work in the operands' memory order: the output is laid out
+                # like them, and each gradient is laid out like its operand
+                laid_out = np.empty_like(out)
+                laid_out[...] = g
+                g = laid_out[..., None]
+                _bump(u, np.multiply(g, v.value, out=np.empty_like(u.value)))
+                _bump(v, np.multiply(g, u.value, out=np.empty_like(v.value)))
+
+            return self._emit(out, backward)
+        if len(ushape) >= 2 and len(vshape) == 1:
+            if ushape[-1] != vshape[0]:
                 raise ShapeError(f"inner shape mismatch: {ushape} vs {vshape}")
 
             def backward(g):
-                _bump(u, g[:, None] * v.value[None, :])
-                _bump(v, g @ u.value)
+                _bump(u, g[..., None] * v.value)
+                _bump(v, g.reshape(-1) @ u.value.reshape(-1, vshape[0]))
 
-            return self._emit(u.value @ v.value, backward)
-        if len(ushape) == 1 and len(vshape) == 2:
+            return self._emit((u.value.reshape(-1, vshape[0]) @ v.value).reshape(ushape[:-1]), backward)
+        if len(ushape) == 1 and len(vshape) >= 2:
             return self.inner(v, u)
         if len(ushape) == 1 and len(vshape) == 1:
             if ushape != vshape:
@@ -467,15 +556,15 @@ class Tape:
         raise ShapeError(f"inner does not support shapes {ushape} and {vshape}")
 
     def scale_rows(self, s, x):
-        """Row-wise scaling: s (B,) times x (B, d) -> (B, d)."""
-        if s.value.ndim != 1 or x.value.ndim != 2 or s.value.shape[0] != x.value.shape[0]:
+        """Row-wise scaling: s (...) times x (..., d) -> (..., d), e.g. (B,) with (B, d)."""
+        if s.value.ndim == 0 or s.value.shape != x.value.shape[:-1]:
             raise ShapeError(f"scale_rows shapes: {s.value.shape}, {x.value.shape}")
 
         def backward(g):
-            _bump(s, np.sum(g * x.value, axis=1))
-            _bump(x, g * s.value[:, None])
+            _bump(s, np.einsum("...d,...d->...", g, x.value))
+            _bump(x, g * s.value[..., None])
 
-        return self._emit(x.value * s.value[:, None], backward)
+        return self._emit(x.value * s.value[..., None], backward)
 
     def scale_vector(self, s, v):
         """Outer product of a batch scalar and a fixed vector: (B,) x (d,) -> (B, d)."""
@@ -489,51 +578,62 @@ class Tape:
         return self._emit(s.value[:, None] * v.value[None, :], backward)
 
     def linear_map(self, m, x):
-        """Apply matrix m (p, q) to x: (B, q) -> (B, p) or (q,) -> (p,)."""
+        """Apply matrix m (p, q) to the last axis of x: (..., q) -> (..., p)."""
         if m.value.ndim != 2:
             raise ShapeError(f"linear_map matrix must be 2-D, got {m.value.shape}")
         p, q = m.value.shape
-        if x.value.ndim == 2:
-            if x.value.shape[1] != q:
-                raise ShapeError(f"linear_map shapes: {m.value.shape}, {x.value.shape}")
-
-            def backward(g):
-                _bump(x, g @ m.value)
-                _bump(m, g.T @ x.value)
-
-            return self._emit(x.value @ m.value.T, backward)
-        if x.value.ndim == 1:
-            if x.value.shape[0] != q:
-                raise ShapeError(f"linear_map shapes: {m.value.shape}, {x.value.shape}")
-
-            def backward(g):
-                _bump(x, m.value.T @ g)
-                _bump(m, np.outer(g, x.value))
-
-            return self._emit(m.value @ x.value, backward)
-        raise ShapeError(f"linear_map does not support input shape {x.value.shape}")
-
-    def matmul(self, x, w):
-        """Batched affine core: x (B, p) @ w (p, q) -> (B, q)."""
-        if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0]:
-            raise ShapeError(f"matmul shapes: {x.value.shape}, {w.value.shape}")
+        if x.value.ndim == 0 or x.value.shape[-1] != q:
+            raise ShapeError(f"linear_map shapes: {m.value.shape}, {x.value.shape}")
 
         def backward(g):
-            _bump(x, g @ w.value.T)
-            _bump(w, x.value.T @ g)
+            _bump(x, _last_axis_product(g, m.value))
+            _bump(m, g.reshape(-1, p).T @ x.value.reshape(-1, q))
+
+        return self._emit(_last_axis_product(x.value, m.value.T), backward)
+
+    def matmul(self, x, w):
+        """Matrix product x @ w of operands of rank >= 2, numpy style.
+
+        The last two axes multiply as matrices, (p, q) @ (q, r) -> (p, r);
+        leading axes broadcast, so (B, p, q) @ (q, r) and
+        (B, p, q) @ (B, q, r) both give (B, p, r).
+        """
+        xs, ws = x.value.shape, w.value.shape
+        if len(xs) < 2 or len(ws) < 2 or xs[-1] != ws[-2]:
+            raise ShapeError(f"matmul shapes: {xs}, {ws}")
+        try:
+            np.broadcast_shapes(xs[:-2], ws[:-2])
+        except ValueError:
+            raise ShapeError(f"matmul batch shapes: {xs}, {ws}") from None
+
+        if len(ws) == 2:
+            # one shared matrix: fold every leading axis into one 2-D product
+            def backward(g):
+                if _needs_grad(x):
+                    _bump(x, _last_axis_product(g, w.value.T))
+                if _needs_grad(w):
+                    _bump(w, x.value.reshape(-1, xs[-1]).T @ g.reshape(-1, ws[-1]))
+
+            return self._emit(_last_axis_product(x.value, w.value), backward)
+
+        def backward(g):
+            if _needs_grad(x):
+                _bump(x, _unbroadcast(g @ np.swapaxes(w.value, -1, -2), xs))
+            if _needs_grad(w):
+                _bump(w, _unbroadcast(np.swapaxes(x.value, -1, -2) @ g, ws))
 
         return self._emit(x.value @ w.value, backward)
 
     def add_bias(self, x, b):
-        """x (B, m) + b (m,) with broadcast over the batch."""
-        if x.value.ndim != 2 or b.value.ndim != 1 or x.value.shape[1] != b.value.shape[0]:
+        """x (..., m) + b (m,), broadcast over every leading axis."""
+        if x.value.ndim < 2 or b.value.ndim != 1 or x.value.shape[-1] != b.value.shape[0]:
             raise ShapeError(f"add_bias shapes: {x.value.shape}, {b.value.shape}")
 
         def backward(g):
             _bump(x, g)
-            _bump(b, g.sum(axis=0))
+            _bump(b, g.reshape(-1, b.value.shape[0]).sum(axis=0))
 
-        return self._emit(x.value + b.value[None, :], backward)
+        return self._emit(x.value + b.value, backward)
 
     # -- nonlinearities ----------------------------------------------------
 
@@ -543,7 +643,7 @@ class Tape:
         def backward(g):
             _bump(x, g * mask)
 
-        return self._emit(np.where(mask, x.value, 0.0), backward)
+        return self._emit(np.maximum(x.value, 0.0), backward)
 
     def sigmoid(self, x):
         out = sigmoid(x.value)
@@ -572,18 +672,34 @@ class Tape:
 
         return self._emit(np.clip(x.value, lo, hi), backward)
 
-    def softmax(self, x):
-        """Softmax over the last axis of a 1-D or 2-D node."""
-        if x.value.ndim not in (1, 2):
-            raise ShapeError(f"softmax expects 1-D or 2-D, got {x.value.shape}")
-        if x.value.shape[-1] == 0:
+    def softmax(self, x, axis=-1, mask=None):
+        """Softmax over `axis` (an int, or a tuple of axes normalized jointly).
+
+        `mask` is an optional boolean array that broadcasts against x;
+        entries where it is False get exactly zero weight, however large
+        their score. Every slice being normalized must keep at least one
+        entry.
+        """
+        v = x.value
+        if v.ndim == 0:
+            raise ShapeError("softmax of a 0-d node")
+        axes = _axes(axis, v.ndim)
+        if any(v.shape[a] == 0 for a in axes):
             raise DomainError("softmax over an empty axis")
-        shifted = x.value - x.value.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=-1, keepdims=True)
+        if mask is None:
+            e = np.exp(v - v.max(axis=axes, keepdims=True))
+        else:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.ndim != v.ndim:
+                raise ShapeError(f"softmax mask {mask.shape} does not match {v.shape}")
+            if not np.all(np.any(mask, axis=axes)):
+                raise DomainError("softmax over a slice whose entries are all masked")
+            top = np.max(v, axis=axes, keepdims=True, where=mask, initial=-np.inf)
+            e = np.exp(np.where(mask, v - top, -np.inf))
+        p = e / e.sum(axis=axes, keepdims=True)
 
         def backward(g):
-            dot = np.sum(g * p, axis=-1, keepdims=True)
+            dot = np.sum(g * p, axis=axes, keepdims=True)
             _bump(x, p * (g - dot))
 
         return self._emit(p, backward)
@@ -603,8 +719,8 @@ class Tape:
 
     # -- shape plumbing ----------------------------------------------------
 
-    def stack_last(self, nodes):
-        """Stack k same-shape nodes along a new trailing axis."""
+    def stack_last(self, nodes, axis=-1):
+        """Stack k same-shape nodes along a new axis (the trailing one by default)."""
         nodes = list(nodes)
         if not nodes:
             raise DomainError("stack_last of no nodes")
@@ -612,12 +728,14 @@ class Tape:
         for n in nodes:
             if n.value.shape != shape:
                 raise ShapeError("stack_last nodes must share a shape")
+        (axis,) = _axes(axis, len(shape) + 1)
 
         def backward(g):
+            parts = np.ascontiguousarray(np.moveaxis(g, axis, 0))
             for k, n in enumerate(nodes):
-                _bump(n, g[..., k])
+                _bump(n, parts[k])
 
-        return self._emit(np.stack([n.value for n in nodes], axis=-1), backward)
+        return self._emit(np.stack([n.value for n in nodes], axis=axis), backward, moved=True)
 
     def concat_last(self, nodes):
         """Concatenate 2-D nodes along the trailing axis."""
@@ -644,11 +762,55 @@ class Tape:
         j = int(j)
 
         def backward(g):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            x.grad[:, j] += g
+            full = np.zeros_like(x.value)
+            full[:, j] = g
+            _bump(x, full)
 
         return self._emit(x.value[:, j].copy(), backward)
+
+    def reshape(self, x, shape):
+        """Same entries in a new shape (C order)."""
+        try:
+            value = x.value.reshape(shape)
+        except ValueError:
+            raise ShapeError(f"cannot reshape {x.value.shape} to {shape}") from None
+
+        def backward(g):
+            _bump(x, g.reshape(x.value.shape))
+
+        return self._emit(value, backward, moved=True)
+
+    def transpose(self, x, axes):
+        """Permute the axes of x; `axes` lists them in their new order."""
+        axes = tuple(int(a) for a in axes)
+        if sorted(axes) != list(range(x.value.ndim)):
+            raise ShapeError(f"transpose axes {axes} do not permute a {x.value.ndim}-D node")
+        inverse = tuple(np.argsort(axes))
+
+        def backward(g):
+            _bump(x, np.transpose(g, inverse))
+
+        return self._emit(np.transpose(x.value, axes), backward, moved=True)
+
+    def take(self, x, indices, axis):
+        """Entries `indices` along `axis`, as `np.take`; repeats accumulate gradient."""
+        idx = np.array(indices, dtype=np.int64)
+        (axis,) = _axes(axis, x.value.ndim)
+        size = x.value.shape[axis]
+        if idx.size and (idx.min() < -size or idx.max() >= size):
+            raise DomainError(f"take index out of range for an axis of {size}")
+        where = (slice(None),) * axis + (idx,)
+        unique = np.unique(idx % max(size, 1)).size == idx.size
+
+        def backward(g):
+            gx = np.zeros_like(x.value)
+            if unique:
+                gx[where] = g
+            else:
+                np.add.at(gx, where, g)
+            _bump(x, gx)
+
+        return self._emit(np.take(x.value, idx, axis=axis), backward, moved=True)
 
     def squeeze_last(self, x):
         """(B, 1) -> (B,)."""
@@ -658,7 +820,16 @@ class Tape:
         def backward(g):
             _bump(x, g[:, None])
 
-        return self._emit(x.value[:, 0].copy(), backward)
+        return self._emit(x.value[:, 0].copy(), backward, moved=True)
+
+    def sum_axis(self, x, axis):
+        """Sum over `axis` (an int or a tuple of axes), dropping it."""
+        axes = _axes(axis, x.value.ndim)
+
+        def backward(g):
+            _bump(x, np.broadcast_to(np.expand_dims(g, axes), x.value.shape))
+
+        return self._emit(x.value.sum(axis=axes), backward)
 
     def sum_all(self, x):
         def backward(g):

@@ -300,26 +300,31 @@ class Model:
             )
         return indices
 
+    def _fields(self, tape, indices):
+        """The batch's embeddings as one node, in the layout `fi_forward` reads."""
+        if not self.cfg.field_aware:
+            return tape.stack_last(embedding.lookup_fields(tape, self.store, indices), axis=1)
+        aware = embedding.lookup_field_aware(tape, self.store, indices)
+        (b, n), d = indices.shape, self.spec.dim
+        unused = tape.constant(np.zeros((b, d)))  # the (i, i) diagonal has no table
+        grid = [aware.get((i, t), unused) for i in range(n) for t in range(n)]
+        # pair-major in memory: each (i, t) block of the batch stays contiguous
+        pairs = tape.transpose(tape.stack_last(grid, axis=0), (1, 0, 2))
+        return tape.reshape(pairs, (b, n, n, d))
+
     def _fi_outputs(self, tape, slots, indices):
-        if self.cfg.field_aware:
-            aware = embedding.lookup_field_aware(tape, self.store, indices)
+        fields = self._fields(tape, indices)
+        if not self.spec.recipe.layered:
             return fi_forward(
-                tape, self.cfg, None, slots, aware=aware, n=self.schema.n, prefix="fi.l0."
+                tape, self.cfg, fields, slots, prefix="fi.l0.", grid_pairs=self.spec.grid()
             )
-        fields = embedding.lookup_fields(tape, self.store, indices)
-        if self.spec.recipe.layered:
-            g = fields
-            for prefix in _layer_prefixes(self.spec):
-                z = fi_forward(tape, self.cfg, g, slots, prefix=prefix)
-                if self.name.startswith("SAM3"):
-                    res = slots.whole(prefix + "res")
-                    g = [tape.add(z[i], tape.linear_map(res, g[i])) for i in range(len(z))]
-                else:
-                    g = z
-            return g
-        return fi_forward(
-            tape, self.cfg, fields, slots, prefix="fi.l0.", grid_pairs=self.spec.grid()
-        )
+        g = fields
+        for prefix in _layer_prefixes(self.spec):
+            z = fi_forward(tape, self.cfg, g, slots, prefix=prefix)
+            if self.name.startswith("SAM3"):
+                z = tape.add(z, tape.linear_map(slots.whole(prefix + "res"), g))
+            g = z
+        return g
 
     def logit_node(self, tape, indices, training=False, drop_rng=None):
         indices = self._check_batch(indices)
@@ -334,12 +339,10 @@ class Model:
             core = tape.squeeze_last(total) if total.value.ndim == 2 else total
         else:
             if agg_kind == "field_combination":
-                weights = [tape.element(self.store, "al.w", (i,)) for i in range(len(z))]
-                x = combine_fields_nodes(tape, z, weights)
-            elif z[0].value.ndim == 1:
-                x = tape.stack_last(z)
+                x = combine_fields_nodes(tape, z, slots.whole("al.w"))
             else:
-                x = tape.concat_last(z)
+                # concat: field-major rows with d innermost, as the st.* head reads them
+                x = tape.reshape(z, (len(indices), int(np.prod(z.value.shape[1:]))))
             core = tape.squeeze_last(
                 mlp_nodes(
                     tape, self.st_spec, slots, x, prefix="st.", training=training, drop_rng=drop_rng
@@ -347,13 +350,10 @@ class Model:
             )
 
         if self.spec.use_linear:
-            first_order = [
-                tape.squeeze_last(node)
-                for node in embedding.lookup_linear(tape, self.store, indices)
-            ]
-            core = tape.add(core, sum_nodes(tape, first_order))
+            first_order = tape.stack_last(embedding.lookup_linear(tape, self.store, indices), axis=1)
+            core = tape.add(core, tape.squeeze_last(sum_nodes(tape, first_order)))
         if self.spec.use_bias:
-            core = tape.shift_by(core, slots.elem("bias", ()))
+            core = tape.shift_by(core, slots.whole("bias"))
         return core
 
     def forward(self, indices, training=False, dropout_seed=0, chunk=4096):

@@ -6,6 +6,7 @@ shell user would see them.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -164,6 +165,92 @@ def test_eval_on_the_whole_dataset(synth_dir, run_dir):
     proc = run_cli("eval", "--run", run_dir, "--data", synth_dir, "--split", "all")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["records"] == 400
+
+
+def broken_run(ws, run_dir, name, edit, target="params.json"):
+    """Copy of the trained run whose `target` file is rewritten by `edit(text)`."""
+    out = ws / name
+    shutil.copytree(run_dir, out)
+    path = out / target
+    path.write_text(edit(path.read_text()))
+    return out
+
+
+def edit_json(change):
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+
+    return edit
+
+
+def assert_data_error(proc):
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_rejects_a_checkpoint_that_is_not_json(ws, synth_dir, run_dir):
+    run = broken_run(ws, run_dir, "run_not_json", lambda text: text[: len(text) // 2])
+    proc = run_cli("eval", "--run", run, "--data", synth_dir)
+    assert_data_error(proc)
+    assert "params.json" in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["format", "slots", "shape", "values"])
+def test_eval_rejects_a_checkpoint_missing_an_entry(ws, synth_dir, run_dir, key):
+    def drop(payload):
+        if key in payload:
+            del payload[key]
+        else:
+            del payload["slots"]["emb.0"][key]
+
+    run = broken_run(ws, run_dir, f"run_no_{key}", edit_json(drop))
+    proc = run_cli("eval", "--run", run, "--data", synth_dir)
+    assert_data_error(proc)
+    assert "params.json" in proc.stderr and repr(key) in proc.stderr
+
+
+def test_eval_rejects_checkpoint_values_that_do_not_fit_their_shape(ws, synth_dir, run_dir):
+    def truncate(payload):
+        payload["slots"]["emb.0"]["values"].pop()
+
+    run = broken_run(ws, run_dir, "run_short_values", edit_json(truncate))
+    proc = run_cli("eval", "--run", run, "--data", synth_dir)
+    assert_data_error(proc)
+    assert "params.json" in proc.stderr and "emb.0" in proc.stderr
+
+
+def test_eval_rejects_a_checkpoint_slot_of_the_wrong_shape(ws, synth_dir, run_dir):
+    def widen(payload):
+        slot = payload["slots"]["emb.0"]
+        rows, d = slot["shape"]
+        slot["shape"] = [rows, d + 1]
+        slot["values"] = [0.1] * (rows * (d + 1))
+
+    run = broken_run(ws, run_dir, "run_wide_slot", edit_json(widen))
+    proc = run_cli("eval", "--run", run, "--data", synth_dir)
+    assert_data_error(proc)
+    assert "'emb.0' has shape" in proc.stderr
+
+
+def test_eval_rejects_a_run_config_without_its_split(ws, synth_dir, run_dir):
+    run = broken_run(
+        ws, run_dir, "run_no_split", edit_json(lambda c: c.pop("split")), target="model.json"
+    )
+    proc = run_cli("eval", "--run", run, "--data", synth_dir, "--split", "test")
+    assert_data_error(proc)
+    assert "'split'" in proc.stderr
+    # the whole dataset needs no split
+    assert run_cli("eval", "--run", run, "--data", synth_dir, "--split", "all").returncode == 0
+
+
+def test_eval_rejects_a_run_config_that_is_not_json(ws, synth_dir, run_dir):
+    run = broken_run(ws, run_dir, "run_model_not_json", lambda text: "{", target="model.json")
+    proc = run_cli("eval", "--run", run, "--data", synth_dir)
+    assert_data_error(proc)
+    assert "model.json" in proc.stderr
 
 
 def test_affine_model_learns_a_linear_signal_end_to_end(ws):

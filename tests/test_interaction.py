@@ -39,7 +39,23 @@ def make_fields(rng, n=N, b=B, d=D):
 
 
 def as_nodes(tape, f):
-    return [tape.constant(f[i]) for i in range(f.shape[0])]
+    """Per-field arrays (n, B, d) as the stacked (B, n, d) node fi_forward reads."""
+    return tape.constant(np.transpose(f, (1, 0, 2)))
+
+
+def as_aware_node(tape, aware):
+    """Field-aware arrays keyed (i, j) as one (B, n, n, d) node; the diagonal stays zero."""
+    n = max(i for i, _ in aware) + 1
+    b, d = next(iter(aware.values())).shape
+    grid = np.zeros((b, n, n, d))
+    for (i, j), val in aware.items():
+        grid[:, i, j] = val
+    return tape.constant(grid)
+
+
+def per_entry(node):
+    """Split an fi_forward output along its field (or pair) axis."""
+    return [node.value[:, k] for k in range(node.value.shape[1])]
 
 
 def make_slots(rng, n=N, d=D):
@@ -63,14 +79,9 @@ def make_slots(rng, n=N, d=D):
 def run_config(cfg, f, store, aware=None, grid_pairs=None):
     tape = Tape()
     slots = SlotNodes(tape, store)
-    fields = None if f is None else as_nodes(tape, f)
-    aware_nodes = None
-    if aware is not None:
-        aware_nodes = {key: tape.constant(val) for key, val in aware.items()}
-    out = fi_forward(
-        tape, cfg, fields, slots, aware=aware_nodes, n=N, grid_pairs=grid_pairs
-    )
-    return [node.value for node in out]
+    fields = as_aware_node(tape, aware) if aware is not None else as_nodes(tape, f)
+    out = fi_forward(tape, cfg, fields, slots, grid_pairs=grid_pairs)
+    return per_entry(out)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +404,13 @@ def test_sam1_is_the_identity_on_fields():
 def test_sam2e_equal_ones_pair_doubles():
     f = np.ones((2, 1, 2))  # two fields, both (1, 1)
     tape = Tape()
-    out = fi_forward(tape, fi_catalog("SAM2_E"), as_nodes(tape, f), SlotNodes(tape, ParameterStore()))
+    out = per_entry(
+        fi_forward(tape, fi_catalog("SAM2_E"), as_nodes(tape, f), SlotNodes(tape, ParameterStore()))
+    )
     # ordered pairs of 2 fields: every entry is <f,f> * (f*f) = 2 * (1,1)
     assert len(out) == 4
-    for node in out:
-        np.testing.assert_array_equal(node.value, [[2.0, 2.0]])
+    for value in out:
+        np.testing.assert_array_equal(value, [[2.0, 2.0]])
 
 
 def test_autoint_identity_projections_single_field():
@@ -407,8 +420,8 @@ def test_autoint_identity_projections_single_field():
     store.add_value("fi.v", np.eye(2))
     f = np.array([[[0.3, -1.2]]])
     tape = Tape()
-    out = fi_forward(tape, fi_catalog("AutoInt"), as_nodes(tape, f), SlotNodes(tape, store))
-    np.testing.assert_allclose(out[0].value, f[0], rtol=0, atol=1e-15)
+    out = per_entry(fi_forward(tape, fi_catalog("AutoInt"), as_nodes(tape, f), SlotNodes(tape, store)))
+    np.testing.assert_allclose(out[0], f[0], rtol=0, atol=1e-15)
 
 
 def test_fm_output_is_quadratic_in_embedding_scale():
@@ -492,3 +505,26 @@ def test_softmax_disabled_gives_raw_score_sums():
 def test_field_aware_config_requires_aware_embeddings():
     with pytest.raises(ContractError):
         fi_forward(Tape(), fi_catalog("FFM"), None, SlotNodes(Tape(), ParameterStore()))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_fi_forward_emits_as_many_nodes_at_eight_fields_as_at_three(name):
+    cfg = fi_catalog(name)
+    emitted = []
+    for n in (3, 8):
+        rng = np.random.default_rng(37)
+        store = make_slots(rng, n=n)
+        if cfg.utility == "scalar_pair_sym":
+            sym = ParameterStore()
+            sym.add_value("fi.pairw", store.value("fi.pairw_sym"))
+            store = sym
+        tape = Tape()
+        if cfg.field_aware:
+            aware = {(i, j): rng.normal(size=(B, D)) for i in range(n) for j in range(n) if i != j}
+            fields = as_aware_node(tape, aware)
+        else:
+            fields = as_nodes(tape, make_fields(rng, n=n))
+        before = len(tape)
+        fi_forward(tape, cfg, fields, SlotNodes(tape, store))
+        emitted.append(len(tape) - before)
+    assert emitted[0] == emitted[1]

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctrzoo.errors import ContractError, DomainError, NumericError, ShapeError
+from ctrzoo.errors import ContractError, DataError, DomainError, NumericError, ShapeError
+from ctrzoo.interaction import MODEL_NAMES, fi_catalog
 from ctrzoo.tape import (
     ParameterStore,
     Tape,
@@ -17,6 +20,7 @@ from ctrzoo.tape import (
     softmax_weights,
     xavier_uniform,
 )
+from test_interaction import ORACLES, make_fields, make_slots, oracle_ffm, run_config
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +489,181 @@ def test_finite_diff_step_must_be_positive():
     store.add_value("w", [1.0])
     with pytest.raises(DomainError):
         finite_diff_check(lambda: 0.0, store, eps=0.0)
+
+
+# ---------------------------------------------------------------------------
+# whole-tensor ops used by the FI kernel
+
+
+def _grad_error(store, build):
+    """Max relative gap between tape gradients and central differences."""
+    store.zero_grads()
+    tape = Tape()
+    tape.backward(build(tape))
+    return finite_diff_check(lambda: float(build(Tape()).value), store, eps=1e-6)
+
+
+def test_broadcast_binary_ops_check_against_finite_differences():
+    store = ParameterStore(seed=21)
+    store.add_xavier("a", (2, 3, 1, 2))
+    store.add_xavier("b", (2, 1, 3, 2))
+    store.add_xavier("c", (1, 3, 1, 1))
+
+    def build(tape):
+        a, b, c = (tape.parameter(store, k) for k in "abc")
+        prod = tape.mul(a, b)  # (2, 3, 3, 2) grid of pair products
+        return tape.sum_all(tape.mul(tape.sub(tape.add(prod, c), c), tape.add(prod, c)))
+
+    assert _grad_error(store, build) < 1e-8
+
+
+def test_broadcast_needs_equal_ranks():
+    tape = Tape()
+    with pytest.raises(ShapeError):
+        tape.add(tape.constant(np.ones((3,))), tape.constant(np.ones((3, 1))))
+
+
+def test_batched_matmul_checks_against_finite_differences():
+    store = ParameterStore(seed=22)
+    store.add_xavier("e", (2, 3, 4))
+    store.add_xavier("k", (4, 4))
+    store.add_xavier("v", (3, 3, 2))
+
+    def build(tape):
+        e = tape.parameter(store, "e")
+        s = tape.matmul(e, tape.transpose(tape.matmul(e, tape.parameter(store, "k")), (0, 2, 1)))
+        per_field = tape.matmul(tape.transpose(s, (1, 0, 2)), tape.parameter(store, "v"))
+        mixed = tape.matmul(s, e)  # (2, 3, 3) @ (2, 3, 4)
+        return tape.add(tape.sum_all(tape.mul(per_field, per_field)), tape.sum_all(mixed))
+
+    assert _grad_error(store, build) < 1e-8
+
+
+def test_matmul_rejects_mismatched_batch_axes():
+    tape = Tape()
+    with pytest.raises(ShapeError):
+        tape.matmul(tape.constant(np.ones((2, 3, 4))), tape.constant(np.ones((3, 4, 2))))
+
+
+def test_shape_plumbing_checks_against_finite_differences():
+    store = ParameterStore(seed=23)
+    store.add_xavier("x", (2, 3, 4))
+    store.add_xavier("t", (5,))
+    store.add_xavier("m", (3, 4))
+    store.add_xavier("b", (3,))
+    store.add_xavier("h", (3,))
+
+    def build(tape):
+        x = tape.parameter(store, "x")
+        y = tape.reshape(tape.transpose(x, (2, 0, 1)), (4, 6))
+        picked = tape.take(y, [5, 0, 5, 2], axis=1)  # a repeated column
+        rows = tape.take(tape.parameter(store, "t"), np.array([[0, 4], [4, 1]]), axis=0)
+        stacked = tape.stack_last([x, tape.scale_const(x, 2.0)], axis=1)  # (2, 2, 3, 4)
+        mapped = tape.linear_map(tape.parameter(store, "m"), stacked)  # (2, 2, 3, 3)
+        hidden = tape.relu(tape.add_bias(mapped, tape.parameter(store, "b")))
+        scores = tape.inner(hidden, tape.parameter(store, "h"))  # (2, 2, 3)
+        total = tape.add(tape.sum_all(tape.mul(picked, picked)), tape.sum_all(tape.mul(rows, rows)))
+        return tape.add(total, tape.sum_all(tape.sum_axis(scores, (0, 2))))
+
+    assert _grad_error(store, build) < 1e-8
+
+
+def test_stack_last_along_an_inner_axis():
+    tape = Tape()
+    parts = [tape.constant(np.full((2, 3), float(k))) for k in range(4)]
+    out = tape.stack_last(parts, axis=1)
+    assert out.value.shape == (2, 4, 3)
+    np.testing.assert_array_equal(out.value[:, 2], np.full((2, 3), 2.0))
+
+
+def test_take_rejects_out_of_range_indices():
+    tape = Tape()
+    with pytest.raises(DomainError):
+        tape.take(tape.constant(np.ones((2, 3))), [3], axis=1)
+
+
+def test_masked_softmax_checks_against_finite_differences():
+    store = ParameterStore(seed=24)
+    store.add_xavier("s", (2, 3, 3))
+    store.add_xavier("u", (2, 3, 3))
+    others = ~np.eye(3, dtype=bool)[None]
+
+    def build(tape):
+        s, u = tape.parameter(store, "s"), tape.parameter(store, "u")
+        rows = tape.softmax(s, axis=-1, mask=others)
+        joint = tape.softmax(s, axis=(1, 2), mask=others)
+        return tape.sum_all(tape.mul(tape.add(rows, joint), u))
+
+    assert _grad_error(store, build) < 1e-8
+
+
+def test_masked_entry_gets_exactly_zero_weight_whatever_its_score():
+    store = ParameterStore()
+    store.add_value("s", [[1e300, 0.5, -0.25], [2.0, -1e300, 1e3]])
+    mask = np.array([[False, True, True], [True, True, False]])
+    tape = Tape()
+    p = tape.softmax(tape.parameter(store, "s"), mask=mask)
+    assert p.value[0, 0] == 0.0 and p.value[1, 2] == 0.0
+    np.testing.assert_allclose(p.value.sum(axis=1), [1.0, 1.0], rtol=0, atol=1e-15)
+    # and no gradient flows back to the masked scores
+    store.zero_grads()
+    tape.backward(tape.sum_all(tape.mul(p, tape.constant(np.arange(6.0).reshape(2, 3)))))
+    assert store.grad("s")[0, 0] == 0.0 and store.grad("s")[1, 2] == 0.0
+
+
+def test_fully_masked_row_is_a_domain_error():
+    tape = Tape()
+    x = tape.constant(np.zeros((2, 3)))
+    with pytest.raises(DomainError):
+        tape.softmax(x, mask=np.array([[True, False, False], [False, False, False]]))
+    with pytest.raises(DomainError):
+        tape.softmax(tape.constant(np.zeros((1, 2, 2))), axis=(1, 2), mask=np.zeros((1, 2, 2), bool))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    n=st.integers(2, 6),
+    b=st.integers(1, 5),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tensor_fi_forward_matches_the_double_loop_oracles(n, b, d, seed):
+    rng = np.random.default_rng(seed)
+    f = make_fields(rng, n=n, b=b, d=d)
+    store = make_slots(rng, n=n, d=d)
+    params = {name: store.value(name) for name in store.names()}
+    for name in MODEL_NAMES:
+        cfg = fi_catalog(name)
+        if cfg.field_aware:
+            aware = {(i, j): rng.normal(size=(b, d)) for i in range(n) for j in range(n) if i != j}
+            got, want = run_config(cfg, None, ParameterStore(), aware=aware), oracle_ffm(aware, n)
+        else:
+            slots = store
+            if cfg.utility == "scalar_pair_sym":
+                slots = ParameterStore()
+                slots.add_value("fi.pairw", params["fi.pairw_sym"])
+            got, want = run_config(cfg, f, slots), ORACLES[name](f, params)
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint loading
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"slots": {}}',
+        '{"format": "ctrzoo-params-v1"}',
+        '{"format": "ctrzoo-params-v1", "slots": {"w": {"values": [1.0], "trainable": true}}}',
+        '{"format": "ctrzoo-params-v1", "slots": {"w": {"shape": [2, 2], "values": [1.0], "trainable": true}}}',
+    ],
+)
+def test_store_load_rejects_malformed_checkpoints_as_data_errors(tmp_path, text):
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match="params.json"):
+        ParameterStore.load(path)

@@ -8,6 +8,7 @@ import pytest
 from ctrzoo.data import FieldSchema
 from ctrzoo.errors import CatalogError, ConfigError
 from ctrzoo.interaction import MODEL_NAMES
+from ctrzoo.tape import Tape
 from ctrzoo.zoo import (
     ComplexityReport,
     Model,
@@ -58,6 +59,21 @@ def test_zeroed_parameters_give_even_odds(name):
         slot.value[...] = 0.0
     np.testing.assert_array_equal(model.forward(BATCH), np.zeros(6))
     np.testing.assert_array_equal(model.predict(BATCH), np.full(6, 0.5))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_loss_tape_grows_by_at_most_one_node_per_lookup(name):
+    size, lookups = {}, {}
+    for n in (3, 8):
+        schema = FieldSchema.of_sizes([4] * n)
+        model = build_model(ModelSpec(name, schema, d=3, layers=2, mlp_hidden=(8, 4)), seed=0)
+        indices, labels = random_batch(schema, 5, seed=0)
+        tape = Tape()
+        model.loss_node(tape, indices, labels)
+        size[n] = len(tape)
+        tables = n * (n - 1) if model.cfg.field_aware else n
+        lookups[n] = tables + (n if model.spec.use_linear else 0)
+    assert size[8] - size[3] <= lookups[8] - lookups[3]
 
 
 def test_forward_chunking_is_invisible():
