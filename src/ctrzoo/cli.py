@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as datamod
 from . import equivalence as eqmod
-from .errors import ConfigError, CtrZooError, DataError, NumericError, TrainingError
+from .errors import ConfigError, CtrZooError, DataError, NumericError, TrainingError, read_json
 from .metrics import evaluate
 from .tape import ParameterStore
 from .training import TrainConfig, train
@@ -255,11 +255,7 @@ def _rebuild_run(run_dir):
     params_path = root / "params.json"
     if not model_path.is_file() or not params_path.is_file():
         raise DataError(f"{run_dir}: expected model.json and params.json")
-    try:
-        with open(model_path, "r", encoding="utf-8") as fh:
-            run_config = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{model_path}: not valid JSON: {exc}") from exc
+    run_config = read_json(model_path)
     if not isinstance(run_config, dict) or "model" not in run_config:
         raise DataError(f"{model_path}: no 'model' entry")
     spec = ModelSpec.from_dict(run_config["model"])
@@ -498,13 +494,7 @@ def _apply_config(parser, parsers, argv):
     command = argv[0] if argv and argv[0] in parsers else None
     if command is None:
         raise ConfigError("--config needs a subcommand")
-    try:
-        with open(known.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{known.config}: not valid JSON: {exc}") from exc
+    payload = read_json(known.config, ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError(f"{known.config}: config must be a JSON object")
     target = parsers[command]

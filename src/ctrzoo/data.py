@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, ShapeError
+from .errors import ConfigError, DataError, DomainError, ShapeError, read_json, reading
 from .tape import sigmoid
 
 MISSING_INDEX = 0
@@ -106,12 +106,6 @@ class FieldSchema:
 # encoded records
 
 
-@dataclass(frozen=True)
-class EncodedRecord:
-    label: int
-    indices: tuple[int, ...]
-
-
 @dataclass
 class Dataset:
     """Column store of encoded rows: integer indices (N, n), labels (N,)."""
@@ -136,9 +130,6 @@ class Dataset:
     def n_fields(self):
         return self.indices.shape[1]
 
-    def record(self, i):
-        return EncodedRecord(int(self.labels[i]), tuple(int(k) for k in self.indices[i]))
-
     def subset(self, rows):
         return Dataset(self.indices[rows], self.labels[rows])
 
@@ -149,15 +140,6 @@ class Dataset:
             col = self.indices[:, i]
             if len(col) and (col.min() < 0 or col.max() >= size):
                 raise DataError(f"field {i}: index outside vocabulary of size {size}")
-
-    @classmethod
-    def from_records(cls, records):
-        if not records:
-            raise DataError("no records")
-        return cls(
-            np.array([r.indices for r in records], dtype=np.int64),
-            np.array([r.label for r in records], dtype=np.float64),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +191,7 @@ def read_raw(path, fields, delimiter="tab"):
     if sep not in _DELIMITERS.values():
         raise ConfigError(f"unsupported delimiter {delimiter!r} (use tab or comma)")
     labels, rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -280,8 +262,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def build_vocab(table, min_count=10):
@@ -464,26 +445,6 @@ def generate_dcm(spec):
     return SyntheticData(spec, schema, dataset, probs, theta, truth)
 
 
-def gumbel_sample(rng, size):
-    """Standard Gumbel draws via the inverse CDF, -ln(-ln U)."""
-    u = np.clip(rng.random(size), 1e-300, 1.0 - 1e-16)
-    return -np.log(-np.log(u))
-
-
-def simulate_clicks_gumbel(h, theta, noise, rng):
-    """Click decisions from explicit two-sided Gumbel utility noise.
-
-    A click happens when H - theta + k*g1 beats the outside option k*g2.
-    The difference of two Gumbels is logistic, so click rates converge to
-    sigmoid((H - theta) / k); kept as an independent check on the closed
-    form used by `generate_dcm`.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    g1 = gumbel_sample(rng, h.shape)
-    g2 = gumbel_sample(rng, h.shape)
-    return (h - theta + noise * g1 > noise * g2).astype(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -494,14 +455,12 @@ def save_schema(schema, path):
 
 
 def load_schema(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return FieldSchema.from_dict(json.load(fh))
+    return FieldSchema.from_dict(read_json(path))
 
 
 def load_fields(path):
     """Field descriptors (name, kind) for raw data, label column implicit."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path, ConfigError)
     try:
         return [Field(f["name"], f.get("kind", "categorical")) for f in payload["fields"]]
     except (KeyError, TypeError) as exc:
@@ -516,7 +475,7 @@ def save_encoded(dataset, path):
 
 def load_encoded(path, schema=None):
     labels, rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -536,19 +495,3 @@ def load_encoded(path, schema=None):
     if schema is not None:
         dataset.check_schema(schema)
     return dataset
-
-
-def write_raw(table, path, delimiter="tab"):
-    sep = _DELIMITERS.get(delimiter, delimiter)
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, row in zip(table.labels, table.rows):
-            cells = [str(label)] + ["" if t is None else str(t) for t in row]
-            fh.write(sep.join(cells) + "\n")
-
-
-def synthetic_raw_table(data):
-    """Re-express generated records as raw tokens (categories as strings)."""
-    fields = [Field(f.name, "categorical") for f in data.schema.fields]
-    rows = [[str(int(k - N_RESERVED)) for k in row] for row in data.dataset.indices]
-    labels = [int(y) for y in data.dataset.labels]
-    return RawTable(fields, labels, rows)

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the file readers that raise them.
 
 The CLI maps these onto distinct process exit codes, so keep the hierarchy
 flat and the meanings crisp: configuration problems, data problems, numeric
 blow-ups, and broken internal contracts are different failure modes.
 """
+import json
+from contextlib import contextmanager
 
 
 class CtrZooError(Exception):
@@ -49,3 +51,28 @@ class MetricError(CtrZooError):
 
 class ContractError(CtrZooError):
     """An internal API precondition was violated by the caller."""
+
+
+@contextmanager
+def reading(path, error=DataError):
+    """Open `path` as UTF-8 text.
+
+    A missing or unreadable file, or bytes that are not UTF-8 (also met
+    while the caller reads), raise `error` naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json(path, error=DataError):
+    """The JSON value in `path`; every way the file can fail to parse raises `error`."""
+    with reading(path, error) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from exc

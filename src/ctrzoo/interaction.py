@@ -16,8 +16,7 @@ renormalize jointly over all ordered pairs.
 `fi_forward` evaluates a row on the whole (B, n, d) field tensor: the
 similarity is one (B, n, n) matrix, each neighborhood a constant (n, n)
 mask, and the utility one contraction with the weights, so the tape
-records a fixed number of nodes whatever n is. `Similarity`, `Utility`,
-`b_pair` and `b_sum` state the same rule one pair at a time.
+records a fixed number of nodes whatever n is.
 """
 from __future__ import annotations
 
@@ -26,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CatalogError, ContractError, DomainError, ShapeError
-from .tape import _bump
+from .errors import CatalogError, ContractError, DomainError
 
 MODEL_NAMES = (
     "LR",
@@ -46,164 +44,6 @@ MODEL_NAMES = (
     "SAM3_A",
     "SAM3_E",
 )
-
-
-# ---------------------------------------------------------------------------
-# similarity / utility value objects (parameters are tape nodes)
-
-
-@dataclass
-class Similarity:
-    """S(f_i, v): how much the pair matters.
-
-    kind: "one" (constant 1), "constant" (fixed value), "inner" (dot
-    product), "proj_k" (<f_i, K v>), "proj_qk" (<Q f_i, K v>), "afm"
-    (h . relu(W (f_i * v) + b)). `softmax` renormalizes scores over the
-    neighborhood inside `b_sum`.
-    """
-
-    kind: str = "inner"
-    value: float = 1.0
-    q: object = None
-    k: object = None
-    afm_w: object = None
-    afm_h: object = None
-    afm_b: object = None
-    softmax: bool = False
-
-    def score(self, tape, f_i, v):
-        if self.kind == "one":
-            return None
-        if self.kind == "constant":
-            return tape.constant(np.full(f_i.value.shape[:-1], self.value))
-        if self.kind == "inner":
-            return tape.inner(f_i, v)
-        if self.kind == "proj_k":
-            return tape.inner(f_i, tape.linear_map(self.k, v))
-        if self.kind == "proj_qk":
-            return tape.inner(tape.linear_map(self.q, f_i), tape.linear_map(self.k, v))
-        if self.kind == "afm":
-            hidden = tape.relu(tape.add_bias(tape.linear_map(self.afm_w, tape.mul(f_i, v)), self.afm_b))
-            return tape.inner(hidden, self.afm_h)
-        raise CatalogError(f"unknown similarity kind {self.kind!r}")
-
-
-@dataclass
-class Utility:
-    """U(f_i, v): what the pair contributes.
-
-    kind: "one" (the similarity alone), "identity" (v itself), "scalar"
-    (a 0-d weight node), "vector" (an unbatched weight vector), "hadamard"
-    (f_i * v), "linear_map" (V v), "scaled_identity" (w * v),
-    "projected_inner" (<p, f_i * v>, a per-record scalar).
-    """
-
-    kind: str = "one"
-    node: object = None
-
-    def value(self, tape, f_i, v):
-        if self.kind == "one":
-            return ("one", None)
-        if self.kind == "identity":
-            return ("batch", v)
-        if self.kind == "scalar":
-            return ("scalar", self.node)
-        if self.kind == "vector":
-            return ("vector", self.node)
-        if self.kind == "hadamard":
-            return ("batch", tape.mul(f_i, v))
-        if self.kind == "linear_map":
-            return ("batch", tape.linear_map(self.node, v))
-        if self.kind == "scaled_identity":
-            return ("batch", tape.scale_by(v, self.node))
-        if self.kind == "projected_inner":
-            return ("batch", tape.inner(tape.mul(f_i, v), self.node))
-        raise CatalogError(f"unknown utility kind {self.kind!r}")
-
-
-def _combine(tape, score, util):
-    """score * utility with the right broadcasting op for each pairing."""
-    tag, node = util
-    if score is None:
-        if tag == "one":
-            raise ContractError("similarity 'one' with utility 'one' leaves nothing to emit")
-        return node
-    if tag == "one":
-        return score
-    if tag == "scalar":
-        return tape.scale_by(score, node)
-    if score.value.ndim == 0:
-        return tape.scale_by(node, score)
-    if tag == "vector":
-        return tape.scale_vector(score, node)
-    if node.value.ndim == 2:
-        return tape.scale_rows(score, node)
-    if node.value.shape == score.value.shape:
-        return tape.mul(score, node)
-    raise ShapeError(
-        f"cannot combine score {score.value.shape} with utility {node.value.shape}"
-    )
-
-
-def _sum_nodes(tape, nodes):
-    if not nodes:
-        raise DomainError("empty neighborhood")
-    total = nodes[0]
-    for node in nodes[1:]:
-        total = tape.add(total, node)
-    return total
-
-
-def _pick(tape, weights, k):
-    """Entry k along the last axis of stacked softmax weights."""
-    if weights.value.ndim == 2:
-        return tape.column(weights, k)
-
-    def backward(g, _w=weights, _k=k):
-        full = np.zeros_like(_w.value)
-        full[_k] = g
-        _bump(_w, full)
-
-    return tape._emit(np.asarray(weights.value[k]), backward)
-
-
-def b_pair(tape, sim, util, f_i, v):
-    """Single interaction term S(f_i, v) * U(f_i, v).
-
-    A softmax-normalized similarity over one neighbor weighs it 1, so the
-    result is just the utility.
-    """
-    if sim.softmax:
-        util_val = util.value(tape, f_i, v)
-        if util_val[0] == "one":
-            return tape.constant(np.ones(f_i.value.shape[:-1]))
-        return util_val[1]
-    return _combine(tape, sim.score(tape, f_i, v), util.value(tape, f_i, v))
-
-
-def b_sum(tape, sim, util, f_i, neighbors):
-    """Neighborhood sum of interaction terms, with optional softmax weights."""
-    neighbors = list(neighbors)
-    if not neighbors:
-        raise DomainError("b_sum needs a nonempty neighborhood")
-    utils = [util.value(tape, f_i, v) for v in neighbors]
-    if sim.softmax:
-        scores = []
-        for v in neighbors:
-            s = sim.score(tape, f_i, v)
-            if s is None:
-                s = tape.constant(np.zeros(f_i.value.shape[:-1]))
-            scores.append(s)
-        weights = tape.softmax(tape.stack_last(scores))
-        terms = [
-            _combine(tape, _pick(tape, weights, k), utils[k]) for k in range(len(neighbors))
-        ]
-    else:
-        terms = [
-            _combine(tape, sim.score(tape, f_i, neighbors[k]), utils[k])
-            for k in range(len(neighbors))
-        ]
-    return _sum_nodes(tape, terms)
 
 
 # ---------------------------------------------------------------------------

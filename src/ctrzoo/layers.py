@@ -1,78 +1,25 @@
 """Aggregation of per-field interaction outputs and the transform stack.
 
-Aggregation turns the stacked FI output into one tensor: concatenation,
-plain sum, mean, or a field combination (a trainable weighted sum). The
-transform stack is a standard MLP; zero hidden layers make it a single
-affine map and is how the linear heads are expressed.
+Aggregation turns the stacked FI output into one tensor: a plain sum over
+fields or a field combination (a trainable weighted sum); concatenation is
+a reshape the model does itself. The transform stack is a standard MLP;
+zero hidden layers make it a single affine map and is how the linear heads
+are expressed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, DomainError, ShapeError
-from .tape import Node
-
-AGGREGATIONS = ("concat", "sum", "mean", "field_combination")
 
 
-@dataclass
-class AggregationSpec:
-    kind: str
-    weights: np.ndarray | None = None  # field_combination only
-
-    def __post_init__(self):
-        if self.kind not in AGGREGATIONS:
-            raise ConfigError(f"unknown aggregation {self.kind!r}")
-
-
-def aggregate(spec, vectors):
-    """Value-level aggregation of a list of 1-D vectors."""
-    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if not vectors:
-        raise DomainError("aggregate of an empty list")
-    if spec.kind == "concat":
-        return np.concatenate(vectors)
-    length = vectors[0].shape[0]
-    for v in vectors:
-        if v.shape != (length,):
-            raise ShapeError("aggregation requires equal-length vectors")
-    if spec.kind == "sum":
-        return np.sum(vectors, axis=0)
-    if spec.kind == "mean":
-        return np.mean(vectors, axis=0)
-    weights = np.asarray(spec.weights, dtype=np.float64)
-    if weights.shape != (len(vectors),):
-        raise ShapeError(
-            f"field_combination needs one weight per vector, got {weights.shape} "
-            f"for {len(vectors)} vectors"
-        )
-    return sum(w * v for w, v in zip(weights, vectors))
-
-
-def sum_nodes(tape, nodes):
-    """Sum over fields: axis 1 of a stacked (B, n, ...) node, or a list of same-shape nodes."""
-    if isinstance(nodes, Node):
-        return tape.sum_axis(nodes, 1)
-    if not nodes:
-        raise DomainError("sum of no nodes")
-    total = nodes[0]
-    for node in nodes[1:]:
-        total = tape.add(total, node)
-    return total
+def sum_nodes(tape, fields):
+    """Sum over fields: axis 1 of a stacked (B, n, ...) node."""
+    return tape.sum_axis(fields, 1)
 
 
 def combine_fields_nodes(tape, fields, weights):
-    """Trainable weighted sum over fields, sum_i w_i z_i: (B, n, d) with (n,) -> (B, d).
-
-    A list of n (B, d) field nodes and a list of n 0-d weight nodes are
-    stacked first.
-    """
-    if not isinstance(fields, Node):
-        fields = tape.stack_last(fields, axis=1)
-    if not isinstance(weights, Node):
-        weights = tape.stack_last(weights)
+    """Trainable weighted sum over fields, sum_i w_i z_i: (B, n, d) with (n,) -> (B, d)."""
     if fields.value.ndim != 3 or weights.value.shape != fields.value.shape[1:2]:
         raise ShapeError("field_combination needs one weight per field vector")
     return tape.inner(tape.transpose(fields, (0, 2, 1)), weights)
@@ -90,7 +37,6 @@ class MLPSpec:
     hidden: tuple = (32, 32, 32)
     out_dim: int = 1
     dropout: float = 0.0
-    residual: bool = False
 
     def __post_init__(self):
         if self.input_dim < 1 or self.out_dim < 1:
@@ -135,27 +81,9 @@ def mlp_nodes(tape, spec, slots, x, *, prefix="st.", training=False, drop_rng=No
         if k == spec.depth - 1:
             return pre
         act = tape.relu(pre)
-        if spec.residual and act.value.shape == h.value.shape:
-            act = tape.add(act, h)
         if training and spec.dropout > 0.0:
             if drop_rng is None:
                 raise DomainError("training-mode dropout needs a random generator")
             act = tape.dropout(act, spec.dropout, drop_rng)
         h = act
     return h
-
-
-def mlp_forward(spec, weights, x):
-    """Value-level evaluation (no dropout): weights is a list of (W, b) pairs."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(weights) != spec.depth:
-        raise ShapeError(f"expected {spec.depth} layers of weights, got {len(weights)}")
-    h = np.atleast_2d(x)
-    for k, (w, b) in enumerate(weights):
-        prev = h
-        h = prev @ w + b
-        if k < spec.depth - 1:
-            h = np.maximum(h, 0.0)
-            if spec.residual and h.shape == prev.shape:
-                h = h + prev
-    return h if x.ndim == 2 else h[0]

@@ -17,13 +17,9 @@ import json
 
 import numpy as np
 
-from .errors import ContractError, DataError, DomainError, NumericError, ShapeError
+from .errors import ContractError, DataError, DomainError, NumericError, ShapeError, read_json
 
 __all__ = [
-    "inner",
-    "hadamard",
-    "softmax_weights",
-    "relu",
     "sigmoid",
     "Node",
     "Tape",
@@ -42,51 +38,6 @@ def _as_f64(x):
     if not np.all(np.isfinite(arr)):
         raise NumericError("non-finite input value")
     return arr
-
-
-def inner(u, v):
-    """Dot product of two equal-length 1-D vectors, as a float."""
-    u = _as_f64(u)
-    v = _as_f64(v)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ShapeError(f"inner expects 1-D vectors, got {u.shape} and {v.shape}")
-    if u.shape != v.shape:
-        raise ShapeError(f"inner length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return float(np.dot(u, v))
-
-
-def hadamard(u, v):
-    """Element-wise product of two equal-length 1-D vectors."""
-    u = _as_f64(u)
-    v = _as_f64(v)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ShapeError(f"hadamard expects 1-D vectors, got {u.shape} and {v.shape}")
-    if u.shape != v.shape:
-        raise ShapeError(f"hadamard length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return u * v
-
-
-def softmax_weights(scores):
-    """Normalized exponential weights of a score vector.
-
-    Uses max-subtraction so large scores cannot overflow. The output sums
-    to one and is invariant (to rounding) under a constant shift of the
-    scores.
-    """
-    arr = _as_f64(scores)
-    if arr.ndim != 1:
-        raise ShapeError(f"softmax_weights expects a 1-D score vector, got {arr.shape}")
-    if arr.size == 0:
-        raise DomainError("softmax_weights of an empty score vector")
-    w = np.exp(arr - arr.max())
-    return w / w.sum()
-
-
-def relu(x):
-    """max(x, 0), element-wise; scalar in, scalar out."""
-    arr = _as_f64(x)
-    out = np.maximum(arr, 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def sigmoid(x):
@@ -248,18 +199,15 @@ class ParameterStore:
     def load(cls, path):
         """Read a checkpoint written by `save`.
 
-        A file that is not JSON, lacks an entry, or holds values that do
-        not fit their shape raises DataError naming `path`.
+        A file that cannot be read as JSON, names another format, lacks an
+        entry, or holds values that do not fit their shape raises DataError
+        naming `path`.
         """
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+        payload = read_json(path)
         if not isinstance(payload, dict) or "format" not in payload:
             raise DataError(f"{path}: checkpoint has no 'format' entry")
         if payload["format"] != "ctrzoo-params-v1":
-            raise DomainError(f"{path}: not a parameter checkpoint")
+            raise DataError(f"{path}: not a parameter checkpoint")
         slots = payload.get("slots")
         if not isinstance(slots, dict):
             raise DataError(f"{path}: checkpoint has no 'slots' object")
@@ -409,17 +357,6 @@ class Tape:
 
         return self._emit(slot.value, backward)
 
-    def element(self, store, name, index):
-        """Single entry of a slot as a 0-d leaf."""
-        slot = store.slot(name)
-        index = tuple(int(k) for k in np.atleast_1d(index))
-
-        def backward(g):
-            if slot.grad is not None:
-                slot.grad[index] += g
-
-        return self._emit(np.asarray(slot.value[index]), backward)
-
     def lookup(self, store, name, indices):
         """Batched row gather from a 2-D slot: indices (B,) -> value (B, d).
 
@@ -486,17 +423,6 @@ class Tape:
             _bump(a, g * c)
 
         return self._emit(a.value * c, backward)
-
-    def scale_by(self, x, s):
-        """x * s where s is a 0-d node; broadcasts over all of x."""
-        if s.value.shape != ():
-            raise ShapeError(f"scale_by scale must be 0-d, got {s.value.shape}")
-
-        def backward(g):
-            _bump(x, g * s.value)
-            _bump(s, np.sum(g * x.value))
-
-        return self._emit(x.value * s.value, backward)
 
     def shift_by(self, x, s):
         """x + s where s is a 0-d node."""
@@ -565,17 +491,6 @@ class Tape:
             _bump(x, g * s.value[..., None])
 
         return self._emit(x.value * s.value[..., None], backward)
-
-    def scale_vector(self, s, v):
-        """Outer product of a batch scalar and a fixed vector: (B,) x (d,) -> (B, d)."""
-        if s.value.ndim != 1 or v.value.ndim != 1:
-            raise ShapeError(f"scale_vector shapes: {s.value.shape}, {v.value.shape}")
-
-        def backward(g):
-            _bump(s, g @ v.value)
-            _bump(v, g.T @ s.value)
-
-        return self._emit(s.value[:, None] * v.value[None, :], backward)
 
     def linear_map(self, m, x):
         """Apply matrix m (p, q) to the last axis of x: (..., q) -> (..., p)."""
@@ -736,37 +651,6 @@ class Tape:
                 _bump(n, parts[k])
 
         return self._emit(np.stack([n.value for n in nodes], axis=axis), backward, moved=True)
-
-    def concat_last(self, nodes):
-        """Concatenate 2-D nodes along the trailing axis."""
-        nodes = list(nodes)
-        if not nodes:
-            raise DomainError("concat_last of no nodes")
-        widths = []
-        for n in nodes:
-            if n.value.ndim != 2 or n.value.shape[0] != nodes[0].value.shape[0]:
-                raise ShapeError("concat_last expects 2-D nodes with equal batch size")
-            widths.append(n.value.shape[1])
-        offsets = np.cumsum([0] + widths)
-
-        def backward(g):
-            for k, n in enumerate(nodes):
-                _bump(n, g[:, offsets[k] : offsets[k + 1]])
-
-        return self._emit(np.concatenate([n.value for n in nodes], axis=1), backward)
-
-    def column(self, x, j):
-        """Column j of a 2-D node as a (B,) node."""
-        if x.value.ndim != 2:
-            raise ShapeError(f"column expects a 2-D node, got {x.value.shape}")
-        j = int(j)
-
-        def backward(g):
-            full = np.zeros_like(x.value)
-            full[:, j] = g
-            _bump(x, full)
-
-        return self._emit(x.value[:, j].copy(), backward)
 
     def reshape(self, x, shape):
         """Same entries in a new shape (C order)."""

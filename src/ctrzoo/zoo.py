@@ -300,20 +300,9 @@ class Model:
             )
         return indices
 
-    def _fields(self, tape, indices):
-        """The batch's embeddings as one node, in the layout `fi_forward` reads."""
-        if not self.cfg.field_aware:
-            return tape.stack_last(embedding.lookup_fields(tape, self.store, indices), axis=1)
-        aware = embedding.lookup_field_aware(tape, self.store, indices)
-        (b, n), d = indices.shape, self.spec.dim
-        unused = tape.constant(np.zeros((b, d)))  # the (i, i) diagonal has no table
-        grid = [aware.get((i, t), unused) for i in range(n) for t in range(n)]
-        # pair-major in memory: each (i, t) block of the batch stays contiguous
-        pairs = tape.transpose(tape.stack_last(grid, axis=0), (1, 0, 2))
-        return tape.reshape(pairs, (b, n, n, d))
-
     def _fi_outputs(self, tape, slots, indices):
-        fields = self._fields(tape, indices)
+        lookup = embedding.lookup_field_aware if self.cfg.field_aware else embedding.lookup_fields
+        fields = lookup(tape, self.store, indices)
         if not self.spec.recipe.layered:
             return fi_forward(
                 tape, self.cfg, fields, slots, prefix="fi.l0.", grid_pairs=self.spec.grid()
@@ -350,7 +339,7 @@ class Model:
             )
 
         if self.spec.use_linear:
-            first_order = tape.stack_last(embedding.lookup_linear(tape, self.store, indices), axis=1)
+            first_order = embedding.lookup_linear(tape, self.store, indices)
             core = tape.add(core, tape.squeeze_last(sum_nodes(tape, first_order)))
         if self.spec.use_bias:
             core = tape.shift_by(core, slots.whole("bias"))

@@ -116,6 +116,38 @@ def test_prepare_encodes_splits_and_folds_rare_tokens(ws):
     assert encoded[4] == ["1", "1", "2"]
 
 
+PREPARE_INPUTS = {
+    "raw.tsv": b"1\ta\n0\tb\n",
+    "fields.json": b'{"fields": [{"name": "city"}]}',
+    "config.json": b"{}",
+}
+
+
+@pytest.mark.parametrize(
+    "name, content, code",
+    [
+        pytest.param("raw.tsv", None, 3, id="raw-missing"),
+        pytest.param("raw.tsv", b"1\t\xff\xfe\n", 3, id="raw-not-utf8"),
+        pytest.param("fields.json", None, 2, id="fields-missing"),
+        pytest.param("fields.json", b"{", 2, id="fields-not-json"),
+        pytest.param("config.json", b"\xff\xfe{}", 2, id="config-not-utf8"),
+    ],
+)
+def test_prepare_rejects_an_unreadable_input_file(tmp_path, name, content, code):
+    # every other input is valid; `content` None leaves the file missing
+    for fname, good in PREPARE_INPUTS.items():
+        data = content if fname == name else good
+        if data is not None:
+            (tmp_path / fname).write_bytes(data)
+    proc = run_cli(
+        "prepare", "--config", tmp_path / "config.json", "--raw", tmp_path / "raw.tsv",
+        "--fields", tmp_path / "fields.json", "--out", tmp_path / "out",
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ") and name in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_prepare_surfaces_malformed_rows_as_data_errors(ws):
     raw = ws / "raw_bad.tsv"
     raw.write_text("1\ta\nnope\tb\n")
@@ -196,6 +228,30 @@ def test_eval_rejects_a_checkpoint_that_is_not_json(ws, synth_dir, run_dir):
     proc = run_cli("eval", "--run", run, "--data", synth_dir)
     assert_data_error(proc)
     assert "params.json" in proc.stderr
+
+
+def test_eval_rejects_a_checkpoint_of_another_format(ws, synth_dir, run_dir):
+    run = broken_run(ws, run_dir, "run_v0", edit_json(lambda p: p.update(format="ctrzoo-params-v0")))
+    proc = run_cli("eval", "--run", run, "--data", synth_dir)
+    assert_data_error(proc)
+    assert "params.json" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "target, edit",
+    [
+        pytest.param("schema.json", lambda raw: b"{", id="schema-not-json"),
+        pytest.param("schema.json", lambda raw: b"\xff\xfe" + raw, id="schema-not-utf8"),
+        pytest.param("encoded.tsv", lambda raw: raw + b"\xff\xfe\n", id="encoded-not-utf8"),
+    ],
+)
+def test_train_rejects_an_unreadable_data_file(tmp_path, synth_dir, target, edit):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    (data / target).write_bytes(edit((data / target).read_bytes()))
+    proc = run_cli("train", "--data", data, "--out", tmp_path / "run", "--model", "LR", "--epochs", 1)
+    assert_data_error(proc)
+    assert target in proc.stderr
 
 
 @pytest.mark.parametrize("key", ["format", "slots", "shape", "values"])

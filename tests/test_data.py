@@ -18,17 +18,13 @@ from ctrzoo.data import (
     discretize_numeric,
     encode,
     generate_dcm,
-    gumbel_sample,
     load_encoded,
     load_schema,
     read_raw,
     save_encoded,
     save_schema,
-    simulate_clicks_gumbel,
     split_dataset,
-    synthetic_raw_table,
     tokenize,
-    write_raw,
 )
 from ctrzoo.errors import ConfigError, DataError, DomainError, ShapeError
 from ctrzoo.tape import sigmoid
@@ -332,6 +328,26 @@ def test_synthetic_spec_validation():
         SyntheticSpec(count=0)
 
 
+def gumbel_sample(rng, size):
+    """Standard Gumbel draws via the inverse CDF, -ln(-ln U)."""
+    u = np.clip(rng.random(size), 1e-300, 1.0 - 1e-16)
+    return -np.log(-np.log(u))
+
+
+def simulate_clicks_gumbel(h, theta, noise, rng):
+    """Click decisions from explicit two-sided Gumbel utility noise.
+
+    A click happens when H - theta + k*g1 beats the outside option k*g2.
+    The difference of two Gumbels is logistic, so click rates converge to
+    sigmoid((H - theta) / k): an independent check on the closed form
+    `generate_dcm` draws labels from.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    g1 = gumbel_sample(rng, h.shape)
+    g2 = gumbel_sample(rng, h.shape)
+    return (h - theta + noise * g1 > noise * g2).astype(np.float64)
+
+
 def test_gumbel_sample_mean_near_euler_gamma():
     draws = gumbel_sample(np.random.default_rng(0), 50000)
     assert abs(draws.mean() - 0.5772156649) < 0.02
@@ -393,17 +409,11 @@ def test_vocab_file_round_trip(tmp_path):
 def test_write_raw_read_raw_round_trip(tmp_path):
     table = _table([["a", "p"], ["b", None]], labels=[1, 0])
     path = tmp_path / "raw.tsv"
-    write_raw(table, path)
+    lines = [
+        "\t".join([str(y)] + ["" if t is None else t for t in row])
+        for y, row in zip(table.labels, table.rows)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     back = read_raw(path, table.fields)
     assert back.labels == table.labels
     assert back.rows == table.rows
-
-
-def test_synthetic_raw_table_matches_generated_records(tmp_path):
-    data = generate_dcm(SyntheticSpec(n_fields=3, categories=4, count=50, seed=9))
-    table = synthetic_raw_table(data)
-    assert len(table) == 50
-    assert table.labels == [int(y) for y in data.dataset.labels]
-    # raw tokens are the unshifted category draws
-    first = [int(t) for t in table.rows[0]]
-    np.testing.assert_array_equal(first, data.dataset.indices[0] - N_RESERVED)

@@ -11,11 +11,9 @@ from ctrzoo.embedding import (
     add_linear_table,
     emb_slot,
     linear_slot,
-    load_checkpoint,
     lookup_field_aware,
     lookup_fields,
     lookup_linear,
-    save_checkpoint,
 )
 from ctrzoo.errors import ConfigError, ShapeError
 from ctrzoo.tape import ParameterStore, Tape
@@ -75,11 +73,10 @@ def test_lookup_selects_rows_per_field():
     add_embedding_tables(store, SCHEMA, d=3)
     indices = np.array([[0, 2, 1], [4, 6, 3]])
     tape = Tape()
-    nodes = lookup_fields(tape, store, indices)
-    assert len(nodes) == 3
-    for i, node in enumerate(nodes):
-        assert node.value.shape == (2, 3)
-        np.testing.assert_array_equal(node.value, store.value(emb_slot(i))[indices[:, i]])
+    node = lookup_fields(tape, store, indices)
+    assert node.value.shape == (2, 3, 3)
+    for i in range(3):
+        np.testing.assert_array_equal(node.value[:, i], store.value(emb_slot(i))[indices[:, i]])
 
 
 def test_lookup_field_aware_excludes_self_pairs():
@@ -88,15 +85,18 @@ def test_lookup_field_aware_excludes_self_pairs():
     indices = np.array([[1, 1, 1]])
     tape = Tape()
     out = lookup_field_aware(tape, store, indices)
-    assert set(out) == {(i, t) for i in range(3) for t in range(3) if i != t}
-    np.testing.assert_array_equal(out[(0, 2)].value, store.value(emb_slot(0, 2))[[1]])
+    assert out.value.shape == (1, 3, 3, 2)
+    for i in range(3):
+        for t in range(3):
+            want = np.zeros((1, 2)) if t == i else store.value(emb_slot(i, t))[[1]]
+            np.testing.assert_array_equal(out.value[:, i, t], want)
 
 
 def test_lookup_linear_shapes():
     store = ParameterStore(seed=1)
     add_linear_table(store, SCHEMA)
-    nodes = lookup_linear(Tape(), store, np.array([[0, 1, 2], [1, 2, 3]]))
-    assert [n.value.shape for n in nodes] == [(2, 1)] * 3
+    node = lookup_linear(Tape(), store, np.array([[0, 1, 2], [1, 2, 3]]))
+    assert node.value.shape == (2, 3, 1)
 
 
 def test_lookup_requires_batched_indices():
@@ -112,11 +112,7 @@ def test_gradients_touch_only_active_rows():
     indices = np.array([[0, 2, 1], [0, 2, 3]])
     store.zero_grads()
     tape = Tape()
-    nodes = lookup_fields(tape, store, indices)
-    total = tape.sum_all(nodes[0])
-    for node in nodes[1:]:
-        total = tape.add(total, tape.sum_all(node))
-    tape.backward(total)
+    tape.backward(tape.sum_all(lookup_fields(tape, store, indices)))
     # field 0 used row 0 twice: gradient 2 there, exact zero elsewhere
     g0 = store.grad("emb.0")
     np.testing.assert_array_equal(g0[0], np.full(3, 2.0))
@@ -131,11 +127,7 @@ def test_adam_leaves_untouched_rows_bit_identical():
     indices = np.array([[0, 0, 0]])
     store.zero_grads()
     tape = Tape()
-    nodes = lookup_fields(tape, store, indices)
-    total = tape.sum_all(nodes[0])
-    for node in nodes[1:]:
-        total = tape.add(total, tape.sum_all(node))
-    tape.backward(total)
+    tape.backward(tape.sum_all(lookup_fields(tape, store, indices)))
     adam_step(store, state, lr=0.1)
     for i in range(SCHEMA.n):
         table = store.value(emb_slot(i))
@@ -148,8 +140,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     add_embedding_tables(store, SCHEMA, d=5)
     add_linear_table(store, SCHEMA)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(store, path)
-    loaded = load_checkpoint(path)
+    store.save(path)
+    loaded = ParameterStore.load(path)
     assert loaded.names() == store.names()
     for name in store.names():
         np.testing.assert_array_equal(loaded.value(name), store.value(name))

@@ -12,11 +12,7 @@ import pytest
 from ctrzoo.errors import CatalogError, ContractError, DomainError
 from ctrzoo.interaction import (
     MODEL_NAMES,
-    Similarity,
     SlotNodes,
-    Utility,
-    b_pair,
-    b_sum,
     fi_catalog,
     fi_forward,
     ordered_pairs,
@@ -235,82 +231,86 @@ ORACLES = {
 
 
 # ---------------------------------------------------------------------------
-# single-pair and neighborhood-sum primitives
+# single pairs and neighborhood sums, by hand
 
 
 def test_pair_with_unit_similarity_returns_utility():
     tape = Tape()
-    v = tape.constant(np.array([[3.0, 4.0]]))
-    f = tape.constant(np.array([[1.0, 2.0]]))
-    out = b_pair(tape, Similarity(kind="one"), Utility(kind="identity"), f, v)
-    assert out is v
+    fields = as_nodes(tape, np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))
+    out = fi_forward(tape, fi_catalog("SAM1"), fields, SlotNodes(tape, ParameterStore()))
+    assert out is fields
 
 
 def test_pair_orthogonal_embeddings_vanish():
-    tape = Tape()
-    f = tape.constant(np.array([[1.0, 0.0]]))
-    v = tape.constant(np.array([[0.0, 1.0]]))
-    out = b_pair(tape, Similarity(kind="inner"), Utility(kind="hadamard"), f, v)
-    np.testing.assert_array_equal(out.value, [[0.0, 0.0]])
+    out = run_config(fi_catalog("SAM2_E"), [[[1.0, 0.0]], [[0.0, 1.0]]], ParameterStore())
+    # grid rows (0, 1) and (1, 0) pair the two orthogonal fields
+    np.testing.assert_array_equal(out[1], [[0.0, 0.0]])
+    np.testing.assert_array_equal(out[2], [[0.0, 0.0]])
 
 
 def test_pair_inner_times_hadamard_hand_value():
-    tape = Tape()
-    f = tape.constant(np.array([[1.0, 0.0]]))
-    v = tape.constant(np.array([[2.0, 0.0]]))
-    out = b_pair(tape, Similarity(kind="inner"), Utility(kind="hadamard"), f, v)
-    np.testing.assert_array_equal(out.value, [[4.0, 0.0]])
+    out = run_config(fi_catalog("SAM2_E"), [[[1.0, 0.0]], [[2.0, 0.0]]], ParameterStore())
+    # pair (0, 1): <f0, f1> * (f0 * f1) = 2 * (2, 0)
+    np.testing.assert_array_equal(out[1], [[4.0, 0.0]])
 
 
 def test_pair_softmax_over_one_neighbor_weighs_it_fully():
-    tape = Tape()
-    f = tape.constant(np.array([[1.0, 2.0]]))
-    v = tape.constant(np.array([[5.0, 6.0]]))
-    out = b_pair(tape, Similarity(kind="inner", softmax=True), Utility(kind="identity"), f, v)
-    np.testing.assert_array_equal(out.value, v.value)
+    rng = np.random.default_rng(1)
+    store = ParameterStore()
+    store.add_value("fi.q", rng.normal(size=(2, 2)))
+    store.add_value("fi.k", rng.normal(size=(2, 2)))
+    store.add_value("fi.v", np.eye(2))
+    out = run_config(fi_catalog("AutoInt"), [[[5.0, 6.0]]], store)
+    np.testing.assert_array_equal(out[0], [[5.0, 6.0]])
 
 
 def test_pair_nothing_to_emit_rejected():
-    tape = Tape()
-    f = tape.constant(np.array([[1.0]]))
+    cfg = replace(fi_catalog("SAM1"), utility="one")
     with pytest.raises(ContractError):
-        b_pair(tape, Similarity(kind="one"), Utility(kind="one"), f, f)
+        run_config(cfg, [[[1.0]]], ParameterStore())
 
 
 def test_sum_singleton_equals_pair():
-    tape = Tape()
-    f = tape.constant(np.array([[0.5, -1.0]]))
-    v = tape.constant(np.array([[2.0, 3.0]]))
-    sim, util = Similarity(kind="inner"), Utility(kind="hadamard")
-    summed = b_sum(tape, sim, util, f, [v])
-    single = b_pair(tape, sim, util, f, v)
-    np.testing.assert_array_equal(summed.value, single.value)
+    # with two fields each "others" neighborhood holds one partner
+    f = np.array([[[0.5, -1.0]], [[2.0, 3.0]]])
+    out = run_config(fi_catalog("FM"), f, ParameterStore())
+    pair = np.sum(f[0] * f[1], axis=1)
+    np.testing.assert_array_equal(out[0], pair)
+    np.testing.assert_array_equal(out[1], pair)
 
 
 def test_sum_uniform_softmax_averages_utilities():
-    tape = Tape()
-    f = tape.constant(np.array([[1.0, 0.0]]))
-    # both neighbors orthogonal to f: equal scores, so equal weights
-    v1 = tape.constant(np.array([[0.0, 2.0]]))
-    v2 = tape.constant(np.array([[0.0, 6.0]]))
-    out = b_sum(tape, Similarity(kind="inner", softmax=True), Utility(kind="identity"), f, [v1, v2])
-    np.testing.assert_allclose(out.value, [[0.0, 4.0]], rtol=0, atol=1e-14)
+    # a zero query projection gives every pair the same score, so each
+    # field's output is the plain average of the (identity) utilities
+    store = ParameterStore()
+    store.add_value("fi.q", np.zeros((3, 3)))
+    store.add_value("fi.k", np.eye(3))
+    store.add_value("fi.v", np.eye(3))
+    fields = [[[1.0, 0.0, 0.0]], [[0.0, 2.0, 0.0]], [[0.0, 0.0, 6.0]]]
+    out = run_config(fi_catalog("AutoInt"), fields, store)
+    for row in out:
+        np.testing.assert_allclose(row, [[1.0 / 3.0, 2.0 / 3.0, 2.0]], rtol=0, atol=1e-15)
 
 
 def test_sum_pairwise_inner_hand_value():
-    tape = Tape()
-    f0 = tape.constant(np.array([[1.0, 0.0]]))
-    f1 = tape.constant(np.array([[0.0, 1.0]]))
-    f2 = tape.constant(np.array([[1.0, 1.0]]))
-    out = b_sum(tape, Similarity(kind="inner"), Utility(kind="one"), f1, [f0, f2])
-    np.testing.assert_array_equal(out.value, [1.0])
+    fields = [[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]]
+    out = run_config(fi_catalog("FM"), fields, ParameterStore())
+    # field 1 against fields 0 and 2: <f1, f0> + <f1, f2> = 0 + 1
+    np.testing.assert_array_equal(out[1], [1.0])
 
 
 def test_sum_empty_neighborhood_rejected():
-    tape = Tape()
-    f = tape.constant(np.array([[1.0]]))
-    with pytest.raises(DomainError):
-        b_sum(tape, Similarity(), Utility(), f, [])
+    # one field leaves an "others" neighborhood empty
+    store = make_slots(np.random.default_rng(0), n=1)
+    for name in ("FM", "FFM", "FwFM", "AFM"):
+        cfg = fi_catalog(name)
+        tape = Tape()
+        if cfg.field_aware:
+            fields = tape.constant(np.zeros((1, 1, 1, D)))
+        else:
+            fields = as_nodes(tape, np.ones((1, 1, D)))
+        with pytest.raises(DomainError):
+            fi_forward(tape, cfg, fields, SlotNodes(tape, store))
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,26 @@ import numpy as np
 import pytest
 
 from ctrzoo.errors import ConfigError, DomainError, ShapeError
-from ctrzoo.layers import (
-    AggregationSpec,
-    MLPSpec,
-    add_mlp_slots,
-    aggregate,
-    combine_fields_nodes,
-    mlp_forward,
-    mlp_nodes,
-    sum_nodes,
-)
+from ctrzoo.layers import MLPSpec, add_mlp_slots, combine_fields_nodes, mlp_nodes, sum_nodes
 from ctrzoo.interaction import SlotNodes
 from ctrzoo.tape import ParameterStore, Tape
+from test_interaction import as_nodes
+
+
+def mlp_forward(spec, weights, x):
+    """Plain numpy reference for `mlp_nodes` in evaluation mode (no dropout).
+
+    `weights` is a list of (W, b) pairs, one per layer; x is one record
+    (input_dim,) or a batch (B, input_dim).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    assert len(weights) == spec.depth
+    h = np.atleast_2d(x)
+    for k, (w, b) in enumerate(weights):
+        h = h @ w + b
+        if k < spec.depth - 1:
+            h = np.maximum(h, 0.0)
+    return h if x.ndim == 2 else h[0]
 
 
 # ---------------------------------------------------------------------------
@@ -23,40 +31,23 @@ from ctrzoo.tape import ParameterStore, Tape
 
 
 def test_aggregate_sum_hand_value():
-    out = aggregate(AggregationSpec("sum"), [[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(out, [1.0, 1.0])
-
-
-def test_aggregate_mean_is_sum_over_count():
-    vecs = [[2.0, 4.0], [0.0, 2.0]]
-    np.testing.assert_array_equal(
-        aggregate(AggregationSpec("mean"), vecs),
-        aggregate(AggregationSpec("sum"), vecs) / 2.0,
-    )
-
-
-def test_aggregate_concat_keeps_order():
-    out = aggregate(AggregationSpec("concat"), [[1.0, 2.0], [3.0]])
-    np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
+    tape = Tape()
+    out = sum_nodes(tape, as_nodes(tape, [[[1.0, 0.0]], [[0.0, 1.0]]]))
+    np.testing.assert_array_equal(out.value, [[1.0, 1.0]])
 
 
 def test_aggregate_field_combination_hand_value():
-    spec = AggregationSpec("field_combination", weights=np.array([2.0, -1.0]))
-    out = aggregate(spec, [[1.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(out, [1.0, 2.0])
+    tape = Tape()
+    weights = tape.constant(np.array([2.0, -1.0]))
+    out = combine_fields_nodes(tape, as_nodes(tape, [[[1.0, 1.0]], [[1.0, 0.0]]]), weights)
+    np.testing.assert_array_equal(out.value, [[1.0, 2.0]])
 
 
 def test_aggregate_validation():
-    with pytest.raises(DomainError):
-        aggregate(AggregationSpec("sum"), [])
+    tape = Tape()
+    fields = as_nodes(tape, [[[1.0]], [[2.0]]])
     with pytest.raises(ShapeError):
-        aggregate(AggregationSpec("sum"), [[1.0], [1.0, 2.0]])
-    with pytest.raises(ShapeError):
-        aggregate(
-            AggregationSpec("field_combination", weights=np.ones(3)), [[1.0], [2.0]]
-        )
-    with pytest.raises(ConfigError):
-        AggregationSpec("max")
+        combine_fields_nodes(tape, fields, tape.constant(np.ones(3)))
 
 
 def test_combine_fields_nodes_matches_value_level():
@@ -64,16 +55,9 @@ def test_combine_fields_nodes_matches_value_level():
     store = ParameterStore()
     store.add_value("al.w", [0.5, -2.0, 1.5])
     vecs = np.random.default_rng(0).normal(size=(3, 4, 2))
-    nodes = [tape.constant(v) for v in vecs]
-    elems = [tape.element(store, "al.w", (i,)) for i in range(3)]
-    out = combine_fields_nodes(tape, nodes, elems)
+    out = combine_fields_nodes(tape, as_nodes(tape, vecs), tape.parameter(store, "al.w"))
     want = sum(w * v for w, v in zip(store.value("al.w"), vecs))
     np.testing.assert_allclose(out.value, want, rtol=0, atol=1e-14)
-
-
-def test_sum_nodes_rejects_empty():
-    with pytest.raises(DomainError):
-        sum_nodes(Tape(), [])
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +185,3 @@ def test_dropout_keeps_expected_activation_scale():
     # per-entry standard error: ref * sqrt(rate/(keep)) / sqrt(trials)
     spread = np.abs(ref) * np.sqrt(0.4 / 0.6) / np.sqrt(trials)
     assert np.all(np.abs(mean - ref) <= 4.0 * spread + 1e-12)
-
-
-def test_residual_stack_adds_skip_connection():
-    spec = MLPSpec(3, hidden=(3,), out_dim=3, residual=True)
-    plain = MLPSpec(3, hidden=(3,), out_dim=3, residual=False)
-    rng = np.random.default_rng(8)
-    w1 = np.abs(rng.normal(size=(3, 3))) + 0.1
-    b1 = np.abs(rng.normal(size=3)) + 0.1
-    w2 = np.eye(3)
-    b2 = np.zeros(3)
-    x = np.abs(rng.normal(size=(2, 3))) + 0.1
-    with_skip = mlp_forward(spec, [(w1, b1), (w2, b2)], x)
-    without = mlp_forward(plain, [(w1, b1), (w2, b2)], x)
-    np.testing.assert_allclose(with_skip - without, x, rtol=0, atol=1e-12)
