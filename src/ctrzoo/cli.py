@@ -28,6 +28,7 @@ from .tape import ParameterStore
 from .training import TrainConfig, train
 from .zoo import (
     MODEL_NAMES,
+    RECIPES,
     ModelSpec,
     Model,
     build_model,
@@ -258,7 +259,10 @@ def _rebuild_run(run_dir):
     run_config = read_json(model_path)
     if not isinstance(run_config, dict) or "model" not in run_config:
         raise DataError(f"{model_path}: no 'model' entry")
-    spec = ModelSpec.from_dict(run_config["model"])
+    try:
+        spec = ModelSpec.from_dict(run_config["model"])
+    except ConfigError as exc:
+        raise DataError(f"{model_path}: {exc}") from exc
     store = ParameterStore.load(params_path)
     cfg = spec.fi_config()
     built = build_model(spec, seed=0)
@@ -284,7 +288,10 @@ def cmd_eval(args):
         recorded = run_config.get("split")
         if not isinstance(recorded, dict) or not {"ratios", "seed"} <= set(recorded):
             raise DataError(f"{args.run}: model.json has no 'split' entry with ratios and seed")
-        split = datamod.split_dataset(dataset, tuple(recorded["ratios"]), seed=recorded["seed"])
+        try:
+            split = datamod.split_dataset(dataset, tuple(recorded["ratios"]), seed=recorded["seed"])
+        except (ConfigError, TypeError, ValueError) as exc:
+            raise DataError(f"{args.run}: model.json 'split' entry is unusable: {exc}") from exc
         part = getattr(split, args.split)
     report = evaluate(model.predict(part.indices), part.labels)
     print(json.dumps({"split": args.split, "records": len(part), **report.to_dict()}))
@@ -297,7 +304,7 @@ def cmd_gradcheck(args):
     indices, labels = random_batch(schema, args.batch, seed=args.seed)
     failures = 0
     for name in names:
-        spec = ModelSpec(name, schema, d=args.d, layers=args.layers if name in _LAYERED else 1)
+        spec = ModelSpec(name, schema, d=args.d, layers=args.layers)
         model = build_model(spec, seed=args.seed)
         err = gradient_check(model, indices, labels, eps=args.eps, corrupt=args.corrupt)
         verdict = PASS if err < args.tol else FAIL
@@ -305,8 +312,6 @@ def cmd_gradcheck(args):
         print(f"{verdict} {name} max_rel_err={err:.3e} tol={args.tol:.0e}")
     return 5 if failures else 0
 
-
-_LAYERED = ("AutoInt", "SAM3_A", "SAM3_E")
 
 _EQUIVALENCE_CHECKS = ("lr-sam1", "sam1-lr", "fm-sam2a", "sam2a-sam3a")
 
@@ -343,13 +348,11 @@ def cmd_equivalence(args):
 def cmd_complexity(args):
     schema = datamod.FieldSchema.of_sizes([3] * args.fields)
     if args.layers > 1:
-        print(
-            f"note: --layers {args.layers} applies to {', '.join(_LAYERED)} only",
-            file=sys.stderr,
-        )
+        layered = ", ".join(name for name in MODEL_NAMES if RECIPES[name].layered)
+        print(f"note: --layers {args.layers} applies to {layered} only", file=sys.stderr)
     rows = []
     for name in MODEL_NAMES:
-        spec = ModelSpec(name, schema, d=args.d, layers=args.layers if name in _LAYERED else 1)
+        spec = ModelSpec(name, schema, d=args.d, layers=args.layers)
         rows.append(count_complexity(spec).to_dict())
     if args.format == "json":
         print(json.dumps(rows, indent=2))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,12 +82,7 @@ class FieldSchema:
         return cls([SchemaField(nm, kind, int(v)) for nm, v in zip(names, sizes)])
 
     def to_dict(self):
-        return {
-            "fields": [
-                {"name": f.name, "kind": f.kind, "vocab_size": f.vocab_size}
-                for f in self.fields
-            ]
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload):
@@ -98,7 +93,7 @@ class FieldSchema:
                     for f in payload["fields"]
                 ]
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed schema payload: {exc}") from exc
 
 
@@ -377,18 +372,7 @@ class SyntheticSpec:
             raise ConfigError("fm family needs d_true >= 1")
 
     def to_dict(self):
-        return {
-            "n_fields": self.n_fields,
-            "categories": self.categories,
-            "family": self.family,
-            "d_true": self.d_true,
-            "linear_scale": self.linear_scale,
-            "embed_scale": self.embed_scale,
-            "theta": self.theta,
-            "noise": self.noise,
-            "count": self.count,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -455,7 +439,10 @@ def save_schema(schema, path):
 
 
 def load_schema(path):
-    return FieldSchema.from_dict(read_json(path))
+    try:
+        return FieldSchema.from_dict(read_json(path))
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def load_fields(path):

@@ -55,10 +55,14 @@ def _check_indices(indices):
         raise ShapeError(f"indices must be (B, n), got {indices.shape}")
 
 
-def lookup_fields(tape, store, indices):
-    """Embed a batch: indices (B, n) -> one (B, n, d) node, field i in [:, i]."""
+def lookup_fields(tape, store, indices, slot=emb_slot):
+    """Embed a batch: indices (B, n) -> one (B, n, d) node, field i in [:, i].
+
+    `slot(i)` names field i's table: `emb_slot` for the embeddings,
+    `linear_slot` for the first-order weights, which give (B, n, 1).
+    """
     _check_indices(indices)
-    rows = [tape.lookup(store, emb_slot(i), indices[:, i]) for i in range(indices.shape[1])]
+    rows = [tape.lookup(store, slot(i), indices[:, i]) for i in range(indices.shape[1])]
     return tape.stack_last(rows, axis=1)
 
 
@@ -84,9 +88,3 @@ def lookup_field_aware(tape, store, indices):
     pairs = tape.transpose(tape.stack_last(grid, axis=0), (1, 0, 2))
     return tape.reshape(pairs, (b, n, n, d))
 
-
-def lookup_linear(tape, store, indices):
-    """First-order terms: indices (B, n) -> one (B, n, 1) node."""
-    _check_indices(indices)
-    rows = [tape.lookup(store, linear_slot(i), indices[:, i]) for i in range(indices.shape[1])]
-    return tape.stack_last(rows, axis=1)

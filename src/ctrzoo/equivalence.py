@@ -23,7 +23,7 @@ the field count:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
@@ -189,15 +189,7 @@ class EquivalenceReport:
         return self.max_abs_diff <= self.tol
 
     def to_dict(self):
-        return {
-            "model_a": self.model_a,
-            "model_b": self.model_b,
-            "n_points": self.n_points,
-            "exhaustive": self.exhaustive,
-            "max_abs_diff": self.max_abs_diff,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_equivalence(model_a, model_b, tol=1e-8, limit=1024, seed=0):

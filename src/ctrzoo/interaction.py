@@ -256,7 +256,7 @@ def _similarity(tape, cfg, E, param):
         B, n = E.value.shape[:2]
         first, second, spread = (tape.constant(c) for c in _unordered_pairs(n))
         pairs = tape.mul(tape.matmul(first, E), tape.matmul(second, E))
-        hidden = tape.relu(tape.add_bias(tape.linear_map(param("attn_w"), pairs), param("attn_b")))
+        hidden = tape.relu(tape.add(tape.linear_map(param("attn_w"), pairs), param("attn_b")))
         scores = tape.matmul(tape.inner(hidden, param("attn_h")), spread)
         return tape.reshape(scores, (B, n, n))
     raise CatalogError(f"unknown similarity kind {kind!r}")
@@ -341,11 +341,9 @@ def _grid(tape, cfg, E, param, grid_pairs):
         raise CatalogError(f"{cfg.model}: a grid needs a similarity")
     if cfg.utility == "hadamard":
         left = tape.reshape(E, (B, n, 1, d))
-        if cfg.self_product:
-            # f_i * f_i is the same for every partner j: broadcast it
-            out = tape.mul(tape.reshape(scores, (B, n, n, 1)), tape.mul(left, left))
-        else:
-            out = tape.scale_rows(scores, tape.mul(left, tape.reshape(E, (B, 1, n, d))))
+        # the self product f_i * f_i is the same for every partner j: broadcast it
+        right = left if cfg.self_product else tape.reshape(E, (B, 1, n, d))
+        out = tape.mul(tape.reshape(scores, (B, n, n, 1)), tape.mul(left, right))
         return pick(tape.reshape(out, (B, n * n, d)))
     if cfg.utility == "vector_pair":
         weights = pick(tape.reshape(scores, (B, n * n, 1)))

@@ -75,9 +75,8 @@ def mlp_nodes(tape, spec, slots, x, *, prefix="st.", training=False, drop_rng=No
         raise ShapeError(f"mlp expects (B, {spec.input_dim}), got {x.value.shape}")
     h = x
     for k in range(spec.depth):
-        pre = tape.add_bias(
-            tape.matmul(h, slots.whole(f"{prefix}l{k}.w")), slots.whole(f"{prefix}l{k}.b")
-        )
+        w, b = slots.whole(f"{prefix}l{k}.w"), slots.whole(f"{prefix}l{k}.b")
+        pre = tape.add(tape.matmul(h, w), b)
         if k == spec.depth - 1:
             return pre
         act = tape.relu(pre)

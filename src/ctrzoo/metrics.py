@@ -5,7 +5,7 @@ tied scores without enumerating pairs and depends only on the score ordering.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,12 +67,7 @@ class MetricsReport:
     negatives: int
 
     def to_dict(self):
-        return {
-            "auc": self.auc,
-            "logloss": self.logloss,
-            "positives": self.positives,
-            "negatives": self.negatives,
-        }
+        return asdict(self)
 
 
 def evaluate(probs, labels):

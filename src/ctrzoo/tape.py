@@ -6,6 +6,13 @@ records whole-tensor operations in creation order, so replaying it backward is
 a single reverse sweep and its length scales with the number of operations,
 not with array entries. Batched operands carry the batch on axis 0.
 
+`add`, `sub` and `mul` follow one broadcasting rule: operands of equal rank
+broadcast over axes of size 1, and an operand of lower rank must equal the
+trailing axes of the other. So (B, m) + (m,) and (B,) + () broadcast, while
+(3,) + (3, 1) raises ShapeError rather than growing into a (3, 3) result.
+`inner` contracts the last axis of two equal shapes, or of (..., d) with a
+(d,) vector.
+
 Gradient buffers on `ParameterStore` slots are accumulation-only: `backward`
 adds into them and never clears them, so calling it twice without
 `zero_grads` doubles every buffer exactly. That property is what the
@@ -262,42 +269,49 @@ def _needs_grad(node):
 
 
 def _unbroadcast(g, shape):
-    """Sum a gradient down to `shape`, undoing numpy broadcasting."""
+    """Sum a gradient down to `shape`, undoing a broadcast `_broadcast` allows."""
     if g.shape == shape:
         return g
-    lead = g.ndim - len(shape)
-    if lead:
-        g = g.sum(axis=tuple(range(lead)))
+    if g.ndim > len(shape):
+        # a lower-rank operand: fold the leading axes into one and sum it away
+        return g.reshape((-1,) + shape).sum(axis=0)
     axes = tuple(k for k, size in enumerate(shape) if size == 1 and g.shape[k] != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
+    return g.sum(axis=axes, keepdims=True)
 
 
 def _product_grad(g, other, shape):
     """g * other summed down to `shape`: the gradient of a broadcast product.
 
-    The reduction runs inside one einsum, so the full-size product of a
-    broadcast operand is never formed.
+    `shape` has g's rank or is its trailing axes. The reduction runs inside
+    one einsum, so the full-size product of a broadcast operand is never
+    formed.
     """
     if g.shape == shape:
         return g * other
     names = "abcdefghijklmnopqrstuvwxyz"
     ndim = g.ndim
+    padded = (1,) * (ndim - len(shape)) + tuple(shape)
     g_sub = names[:ndim]
     other_sub = "".join(
         g_sub[k] if other.shape[k] == g.shape[k] else names[ndim + k] for k in range(ndim)
     )
-    out_sub = "".join(g_sub[k] for k in range(ndim) if shape[k] == g.shape[k])
+    out_sub = "".join(g_sub[k] for k in range(ndim) if padded[k] == g.shape[k])
     return np.einsum(f"{g_sub},{other_sub}->{out_sub}", g, other).reshape(shape)
 
 
 def _broadcast(op, a, b):
-    """Shape of a (op) b: equal ranks, each axis equal or 1 on one side."""
+    """Raise ShapeError unless a (op) b follows the broadcasting rule above."""
     ashape, bshape = a.value.shape, b.value.shape
     if len(ashape) == len(bshape):
         try:
-            return np.broadcast_shapes(ashape, bshape)
+            np.broadcast_shapes(ashape, bshape)
+            return
         except ValueError:
             pass
+    else:
+        short, long = sorted((ashape, bshape), key=len)
+        if long[len(long) - len(short) :] == short:
+            return
     raise ShapeError(f"{op} shape mismatch: {ashape} vs {bshape}")
 
 
@@ -382,9 +396,9 @@ class Tape:
 
     # -- arithmetic --------------------------------------------------------
 
-    # Binary element-wise ops take equal-rank operands; an axis of size 1 on
-    # one side broadcasts against the other, so (B, n, 1, d) * (B, 1, n, d)
-    # is the (B, n, n, d) grid of pair products.
+    # Binary element-wise ops broadcast by the rule in the module docstring:
+    # (B, n, 1, d) * (B, 1, n, d) is the (B, n, n, d) grid of pair products,
+    # (B, m) + (m,) adds a bias to every row.
 
     def add(self, a, b):
         _broadcast("add", a, b)
@@ -424,29 +438,18 @@ class Tape:
 
         return self._emit(a.value * c, backward)
 
-    def shift_by(self, x, s):
-        """x + s where s is a 0-d node."""
-        if s.value.shape != ():
-            raise ShapeError(f"shift_by shift must be 0-d, got {s.value.shape}")
-
-        def backward(g):
-            _bump(x, g)
-            _bump(s, np.sum(g))
-
-        return self._emit(x.value + s.value, backward)
-
     def inner(self, u, v):
-        """Dot product, batched or not.
+        """Dot product over the last axis: (..., d) with (..., d) -> (...).
 
-        (..., d)x(..., d) -> (...) entry-wise over the leading axes, e.g.
-        (B,d)x(B,d) -> (B,); (..., d)x(d,) and (d,)x(..., d) -> (...),
-        contracting the last axis with a fixed vector; (d,)x(d,) -> 0-d.
+        Equal shapes pair up entry-wise over the leading axes, e.g.
+        (B, d)x(B, d) -> (B,) and (d,)x(d,) -> 0-d. A vector (d,), the
+        trailing axis of the other operand, is contracted with every row:
+        (..., d)x(d,) and (d,)x(..., d) -> (...).
         """
+        if u.value.ndim < v.value.ndim:
+            u, v = v, u
         ushape, vshape = u.value.shape, v.value.shape
-        if len(ushape) >= 2 and len(vshape) >= 2:
-            if ushape != vshape:
-                raise ShapeError(f"inner shape mismatch: {ushape} vs {vshape}")
-
+        if ushape == vshape and ushape:
             out = np.einsum("...d,...d->...", u.value, v.value)
 
             def backward(g):
@@ -459,38 +462,15 @@ class Tape:
                 _bump(v, np.multiply(g, u.value, out=np.empty_like(v.value)))
 
             return self._emit(out, backward)
-        if len(ushape) >= 2 and len(vshape) == 1:
-            if ushape[-1] != vshape[0]:
-                raise ShapeError(f"inner shape mismatch: {ushape} vs {vshape}")
-
-            def backward(g):
-                _bump(u, g[..., None] * v.value)
-                _bump(v, g.reshape(-1) @ u.value.reshape(-1, vshape[0]))
-
-            return self._emit((u.value.reshape(-1, vshape[0]) @ v.value).reshape(ushape[:-1]), backward)
-        if len(ushape) == 1 and len(vshape) >= 2:
-            return self.inner(v, u)
-        if len(ushape) == 1 and len(vshape) == 1:
-            if ushape != vshape:
-                raise ShapeError(f"inner shape mismatch: {ushape} vs {vshape}")
-
-            def backward(g):
-                _bump(u, g * v.value)
-                _bump(v, g * u.value)
-
-            return self._emit(np.asarray(np.dot(u.value, v.value)), backward)
-        raise ShapeError(f"inner does not support shapes {ushape} and {vshape}")
-
-    def scale_rows(self, s, x):
-        """Row-wise scaling: s (...) times x (..., d) -> (..., d), e.g. (B,) with (B, d)."""
-        if s.value.ndim == 0 or s.value.shape != x.value.shape[:-1]:
-            raise ShapeError(f"scale_rows shapes: {s.value.shape}, {x.value.shape}")
+        if len(vshape) != 1 or ushape[-1:] != vshape:
+            raise ShapeError(f"inner shape mismatch: {ushape} vs {vshape}")
+        rows = u.value.reshape(-1, vshape[0])
 
         def backward(g):
-            _bump(s, np.einsum("...d,...d->...", g, x.value))
-            _bump(x, g * s.value[..., None])
+            _bump(u, g[..., None] * v.value)
+            _bump(v, g.reshape(-1) @ rows)
 
-        return self._emit(x.value * s.value[..., None], backward)
+        return self._emit((rows @ v.value).reshape(ushape[:-1]), backward)
 
     def linear_map(self, m, x):
         """Apply matrix m (p, q) to the last axis of x: (..., q) -> (..., p)."""
@@ -538,17 +518,6 @@ class Tape:
                 _bump(w, _unbroadcast(np.swapaxes(x.value, -1, -2) @ g, ws))
 
         return self._emit(x.value @ w.value, backward)
-
-    def add_bias(self, x, b):
-        """x (..., m) + b (m,), broadcast over every leading axis."""
-        if x.value.ndim < 2 or b.value.ndim != 1 or x.value.shape[-1] != b.value.shape[0]:
-            raise ShapeError(f"add_bias shapes: {x.value.shape}, {b.value.shape}")
-
-        def backward(g):
-            _bump(x, g)
-            _bump(b, g.reshape(-1, b.value.shape[0]).sum(axis=0))
-
-        return self._emit(x.value + b.value, backward)
 
     # -- nonlinearities ----------------------------------------------------
 
@@ -695,16 +664,6 @@ class Tape:
             _bump(x, gx)
 
         return self._emit(np.take(x.value, idx, axis=axis), backward, moved=True)
-
-    def squeeze_last(self, x):
-        """(B, 1) -> (B,)."""
-        if x.value.ndim != 2 or x.value.shape[1] != 1:
-            raise ShapeError(f"squeeze_last expects (B, 1), got {x.value.shape}")
-
-        def backward(g):
-            _bump(x, g[:, None])
-
-        return self._emit(x.value[:, 0].copy(), backward, moved=True)
 
     def sum_axis(self, x, axis):
         """Sum over `axis` (an int or a tuple of axes), dropping it."""

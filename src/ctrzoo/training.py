@@ -8,7 +8,7 @@ seeds produce bit-identical parameters and history rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,14 +43,7 @@ class TrainConfig:
             raise ConfigError(f"patience must be positive, got {self.patience}")
 
     def to_dict(self):
-        return {
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "l2": self.l2,
-            "seed": self.seed,
-            "patience": self.patience,
-        }
+        return asdict(self)
 
 
 class AdamState:

@@ -14,7 +14,7 @@ factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -163,20 +163,7 @@ class ModelSpec:
         return ordered_pairs(self.n, upper_only=self.sam2_upper_only)
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "schema": self.schema.to_dict(),
-            "d": self.d,
-            "layers": self.layers,
-            "mlp_hidden": list(self.mlp_hidden),
-            "dropout": self.dropout,
-            "include_linear": self.include_linear,
-            "include_bias": self.include_bias,
-            "sam2_upper_only": self.sam2_upper_only,
-            "softmax_enabled": self.softmax_enabled,
-            "self_product": self.self_product,
-            "afm_width": self.afm_width,
-        }
+        return {**asdict(self), "mlp_hidden": list(self.mlp_hidden)}
 
     @classmethod
     def from_dict(cls, payload):
@@ -197,6 +184,8 @@ class ModelSpec:
             )
         except KeyError as exc:
             raise ConfigError(f"model config missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed model config: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +291,9 @@ class Model:
 
     def _fi_outputs(self, tape, slots, indices):
         lookup = embedding.lookup_field_aware if self.cfg.field_aware else embedding.lookup_fields
-        fields = lookup(tape, self.store, indices)
-        if not self.spec.recipe.layered:
-            return fi_forward(
-                tape, self.cfg, fields, slots, prefix="fi.l0.", grid_pairs=self.spec.grid()
-            )
-        g = fields
+        g = lookup(tape, self.store, indices)
         for prefix in _layer_prefixes(self.spec):
-            z = fi_forward(tape, self.cfg, g, slots, prefix=prefix)
+            z = fi_forward(tape, self.cfg, g, slots, prefix=prefix, grid_pairs=self.spec.grid())
             if self.name.startswith("SAM3"):
                 z = tape.add(z, tape.linear_map(slots.whole(prefix + "res"), g))
             g = z
@@ -325,24 +309,23 @@ class Model:
             total = sum_nodes(tape, z)
             if self.spec.recipe.halve_pairs:
                 total = tape.scale_const(total, 0.5)
-            core = tape.squeeze_last(total) if total.value.ndim == 2 else total
+            core = tape.reshape(total, (len(indices),)) if total.value.ndim == 2 else total
         else:
             if agg_kind == "field_combination":
                 x = combine_fields_nodes(tape, z, slots.whole("al.w"))
             else:
                 # concat: field-major rows with d innermost, as the st.* head reads them
                 x = tape.reshape(z, (len(indices), int(np.prod(z.value.shape[1:]))))
-            core = tape.squeeze_last(
-                mlp_nodes(
-                    tape, self.st_spec, slots, x, prefix="st.", training=training, drop_rng=drop_rng
-                )
+            logit = mlp_nodes(
+                tape, self.st_spec, slots, x, prefix="st.", training=training, drop_rng=drop_rng
             )
+            core = tape.reshape(logit, (len(indices),))
 
         if self.spec.use_linear:
-            first_order = embedding.lookup_linear(tape, self.store, indices)
-            core = tape.add(core, tape.squeeze_last(sum_nodes(tape, first_order)))
+            first_order = embedding.lookup_fields(tape, self.store, indices, embedding.linear_slot)
+            core = tape.add(core, tape.reshape(sum_nodes(tape, first_order), (len(indices),)))
         if self.spec.use_bias:
-            core = tape.shift_by(core, slots.whole("bias"))
+            core = tape.add(core, slots.whole("bias"))
         return core
 
     def forward(self, indices, training=False, dropout_seed=0, chunk=4096):
@@ -478,10 +461,6 @@ class ComplexityReport:
         }
 
 
-def _mlp_macs(widths):
-    return sum(a * b for a, b in zip(widths[:-1], widths[1:]))
-
-
 def count_complexity(target):
     """Complexity report for a `Model` or a `ModelSpec`."""
     model = target if isinstance(target, Model) else None
@@ -493,6 +472,7 @@ def count_complexity(target):
     cfg = fi_catalog(name)
     pairs = len(spec.grid() or []) if cfg.neighborhood == "grid" else 0
     t = spec.attention_width
+    mlp = MLPSpec(_st_input_dim(spec, cfg), spec.mlp_hidden).weight_count()
 
     el = d * n * (n - 1) if cfg.field_aware else d * n
     if spec.use_linear:
@@ -525,7 +505,7 @@ def count_complexity(target):
     elif spec.recipe.transform == "affine":
         st = _st_input_dim(spec, cfg)
     else:
-        st = _mlp_macs((_st_input_dim(spec, cfg),) + spec.mlp_hidden + (1,))
+        st = mlp
 
     time_ops = {
         "LR": n,
@@ -533,9 +513,9 @@ def count_complexity(target):
         "FM": d * n,
         "FFM": d * n * n,
         "FwFM": d * n * n,
-        "IPNN": d * n * n + _mlp_macs((n,) + spec.mlp_hidden + (1,)),
+        "IPNN": d * n * n + mlp,
         "DCN": 2 * d * n,
-        "DeepFM-deep": _mlp_macs((n * d,) + spec.mlp_hidden + (1,)),
+        "DeepFM-deep": mlp,
         "CIN2": d * n * n,
         "AFM": n * n * (t * d + 2 * d),
         "AutoInt": layers * (3 * d * d * n + 2 * d * n * n) + d * n,

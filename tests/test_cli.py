@@ -242,6 +242,12 @@ def test_eval_rejects_a_checkpoint_of_another_format(ws, synth_dir, run_dir):
     [
         pytest.param("schema.json", lambda raw: b"{", id="schema-not-json"),
         pytest.param("schema.json", lambda raw: b"\xff\xfe" + raw, id="schema-not-utf8"),
+        pytest.param("schema.json", lambda raw: b"[]", id="schema-not-a-field-list"),
+        pytest.param(
+            "schema.json",
+            lambda raw: b'{"fields": [{"name": "f0", "kind": "categorical", "vocab_size": "many"}]}',
+            id="schema-vocab-not-a-number",
+        ),
         pytest.param("encoded.tsv", lambda raw: raw + b"\xff\xfe\n", id="encoded-not-utf8"),
     ],
 )
@@ -307,6 +313,30 @@ def test_eval_rejects_a_run_config_that_is_not_json(ws, synth_dir, run_dir):
     proc = run_cli("eval", "--run", run, "--data", synth_dir)
     assert_data_error(proc)
     assert "model.json" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda c: c["model"].pop("schema"), id="no-schema"),
+        pytest.param(lambda c: c["model"].update(d=0), id="zero-d"),
+        pytest.param(lambda c: c["model"].update(d="wide"), id="d-not-a-number"),
+        pytest.param(lambda c: c["split"].update(ratios=[0.8, 0.2]), id="split-two-ratios"),
+        pytest.param(lambda c: c["split"].update(ratios="abc"), id="split-ratios-not-numbers"),
+        pytest.param(lambda c: c["split"].update(seed="x"), id="split-seed-not-a-number"),
+    ],
+)
+def test_eval_rejects_a_malformed_model_config(tmp_path, synth_dir, run_dir, change):
+    run = broken_run(tmp_path, run_dir, "run", edit_json(change), target="model.json")
+    proc = run_cli("eval", "--run", run, "--data", synth_dir)
+    assert_data_error(proc)
+    assert "model.json" in proc.stderr
+
+
+def test_zero_embedding_width_flag_stays_a_config_error(ws, synth_dir):
+    proc = run_cli("train", "--data", synth_dir, "--out", ws / "zero_d", "--model", "FM", "--d", 0)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_affine_model_learns_a_linear_signal_end_to_end(ws):

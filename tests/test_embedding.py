@@ -13,7 +13,6 @@ from ctrzoo.embedding import (
     linear_slot,
     lookup_field_aware,
     lookup_fields,
-    lookup_linear,
 )
 from ctrzoo.errors import ConfigError, ShapeError
 from ctrzoo.tape import ParameterStore, Tape
@@ -95,7 +94,7 @@ def test_lookup_field_aware_excludes_self_pairs():
 def test_lookup_linear_shapes():
     store = ParameterStore(seed=1)
     add_linear_table(store, SCHEMA)
-    node = lookup_linear(Tape(), store, np.array([[0, 1, 2], [1, 2, 3]]))
+    node = lookup_fields(Tape(), store, np.array([[0, 1, 2], [1, 2, 3]]), linear_slot)
     assert node.value.shape == (2, 3, 1)
 
 

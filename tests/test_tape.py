@@ -381,7 +381,7 @@ def test_shape_guards_on_binary_ops():
     with pytest.raises(ShapeError):
         tape.matmul(a, tape.constant(np.ones((2, 2))))
     with pytest.raises(ShapeError):
-        tape.squeeze_last(a)
+        tape.reshape(a, (2,))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +419,7 @@ def test_composite_network_checks_below_1e8():
     def build(tape):
         x = tape.lookup(store, "table", idx)  # (4, 3)
         y = tape.linear_map(tape.parameter(store, "m"), x)  # (4, 2)
-        y = tape.add_bias(y, tape.parameter(store, "b"))
+        y = tape.add(y, tape.parameter(store, "b"))
         y = tape.sigmoid(y)
         p = tape.softmax(y)  # rows sum to one
         z = tape.mul(p, y)
@@ -428,7 +428,7 @@ def test_composite_network_checks_below_1e8():
         total = tape.sum_all(tape.log(p))
         total = tape.add(total, pooled)
         total = tape.mul(total, tape.parameter(store, "s"))  # 0-d times 0-d
-        total = tape.shift_by(total, tape.parameter(store, "shift"))
+        total = tape.add(total, tape.parameter(store, "shift"))
         return tape.mean_all(tape.stack_last([total, tape.scale_const(total, 2.0)]))
 
     def f():
@@ -455,7 +455,7 @@ def test_relu_concat_path_checks_below_1e8():
         h = tape.relu(h)
         # [h | a] along the last axis: stack the two blocks, then merge them
         both = tape.reshape(tape.stack_last([h, a], axis=1), (2, 4))
-        s = tape.scale_rows(tape.constant(np.array([0.9, 1.1])), both)
+        s = tape.mul(tape.reshape(tape.constant(np.array([0.9, 1.1])), (2, 1)), both)
         # outer product of a batch scalar and a fixed vector
         vec = tape.mul(
             tape.reshape(tape.constant(np.array([1.0, 2.0])), (2, 1)),
@@ -514,11 +514,16 @@ def test_broadcast_binary_ops_check_against_finite_differences():
     store.add_xavier("a", (2, 3, 1, 2))
     store.add_xavier("b", (2, 1, 3, 2))
     store.add_xavier("c", (1, 3, 1, 1))
+    store.add_xavier("bias", (2,))
+    store.add_value("shift", np.array(0.3))
 
     def build(tape):
         a, b, c = (tape.parameter(store, k) for k in "abc")
+        bias, shift = tape.parameter(store, "bias"), tape.parameter(store, "shift")
         prod = tape.mul(a, b)  # (2, 3, 3, 2) grid of pair products
-        return tape.sum_all(tape.mul(tape.sub(tape.add(prod, c), c), tape.add(prod, c)))
+        prod = tape.sub(tape.add(prod, bias), shift)  # a (d,) bias and a 0-d shift
+        scaled = tape.mul(bias, tape.mul(prod, shift))  # lower-rank factors on either side
+        return tape.sum_all(tape.mul(tape.sub(tape.add(scaled, c), c), tape.add(prod, c)))
 
     assert _grad_error(store, build) < 1e-8
 
@@ -527,6 +532,8 @@ def test_broadcast_needs_equal_ranks():
     tape = Tape()
     with pytest.raises(ShapeError):
         tape.add(tape.constant(np.ones((3,))), tape.constant(np.ones((3, 1))))
+    with pytest.raises(ShapeError):
+        tape.add(tape.constant(np.ones((2,))), tape.constant(np.ones((2, 3))))
 
 
 def test_batched_matmul_checks_against_finite_differences():
@@ -566,7 +573,7 @@ def test_shape_plumbing_checks_against_finite_differences():
         rows = tape.take(tape.parameter(store, "t"), np.array([[0, 4], [4, 1]]), axis=0)
         stacked = tape.stack_last([x, tape.scale_const(x, 2.0)], axis=1)  # (2, 2, 3, 4)
         mapped = tape.linear_map(tape.parameter(store, "m"), stacked)  # (2, 2, 3, 3)
-        hidden = tape.relu(tape.add_bias(mapped, tape.parameter(store, "b")))
+        hidden = tape.relu(tape.add(mapped, tape.parameter(store, "b")))
         scores = tape.inner(hidden, tape.parameter(store, "h"))  # (2, 2, 3)
         total = tape.add(tape.sum_all(tape.mul(picked, picked)), tape.sum_all(tape.mul(rows, rows)))
         return tape.add(total, tape.sum_all(tape.sum_axis(scores, (0, 2))))
