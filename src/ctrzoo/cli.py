@@ -488,6 +488,29 @@ def build_parser():
     return parser, parsers
 
 
+def _config_value(path, action, value):
+    """A config file's `value` for a flag, read as the flag reads its text.
+
+    Switches take a JSON boolean; other flags take a string or a number,
+    converted through the flag's own type and checked against its choices.
+    A null leaves the flag's built-in default.
+    """
+    if value is None:
+        return action.default
+    if action.nargs == 0:
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+        if ok:
+            try:
+                value = (action.type or str)(str(value))
+            except (TypeError, ValueError):
+                ok = False
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise ConfigError(f"{path}: invalid value for {action.dest!r}: {json.dumps(value)}")
+    return value
+
+
 def _apply_config(parser, parsers, argv):
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
@@ -501,11 +524,13 @@ def _apply_config(parser, parsers, argv):
     if not isinstance(payload, dict):
         raise ConfigError(f"{known.config}: config must be a JSON object")
     target = parsers[command]
-    valid = {a.dest for a in target._actions}
-    unknown = sorted(set(payload) - valid)
+    actions = {a.dest: a for a in target._actions}
+    unknown = sorted(set(payload) - set(actions))
     if unknown:
         raise ConfigError(f"{known.config}: unknown settings: {', '.join(unknown)}")
-    target.set_defaults(**payload)
+    target.set_defaults(
+        **{key: _config_value(known.config, actions[key], value) for key, value in payload.items()}
+    )
 
 
 def main(argv=None):

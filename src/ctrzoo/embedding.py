@@ -4,9 +4,10 @@ One table per field maps category indices to d-dimensional vectors; the
 field-aware variant keeps a separate table per (field, target-field) pair.
 Tables live in a `ParameterStore` under fixed slot names, initialized
 Xavier-uniform with fans (vocab_size, d). Reserved rows (missing, OOV) are
-ordinary trainable rows. Lookup gradients are sparse: only rows that appear
-in a batch are touched. Lookups hand the interaction layer one stacked
-node per batch; this module alone knows the field-aware layout.
+ordinary trainable rows. Each lookup is one `Tape.lookup` node that reads
+every field's table at once and hands the interaction layer one stacked
+value; this module alone knows the field-aware layout. Lookup gradients are
+sparse: rows that do not appear in a batch receive exact zeros.
 """
 from __future__ import annotations
 
@@ -62,8 +63,7 @@ def lookup_fields(tape, store, indices, slot=emb_slot):
     `linear_slot` for the first-order weights, which give (B, n, 1).
     """
     _check_indices(indices)
-    rows = [tape.lookup(store, slot(i), indices[:, i]) for i in range(indices.shape[1])]
-    return tape.stack_last(rows, axis=1)
+    return tape.lookup(store, [slot(i) for i in range(indices.shape[1])], indices)
 
 
 def lookup_field_aware(tape, store, indices):
@@ -76,15 +76,9 @@ def lookup_field_aware(tape, store, indices):
     b, n = indices.shape
     if n < 2:
         raise DomainError("field-aware embeddings need at least two fields")
-    d = store.value(emb_slot(0, 1)).shape[1]
-    unused = tape.constant(np.zeros((b, d)))
-    grid = [
-        unused if t == i else tape.lookup(store, emb_slot(i, t), indices[:, i])
-        for i in range(n)
-        for t in range(n)
-    ]
-    # pair-major in memory: each (i, t) block of the batch stays contiguous,
-    # which keeps the lookup's scatter on contiguous gradients
-    pairs = tape.transpose(tape.stack_last(grid, axis=0), (1, 0, 2))
-    return tape.reshape(pairs, (b, n, n, d))
-
+    names = [None if t == i else emb_slot(i, t) for i in range(n) for t in range(n)]
+    # pair-major in memory, each (i, t) block of the batch contiguous: FFM's
+    # reductions follow memory order, and a C-ordered grid moves its logits
+    # in the last bits
+    pairs = tape.lookup(store, names, np.repeat(indices, n, axis=1), slot_major=True)
+    return tape.reshape(pairs, (b, n, n, pairs.value.shape[2]))

@@ -299,6 +299,22 @@ def _product_grad(g, other, shape):
     return np.einsum(f"{g_sub},{other_sub}->{out_sub}", g, other).reshape(shape)
 
 
+def _scatter_rows(rows, g, n_rows):
+    """Sum the rows of g (m, ...) into n_rows rows by `rows` (m,) non-negative.
+
+    One `np.bincount` over row * width + column adds the rows of g in
+    order, so each sum is bitwise the one a loop adding them into zeros
+    gives. A gradient buffer then takes each sum in one addition, so a
+    second `backward` doubles it exactly.
+    """
+    tail = g.shape[1:]
+    width = int(np.prod(tail))
+    bins = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(bins, weights=g.reshape(-1), minlength=n_rows * width)
+    # an empty `rows` gives an integer array
+    return sums.astype(np.float64, copy=False).reshape((n_rows,) + tail)
+
+
 def _broadcast(op, a, b):
     """Raise ShapeError unless a (op) b follows the broadcasting rule above."""
     ashape, bshape = a.value.shape, b.value.shape
@@ -371,28 +387,53 @@ class Tape:
 
         return self._emit(slot.value, backward)
 
-    def lookup(self, store, name, indices):
-        """Batched row gather from a 2-D slot: indices (B,) -> value (B, d).
+    def lookup(self, store, names, indices, slot_major=False):
+        """Batched row gather from k 2-D slots: indices (B, k) -> value (B, k, d).
 
-        The backward pass scatters with `np.add.at`, so repeated indices
-        inside a batch accumulate rather than overwrite.
+        Column j of `indices` reads rows of the slot `names[j]`; a None name
+        reads zero rows and passes no gradient. Named slots share the width d.
+        The value is C-contiguous; with `slot_major` it is k contiguous
+        (B, d) blocks, one per column, viewed as (B, k, d).
+
+        The backward pass sums each column's gradient rows into its slot
+        with `_scatter_rows`, so repeated indices inside a batch accumulate
+        rather than overwrite.
         """
-        slot = store.slot(name)
+        names = list(names)
+        slots = [None if name is None else store.slot(name) for name in names]
         idx = np.asarray(indices)
-        if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-            raise ShapeError("lookup indices must be a 1-D integer array")
-        if idx.size and (idx.min() < 0 or idx.max() >= slot.value.shape[0]):
-            raise DomainError(
-                f"lookup index out of range for slot {name!r} "
-                f"(rows={slot.value.shape[0]})"
-            )
-        idx = idx.copy()
+        if idx.ndim != 2 or idx.shape[1] != len(names) or not np.issubdtype(idx.dtype, np.integer):
+            raise ShapeError(f"lookup indices must be a (B, {len(names)}) integer array")
+        widths = {s.value.shape[1:] for s in slots if s is not None}
+        if len(widths) != 1 or len(next(iter(widths))) != 1:
+            raise ShapeError(f"lookup slots must be 2-D tables of one width, got {names}")
+        ((d,),) = widths
+        rows = np.array([0 if s is None else s.value.shape[0] for s in slots])
+        if idx.size:
+            named = np.array([s is not None for s in slots])
+            bad = named & ((idx.min(axis=0) < 0) | (idx.max(axis=0) >= rows))
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise DomainError(
+                    f"lookup index out of range for slot {names[j]!r} (rows={rows[j]})"
+                )
+        # a copy, one contiguous row per column: the caller may reuse `indices`
+        columns = np.array(idx.T, dtype=np.int64, order="C")
+        b, k = idx.shape
+        value = np.empty((k, b, d)).transpose(1, 0, 2) if slot_major else np.empty((b, k, d))
+        for j, slot in enumerate(slots):
+            if slot is None:
+                value[:, j] = 0.0
+            else:
+                # in range, checked above; "clip" spares np.take a buffered copy
+                np.take(slot.value, columns[j], axis=0, out=value[:, j], mode="clip")
 
         def backward(g):
-            if slot.grad is not None:
-                np.add.at(slot.grad, idx, g)
+            for j, slot in enumerate(slots):
+                if slot is not None and slot.grad is not None:
+                    slot.grad += _scatter_rows(columns[j], g[:, j], rows[j])
 
-        return self._emit(slot.value[idx], backward)
+        return self._emit(value, backward)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -652,15 +693,20 @@ class Tape:
         size = x.value.shape[axis]
         if idx.size and (idx.min() < -size or idx.max() >= size):
             raise DomainError(f"take index out of range for an axis of {size}")
+        idx %= max(size, 1)
         where = (slice(None),) * axis + (idx,)
-        unique = np.unique(idx % max(size, 1)).size == idx.size
+        unique = np.unique(idx).size == idx.size
+        picked = tuple(range(axis, axis + idx.ndim))
 
         def backward(g):
-            gx = np.zeros_like(x.value)
             if unique:
+                gx = np.zeros_like(x.value)
                 gx[where] = g
             else:
-                np.add.at(gx, where, g)
+                # the picked axes first, flattened into one row axis
+                g = np.moveaxis(g, picked, tuple(range(idx.ndim)))
+                g = g.reshape((idx.size,) + g.shape[idx.ndim :])
+                gx = np.moveaxis(_scatter_rows(idx.reshape(-1), g, size), 0, axis)
             _bump(x, gx)
 
         return self._emit(np.take(x.value, idx, axis=axis), backward, moved=True)

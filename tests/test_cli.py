@@ -488,3 +488,27 @@ def test_config_file_rejects_unknown_settings(ws):
     proc = run_cli("synth", "--config", config, "--out", ws / "unused")
     assert proc.returncode == 2
     assert "unknown settings: records" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epochs", 2.5),
+        ("batch_size", 64.5),
+        ("d", 3.5),
+        ("mlp_hidden", [32, 32]),
+        ("upper_only", "yes"),
+        ("include_linear", 1),
+    ],
+    ids=["epochs-2.5", "batch-64.5", "d-3.5", "mlp-list", "switch-string", "switch-number"],
+)
+def test_config_file_values_go_through_each_flags_type(ws, synth_dir, key, value):
+    config = ws / f"typed_{key}.json"
+    config.write_text(json.dumps({key: value}))
+    proc = run_cli(
+        "train", "--config", config, "--data", synth_dir, "--out", ws / f"typed_{key}",
+        "--model", "FM",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert config.name in proc.stderr and repr(key) in proc.stderr

@@ -263,7 +263,7 @@ def test_lookup_scatter_accumulates_repeated_rows():
     store.add_zeros("table", (3, 2))
 
     def build(tape):
-        rows = tape.lookup(store, "table", np.array([0, 0, 1]))
+        rows = tape.reshape(tape.lookup(store, ["table"], np.array([0, 0, 1])[:, None]), (3, 2))
         return tape.sum_all(rows)
 
     _run_backward(build, store)
@@ -275,7 +275,7 @@ def test_lookup_untouched_rows_get_exact_zero_gradient():
     store.add_xavier("table", (5, 3))
 
     def build(tape):
-        rows = tape.lookup(store, "table", np.array([1, 3]))
+        rows = tape.reshape(tape.lookup(store, ["table"], np.array([1, 3])[:, None]), (2, 3))
         return tape.sum_all(tape.mul(rows, rows))
 
     _run_backward(build, store)
@@ -290,11 +290,11 @@ def test_lookup_range_and_shape_guards():
     store.add_zeros("table", (3, 2))
     tape = Tape()
     with pytest.raises(DomainError):
-        tape.lookup(store, "table", np.array([0, 3]))
+        tape.lookup(store, ["table"], np.array([0, 3])[:, None])
     with pytest.raises(DomainError):
-        tape.lookup(store, "table", np.array([-1]))
+        tape.lookup(store, ["table"], np.array([-1])[:, None])
     with pytest.raises(ShapeError):
-        tape.lookup(store, "table", np.array([0.5, 1.0]))
+        tape.lookup(store, ["table"], np.array([0.5, 1.0])[:, None])
 
 
 def test_lookup_index_snapshot_is_defensive():
@@ -302,11 +302,77 @@ def test_lookup_index_snapshot_is_defensive():
     store.add_zeros("table", (3, 2))
     idx = np.array([0, 1])
     tape = Tape()
-    rows = tape.lookup(store, "table", idx)
+    rows = tape.lookup(store, ["table"], idx[:, None])
     idx[0] = 2  # caller mutates after the fact
     root = tape.sum_all(rows)
     tape.backward(root)
     np.testing.assert_array_equal(store.grad("table")[:, 0], [1.0, 1.0, 0.0])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    b=st.integers(0, 9),
+    rows=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    d=st.integers(1, 4),
+    blank=st.integers(0, 4),
+    slot_major=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lookup_scatter_is_bitwise_np_add_at(b, rows, d, blank, slot_major, seed):
+    # referee: each table's gradient is np.add.at of its column into zeros
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    names = [f"t{j}" for j in range(len(rows))]
+    for name, size in zip(names, rows):
+        store.add_value(name, rng.normal(size=(size, d)))
+    blank = min(blank, len(names))
+    names.insert(blank, None)
+    # indices from a range no wider than the batch, so rows repeat
+    idx = np.stack([rng.integers(0, min(size, max(b // 2, 1)), size=b) for size in rows], axis=1)
+    idx = np.insert(idx, blank, rng.integers(0, 3, size=b), axis=1)
+    weights = rng.normal(size=(b, len(names), d))
+
+    store.zero_grads()
+    tape = Tape()
+    looked_up = tape.lookup(store, names, idx, slot_major=slot_major)
+    root = tape.sum_all(tape.mul(looked_up, tape.constant(weights)))
+    tape.backward(root)
+
+    value = looked_up.value
+    assert value.shape == (b, len(names), d)
+    assert (value.transpose(1, 0, 2) if slot_major else value).flags.c_contiguous
+    np.testing.assert_array_equal(value[:, blank], np.zeros((b, d)))
+    once = {}
+    for j, name in enumerate(names):
+        if name is None:
+            continue
+        np.testing.assert_array_equal(value[:, j], store.value(name)[idx[:, j]])
+        want = np.zeros_like(store.value(name))
+        np.add.at(want, idx[:, j], weights[:, j])
+        assert store.grad(name).tobytes() == want.tobytes(), name
+        if b == 0:
+            assert not np.any(store.grad(name))
+        once[name] = store.grad(name).copy()
+
+    tape.backward(root)
+    for name, grad in once.items():
+        assert store.grad(name).tobytes() == (2.0 * grad).tobytes(), name
+
+
+def test_take_repeats_negative_indices_into_one_gradient_row():
+    store = ParameterStore(seed=3)
+    store.add_xavier("x", (2, 4, 3))
+    idx = np.array([[-1, 3], [0, -4]])  # -1 is 3 and -4 is 0, so both rows repeat
+    weights = np.random.default_rng(4).normal(size=(2, 2, 2, 3))
+
+    def build(tape):
+        picked = tape.take(tape.parameter(store, "x"), idx, axis=1)  # (2, 2, 2, 3)
+        return tape.sum_all(tape.mul(picked, tape.constant(weights)))
+
+    _run_backward(build, store)
+    want = np.zeros((2, 4, 3))
+    np.add.at(want, (slice(None), idx), weights)
+    assert store.grad("x").tobytes() == want.tobytes()
 
 
 def test_clip_gradient_passes_only_strictly_inside():
@@ -417,7 +483,7 @@ def test_composite_network_checks_below_1e8():
     idx = np.array([0, 2, 2, 4])
 
     def build(tape):
-        x = tape.lookup(store, "table", idx)  # (4, 3)
+        x = tape.reshape(tape.lookup(store, ["table"], idx[:, None]), (4, 3))
         y = tape.linear_map(tape.parameter(store, "m"), x)  # (4, 2)
         y = tape.add(y, tape.parameter(store, "b"))
         y = tape.sigmoid(y)

@@ -76,6 +76,19 @@ def test_loss_tape_grows_by_at_most_one_node_per_lookup(name):
     assert size[8] - size[3] <= lookups[8] - lookups[3]
 
 
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_loss_tape_size_is_independent_of_field_count(name):
+    size = {}
+    for n in (3, 8):
+        schema = FieldSchema.of_sizes([4] * n)
+        model = build_model(ModelSpec(name, schema, d=3, layers=2, mlp_hidden=(8, 4)), seed=0)
+        indices, labels = random_batch(schema, 5, seed=0)
+        tape = Tape()
+        model.loss_node(tape, indices, labels)
+        size[n] = len(tape)
+    assert size[3] == size[8]
+
+
 def test_forward_chunking_is_invisible():
     # records are scored independently; chunk size only changes how the
     # matrix products are blocked, which moves results by at most an ulp
