@@ -18,11 +18,17 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import data as datamod
 from . import equivalence as eqmod
-from .errors import ConfigError, CtrZooError, DataError, NumericError, TrainingError, read_json
+from .errors import (
+    ConfigError,
+    CtrZooError,
+    DataError,
+    NumericError,
+    ShapeError,
+    TrainingError,
+    read_json,
+)
 from .metrics import evaluate
 from .tape import ParameterStore
 from .training import TrainConfig, train
@@ -30,7 +36,6 @@ from .zoo import (
     MODEL_NAMES,
     RECIPES,
     ModelSpec,
-    Model,
     build_model,
     count_complexity,
     gradient_check,
@@ -263,18 +268,18 @@ def _rebuild_run(run_dir):
         spec = ModelSpec.from_dict(run_config["model"])
     except ConfigError as exc:
         raise DataError(f"{model_path}: {exc}") from exc
-    store = ParameterStore.load(params_path)
-    cfg = spec.fi_config()
-    built = build_model(spec, seed=0)
-    if sorted(store.names()) != sorted(built.store.names()):
+    loaded = ParameterStore.load(params_path)
+    model = build_model(spec, seed=loaded.seed)
+    if sorted(loaded.names()) != sorted(model.store.names()):
         raise DataError(f"{run_dir}: checkpoint slots do not match the model config")
-    for name in built.store.names():
-        got, want = store.value(name).shape, built.store.value(name).shape
-        if got != want:
+    for name in model.store.names():
+        try:
+            model.store.set_value(name, loaded.value(name))
+        except ShapeError as exc:
+            got, want = loaded.value(name).shape, model.store.value(name).shape
             raise DataError(
                 f"{run_dir}: checkpoint slot {name!r} has shape {got}, the model config needs {want}"
-            )
-    model = Model(spec, store, cfg, built.st_spec)
+            ) from exc
     return model, run_config
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -89,7 +90,8 @@ class FieldSchema:
         try:
             return cls(
                 [
-                    SchemaField(f["name"], f["kind"], int(f["vocab_size"]))
+                    # a JSON integer: a float or a string is not truncated or parsed
+                    SchemaField(f["name"], f["kind"], operator.index(f["vocab_size"]))
                     for f in payload["fields"]
                 ]
             )

@@ -20,7 +20,7 @@ records a fixed number of nodes whatever n is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,9 +63,6 @@ class FIConfig:
     field_aware: bool = False
     self_product: bool = False  # grid hadamard reads f_i * f_i instead of f_i * f_j
 
-    def without_softmax(self):
-        return replace(self, softmax=False)
-
 
 _CATALOG = {
     "LR": FIConfig("LR", "one", "identity", "self"),
@@ -106,24 +103,6 @@ def ordered_pairs(n, upper_only=False):
     if upper_only:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     return [(i, j) for i in range(n) for j in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# slot binding
-
-
-class SlotNodes:
-    """Memoizing view of store slots as tape nodes (one leaf per slot and tape)."""
-
-    def __init__(self, tape, store):
-        self.tape = tape
-        self.store = store
-        self._whole = {}
-
-    def whole(self, name):
-        if name not in self._whole:
-            self._whole[name] = self.tape.parameter(self.store, name)
-        return self._whole[name]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +160,7 @@ def _unordered_pairs(n):
 # forward evaluation
 
 
-def fi_forward(tape, cfg, fields, slots, *, prefix="fi.", grid_pairs=None):
+def fi_forward(tape, cfg, fields, store, *, prefix="fi.", grid_pairs=None):
     """Evaluate one FI layer on a whole batch: sum_j N_ij S(f_i, f_j) U(f_i, f_j).
 
     `fields` is one stacked node: (B, n, d) field embeddings or, for
@@ -191,11 +170,13 @@ def fi_forward(tape, cfg, fields, slots, *, prefix="fi.", grid_pairs=None):
     (n, n) mask, the optional softmax runs per target field (or jointly
     over every pair for `pair_softmax`), and the utility is contracted
     against the weights. Only the SAM2 grid and AFM's attention network
-    hold one vector per pair.
+    hold one vector per pair. The weights are the `store` slots named
+    `prefix` + their role, bound through `tape.parameter`.
 
     Returns (B, n, d) for per-field vector utilities, (B, n) for scalar
     utilities, and (B, P, d) for grid configs, with row p holding pair
-    `grid_pairs[p]` (default all ordered pairs, pair (i, j) in row i*n + j).
+    `grid_pairs[p]` (default all ordered pairs, pair (i, j) in row i*n + j);
+    the `pairvec` slot of a vector-pair grid has one row per listed pair.
     """
     if fields is None:
         raise ContractError(f"{cfg.model}: fi_forward needs the stacked field embeddings")
@@ -208,7 +189,7 @@ def fi_forward(tape, cfg, fields, slots, *, prefix="fi.", grid_pairs=None):
         raise CatalogError(f"{cfg.model}: field-aware embeddings only support the inner similarity")
 
     def param(name):
-        return slots.whole(prefix + name)
+        return tape.parameter(store, prefix + name)
 
     if cfg.neighborhood == "grid":
         return _grid(tape, cfg, fields, param, grid_pairs)
@@ -347,8 +328,6 @@ def _grid(tape, cfg, E, param, grid_pairs):
         return pick(tape.reshape(out, (B, n * n, d)))
     if cfg.utility == "vector_pair":
         weights = pick(tape.reshape(scores, (B, n * n, 1)))
-        vecs = param("pairvec")  # row p belongs to pair p
-        if vecs.value.shape[0] != len(rows):
-            vecs = tape.take(vecs, np.arange(len(rows)), axis=0)
-        return tape.mul(weights, tape.reshape(vecs, (1, len(rows), d)))
+        # row p belongs to pair p
+        return tape.mul(weights, tape.reshape(param("pairvec"), (1, len(rows), d)))
     raise CatalogError(f"{cfg.model}: grid utility {cfg.utility!r} is not supported")

@@ -69,20 +69,21 @@ def add_mlp_slots(store, spec, prefix="st."):
         store.add_zeros(f"{prefix}l{k}.b", (b,))
 
 
-def mlp_nodes(tape, spec, slots, x, *, prefix="st.", training=False, drop_rng=None):
-    """Run the stack on a (B, input_dim) node; returns (B, out_dim)."""
+def mlp_nodes(tape, spec, store, x, *, prefix="st.", training=False, drop_rng=None):
+    """Run the stack on a (B, input_dim) node; returns (B, out_dim).
+
+    The weights are the `store` slots under `prefix`, as `add_mlp_slots` names them.
+    """
     if x.value.ndim != 2 or x.value.shape[1] != spec.input_dim:
         raise ShapeError(f"mlp expects (B, {spec.input_dim}), got {x.value.shape}")
     h = x
     for k in range(spec.depth):
-        w, b = slots.whole(f"{prefix}l{k}.w"), slots.whole(f"{prefix}l{k}.b")
-        pre = tape.add(tape.matmul(h, w), b)
-        if k == spec.depth - 1:
-            return pre
-        act = tape.relu(pre)
-        if training and spec.dropout > 0.0:
-            if drop_rng is None:
-                raise DomainError("training-mode dropout needs a random generator")
-            act = tape.dropout(act, spec.dropout, drop_rng)
-        h = act
+        if k:
+            h = tape.relu(h)
+            if training and spec.dropout > 0.0:
+                if drop_rng is None:
+                    raise DomainError("training-mode dropout needs a random generator")
+                h = tape.dropout(h, spec.dropout, drop_rng)
+        w, b = tape.parameter(store, f"{prefix}l{k}.w"), tape.parameter(store, f"{prefix}l{k}.b")
+        h = tape.add(tape.matmul(h, w), b)
     return h

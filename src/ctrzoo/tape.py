@@ -13,10 +13,10 @@ trailing axes of the other. So (B, m) + (m,) and (B,) + () broadcast, while
 `inner` contracts the last axis of two equal shapes, or of (..., d) with a
 (d,) vector.
 
-Gradient buffers on `ParameterStore` slots are accumulation-only: `backward`
-adds into them and never clears them, so calling it twice without
-`zero_grads` doubles every buffer exactly. That property is what the
-finite-difference checker and the optimizer rely on.
+Every `ParameterStore` slot has a gradient buffer, and the buffers are
+accumulation-only: `backward` adds into them and never clears them, so
+calling it twice without `zero_grads` doubles every buffer exactly. That
+property is what the finite-difference checker and the optimizer rely on.
 """
 from __future__ import annotations
 
@@ -73,21 +73,21 @@ def xavier_uniform(rng, shape, fan_in, fan_out):
 
 
 class _Slot:
-    __slots__ = ("name", "value", "grad", "trainable")
+    __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name, value, trainable):
+    def __init__(self, name, value):
         self.name = name
         self.value = value
-        self.trainable = trainable
-        self.grad = np.zeros_like(value) if trainable else None
+        self.grad = np.zeros_like(value)
 
 
 class ParameterStore:
-    """Named float64 parameter slots with matching gradient buffers.
+    """Named float64 parameter slots, each with a gradient buffer of its shape.
 
     Slots are created once (duplicate names are an error) and iterate in
     insertion order, which keeps initialization, regularization, and
-    optimizer updates bit-reproducible for a given seed.
+    optimizer updates bit-reproducible for a given seed. Every slot is
+    trained.
     """
 
     def __init__(self, seed=0):
@@ -97,33 +97,27 @@ class ParameterStore:
 
     # -- creation ----------------------------------------------------------
 
-    def _insert(self, name, value, trainable):
+    def add_value(self, name, value):
         if name in self._slots:
             raise ContractError(f"duplicate parameter slot {name!r}")
         value = np.array(value, dtype=np.float64)
         if not np.all(np.isfinite(value)):
             raise NumericError(f"non-finite initial value for slot {name!r}")
-        slot = _Slot(name, value, trainable)
+        slot = _Slot(name, value)
         self._slots[name] = slot
         return slot.value
 
-    def add_value(self, name, value, trainable=True):
-        return self._insert(name, value, trainable)
+    def add_zeros(self, name, shape):
+        return self.add_value(name, np.zeros(shape))
 
-    def add_zeros(self, name, shape, trainable=True):
-        return self._insert(name, np.zeros(shape), trainable)
-
-    def add_constant(self, name, shape, fill, trainable=True):
-        return self._insert(name, np.full(shape, float(fill)), trainable)
-
-    def add_xavier(self, name, shape, fans=None, trainable=True):
+    def add_xavier(self, name, shape, fans=None):
         if fans is None:
             shape = tuple(np.atleast_1d(shape)) if not isinstance(shape, tuple) else shape
             if len(shape) < 2:
                 fans = (int(np.prod(shape)), 1)
             else:
                 fans = (int(np.prod(shape[:-1])), int(shape[-1]))
-        return self._insert(name, xavier_uniform(self.rng, shape, *fans), trainable)
+        return self.add_value(name, xavier_uniform(self.rng, shape, *fans))
 
     # -- access ------------------------------------------------------------
 
@@ -137,10 +131,7 @@ class ParameterStore:
         return self.slot(name).value
 
     def grad(self, name):
-        slot = self.slot(name)
-        if slot.grad is None:
-            raise ContractError(f"slot {name!r} is frozen and has no gradient buffer")
-        return slot.grad
+        return self.slot(name).grad
 
     def set_value(self, name, value):
         slot = self.slot(name)
@@ -160,23 +151,14 @@ class ParameterStore:
     def slots(self):
         return list(self._slots.values())
 
-    def trainable_slots(self):
-        return [s for s in self._slots.values() if s.trainable]
-
     # -- bookkeeping -------------------------------------------------------
 
     def zero_grads(self):
         for slot in self._slots.values():
-            if slot.grad is not None:
-                slot.grad[...] = 0.0
+            slot.grad[...] = 0.0
 
-    def param_count(self, trainable_only=True):
-        slots = self.trainable_slots() if trainable_only else self.slots()
-        return int(sum(s.value.size for s in slots))
-
-    def sq_norm(self):
-        """Sum of squared entries over all trainable slots."""
-        return float(sum(np.sum(s.value * s.value) for s in self.trainable_slots()))
+    def param_count(self):
+        return int(sum(s.value.size for s in self._slots.values()))
 
     def snapshot(self):
         return {name: slot.value.copy() for name, slot in self._slots.items()}
@@ -191,7 +173,8 @@ class ParameterStore:
         return {
             name: {
                 "shape": list(slot.value.shape),
-                "trainable": slot.trainable,
+                # every slot is trained; the entry keeps the v1 format
+                "trainable": True,
                 "values": slot.value.reshape(-1).tolist(),
             }
             for name, slot in self._slots.items()
@@ -207,8 +190,9 @@ class ParameterStore:
         """Read a checkpoint written by `save`.
 
         A file that cannot be read as JSON, names another format, lacks an
-        entry, or holds values that do not fit their shape raises DataError
-        naming `path`.
+        entry, has a seed that is not a non-negative integer, marks a slot
+        other than trainable, or holds values that do not fit their shape
+        raises DataError naming `path`.
         """
         payload = read_json(path)
         if not isinstance(payload, dict) or "format" not in payload:
@@ -218,18 +202,23 @@ class ParameterStore:
         slots = payload.get("slots")
         if not isinstance(slots, dict):
             raise DataError(f"{path}: checkpoint has no 'slots' object")
-        store = cls(seed=payload.get("seed", 0))
+        seed = payload.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise DataError(f"{path}: checkpoint seed is not a non-negative integer: {json.dumps(seed)}")
+        store = cls(seed)
         for name, rec in slots.items():
             try:
                 shape, values, trainable = rec["shape"], rec["values"], rec["trainable"]
             except (KeyError, TypeError) as exc:
                 raise DataError(f"{path}: slot {name!r} has no {exc} entry") from exc
+            if trainable is not True:
+                raise DataError(f"{path}: slot {name!r} is not trainable: {json.dumps(trainable)}")
             try:
                 arr = np.array(values, dtype=np.float64).reshape(shape)
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: slot {name!r} values do not fit shape {shape}: {exc}") from exc
             try:
-                store._insert(name, arr, bool(trainable))
+                store.add_value(name, arr)
             except NumericError as exc:
                 raise DataError(f"{path}: {exc}") from exc
         return store
@@ -248,10 +237,6 @@ class Node:
         self.value = value
         self.grad = None
         self._backward = backward
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 def _bump(node, g):
@@ -358,6 +343,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Node] = []
+        self._params: dict[_Slot, Node] = {}
 
     def __len__(self):
         return len(self._nodes)
@@ -378,14 +364,19 @@ class Tape:
         return self._emit(value)
 
     def parameter(self, store, name):
-        """Whole slot as a leaf; gradient accumulates into the slot buffer."""
-        slot = store.slot(name)
+        """Whole slot as a leaf; gradient accumulates into the slot buffer.
 
-        def backward(g):
-            if slot.grad is not None:
+        A slot gets one leaf per tape: later calls return the same node.
+        """
+        slot = store.slot(name)
+        node = self._params.get(slot)
+        if node is None:
+
+            def backward(g):
                 slot.grad += g
 
-        return self._emit(slot.value, backward)
+            node = self._params[slot] = self._emit(slot.value, backward)
+        return node
 
     def lookup(self, store, names, indices, slot_major=False):
         """Batched row gather from k 2-D slots: indices (B, k) -> value (B, k, d).
@@ -430,7 +421,7 @@ class Tape:
 
         def backward(g):
             for j, slot in enumerate(slots):
-                if slot is not None and slot.grad is not None:
+                if slot is not None:
                     slot.grad += _scatter_rows(columns[j], g[:, j], rows[j])
 
         return self._emit(value, backward)
@@ -644,24 +635,6 @@ class Tape:
 
     # -- shape plumbing ----------------------------------------------------
 
-    def stack_last(self, nodes, axis=-1):
-        """Stack k same-shape nodes along a new axis (the trailing one by default)."""
-        nodes = list(nodes)
-        if not nodes:
-            raise DomainError("stack_last of no nodes")
-        shape = nodes[0].value.shape
-        for n in nodes:
-            if n.value.shape != shape:
-                raise ShapeError("stack_last nodes must share a shape")
-        (axis,) = _axes(axis, len(shape) + 1)
-
-        def backward(g):
-            parts = np.ascontiguousarray(np.moveaxis(g, axis, 0))
-            for k, n in enumerate(nodes):
-                _bump(n, parts[k])
-
-        return self._emit(np.stack([n.value for n in nodes], axis=axis), backward, moved=True)
-
     def reshape(self, x, shape):
         """Same entries in a new shape (C order)."""
         try:
@@ -720,12 +693,6 @@ class Tape:
 
         return self._emit(x.value.sum(axis=axes), backward)
 
-    def sum_all(self, x):
-        def backward(g):
-            _bump(x, np.broadcast_to(g, x.value.shape))
-
-        return self._emit(np.asarray(x.value.sum()), backward)
-
     def mean_all(self, x):
         size = x.value.size
         if size == 0:
@@ -766,13 +733,13 @@ def finite_diff_check(f, store, eps=1e-5):
     `f` is a deterministic zero-argument callable returning the scalar being
     differentiated, re-reading current store values on every call. The caller
     is expected to have populated the gradient buffers (zero_grads, forward,
-    backward) before invoking this. Returns the maximum over all trainable
+    backward) before invoking this. Returns the maximum over all slot
     entries of |analytic - central| / max(1, |central|).
     """
     if eps <= 0:
         raise DomainError(f"finite difference step must be positive, got {eps}")
     worst = 0.0
-    for slot in store.trainable_slots():
+    for slot in store.slots():
         flat = slot.value.reshape(-1)
         gflat = slot.grad.reshape(-1)
         for k in range(flat.size):

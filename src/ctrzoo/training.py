@@ -47,12 +47,12 @@ class TrainConfig:
 
 
 class AdamState:
-    """First and second moment buffers, one pair per trainable slot."""
+    """First and second moment buffers, one pair per slot."""
 
     def __init__(self, store):
         self.t = 0
-        self.m = {s.name: np.zeros_like(s.value) for s in store.trainable_slots()}
-        self.v = {s.name: np.zeros_like(s.value) for s in store.trainable_slots()}
+        self.m = {s.name: np.zeros_like(s.value) for s in store.slots()}
+        self.v = {s.name: np.zeros_like(s.value) for s in store.slots()}
 
 
 def adam_step(store, state, lr):
@@ -62,7 +62,7 @@ def adam_step(store, state, lr):
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for slot in store.trainable_slots():
+    for slot in store.slots():
         g = slot.grad
         m = state.m[slot.name]
         v = state.v[slot.name]
@@ -133,7 +133,7 @@ def _epoch_pass(model, indices, labels, order, config, adam, epoch):
         if not np.isfinite(loss.value):
             raise TrainingError("non-finite training loss", epoch=epoch, batch=b)
         if config.l2 > 0.0:
-            for slot in model.store.trainable_slots():
+            for slot in model.store.slots():
                 slot.grad += 2.0 * config.l2 * slot.value
         adam_step(model.store, adam, config.lr)
         loss_sum += float(loss.value) * len(rows)

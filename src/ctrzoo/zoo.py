@@ -14,25 +14,29 @@ factor.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import json
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import embedding
 from .data import FieldSchema
 from .errors import CatalogError, ConfigError, ContractError, DataError, ShapeError
-from .interaction import (
-    MODEL_NAMES,
-    SlotNodes,
-    fi_catalog,
-    fi_forward,
-    ordered_pairs,
-)
+from .interaction import MODEL_NAMES, fi_catalog, fi_forward, ordered_pairs
 from .layers import MLPSpec, add_mlp_slots, combine_fields_nodes, mlp_nodes, sum_nodes
 from .metrics import PROB_FLOOR
 from .tape import ParameterStore, Tape, finite_diff_check, sigmoid
 
 _SCALAR_UTILITIES = {"one", "scalar_pair", "scalar_pair_sym", "scalar_inner", "projected_inner"}
+
+# the JSON values model.json may hold for each declared ModelSpec field type
+_JSON_TYPES = {
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "tuple[int, ...]": lambda v: isinstance(v, list) and all(_JSON_TYPES["int"](h) for h in v),
+}
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ class ModelSpec:
     schema: FieldSchema
     d: int = 16
     layers: int = 1
-    mlp_hidden: tuple = (32, 32, 32)
+    mlp_hidden: tuple[int, ...] = (32, 32, 32)
     dropout: float | None = None
     include_linear: bool | None = None
     include_bias: bool | None = None
@@ -108,6 +112,8 @@ class ModelSpec:
             raise ConfigError(f"attention width must be positive, got {self.afm_width}")
         if self.name == "LR" and self.include_linear:
             raise ConfigError("LR is the first-order model; include_linear does not apply")
+        if fi_catalog(self.name).neighborhood == "others" and self.n < 2:
+            raise ConfigError(f"{self.name} sums over pairs of fields and needs at least two, got {self.n}")
 
     @property
     def recipe(self):
@@ -150,7 +156,7 @@ class ModelSpec:
                 raise ConfigError(f"self_product only applies to element-wise models, not {self.name}")
             cfg = replace(cfg, self_product=True)
         if not self.softmax_enabled:
-            cfg = cfg.without_softmax()
+            cfg = replace(cfg, softmax=False)
         return cfg
 
     @property
@@ -167,25 +173,28 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, payload):
-        try:
-            return cls(
-                name=payload["name"],
-                schema=FieldSchema.from_dict(payload["schema"]),
-                d=int(payload.get("d", 16)),
-                layers=int(payload.get("layers", 1)),
-                mlp_hidden=tuple(payload.get("mlp_hidden", (32, 32, 32))),
-                dropout=payload.get("dropout"),
-                include_linear=payload.get("include_linear"),
-                include_bias=payload.get("include_bias"),
-                sam2_upper_only=bool(payload.get("sam2_upper_only", False)),
-                softmax_enabled=bool(payload.get("softmax_enabled", True)),
-                self_product=bool(payload.get("self_product", False)),
-                afm_width=payload.get("afm_width"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"model config missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed model config: {exc}") from exc
+        """Read a spec written by `to_dict`, each entry by its declared type.
+
+        Switches take a JSON boolean; `d`, `layers`, `afm_width` and the
+        `mlp_hidden` widths a JSON integer; `dropout` a number. null is
+        accepted only for the optional fields, and an absent entry keeps
+        its default. Anything else raises ConfigError.
+        """
+        if not isinstance(payload, dict):
+            raise ConfigError(f"malformed model config: expected an object, got {type(payload).__name__}")
+        for key in ("name", "schema"):
+            if key not in payload:
+                raise ConfigError(f"model config missing key {key!r}")
+        values = {"schema": FieldSchema.from_dict(payload["schema"])}
+        for f in fields(cls):
+            if f.name in values or f.name not in payload:
+                continue
+            value = payload[f.name]
+            kind, *optional = f.type.split(" | ")
+            if not (bool(optional) if value is None else _JSON_TYPES[kind](value)):
+                raise ConfigError(f"model config {f.name!r} must be {f.type}, got {json.dumps(value)}")
+            values[f.name] = tuple(value) if isinstance(value, list) else value
+        return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +250,8 @@ def _st_input_dim(spec, cfg):
 
 def build_model(spec, seed=0):
     """Instantiate parameters for `spec` under `seed` and wrap them."""
-    store = ParameterStore(seed)
-    cfg = spec.fi_config()
+    model = Model(spec, ParameterStore(seed))
+    store, cfg = model.store, model.cfg
     embedding.add_embedding_tables(store, spec.schema, spec.dim, field_aware=cfg.field_aware)
     if spec.use_linear:
         embedding.add_linear_table(store, spec.schema)
@@ -253,23 +262,28 @@ def build_model(spec, seed=0):
         if spec.name.startswith("SAM3"):
             store.add_zeros(prefix + "res", (spec.dim, spec.dim))
     if spec.recipe.aggregation == "field_combination":
-        store.add_constant("al.w", (spec.n,), 1.0 / spec.n)
-    st_spec = None
-    if spec.recipe.transform != "none":
-        hidden = spec.mlp_hidden if spec.recipe.transform == "mlp" else ()
-        st_spec = MLPSpec(_st_input_dim(spec, cfg), hidden, 1, dropout=spec.drop_rate)
-        add_mlp_slots(store, st_spec, prefix="st.")
-    return Model(spec, store, cfg, st_spec)
+        store.add_value("al.w", np.full(spec.n, 1.0 / spec.n))
+    if model.st_spec is not None:
+        add_mlp_slots(store, model.st_spec, prefix="st.")
+    return model
 
 
 class Model:
-    """A built zoo member: spec, parameters, and the forward pass."""
+    """A zoo member: spec, parameters, and the forward pass.
 
-    def __init__(self, spec, store, cfg, st_spec):
+    The FI configuration `cfg` and the head's MLPSpec `st_spec` (None
+    without a transform) follow from the spec; `store` holds the slots
+    `build_model` creates for it.
+    """
+
+    def __init__(self, spec, store):
         self.spec = spec
         self.store = store
-        self.cfg = cfg
-        self.st_spec = st_spec
+        self.cfg = spec.fi_config()
+        self.st_spec = None
+        if spec.recipe.transform != "none":
+            hidden = spec.mlp_hidden if spec.recipe.transform == "mlp" else ()
+            self.st_spec = MLPSpec(_st_input_dim(spec, self.cfg), hidden, 1, dropout=spec.drop_rate)
 
     @property
     def name(self):
@@ -289,20 +303,19 @@ class Model:
             )
         return indices
 
-    def _fi_outputs(self, tape, slots, indices):
+    def _fi_outputs(self, tape, indices):
         lookup = embedding.lookup_field_aware if self.cfg.field_aware else embedding.lookup_fields
         g = lookup(tape, self.store, indices)
         for prefix in _layer_prefixes(self.spec):
-            z = fi_forward(tape, self.cfg, g, slots, prefix=prefix, grid_pairs=self.spec.grid())
+            z = fi_forward(tape, self.cfg, g, self.store, prefix=prefix, grid_pairs=self.spec.grid())
             if self.name.startswith("SAM3"):
-                z = tape.add(z, tape.linear_map(slots.whole(prefix + "res"), g))
+                z = tape.add(z, tape.linear_map(tape.parameter(self.store, prefix + "res"), g))
             g = z
         return g
 
     def logit_node(self, tape, indices, training=False, drop_rng=None):
         indices = self._check_batch(indices)
-        slots = SlotNodes(tape, self.store)
-        z = self._fi_outputs(tape, slots, indices)
+        z = self._fi_outputs(tape, indices)
         agg_kind = self.spec.recipe.aggregation
 
         if agg_kind == "sum":
@@ -312,12 +325,12 @@ class Model:
             core = tape.reshape(total, (len(indices),)) if total.value.ndim == 2 else total
         else:
             if agg_kind == "field_combination":
-                x = combine_fields_nodes(tape, z, slots.whole("al.w"))
+                x = combine_fields_nodes(tape, z, tape.parameter(self.store, "al.w"))
             else:
                 # concat: field-major rows with d innermost, as the st.* head reads them
                 x = tape.reshape(z, (len(indices), int(np.prod(z.value.shape[1:]))))
             logit = mlp_nodes(
-                tape, self.st_spec, slots, x, prefix="st.", training=training, drop_rng=drop_rng
+                tape, self.st_spec, self.store, x, prefix="st.", training=training, drop_rng=drop_rng
             )
             core = tape.reshape(logit, (len(indices),))
 
@@ -325,21 +338,15 @@ class Model:
             first_order = embedding.lookup_fields(tape, self.store, indices, embedding.linear_slot)
             core = tape.add(core, tape.reshape(sum_nodes(tape, first_order), (len(indices),)))
         if self.spec.use_bias:
-            core = tape.add(core, slots.whole("bias"))
+            core = tape.add(core, tape.parameter(self.store, "bias"))
         return core
 
-    def forward(self, indices, training=False, dropout_seed=0, chunk=4096):
-        """Logits for a batch, evaluated in chunks to bound memory."""
+    def forward(self, indices, chunk=4096):
+        """Logits for a batch (evaluation mode), evaluated in chunks to bound memory."""
         indices = self._check_batch(indices)
         out = []
         for start in range(0, len(indices), chunk):
-            tape = Tape()
-            rng = (
-                np.random.default_rng([int(dropout_seed), 13, start])
-                if training
-                else None
-            )
-            node = self.logit_node(tape, indices[start : start + chunk], training, rng)
+            node = self.logit_node(Tape(), indices[start : start + chunk])
             out.append(node.value.copy())
         return np.concatenate(out) if out else np.empty(0)
 
@@ -393,22 +400,16 @@ def gradient_check(model, indices, labels, eps=1e-5, training=False, dropout_see
     (sensitivity self-test).
     """
 
-    def build():
-        tape = Tape()
+    def loss(tape):
         rng = np.random.default_rng([int(dropout_seed), 13]) if training else None
-        node = model.loss_node(tape, indices, labels, training=training, drop_rng=rng)
-        return tape, node
-
-    def f():
-        return float(build()[1].value)
+        return model.loss_node(tape, indices, labels, training=training, drop_rng=rng)
 
     model.store.zero_grads()
-    tape, node = build()
-    tape.backward(node)
+    tape = Tape()
+    tape.backward(loss(tape))
     if corrupt:
-        slot = model.store.trainable_slots()[0]
-        slot.grad.reshape(-1)[0] += corrupt
-    return finite_diff_check(f, model.store, eps)
+        model.store.slots()[0].grad.reshape(-1)[0] += corrupt
+    return finite_diff_check(lambda: float(loss(Tape()).value), model.store, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,11 @@ def test_eval_rejects_a_checkpoint_of_another_format(ws, synth_dir, run_dir):
             lambda raw: b'{"fields": [{"name": "f0", "kind": "categorical", "vocab_size": "many"}]}',
             id="schema-vocab-not-a-number",
         ),
+        pytest.param(
+            "schema.json",
+            lambda raw: b'{"fields": [{"name": "f0", "kind": "categorical", "vocab_size": 5.7}]}',
+            id="schema-vocab-float",
+        ),
         pytest.param("encoded.tsv", lambda raw: raw + b"\xff\xfe\n", id="encoded-not-utf8"),
     ],
 )
@@ -321,6 +326,18 @@ def test_eval_rejects_a_run_config_that_is_not_json(ws, synth_dir, run_dir):
         pytest.param(lambda c: c["model"].pop("schema"), id="no-schema"),
         pytest.param(lambda c: c["model"].update(d=0), id="zero-d"),
         pytest.param(lambda c: c["model"].update(d="wide"), id="d-not-a-number"),
+        pytest.param(lambda c: c["model"].update(softmax_enabled="false"), id="switch-string"),
+        pytest.param(lambda c: c["model"].update(d=3.9), id="d-3.9"),
+        pytest.param(lambda c: c["model"].update(layers=1.5), id="layers-1.5"),
+        pytest.param(lambda c: c["model"].update(afm_width=2.5), id="afm-width-2.5"),
+        pytest.param(lambda c: c["model"].update(mlp_hidden=[32.7, 32, 32]), id="mlp-width-float"),
+        pytest.param(lambda c: c["model"].update(d=True), id="d-bool"),
+        pytest.param(lambda c: c["model"].update(dropout="0.5"), id="dropout-string"),
+        pytest.param(lambda c: c["model"].update(include_bias="no"), id="optional-switch-string"),
+        pytest.param(lambda c: c["model"].update(self_product=None), id="switch-null"),
+        pytest.param(
+            lambda c: c["model"]["schema"]["fields"][0].update(vocab_size=5.7), id="schema-vocab-float"
+        ),
         pytest.param(lambda c: c["split"].update(ratios=[0.8, 0.2]), id="split-two-ratios"),
         pytest.param(lambda c: c["split"].update(ratios="abc"), id="split-ratios-not-numbers"),
         pytest.param(lambda c: c["split"].update(seed="x"), id="split-seed-not-a-number"),
@@ -331,6 +348,14 @@ def test_eval_rejects_a_malformed_model_config(tmp_path, synth_dir, run_dir, cha
     proc = run_cli("eval", "--run", run, "--data", synth_dir)
     assert_data_error(proc)
     assert "model.json" in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["FM", "FFM", "FwFM", "AFM"])
+def test_pair_models_on_one_field_are_a_config_error(name):
+    proc = run_cli("gradcheck", "--models", name, "--fields", 1)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"error: {name} " in proc.stderr and "got 1" in proc.stderr
 
 
 def test_zero_embedding_width_flag_stays_a_config_error(ws, synth_dir):

@@ -111,7 +111,7 @@ def test_gradients_touch_only_active_rows():
     indices = np.array([[0, 2, 1], [0, 2, 3]])
     store.zero_grads()
     tape = Tape()
-    tape.backward(tape.sum_all(lookup_fields(tape, store, indices)))
+    tape.backward(tape.sum_axis(lookup_fields(tape, store, indices), (0, 1, 2)))
     # field 0 used row 0 twice: gradient 2 there, exact zero elsewhere
     g0 = store.grad("emb.0")
     np.testing.assert_array_equal(g0[0], np.full(3, 2.0))
@@ -126,7 +126,7 @@ def test_adam_leaves_untouched_rows_bit_identical():
     indices = np.array([[0, 0, 0]])
     store.zero_grads()
     tape = Tape()
-    tape.backward(tape.sum_all(lookup_fields(tape, store, indices)))
+    tape.backward(tape.sum_axis(lookup_fields(tape, store, indices), (0, 1, 2)))
     adam_step(store, state, lr=0.1)
     for i in range(SCHEMA.n):
         table = store.value(emb_slot(i))

@@ -67,7 +67,7 @@ def test_first_order_lift_works_at_width_one():
 
 def test_zero_first_order_model_lifts_to_zero():
     lr = fresh("LR")
-    for slot in lr.store.trainable_slots():
+    for slot in lr.store.slots():
         slot.value[...] = 0.0
     lifted = lift_lr_to_sam1(lr)
     rows, _ = enumerate_records(SCHEMA)

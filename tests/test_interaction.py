@@ -12,7 +12,6 @@ import pytest
 from ctrzoo.errors import CatalogError, ContractError, DomainError
 from ctrzoo.interaction import (
     MODEL_NAMES,
-    SlotNodes,
     fi_catalog,
     fi_forward,
     ordered_pairs,
@@ -74,9 +73,8 @@ def make_slots(rng, n=N, d=D):
 
 def run_config(cfg, f, store, aware=None, grid_pairs=None):
     tape = Tape()
-    slots = SlotNodes(tape, store)
     fields = as_aware_node(tape, aware) if aware is not None else as_nodes(tape, f)
-    out = fi_forward(tape, cfg, fields, slots, grid_pairs=grid_pairs)
+    out = fi_forward(tape, cfg, fields, store, grid_pairs=grid_pairs)
     return per_entry(out)
 
 
@@ -237,7 +235,7 @@ ORACLES = {
 def test_pair_with_unit_similarity_returns_utility():
     tape = Tape()
     fields = as_nodes(tape, np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))
-    out = fi_forward(tape, fi_catalog("SAM1"), fields, SlotNodes(tape, ParameterStore()))
+    out = fi_forward(tape, fi_catalog("SAM1"), fields, ParameterStore())
     assert out is fields
 
 
@@ -310,7 +308,7 @@ def test_sum_empty_neighborhood_rejected():
         else:
             fields = as_nodes(tape, np.ones((1, 1, D)))
         with pytest.raises(DomainError):
-            fi_forward(tape, cfg, fields, SlotNodes(tape, store))
+            fi_forward(tape, cfg, fields, store)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +403,7 @@ def test_sam2e_equal_ones_pair_doubles():
     f = np.ones((2, 1, 2))  # two fields, both (1, 1)
     tape = Tape()
     out = per_entry(
-        fi_forward(tape, fi_catalog("SAM2_E"), as_nodes(tape, f), SlotNodes(tape, ParameterStore()))
+        fi_forward(tape, fi_catalog("SAM2_E"), as_nodes(tape, f), ParameterStore())
     )
     # ordered pairs of 2 fields: every entry is <f,f> * (f*f) = 2 * (1,1)
     assert len(out) == 4
@@ -420,7 +418,7 @@ def test_autoint_identity_projections_single_field():
     store.add_value("fi.v", np.eye(2))
     f = np.array([[[0.3, -1.2]]])
     tape = Tape()
-    out = per_entry(fi_forward(tape, fi_catalog("AutoInt"), as_nodes(tape, f), SlotNodes(tape, store)))
+    out = per_entry(fi_forward(tape, fi_catalog("AutoInt"), as_nodes(tape, f), store))
     np.testing.assert_allclose(out[0], f[0], rtol=0, atol=1e-15)
 
 
@@ -477,8 +475,10 @@ def test_self_product_reads_the_target_field_twice():
 def test_grid_respects_explicit_pair_list():
     rng = np.random.default_rng(29)
     f = make_fields(rng)
-    store = make_slots(rng)
     pairs = ordered_pairs(N, upper_only=True)
+    # the pair vectors hold one row per listed pair, as the model sizes them
+    store = ParameterStore()
+    store.add_value("fi.pairvec", make_slots(rng).value("fi.pairvec")[: len(pairs)])
     got = run_config(fi_catalog("SAM2_A"), f, store, grid_pairs=pairs)
     assert len(got) == N * (N - 1) // 2
     vecs = store.value("fi.pairvec")
@@ -491,7 +491,7 @@ def test_softmax_disabled_gives_raw_score_sums():
     rng = np.random.default_rng(31)
     f = make_fields(rng)
     store = make_slots(rng)
-    cfg = fi_catalog("SAM3_A").without_softmax()
+    cfg = replace(fi_catalog("SAM3_A"), softmax=False)
     got = run_config(cfg, f, store)
     k, vecs = store.value("fi.k"), store.value("fi.pairvec")
     for i in range(N):
@@ -504,7 +504,7 @@ def test_softmax_disabled_gives_raw_score_sums():
 
 def test_field_aware_config_requires_aware_embeddings():
     with pytest.raises(ContractError):
-        fi_forward(Tape(), fi_catalog("FFM"), None, SlotNodes(Tape(), ParameterStore()))
+        fi_forward(Tape(), fi_catalog("FFM"), None, ParameterStore())
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -525,6 +525,6 @@ def test_fi_forward_emits_as_many_nodes_at_eight_fields_as_at_three(name):
         else:
             fields = as_nodes(tape, make_fields(rng, n=n))
         before = len(tape)
-        fi_forward(tape, cfg, fields, SlotNodes(tape, store))
+        fi_forward(tape, cfg, fields, store)
         emitted.append(len(tape) - before)
     assert emitted[0] == emitted[1]

@@ -5,7 +5,6 @@ import pytest
 
 from ctrzoo.errors import ConfigError, DomainError, ShapeError
 from ctrzoo.layers import MLPSpec, add_mlp_slots, combine_fields_nodes, mlp_nodes, sum_nodes
-from ctrzoo.interaction import SlotNodes
 from ctrzoo.tape import ParameterStore, Tape
 from test_interaction import as_nodes
 
@@ -122,7 +121,7 @@ def test_mlp_nodes_matches_value_level_eval():
     add_mlp_slots(store, spec)
     x = np.random.default_rng(2).normal(size=(4, 5))
     tape = Tape()
-    out = mlp_nodes(tape, spec, SlotNodes(tape, store), tape.constant(x))
+    out = mlp_nodes(tape, spec, store, tape.constant(x))
     weights = [
         (store.value(f"st.l{k}.w"), store.value(f"st.l{k}.b")) for k in range(spec.depth)
     ]
@@ -135,7 +134,7 @@ def test_mlp_nodes_shape_guard():
     add_mlp_slots(store, spec)
     tape = Tape()
     with pytest.raises(ShapeError):
-        mlp_nodes(tape, spec, SlotNodes(tape, store), tape.constant(np.ones((2, 4))))
+        mlp_nodes(tape, spec, store, tape.constant(np.ones((2, 4))))
 
 
 def test_training_dropout_needs_generator():
@@ -144,7 +143,7 @@ def test_training_dropout_needs_generator():
     add_mlp_slots(store, spec)
     tape = Tape()
     with pytest.raises(DomainError):
-        mlp_nodes(tape, spec, SlotNodes(tape, store), tape.constant(np.ones((2, 3))), training=True)
+        mlp_nodes(tape, spec, store, tape.constant(np.ones((2, 3))), training=True)
 
 
 def test_eval_mode_ignores_dropout():
@@ -153,7 +152,7 @@ def test_eval_mode_ignores_dropout():
     add_mlp_slots(store, spec)
     x = np.random.default_rng(0).normal(size=(2, 3))
     tape = Tape()
-    out = mlp_nodes(tape, spec, SlotNodes(tape, store), tape.constant(x))
+    out = mlp_nodes(tape, spec, store, tape.constant(x))
     weights = [
         (store.value(f"st.l{k}.w"), store.value(f"st.l{k}.b")) for k in range(spec.depth)
     ]
@@ -176,12 +175,12 @@ def test_dropout_keeps_expected_activation_scale():
     for _ in range(trials):
         tape = Tape()
         out = mlp_nodes(
-            tape, spec, SlotNodes(tape, store), tape.constant(x), training=True, drop_rng=rng
+            tape, spec, store, tape.constant(x), training=True, drop_rng=rng
         )
         acc += out.value[0]
     mean = acc / trials
     tape = Tape()
-    ref = mlp_nodes(tape, spec, SlotNodes(tape, store), tape.constant(x)).value[0]
+    ref = mlp_nodes(tape, spec, store, tape.constant(x)).value[0]
     # per-entry standard error: ref * sqrt(rate/(keep)) / sqrt(trials)
     spread = np.abs(ref) * np.sqrt(0.4 / 0.6) / np.sqrt(trials)
     assert np.all(np.abs(mean - ref) <= 4.0 * spread + 1e-12)

@@ -1,6 +1,7 @@
 """Math kernel tests: pure ops, the reverse-mode tape, and parameter storage."""
 
 import importlib
+import json
 import math
 
 import numpy as np
@@ -138,21 +139,14 @@ def test_store_set_value_shape_guard():
         store.set_value("w", np.zeros((4,)))
 
 
-def test_store_frozen_slot_has_no_gradient_buffer():
-    store = ParameterStore()
-    store.add_value("c", [1.0, 2.0], trainable=False)
-    assert store.slot("c").grad is None
-    with pytest.raises(ContractError):
-        store.grad("c")
-
-
 def test_store_counts_and_norm():
     store = ParameterStore()
     store.add_value("w", [[1.0, 2.0], [3.0, 4.0]])
-    store.add_value("c", [5.0], trainable=False)
-    assert store.param_count() == 4
-    assert store.param_count(trainable_only=False) == 5
-    assert store.sq_norm() == 30.0
+    store.add_value("c", [5.0])
+    assert store.param_count() == 5
+    # the squared norm an l2 penalty reads, over every slot in creation order
+    assert [s.name for s in store.slots()] == ["w", "c"]
+    assert sum(float(np.sum(s.value * s.value)) for s in store.slots()) == 55.0
 
 
 def test_store_snapshot_restore_round_trip():
@@ -170,7 +164,7 @@ def test_store_snapshot_restore_round_trip():
 def test_store_save_load_bit_exact(tmp_path):
     store = ParameterStore(seed=11)
     store.add_xavier("emb", (6, 3))
-    store.add_value("frozen", [0.25, -0.5], trainable=False)
+    store.add_value("shift", [0.25, -0.5])
     path = tmp_path / "params.json"
     store.save(path)
     loaded = ParameterStore.load(path)
@@ -178,7 +172,9 @@ def test_store_save_load_bit_exact(tmp_path):
     assert loaded.names() == store.names()
     for name in store.names():
         np.testing.assert_array_equal(loaded.value(name), store.value(name))
-        assert loaded.slot(name).trainable == store.slot(name).trainable
+    # the v1 format marks every slot trainable
+    slots = json.loads(path.read_text())["slots"]
+    assert [slots[name]["trainable"] for name in store.names()] == [True, True]
 
 
 def test_store_load_rejects_foreign_json(tmp_path):
@@ -200,6 +196,11 @@ def test_same_seed_builds_identical_parameters():
 # tape gradients against hand algebra
 
 
+def _total(tape, x):
+    """Sum of every entry of x as a 0-d node."""
+    return tape.sum_axis(x, tuple(range(x.value.ndim)))
+
+
 def _run_backward(build, store):
     store.zero_grads()
     tape = Tape()
@@ -219,26 +220,13 @@ def test_quadratic_gradient_is_two_w():
     np.testing.assert_array_equal(store.grad("w"), [2.0, -4.0, 6.0])
 
 
-def test_frozen_slot_receives_no_gradient():
-    store = ParameterStore()
-    store.add_value("w", [2.0, 5.0])
-    store.add_value("c", [3.0, 7.0], trainable=False)
-
-    def build(tape):
-        return tape.inner(tape.parameter(store, "w"), tape.parameter(store, "c"))
-
-    _run_backward(build, store)
-    np.testing.assert_array_equal(store.grad("w"), [3.0, 7.0])
-    assert store.slot("c").grad is None
-
-
 def test_backward_twice_doubles_buffers_exactly():
     store = ParameterStore(seed=5)
     store.add_xavier("w", (4,))
 
     def build(tape):
         w = tape.parameter(store, "w")
-        return tape.sum_all(tape.mul(w, w))
+        return _total(tape, tape.mul(w, w))
 
     store.zero_grads()
     tape = Tape()
@@ -264,7 +252,7 @@ def test_lookup_scatter_accumulates_repeated_rows():
 
     def build(tape):
         rows = tape.reshape(tape.lookup(store, ["table"], np.array([0, 0, 1])[:, None]), (3, 2))
-        return tape.sum_all(rows)
+        return _total(tape, rows)
 
     _run_backward(build, store)
     np.testing.assert_array_equal(store.grad("table"), [[2.0, 2.0], [1.0, 1.0], [0.0, 0.0]])
@@ -276,7 +264,7 @@ def test_lookup_untouched_rows_get_exact_zero_gradient():
 
     def build(tape):
         rows = tape.reshape(tape.lookup(store, ["table"], np.array([1, 3])[:, None]), (2, 3))
-        return tape.sum_all(tape.mul(rows, rows))
+        return _total(tape, tape.mul(rows, rows))
 
     _run_backward(build, store)
     g = store.grad("table")
@@ -304,7 +292,7 @@ def test_lookup_index_snapshot_is_defensive():
     tape = Tape()
     rows = tape.lookup(store, ["table"], idx[:, None])
     idx[0] = 2  # caller mutates after the fact
-    root = tape.sum_all(rows)
+    root = _total(tape, rows)
     tape.backward(root)
     np.testing.assert_array_equal(store.grad("table")[:, 0], [1.0, 1.0, 0.0])
 
@@ -335,7 +323,7 @@ def test_lookup_scatter_is_bitwise_np_add_at(b, rows, d, blank, slot_major, seed
     store.zero_grads()
     tape = Tape()
     looked_up = tape.lookup(store, names, idx, slot_major=slot_major)
-    root = tape.sum_all(tape.mul(looked_up, tape.constant(weights)))
+    root = _total(tape, tape.mul(looked_up, tape.constant(weights)))
     tape.backward(root)
 
     value = looked_up.value
@@ -367,7 +355,7 @@ def test_take_repeats_negative_indices_into_one_gradient_row():
 
     def build(tape):
         picked = tape.take(tape.parameter(store, "x"), idx, axis=1)  # (2, 2, 2, 3)
-        return tape.sum_all(tape.mul(picked, tape.constant(weights)))
+        return _total(tape, tape.mul(picked, tape.constant(weights)))
 
     _run_backward(build, store)
     want = np.zeros((2, 4, 3))
@@ -381,7 +369,7 @@ def test_clip_gradient_passes_only_strictly_inside():
 
     def build(tape):
         w = tape.parameter(store, "w")
-        return tape.sum_all(tape.clip(w, 0.0, 1.0))
+        return _total(tape, tape.clip(w, 0.0, 1.0))
 
     _run_backward(build, store)
     np.testing.assert_array_equal(store.grad("w"), [0.0, 1.0, 0.0])
@@ -491,11 +479,12 @@ def test_composite_network_checks_below_1e8():
         z = tape.mul(p, y)
         col = tape.reshape(tape.take(z, [0], axis=1), (4,))  # column 0
         pooled = tape.inner(col, tape.parameter(store, "v"))  # 0-d
-        total = tape.sum_all(tape.log(p))
+        total = _total(tape, tape.log(p))
         total = tape.add(total, pooled)
         total = tape.mul(total, tape.parameter(store, "s"))  # 0-d times 0-d
         total = tape.add(total, tape.parameter(store, "shift"))
-        return tape.mean_all(tape.stack_last([total, tape.scale_const(total, 2.0)]))
+        # the mean of total and 2 * total
+        return tape.scale_const(tape.add(total, tape.scale_const(total, 2.0)), 0.5)
 
     def f():
         return float(build(Tape()).value)
@@ -519,15 +508,16 @@ def test_relu_concat_path_checks_below_1e8():
         guard = np.abs(h.value)
         assert np.all(guard > 1e-2)
         h = tape.relu(h)
-        # [h | a] along the last axis: stack the two blocks, then merge them
-        both = tape.reshape(tape.stack_last([h, a], axis=1), (2, 4))
+        # [h | a] along the last axis: each block times a constant selector
+        left, right = np.eye(4)[:2], np.eye(4)[2:]
+        both = tape.add(tape.matmul(h, tape.constant(left)), tape.matmul(a, tape.constant(right)))
         s = tape.mul(tape.reshape(tape.constant(np.array([0.9, 1.1])), (2, 1)), both)
         # outer product of a batch scalar and a fixed vector
         vec = tape.mul(
             tape.reshape(tape.constant(np.array([1.0, 2.0])), (2, 1)),
             tape.reshape(tape.constant(np.array([0.3, 0.4, 0.5, 0.6])), (1, 4)),
         )
-        return tape.sum_all(tape.mul(tape.sub(s, vec), s))
+        return _total(tape, tape.mul(tape.sub(s, vec), s))
 
     def f():
         return float(build(Tape()).value)
@@ -589,7 +579,7 @@ def test_broadcast_binary_ops_check_against_finite_differences():
         prod = tape.mul(a, b)  # (2, 3, 3, 2) grid of pair products
         prod = tape.sub(tape.add(prod, bias), shift)  # a (d,) bias and a 0-d shift
         scaled = tape.mul(bias, tape.mul(prod, shift))  # lower-rank factors on either side
-        return tape.sum_all(tape.mul(tape.sub(tape.add(scaled, c), c), tape.add(prod, c)))
+        return _total(tape, tape.mul(tape.sub(tape.add(scaled, c), c), tape.add(prod, c)))
 
     assert _grad_error(store, build) < 1e-8
 
@@ -613,7 +603,7 @@ def test_batched_matmul_checks_against_finite_differences():
         s = tape.matmul(e, tape.transpose(tape.matmul(e, tape.parameter(store, "k")), (0, 2, 1)))
         per_field = tape.matmul(tape.transpose(s, (1, 0, 2)), tape.parameter(store, "v"))
         mixed = tape.matmul(s, e)  # (2, 3, 3) @ (2, 3, 4)
-        return tape.add(tape.sum_all(tape.mul(per_field, per_field)), tape.sum_all(mixed))
+        return tape.add(_total(tape, tape.mul(per_field, per_field)), _total(tape, mixed))
 
     assert _grad_error(store, build) < 1e-8
 
@@ -637,22 +627,16 @@ def test_shape_plumbing_checks_against_finite_differences():
         y = tape.reshape(tape.transpose(x, (2, 0, 1)), (4, 6))
         picked = tape.take(y, [5, 0, 5, 2], axis=1)  # a repeated column
         rows = tape.take(tape.parameter(store, "t"), np.array([[0, 4], [4, 1]]), axis=0)
-        stacked = tape.stack_last([x, tape.scale_const(x, 2.0)], axis=1)  # (2, 2, 3, 4)
+        # x and 2 * x along a new axis 1: (2, 2, 3, 4)
+        twice = tape.constant(np.reshape([1.0, 2.0], (1, 2, 1, 1)))
+        stacked = tape.mul(tape.reshape(x, (2, 1, 3, 4)), twice)
         mapped = tape.linear_map(tape.parameter(store, "m"), stacked)  # (2, 2, 3, 3)
         hidden = tape.relu(tape.add(mapped, tape.parameter(store, "b")))
         scores = tape.inner(hidden, tape.parameter(store, "h"))  # (2, 2, 3)
-        total = tape.add(tape.sum_all(tape.mul(picked, picked)), tape.sum_all(tape.mul(rows, rows)))
-        return tape.add(total, tape.sum_all(tape.sum_axis(scores, (0, 2))))
+        total = tape.add(_total(tape, tape.mul(picked, picked)), _total(tape, tape.mul(rows, rows)))
+        return tape.add(total, _total(tape, tape.sum_axis(scores, (0, 2))))
 
     assert _grad_error(store, build) < 1e-8
-
-
-def test_stack_last_along_an_inner_axis():
-    tape = Tape()
-    parts = [tape.constant(np.full((2, 3), float(k))) for k in range(4)]
-    out = tape.stack_last(parts, axis=1)
-    assert out.value.shape == (2, 4, 3)
-    np.testing.assert_array_equal(out.value[:, 2], np.full((2, 3), 2.0))
 
 
 def test_take_rejects_out_of_range_indices():
@@ -671,7 +655,7 @@ def test_masked_softmax_checks_against_finite_differences():
         s, u = tape.parameter(store, "s"), tape.parameter(store, "u")
         rows = tape.softmax(s, axis=-1, mask=others)
         joint = tape.softmax(s, axis=(1, 2), mask=others)
-        return tape.sum_all(tape.mul(tape.add(rows, joint), u))
+        return _total(tape, tape.mul(tape.add(rows, joint), u))
 
     assert _grad_error(store, build) < 1e-8
 
@@ -686,7 +670,7 @@ def test_masked_entry_gets_exactly_zero_weight_whatever_its_score():
     np.testing.assert_allclose(p.value.sum(axis=1), [1.0, 1.0], rtol=0, atol=1e-15)
     # and no gradient flows back to the masked scores
     store.zero_grads()
-    tape.backward(tape.sum_all(tape.mul(p, tape.constant(np.arange(6.0).reshape(2, 3)))))
+    tape.backward(_total(tape, tape.mul(p, tape.constant(np.arange(6.0).reshape(2, 3)))))
     assert store.grad("s")[0, 0] == 0.0 and store.grad("s")[1, 2] == 0.0
 
 
@@ -739,6 +723,9 @@ def test_tensor_fi_forward_matches_the_double_loop_oracles(n, b, d, seed):
         '{"format": "ctrzoo-params-v1"}',
         '{"format": "ctrzoo-params-v1", "slots": {"w": {"values": [1.0], "trainable": true}}}',
         '{"format": "ctrzoo-params-v1", "slots": {"w": {"shape": [2, 2], "values": [1.0], "trainable": true}}}',
+        '{"format": "ctrzoo-params-v1", "slots": {"w": {"shape": [1], "values": [1.0], "trainable": false}}}',
+        '{"format": "ctrzoo-params-v1", "seed": "abc", "slots": {}}',
+        '{"format": "ctrzoo-params-v1", "seed": -1, "slots": {}}',
     ],
 )
 def test_store_load_rejects_malformed_checkpoints_as_data_errors(tmp_path, text):

@@ -111,6 +111,11 @@ def test_adam_biased_moments_match_reference_formula():
 # descent and regularization
 
 
+def squared_norm(store):
+    """Sum of squared entries over every slot: the l2 penalty before its strength."""
+    return float(sum(np.sum(s.value * s.value) for s in store.slots()))
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_one_small_adam_step_decreases_regularized_loss(name):
     model = small_model(name, seed=5)
@@ -118,7 +123,7 @@ def test_one_small_adam_step_decreases_regularized_loss(name):
     l2 = 1e-4
 
     def objective():
-        return model.loss(indices, labels) + l2 * model.store.sq_norm()
+        return model.loss(indices, labels) + l2 * squared_norm(model.store)
 
     before = objective()
     model.store.zero_grads()
@@ -126,7 +131,7 @@ def test_one_small_adam_step_decreases_regularized_loss(name):
 
     tape = Tape()
     tape.backward(model.loss_node(tape, indices, labels))
-    for slot in model.store.trainable_slots():
+    for slot in model.store.slots():
         slot.grad += 2.0 * l2 * slot.value
     adam_step(model.store, AdamState(model.store), lr=1e-5)
     assert objective() < before
@@ -142,9 +147,9 @@ def test_l2_gradient_matches_penalty_finite_difference():
     for k in range(5):
         saved = w[k]
         w[k] = saved + eps
-        up = l2 * store.sq_norm()
+        up = l2 * squared_norm(store)
         w[k] = saved - eps
-        down = l2 * store.sq_norm()
+        down = l2 * squared_norm(store)
         w[k] = saved
         central = (up - down) / (2.0 * eps)
         assert abs(central - 2.0 * l2 * saved) < 1e-9
@@ -174,10 +179,10 @@ def test_huge_weight_decay_collapses_to_even_odds():
     # decay term needs enough steps to walk every weight down to zero
     data, split = synth_split(family="fm", d_true=3, noise=0.3, count=1200)
     model = build_model(ModelSpec("FM", data.schema, d=3), seed=2)
-    start_norm = model.store.sq_norm()
+    start_norm = squared_norm(model.store)
     config = TrainConfig(lr=1e-2, batch_size=256, epochs=60, l2=1e6, seed=2, patience=60)
     train(model, split.train, split.valid, config)
-    assert model.store.sq_norm() < min(0.1, start_norm / 50.0)
+    assert squared_norm(model.store) < min(0.1, start_norm / 50.0)
     final_loss = model.loss(split.valid.indices, split.valid.labels)
     assert abs(final_loss - math.log(2.0)) < 0.05
 

@@ -160,6 +160,12 @@ def test_spec_validation_errors():
         ModelSpec("LR", SCHEMA, include_linear=True)
 
 
+@pytest.mark.parametrize("name", ["FM", "FFM", "FwFM", "AFM"])
+def test_pair_models_reject_a_one_field_schema(name):
+    with pytest.raises(ConfigError, match=rf"^{name} .*got 1$"):
+        ModelSpec(name, FieldSchema.of_sizes([5]))
+
+
 def test_self_product_only_for_elementwise_models():
     with pytest.raises(ConfigError):
         build_model(small_spec("FM", self_product=True))
@@ -255,6 +261,21 @@ def test_gradients_check_on_a_small_model():
     model = build_model(small_spec("FwFM", d=2), seed=13)
     indices, labels = random_batch(SCHEMA, 4, seed=1)
     assert gradient_check(model, indices, labels) < 1e-6
+
+
+@pytest.mark.parametrize("dropout_seed", [0, 7])
+@pytest.mark.parametrize("name", ["IPNN", "DeepFM-deep"])
+def test_training_mode_gradients_check_through_dropout(name, dropout_seed):
+    # the referee size: n=5, vocab 7, d=4, B=8
+    schema = FieldSchema.of_sizes([7] * 5)
+    model = build_model(ModelSpec(name, schema, d=4), seed=0)
+    indices, labels = random_batch(schema, 8, seed=0)
+    # the masks gradient_check draws are live: the loss differs from eval mode
+    rng = np.random.default_rng([dropout_seed, 13])
+    dropped = model.loss_node(Tape(), indices, labels, training=True, drop_rng=rng)
+    assert float(dropped.value) != model.loss(indices, labels)
+    err = gradient_check(model, indices, labels, training=True, dropout_seed=dropout_seed)
+    assert err < 1e-6
 
 
 def test_gradient_check_corruption_is_reported():
