@@ -4,10 +4,11 @@ One table per field maps category indices to d-dimensional vectors; the
 field-aware variant keeps a separate table per (field, target-field) pair.
 Tables live in a `ParameterStore` under fixed slot names, initialized
 Xavier-uniform with fans (vocab_size, d). Reserved rows (missing, OOV) are
-ordinary trainable rows. Each lookup is one `Tape.lookup` node that reads
-every field's table at once and hands the interaction layer one stacked
-value; this module alone knows the field-aware layout. Lookup gradients are
-sparse: rows that do not appear in a batch receive exact zeros.
+ordinary trainable rows. A plain lookup is one `Tape.lookup` node that
+reads every field's table at once and hands the interaction layer one
+stacked value; the field-aware lookup hands it two, one per side of each
+field pair i < j. Lookup gradients are sparse: rows that do not appear in a
+batch receive exact zeros.
 """
 from __future__ import annotations
 
@@ -67,18 +68,22 @@ def lookup_fields(tape, store, indices, slot=emb_slot):
 
 
 def lookup_field_aware(tape, store, indices):
-    """Field-aware embed: indices (B, n) -> one (B, n, n, d) node.
+    """Field-aware embed: indices (B, n) -> two (B, m, d) nodes over the
+    m = n(n-1)/2 pairs i < j, in `np.triu_indices` order.
 
-    Entry [:, i, t] is field i's vector for partner t; the diagonal has no
-    table and reads zero.
+    Entry [:, p] of pair p = (i, j) is field i's vector for partner j in
+    the first node and field j's vector for partner i in the second, so
+    each of the n(n-1) tables is read once and no field meets itself.
     """
     _check_indices(indices)
-    b, n = indices.shape
+    n = indices.shape[1]
     if n < 2:
         raise DomainError("field-aware embeddings need at least two fields")
-    names = [None if t == i else emb_slot(i, t) for i in range(n) for t in range(n)]
-    # pair-major in memory, each (i, t) block of the batch contiguous: FFM's
-    # reductions follow memory order, and a C-ordered grid moves its logits
-    # in the last bits
-    pairs = tape.lookup(store, names, np.repeat(indices, n, axis=1), slot_major=True)
-    return tape.reshape(pairs, (b, n, n, pairs.value.shape[2]))
+    first, second = np.triu_indices(n, 1)
+
+    def read(own, partner):
+        # slot-major: each table's (B, d) block, and its gradient, is contiguous
+        names = [emb_slot(i, t) for i, t in zip(own, partner)]
+        return tape.lookup(store, names, indices[:, own], slot_major=True)
+
+    return read(first, second), read(second, first)

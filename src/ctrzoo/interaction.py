@@ -8,10 +8,15 @@ holds those choices and `fi_forward` evaluates any of them on a tape.
 
 Conventions: "others" neighborhoods sum over ordered pairs j != i, so
 symmetric similarities count each unordered pair twice (the model layer
-compensates where the classical form sums i < j). Grid configurations
-produce one vector per ordered pair, including i == j. Softmax-normalized
-similarities renormalize per target field; attention-pooled ones (AFM)
-renormalize jointly over all ordered pairs.
+compensates where the classical form sums i < j). A similarity that costs
+work per pair, FFM's field-aware inner product and AFM's attention
+network, is computed once per pair i < j and mirrored onto (j, i).
+Softmax-normalized similarities renormalize per target field;
+attention-pooled ones (AFM) renormalize jointly over all ordered pairs.
+Grid configurations (SAM2) weigh one vector per listed pair, i == j
+included in the full grid, and are only ever read through the affine head
+that follows them, so `fi_forward` returns the grid already contracted
+with the head weights and never forms a vector per pair.
 
 `fi_forward` evaluates a row on the whole (B, n, d) field tensor: the
 similarity is one (B, n, n) matrix, each neighborhood a constant (n, n)
@@ -25,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CatalogError, ContractError, DomainError
+from .errors import CatalogError, ContractError, DomainError, ShapeError
 
 MODEL_NAMES = (
     "LR",
@@ -142,10 +147,10 @@ def _sym_pair_table(n):
 
 
 @lru_cache(maxsize=None)
-def _unordered_pairs(n):
-    """Selectors for the m = n(n+1)/2 pairs i <= j: one-hot (m, n) rows picking
+def _field_pairs(n):
+    """Constants for the m = n(n-1)/2 pairs i < j: one-hot (m, n) rows picking
     i and j, and the (m, n*n) map spreading a pair value over (i, j) and (j, i)."""
-    first, second = np.triu_indices(n)
+    first, second = np.triu_indices(n, 1)
     m = len(first)
     pick_first, pick_second = np.zeros((m, n)), np.zeros((m, n))
     pick_first[np.arange(m), first] = 1.0
@@ -156,35 +161,57 @@ def _unordered_pairs(n):
     return _frozen(pick_first), _frozen(pick_second), _frozen(spread)
 
 
+@lru_cache(maxsize=None)
+def _grid_placement(pairs, n):
+    """(n*n, P) one-hot map putting listed pair p = (i, j) at grid entry i*n + j."""
+    place = np.zeros((n * n, len(pairs)))
+    for p, (i, j) in enumerate(pairs):
+        place[i * n + j, p] = 1.0
+    return _frozen(place)
+
+
+def _fields_of_pairs(m):
+    """The field count n with n(n-1)/2 == m."""
+    n = int(round((1.0 + np.sqrt(1.0 + 8.0 * m)) / 2.0))
+    if n * (n - 1) // 2 != m:
+        raise ContractError(f"{m} pairs are not the pairs i < j of any field count")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # forward evaluation
 
 
-def fi_forward(tape, cfg, fields, store, *, prefix="fi.", grid_pairs=None):
+def fi_forward(tape, cfg, fields, store, *, prefix="fi.", grid_pairs=None, head=None):
     """Evaluate one FI layer on a whole batch: sum_j N_ij S(f_i, f_j) U(f_i, f_j).
 
-    `fields` is one stacked node: (B, n, d) field embeddings or, for
-    field-aware configs, (B, n, n, d) whose entry [:, i, j] is the vector
-    field i keeps for partner j (the diagonal is never read). The
-    similarity is a (B, n, n) matrix, the neighborhood N a constant
-    (n, n) mask, the optional softmax runs per target field (or jointly
-    over every pair for `pair_softmax`), and the utility is contracted
-    against the weights. Only the SAM2 grid and AFM's attention network
-    hold one vector per pair. The weights are the `store` slots named
-    `prefix` + their role, bound through `tape.parameter`.
+    `fields` is one stacked (B, n, d) node of field embeddings or, for
+    field-aware configs, the two (B, m, d) nodes `lookup_field_aware` gives
+    for the m = n(n-1)/2 pairs i < j: column p = (i, j) of the first holds
+    field i's vector for partner j, of the second field j's for partner i,
+    so each pair's similarity is computed once. The similarity is a
+    (B, n, n) matrix, the neighborhood N a constant (n, n) mask, the
+    optional softmax runs per target field (or jointly over every pair for
+    `pair_softmax`), and the utility is contracted against the weights.
+    The weights are the `store` slots named `prefix` + their role, bound
+    through `tape.parameter`.
 
-    Returns (B, n, d) for per-field vector utilities, (B, n) for scalar
-    utilities, and (B, P, d) for grid configs, with row p holding pair
-    `grid_pairs[p]` (default all ordered pairs, pair (i, j) in row i*n + j);
-    the `pairvec` slot of a vector-pair grid has one row per listed pair.
+    Returns (B, n, d) for per-field vector utilities and (B, n) for scalar
+    utilities. A grid config returns its logit contribution (B,): the sum
+    over the pairs p = (i, j) in `grid_pairs` (default all ordered pairs) of
+    w_p . S(f_i, f_j) U(f_i, f_j), where `head` names the (P*d, 1) slot of
+    the affine head that reads the grid, row p*d + k weighing coordinate k
+    of pair p; the `pairvec` slot of a vector-pair grid has one row per pair.
     """
-    if fields is None:
-        raise ContractError(f"{cfg.model}: fi_forward needs the stacked field embeddings")
-    ndim = 4 if cfg.field_aware else 3
-    if fields.value.ndim != ndim:
-        raise ContractError(
-            f"{cfg.model}: fi_forward expects {ndim}-D field embeddings, got {fields.value.shape}"
-        )
+    if cfg.field_aware:
+        pair = isinstance(fields, tuple) and len(fields) == 2
+        if not (pair and fields[0].value.ndim == 3 and fields[0].value.shape == fields[1].value.shape):
+            raise ContractError(f"{cfg.model}: fi_forward needs the two (B, m, d) pair embeddings")
+        n = _fields_of_pairs(fields[0].value.shape[1])
+    elif fields is None or fields.value.ndim != 3:
+        raise ContractError(f"{cfg.model}: fi_forward needs the stacked (B, n, d) field embeddings")
+    else:
+        n = fields.value.shape[1]
     if cfg.field_aware and cfg.similarity != "inner":
         raise CatalogError(f"{cfg.model}: field-aware embeddings only support the inner similarity")
 
@@ -192,11 +219,12 @@ def fi_forward(tape, cfg, fields, store, *, prefix="fi.", grid_pairs=None):
         return tape.parameter(store, prefix + name)
 
     if cfg.neighborhood == "grid":
-        return _grid(tape, cfg, fields, param, grid_pairs)
+        if head is None:
+            raise ContractError(f"{cfg.model}: a grid is read through its head weights")
+        return _grid(tape, cfg, fields, param, grid_pairs, tape.parameter(store, head))
 
-    scores = _similarity(tape, cfg, fields, param)
-    n = fields.value.shape[1]
     mask = _neighborhood_mask(cfg.neighborhood, n)
+    scores = _similarity(tape, cfg, fields, param)
     if scores is None:
         if cfg.neighborhood != "self":
             raise CatalogError(f"{cfg.model}: the unit similarity needs the 'self' neighborhood")
@@ -212,6 +240,12 @@ def fi_forward(tape, cfg, fields, store, *, prefix="fi.", grid_pairs=None):
     return _utility(tape, cfg, fields, weights, param)
 
 
+def _spread_pairs(tape, values, n):
+    """(B, m) values of the pairs i < j as the symmetric (B, n, n) matrix, zero diagonal."""
+    spread = tape.constant(_field_pairs(n)[2])
+    return tape.reshape(tape.matmul(values, spread), (values.value.shape[0], n, n))
+
+
 def _similarity(tape, cfg, E, param):
     """S[b, i, j] = S(f_i, f_j) as one (B, n, n) node; None for the unit similarity."""
     kind = cfg.similarity
@@ -219,8 +253,9 @@ def _similarity(tape, cfg, E, param):
         return None
     if kind == "inner":
         if cfg.field_aware:
-            # <e_i^(j), e_j^(i)>: each field's vector for the partner, both ways
-            return tape.inner(E, tape.transpose(E, (0, 2, 1, 3)))
+            # <e_i^(j), e_j^(i)>, once per pair i < j
+            mine, theirs = E
+            return _spread_pairs(tape, tape.inner(mine, theirs), _fields_of_pairs(mine.value.shape[1]))
         gram = tape.matmul(E, tape.transpose(E, (0, 2, 1)))
         # a matrix product does not promise S_ij == S_ji to the last bit; the
         # symmetric part does, which keeps symmetric grids exactly symmetric
@@ -232,14 +267,13 @@ def _similarity(tape, cfg, E, param):
         k = tape.linear_map(param("k"), E)
         return tape.matmul(q, tape.transpose(k, (0, 2, 1)))
     if kind == "afm":
-        # h . relu(W (f_i * f_j) + b) is symmetric in the pair: run the
-        # attention network once per pair i <= j, then spread the scores
-        B, n = E.value.shape[:2]
-        first, second, spread = (tape.constant(c) for c in _unordered_pairs(n))
+        # h . relu(W (f_i * f_j) + b) is symmetric in the pair and the
+        # diagonal is masked out: run the attention network once per pair i < j
+        n = E.value.shape[1]
+        first, second, _ = (tape.constant(c) for c in _field_pairs(n))
         pairs = tape.mul(tape.matmul(first, E), tape.matmul(second, E))
         hidden = tape.relu(tape.add(tape.linear_map(param("attn_w"), pairs), param("attn_b")))
-        scores = tape.matmul(tape.inner(hidden, param("attn_h")), spread)
-        return tape.reshape(scores, (B, n, n))
+        return _spread_pairs(tape, tape.inner(hidden, param("attn_h")), n)
     raise CatalogError(f"unknown similarity kind {kind!r}")
 
 
@@ -265,11 +299,11 @@ def _utility(tape, cfg, E, W, param):
     the identity, i.e. the unit similarity over the self neighborhood.
     """
     kind = cfg.utility
-    B, n = E.value.shape[:2]
     if kind == "one":
         if W is None:
             raise ContractError("similarity 'one' with utility 'one' leaves nothing to emit")
         return tape.sum_axis(W, -1)
+    B, n = E.value.shape[:2]
     if W is None and kind not in ("identity", "scaled_identity", "linear_map", "hadamard"):
         W = tape.constant(np.broadcast_to(np.eye(n), (B, n, n)))
     table = _pair_scalars(tape, cfg, param, n)
@@ -307,27 +341,29 @@ def _utility(tape, cfg, E, W, param):
     raise CatalogError(f"unknown utility kind {kind!r}")
 
 
-def _grid(tape, cfg, E, param, grid_pairs):
-    """One vector per listed pair: S(f_i, f_j) U(f_i, f_j) as (B, P, d)."""
+def _grid(tape, cfg, E, param, grid_pairs, head):
+    """sum_p w_p . S(f_i, f_j) U(f_i, f_j) over the listed pairs p = (i, j), as (B,).
+
+    The head rows (and pair vectors) are placed on the (n, n) grid, zero at
+    unlisted pairs, so full and partial pair lists share one path and no
+    per-pair vector is ever formed.
+    """
     B, n, d = E.value.shape
-    pairs = ordered_pairs(n) if grid_pairs is None else list(grid_pairs)
-    rows = np.array([i * n + j for i, j in pairs], dtype=np.int64)
-    full = len(rows) == n * n and np.array_equal(rows, np.arange(n * n))
-
-    def pick(x):
-        return x if full else tape.take(x, rows, axis=1)
-
+    pairs = tuple(ordered_pairs(n) if grid_pairs is None else grid_pairs)
+    if head.value.shape != (len(pairs) * d, 1):
+        raise ShapeError(f"{cfg.model}: head weights {head.value.shape} do not read {len(pairs)} pairs of {d}")
     scores = _similarity(tape, cfg, E, param)
     if scores is None:
         raise CatalogError(f"{cfg.model}: a grid needs a similarity")
+    place = tape.constant(_grid_placement(pairs, n))
+    w = tape.reshape(head, (len(pairs), d))
     if cfg.utility == "hadamard":
-        left = tape.reshape(E, (B, n, 1, d))
-        # the self product f_i * f_i is the same for every partner j: broadcast it
-        right = left if cfg.self_product else tape.reshape(E, (B, 1, n, d))
-        out = tape.mul(tape.reshape(scores, (B, n, n, 1)), tape.mul(left, right))
-        return pick(tape.reshape(out, (B, n * n, d)))
+        weights = tape.reshape(tape.matmul(place, w), (n, n, d))
+        # sum_k w_ijk f_ik f_jk for every pair; the self product reads f_i twice
+        spec = "bik,ijk,bik->bij" if cfg.self_product else "bik,ijk,bjk->bij"
+        return tape.einsum("bij,bij->b", scores, tape.einsum(spec, E, weights, E))
     if cfg.utility == "vector_pair":
-        weights = pick(tape.reshape(scores, (B, n * n, 1)))
-        # row p belongs to pair p
-        return tape.mul(weights, tape.reshape(param("pairvec"), (1, len(rows), d)))
+        # the head reads pair vector p through the scalar sum_k pairvec_pk w_pk
+        coeff = tape.inner(place, tape.inner(param("pairvec"), w))
+        return tape.inner(tape.reshape(scores, (B, n * n)), coeff)
     raise CatalogError(f"{cfg.model}: grid utility {cfg.utility!r} is not supported")

@@ -11,7 +11,8 @@ broadcast over axes of size 1, and an operand of lower rank must equal the
 trailing axes of the other. So (B, m) + (m,) and (B,) + () broadcast, while
 (3,) + (3, 1) raises ShapeError rather than growing into a (3, 3) result.
 `inner` contracts the last axis of two equal shapes, or of (..., d) with a
-(d,) vector.
+(d,) vector. `einsum` takes explicit subscripts ("bik,ijk,bjk->bij"),
+so it contracts several operands without forming their product.
 
 Every `ParameterStore` slot has a gradient buffer, and the buffers are
 accumulation-only: `backward` adds into them and never clears them, so
@@ -21,6 +22,7 @@ property is what the finite-difference checker and the optimizer rely on.
 from __future__ import annotations
 
 import json
+import string
 
 import numpy as np
 
@@ -316,6 +318,37 @@ def _broadcast(op, a, b):
     raise ShapeError(f"{op} shape mismatch: {ashape} vs {bshape}")
 
 
+def _einsum_operands(spec, shapes):
+    """Split an explicit einsum spec into (operand subscripts, output subscripts).
+
+    Raises ShapeError unless the spec has `->` and no ellipsis, one subscript
+    per shape, each of the shape's rank with no repeated index, every index of
+    one size wherever it appears, every output index unique and found in an
+    operand, and every operand index found in the output or another operand.
+    """
+    letters = set(spec.replace(",", "").replace("->", ""))
+    if spec.count("->") != 1 or not letters <= set(string.ascii_letters):
+        raise ShapeError(f"einsum spec {spec!r} needs explicit letter subscripts and one '->'")
+    lhs, out = spec.split("->")
+    ins = lhs.split(",")
+    if len(ins) != len(shapes):
+        raise ShapeError(f"einsum spec {spec!r} names {len(ins)} operands, got {len(shapes)}")
+    sizes = {}
+    for sub, shape in zip(ins, shapes):
+        if len(sub) != len(shape) or len(set(sub)) != len(sub):
+            raise ShapeError(f"einsum subscripts {sub!r} do not fit an operand of shape {shape}")
+        for index, size in zip(sub, shape):
+            if sizes.setdefault(index, size) != size:
+                raise ShapeError(f"einsum index {index!r} has sizes {sizes[index]} and {size}")
+    if len(set(out)) != len(out) or not set(out) <= set(sizes):
+        raise ShapeError(f"einsum output {out!r} repeats an index or names one no operand has")
+    for k, sub in enumerate(ins):
+        elsewhere = set(out).union(*(ins[m] for m in range(len(ins)) if m != k))
+        if not set(sub) <= elsewhere:
+            raise ShapeError(f"einsum operand {sub!r} has an index found nowhere else in {spec!r}")
+    return ins, out
+
+
 def _last_axis_product(x, m):
     """x (..., q) @ m (q, p) as one 2-D product (numpy would loop over the leading axes)."""
     return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape[:-1] + m.shape[-1:])
@@ -503,6 +536,24 @@ class Tape:
             _bump(v, g.reshape(-1) @ rows)
 
         return self._emit((rows @ v.value).reshape(ushape[:-1]), backward)
+
+    def einsum(self, spec, *nodes):
+        """`np.einsum` with explicit subscripts, e.g. "bik,ijk,bjk->bij".
+
+        The rules `_einsum_operands` checks keep every gradient one einsum:
+        each operand's is the output gradient contracted with the other
+        operands. A node may be passed more than once.
+        """
+        ins, out = _einsum_operands(spec, [node.value.shape for node in nodes])
+
+        def backward(g):
+            for k, node in enumerate(nodes):
+                if _needs_grad(node):
+                    others = [m for m in range(len(nodes)) if m != k]
+                    grad_spec = ",".join([out] + [ins[m] for m in others]) + "->" + ins[k]
+                    _bump(node, np.einsum(grad_spec, g, *(nodes[m].value for m in others)))
+
+        return self._emit(np.einsum(spec, *(node.value for node in nodes)), backward)
 
     def linear_map(self, m, x):
         """Apply matrix m (p, q) to the last axis of x: (..., q) -> (..., p)."""

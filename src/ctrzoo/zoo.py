@@ -10,7 +10,9 @@ classical definitions; the attention-style models leave them off.
 sum every unordered pair twice, so their aggregated output is halved to
 recover the classical sum over i < j. AFM needs no halving: its attention
 weights are normalized over the same ordered pairs, which absorbs the
-factor.
+factor. The SAM2 grid comes back from `fi_forward` already read by the
+weights of its affine head (`st.l0.w`), so the model only adds the head's
+bias; the head's slots are the same as for any other affine head.
 """
 from __future__ import annotations
 
@@ -114,6 +116,10 @@ class ModelSpec:
             raise ConfigError("LR is the first-order model; include_linear does not apply")
         if fi_catalog(self.name).neighborhood == "others" and self.n < 2:
             raise ConfigError(f"{self.name} sums over pairs of fields and needs at least two, got {self.n}")
+        if self.sam2_upper_only and self.grid() == []:
+            raise ConfigError(
+                f"{self.name} with sam2_upper_only reads the pairs i < j and needs at least two fields, got {self.n}"
+            )
 
     @property
     def recipe(self):
@@ -229,8 +235,9 @@ def _add_fi_slots(store, spec, cfg, prefix):
     elif util == "scalar_inner":
         store.add_xavier(prefix + "theta", (n, d), fans=(n, d))
     elif util == "vector_pair":
-        pairs = spec.grid() or ordered_pairs(n)
-        store.add_xavier(prefix + "pairvec", (len(pairs), d), fans=(len(pairs), d))
+        # one vector per grid pair, or per ordered pair for attention
+        pairs = len(spec.grid()) if cfg.neighborhood == "grid" else n * n
+        store.add_xavier(prefix + "pairvec", (pairs, d), fans=(pairs, d))
     elif util == "linear_map":
         store.add_xavier(prefix + "v", (d, d), fans=(d, d))
     elif util == "projected_inner":
@@ -307,7 +314,9 @@ class Model:
         lookup = embedding.lookup_field_aware if self.cfg.field_aware else embedding.lookup_fields
         g = lookup(tape, self.store, indices)
         for prefix in _layer_prefixes(self.spec):
-            z = fi_forward(tape, self.cfg, g, self.store, prefix=prefix, grid_pairs=self.spec.grid())
+            z = fi_forward(
+                tape, self.cfg, g, self.store, prefix=prefix, grid_pairs=self.spec.grid(), head="st.l0.w"
+            )
             if self.name.startswith("SAM3"):
                 z = tape.add(z, tape.linear_map(tape.parameter(self.store, prefix + "res"), g))
             g = z
@@ -318,7 +327,10 @@ class Model:
         z = self._fi_outputs(tape, indices)
         agg_kind = self.spec.recipe.aggregation
 
-        if agg_kind == "sum":
+        if self.cfg.neighborhood == "grid":
+            # the grid comes back already read by the affine head's weights
+            core = tape.add(z, tape.parameter(self.store, "st.l0.b"))
+        elif agg_kind == "sum":
             total = sum_nodes(tape, z)
             if self.spec.recipe.halve_pairs:
                 total = tape.scale_const(total, 0.5)

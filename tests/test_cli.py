@@ -9,8 +9,12 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*argv):
@@ -348,6 +352,30 @@ def test_eval_rejects_a_malformed_model_config(tmp_path, synth_dir, run_dir, cha
     proc = run_cli("eval", "--run", run, "--data", synth_dir)
     assert_data_error(proc)
     assert "model.json" in proc.stderr
+
+
+@settings(max_examples=16, deadline=None, database=None)
+@given(
+    target=st.sampled_from(["params.json", "model.json", "encoded.tsv", "schema.json"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    flip=st.integers(1, 255),
+)
+def test_eval_survives_any_corrupted_artifact_byte(ws, synth_dir, run_dir, target, where, flip):
+    # a flip can leave a valid file (another digit in a value), which may
+    # evaluate; every other outcome is a typed configuration or data error
+    with tempfile.TemporaryDirectory(dir=ws) as tmp:
+        run, data = Path(tmp) / "run", Path(tmp) / "data"
+        shutil.copytree(run_dir, run)
+        shutil.copytree(synth_dir, data)
+        path = (run if target in ("params.json", "model.json") else data) / target
+        raw = bytearray(path.read_bytes())
+        raw[int(where * len(raw))] ^= flip
+        path.write_bytes(bytes(raw))
+        proc = run_cli("eval", "--run", run, "--data", data, "--split", "test")
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode:
+        assert proc.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("name", ["FM", "FFM", "FwFM", "AFM"])

@@ -81,14 +81,15 @@ def test_lookup_selects_rows_per_field():
 def test_lookup_field_aware_excludes_self_pairs():
     store = ParameterStore(seed=1)
     add_embedding_tables(store, SCHEMA, d=2, field_aware=True)
-    indices = np.array([[1, 1, 1]])
+    indices = np.array([[1, 4, 2]])
     tape = Tape()
-    out = lookup_field_aware(tape, store, indices)
-    assert out.value.shape == (1, 3, 3, 2)
-    for i in range(3):
-        for t in range(3):
-            want = np.zeros((1, 2)) if t == i else store.value(emb_slot(i, t))[[1]]
-            np.testing.assert_array_equal(out.value[:, i, t], want)
+    mine, theirs = lookup_field_aware(tape, store, indices)
+    # one column per pair i < j, each side reading its own field's row
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    assert mine.value.shape == theirs.value.shape == (1, len(pairs), 2)
+    for p, (i, j) in enumerate(pairs):
+        np.testing.assert_array_equal(mine.value[:, p], store.value(emb_slot(i, j))[indices[:, i]])
+        np.testing.assert_array_equal(theirs.value[:, p], store.value(emb_slot(j, i))[indices[:, j]])
 
 
 def test_lookup_linear_shapes():

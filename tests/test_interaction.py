@@ -39,13 +39,12 @@ def as_nodes(tape, f):
 
 
 def as_aware_node(tape, aware):
-    """Field-aware arrays keyed (i, j) as one (B, n, n, d) node; the diagonal stays zero."""
+    """Field-aware arrays keyed (i, j) as the two (B, m, d) nodes over the pairs i < j."""
     n = max(i for i, _ in aware) + 1
-    b, d = next(iter(aware.values())).shape
-    grid = np.zeros((b, n, n, d))
-    for (i, j), val in aware.items():
-        grid[:, i, j] = val
-    return tape.constant(grid)
+    first, second = np.triu_indices(n, 1)
+    mine = np.stack([aware[(i, j)] for i, j in zip(first, second)], axis=1)
+    theirs = np.stack([aware[(j, i)] for i, j in zip(first, second)], axis=1)
+    return tape.constant(mine), tape.constant(theirs)
 
 
 def per_entry(node):
@@ -68,10 +67,37 @@ def make_slots(rng, n=N, d=D):
     store.add_value("fi.theta", rng.normal(size=(n, d)))
     store.add_value("fi.pairvec", rng.normal(size=(n * n, d)))
     store.add_value("fi.proj_p", rng.normal(size=(d,)))
+    store.add_value("head", rng.normal(size=(n * n * d, 1)))
     return store
 
 
+def grid_entries(cfg, f, store, grid_pairs=None):
+    """The grid of a SAM2 config, one (B, d) entry per pair.
+
+    fi_forward returns the grid contracted with the head weights, so entry
+    (p, k) is its output under a head that is one-hot at row p*d + k.
+    """
+    n, b, d = np.shape(f)
+    pairs = n * n if grid_pairs is None else len(grid_pairs)
+    with_head = ParameterStore()
+    for name in store.names():
+        if name != "head":
+            with_head.add_value(name, store.value(name))
+    head = with_head.add_zeros("head", (pairs * d, 1))
+    columns = []
+    for row in range(pairs * d):
+        head[...] = 0.0
+        head[row, 0] = 1.0
+        tape = Tape()
+        columns.append(
+            fi_forward(tape, cfg, as_nodes(tape, f), with_head, grid_pairs=grid_pairs, head="head").value
+        )
+    return list(np.stack(columns, axis=1).reshape(b, pairs, d).transpose(1, 0, 2))
+
+
 def run_config(cfg, f, store, aware=None, grid_pairs=None):
+    if cfg.neighborhood == "grid":
+        return grid_entries(cfg, f, store, grid_pairs)
     tape = Tape()
     fields = as_aware_node(tape, aware) if aware is not None else as_nodes(tape, f)
     out = fi_forward(tape, cfg, fields, store, grid_pairs=grid_pairs)
@@ -304,7 +330,7 @@ def test_sum_empty_neighborhood_rejected():
         cfg = fi_catalog(name)
         tape = Tape()
         if cfg.field_aware:
-            fields = tape.constant(np.zeros((1, 1, 1, D)))
+            fields = (tape.constant(np.zeros((1, 0, D))),) * 2
         else:
             fields = as_nodes(tape, np.ones((1, 1, D)))
         with pytest.raises(DomainError):
@@ -401,10 +427,7 @@ def test_sam1_is_the_identity_on_fields():
 
 def test_sam2e_equal_ones_pair_doubles():
     f = np.ones((2, 1, 2))  # two fields, both (1, 1)
-    tape = Tape()
-    out = per_entry(
-        fi_forward(tape, fi_catalog("SAM2_E"), as_nodes(tape, f), ParameterStore())
-    )
+    out = grid_entries(fi_catalog("SAM2_E"), f, ParameterStore())
     # ordered pairs of 2 fields: every entry is <f,f> * (f*f) = 2 * (1,1)
     assert len(out) == 4
     for value in out:
@@ -525,6 +548,6 @@ def test_fi_forward_emits_as_many_nodes_at_eight_fields_as_at_three(name):
         else:
             fields = as_nodes(tape, make_fields(rng, n=n))
         before = len(tape)
-        fi_forward(tape, cfg, fields, store)
+        fi_forward(tape, cfg, fields, store, head="head")
         emitted.append(len(tape) - before)
     assert emitted[0] == emitted[1]

@@ -645,6 +645,52 @@ def test_take_rejects_out_of_range_indices():
         tape.take(tape.constant(np.ones((2, 3))), [3], axis=1)
 
 
+def test_einsum_checks_every_operand_against_finite_differences():
+    store = ParameterStore(seed=25)
+    store.add_xavier("e", (2, 3, 4))
+    store.add_xavier("w", (3, 3, 4))
+    store.add_xavier("s", (2, 3, 3))
+    store.add_xavier("v", (4,))
+
+    def build(tape):
+        e, w, s, v = (tape.parameter(store, k) for k in "ewsv")
+        # e passed twice in one op, and again with a vector
+        pairs = tape.einsum("bik,ijk,bjk->bij", e, w, e)
+        square = tape.einsum("bik,ijk,bik->bij", e, w, e)
+        read = tape.einsum("bij,bij->b", s, tape.add(pairs, square))
+        lengths = tape.einsum("bik,k->bi", e, v)
+        return tape.einsum("b,b->", read, tape.einsum("bi,bi->b", lengths, lengths))
+
+    assert _grad_error(store, build) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "spec, shapes",
+    [
+        ("bii,bi->b", [(2, 3, 3), (2, 3)]),  # index repeated within an operand
+        ("bi,ij->b", [(2, 3), (3, 4)]),  # j only in one operand, not in the output
+        ("...i,...i->...", [(2, 3), (2, 3)]),  # ellipsis
+        ("bi,bi", [(2, 3), (2, 3)]),  # no output
+        ("bi,bi->b", [(2, 3), (2, 4)]),  # i has two sizes
+        ("bi,bi->b", [(2, 3)]),  # one operand short
+        ("bi,bi->b", [(2, 3), (2, 3), (2, 3)]),  # one operand over
+        ("bi,b->bij", [(2, 3), (2,)]),  # output index no operand has
+        ("bij,b->bi", [(2, 3), (2,)]),  # subscripts shorter than the operand's rank
+    ],
+)
+def test_einsum_rejects_malformed_specs(spec, shapes):
+    tape = Tape()
+    with pytest.raises(ShapeError):
+        tape.einsum(spec, *(tape.constant(np.ones(shape)) for shape in shapes))
+
+
+def test_einsum_rejects_a_non_finite_result():
+    tape = Tape()
+    big = tape.constant(np.full((2, 3), 1e200))
+    with pytest.raises(NumericError):
+        tape.einsum("bi,bi->b", big, big)
+
+
 def test_masked_softmax_checks_against_finite_differences():
     store = ParameterStore(seed=24)
     store.add_xavier("s", (2, 3, 3))

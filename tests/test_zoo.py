@@ -89,6 +89,29 @@ def test_loss_tape_size_is_independent_of_field_count(name):
     assert size[3] == size[8]
 
 
+@pytest.mark.parametrize(
+    "name, upper_only",
+    [("SAM2_A", False), ("SAM2_A", True), ("SAM2_E", False), ("SAM2_E", True), ("FFM", False), ("AFM", False)],
+)
+def test_pair_models_hold_no_per_pair_vectors_beyond_the_pairs_i_below_j(name, upper_only):
+    n, d, b = 5, 3, 6
+    schema = FieldSchema.of_sizes([4] * n)
+    kw = {"sam2_upper_only": upper_only} if name.startswith("SAM2") else {}
+    model = build_model(ModelSpec(name, schema, d=d, **kw), seed=0)
+    indices, labels = random_batch(schema, b, seed=0)
+    tape = Tape()
+    model.loss_node(tape, indices, labels)
+    shapes = {node.value.shape for node in tape._nodes}
+    pairs = len(model.spec.grid() or [])
+    assert (b, n, n, d) not in shapes
+    if name.startswith("SAM2"):
+        assert not {(b, pairs, d), (b, pairs * d)} & shapes
+    else:
+        # (B, k, d) values with more rows than fields hold one row per pair i < j
+        rows = {shape[1] for shape in shapes if len(shape) == 3 and shape[0] == b and shape[1] > n}
+        assert rows == {n * (n - 1) // 2}
+
+
 def test_forward_chunking_is_invisible():
     # records are scored independently; chunk size only changes how the
     # matrix products are blocked, which moves results by at most an ulp
@@ -164,6 +187,14 @@ def test_spec_validation_errors():
 def test_pair_models_reject_a_one_field_schema(name):
     with pytest.raises(ConfigError, match=rf"^{name} .*got 1$"):
         ModelSpec(name, FieldSchema.of_sizes([5]))
+
+
+@pytest.mark.parametrize("name", ["SAM2_A", "SAM2_E"])
+def test_upper_only_grid_rejects_a_one_field_schema(name):
+    # one field has no pair i < j; the error names the model and the field count
+    with pytest.raises(ConfigError, match=rf"^{name} .*got 1$"):
+        ModelSpec(name, FieldSchema.of_sizes([5]), sam2_upper_only=True)
+    assert build_model(ModelSpec(name, FieldSchema.of_sizes([5]), d=2)).forward([[3]]).shape == (1,)
 
 
 def test_self_product_only_for_elementwise_models():
