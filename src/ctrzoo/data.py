@@ -319,7 +319,7 @@ def split_dataset(dataset, ratios=(0.8, 0.1, 0.1), seed=0):
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ConfigError(f"need three positive split ratios, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # NaN fails this too
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
     n = len(dataset)
     if n < 3:
@@ -368,8 +368,13 @@ class SyntheticSpec:
             raise ConfigError(f"unknown synthetic family {self.family!r}")
         if self.n_fields < 1 or self.categories < 1 or self.count < 1:
             raise ConfigError("n_fields, categories, and count must be positive")
-        if self.noise <= 0:
-            raise ConfigError(f"noise temperature must be positive, got {self.noise}")
+        if not 0.0 < self.noise < math.inf:
+            raise ConfigError(f"noise temperature must be positive and finite, got {self.noise}")
+        for name in ("linear_scale", "embed_scale"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ConfigError(f"theta must be finite, got {self.theta}")
         if self.family == "fm" and self.d_true < 1:
             raise ConfigError("fm family needs d_true >= 1")
 

@@ -96,14 +96,6 @@ def fi_catalog(name):
         raise CatalogError(f"unknown model {name!r}; catalog has: {known}") from None
 
 
-def sym_pair_index(i, j, n):
-    """Position of unordered pair {i, j} in the flattened upper triangle."""
-    if i == j:
-        raise DomainError("no symmetric pair index for i == j")
-    i, j = min(i, j), max(i, j)
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
 def ordered_pairs(n, upper_only=False):
     if upper_only:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -136,20 +128,12 @@ def _neighborhood_mask(kind, n):
 
 
 @lru_cache(maxsize=None)
-def _sym_pair_table(n):
-    """(n, n) positions into the flattened upper triangle (diagonal reads entry 0)."""
-    table = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                table[i, j] = sym_pair_index(i, j, n)
-    return _frozen(table)
-
-
-@lru_cache(maxsize=None)
 def _field_pairs(n):
     """Constants for the m = n(n-1)/2 pairs i < j: one-hot (m, n) rows picking
-    i and j, and the (m, n*n) map spreading a pair value over (i, j) and (j, i)."""
+    i and j, and the (m, n*n) map spreading a pair value over (i, j) and (j, i).
+
+    FFM and AFM spread their per-pair similarities with the map, FwFM its
+    pair weights."""
     first, second = np.triu_indices(n, 1)
     m = len(first)
     pick_first, pick_second = np.zeros((m, n)), np.zeros((m, n))
@@ -283,7 +267,7 @@ def _pair_scalars(tape, cfg, param, n):
     if kind == "scalar_pair":
         table = param("pairw")
     elif kind == "scalar_pair_sym":
-        table = tape.take(param("pairw"), _sym_pair_table(n), axis=0)
+        table = tape.einsum("p,pq->q", param("pairw"), tape.constant(_field_pairs(n)[2]))
     elif kind == "scalar_inner":
         theta = param("theta")
         table = tape.matmul(theta, tape.transpose(theta, (1, 0)))

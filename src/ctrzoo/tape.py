@@ -6,13 +6,15 @@ records whole-tensor operations in creation order, so replaying it backward is
 a single reverse sweep and its length scales with the number of operations,
 not with array entries. Batched operands carry the batch on axis 0.
 
-`add`, `sub` and `mul` follow one broadcasting rule: operands of equal rank
+`add` and `mul` follow one broadcasting rule: operands of equal rank
 broadcast over axes of size 1, and an operand of lower rank must equal the
 trailing axes of the other. So (B, m) + (m,) and (B,) + () broadcast, while
 (3,) + (3, 1) raises ShapeError rather than growing into a (3, 3) result.
 `inner` contracts the last axis of two equal shapes, or of (..., d) with a
 (d,) vector. `einsum` takes explicit subscripts ("bik,ijk,bjk->bij"),
-so it contracts several operands without forming their product.
+so it contracts several operands without forming their product. `logloss`
+is the training loss as one node: sigmoid, clamp and mean log-loss fused,
+with a hand-written backward.
 
 Every `ParameterStore` slot has a gradient buffer, and the buffers are
 accumulation-only: `backward` adds into them and never clears them, so
@@ -27,6 +29,7 @@ import string
 import numpy as np
 
 from .errors import ContractError, DataError, DomainError, NumericError, ShapeError, read_json
+from .metrics import PROB_FLOOR
 
 __all__ = [
     "sigmoid",
@@ -474,15 +477,6 @@ class Tape:
 
         return self._emit(a.value + b.value, backward)
 
-    def sub(self, a, b):
-        _broadcast("sub", a, b)
-
-        def backward(g):
-            _bump(a, _unbroadcast(g, a.value.shape))
-            _bump(b, _unbroadcast(-g, b.value.shape))
-
-        return self._emit(a.value - b.value, backward)
-
     def mul(self, a, b):
         """Element-wise (Hadamard) product."""
         _broadcast("mul", a, b)
@@ -612,33 +606,6 @@ class Tape:
 
         return self._emit(np.maximum(x.value, 0.0), backward)
 
-    def sigmoid(self, x):
-        out = sigmoid(x.value)
-        out = np.asarray(out)
-
-        def backward(g):
-            _bump(x, g * out * (1.0 - out))
-
-        return self._emit(out, backward)
-
-    def log(self, x):
-        if np.any(x.value <= 0):
-            raise NumericError("log of a non-positive tape value")
-
-        def backward(g):
-            _bump(x, g / x.value)
-
-        return self._emit(np.log(x.value), backward)
-
-    def clip(self, x, lo, hi):
-        """Clamp to [lo, hi]; gradient passes through strictly inside the range."""
-        inside = (x.value > lo) & (x.value < hi)
-
-        def backward(g):
-            _bump(x, g * inside)
-
-        return self._emit(np.clip(x.value, lo, hi), backward)
-
     def softmax(self, x, axis=-1, mask=None):
         """Softmax over `axis` (an int, or a tuple of axes normalized jointly).
 
@@ -710,31 +677,6 @@ class Tape:
 
         return self._emit(np.transpose(x.value, axes), backward, moved=True)
 
-    def take(self, x, indices, axis):
-        """Entries `indices` along `axis`, as `np.take`; repeats accumulate gradient."""
-        idx = np.array(indices, dtype=np.int64)
-        (axis,) = _axes(axis, x.value.ndim)
-        size = x.value.shape[axis]
-        if idx.size and (idx.min() < -size or idx.max() >= size):
-            raise DomainError(f"take index out of range for an axis of {size}")
-        idx %= max(size, 1)
-        where = (slice(None),) * axis + (idx,)
-        unique = np.unique(idx).size == idx.size
-        picked = tuple(range(axis, axis + idx.ndim))
-
-        def backward(g):
-            if unique:
-                gx = np.zeros_like(x.value)
-                gx[where] = g
-            else:
-                # the picked axes first, flattened into one row axis
-                g = np.moveaxis(g, picked, tuple(range(idx.ndim)))
-                g = g.reshape((idx.size,) + g.shape[idx.ndim :])
-                gx = np.moveaxis(_scatter_rows(idx.reshape(-1), g, size), 0, axis)
-            _bump(x, gx)
-
-        return self._emit(np.take(x.value, idx, axis=axis), backward, moved=True)
-
     def sum_axis(self, x, axis):
         """Sum over `axis` (an int or a tuple of axes), dropping it."""
         axes = _axes(axis, x.value.ndim)
@@ -744,15 +686,34 @@ class Tape:
 
         return self._emit(x.value.sum(axis=axes), backward)
 
-    def mean_all(self, x):
-        size = x.value.size
-        if size == 0:
-            raise DomainError("mean of an empty node")
+    # -- loss --------------------------------------------------------------
+
+    def logloss(self, logit, labels):
+        """Mean log-loss of click probabilities sigmoid(logit) against 0/1 labels, 0-d.
+
+        Probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] as in
+        `metrics.logloss`, whose value this equals bitwise; no gradient
+        passes where the clamp is active.
+        """
+        y = np.asarray(labels, dtype=np.float64)
+        if y.shape != logit.value.shape:
+            raise ShapeError(f"labels {y.shape} do not match logits {logit.value.shape}")
+        if not np.all((y == 0.0) | (y == 1.0)):
+            raise DataError("labels must be 0 or 1")
+        if y.size == 0:
+            raise DomainError("log-loss of an empty batch")
+        s = np.asarray(sigmoid(logit.value))
+        inside = (s > PROB_FLOOR) & (s < 1.0 - PROB_FLOOR)
+        p = np.clip(s, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        y_off, q = 1.0 - y, 1.0 - p
 
         def backward(g):
-            _bump(x, np.broadcast_to(g / size, x.value.shape))
+            # d/dp of the mean, the clamp mask, then s(1 - s), in the order that
+            # separate mean, log, clip and sigmoid nodes would apply them
+            c = -g / y.size
+            _bump(logit, (-(c * y_off / q) + c * y / p) * inside * s * (1.0 - s))
 
-        return self._emit(np.asarray(x.value.mean()), backward)
+        return self._emit(-(y * np.log(p) + y_off * np.log(q)).mean(), backward)
 
     # -- reverse sweep -----------------------------------------------------
 
@@ -785,7 +746,8 @@ def finite_diff_check(f, store, eps=1e-5):
     differentiated, re-reading current store values on every call. The caller
     is expected to have populated the gradient buffers (zero_grads, forward,
     backward) before invoking this. Returns the maximum over all slot
-    entries of |analytic - central| / max(1, |central|).
+    entries of |analytic - central| / max(1, |central|), or NaN once either
+    value is NaN, so a non-finite gradient fails every `err < tol` check.
     """
     if eps <= 0:
         raise DomainError(f"finite difference step must be positive, got {eps}")
@@ -802,6 +764,6 @@ def finite_diff_check(f, store, eps=1e-5):
             flat[k] = saved
             central = (f_plus - f_minus) / (2.0 * eps)
             err = abs(gflat[k] - central) / max(1.0, abs(central))
-            if err > worst:
+            if err > worst or np.isnan(err):
                 worst = err
     return worst

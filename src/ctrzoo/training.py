@@ -8,6 +8,7 @@ seeds produce bit-identical parameters and history rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -31,14 +32,14 @@ class TrainConfig:
     patience: int = 3
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be positive, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epoch count must be positive, got {self.epochs}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 strength must be nonnegative, got {self.l2}")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ConfigError(f"l2 strength must be finite and nonnegative, got {self.l2}")
         if self.patience < 1:
             raise ConfigError(f"patience must be positive, got {self.patience}")
 

@@ -23,10 +23,9 @@ import numpy as np
 
 from . import embedding
 from .data import FieldSchema
-from .errors import CatalogError, ConfigError, ContractError, DataError, ShapeError
+from .errors import CatalogError, ConfigError, ContractError, ShapeError
 from .interaction import MODEL_NAMES, fi_catalog, fi_forward, ordered_pairs
 from .layers import MLPSpec, add_mlp_slots, combine_fields_nodes, mlp_nodes, sum_nodes
-from .metrics import PROB_FLOOR
 from .tape import ParameterStore, Tape, finite_diff_check, sigmoid
 
 _SCALAR_UTILITIES = {"one", "scalar_pair", "scalar_pair_sym", "scalar_inner", "projected_inner"}
@@ -368,20 +367,8 @@ class Model:
 
     def loss_node(self, tape, indices, labels, training=False, drop_rng=None):
         """Mean log-loss of the batch as a 0-d node on `tape`."""
-        labels = np.asarray(labels, dtype=np.float64)
-        if labels.shape != (len(indices),):
-            raise ShapeError("labels must be (B,)")
-        if not np.all((labels == 0.0) | (labels == 1.0)):
-            raise DataError("labels must be 0 or 1")
         logit = self.logit_node(tape, indices, training=training, drop_rng=drop_rng)
-        p = tape.clip(tape.sigmoid(logit), PROB_FLOOR, 1.0 - PROB_FLOOR)
-        y = tape.constant(labels)
-        y_off = tape.constant(1.0 - labels)
-        ones = tape.constant(np.ones_like(labels))
-        ll = tape.add(
-            tape.mul(y, tape.log(p)), tape.mul(y_off, tape.log(tape.sub(ones, p)))
-        )
-        return tape.scale_const(tape.mean_all(ll), -1.0)
+        return tape.logloss(logit, labels)
 
     def loss(self, indices, labels):
         tape = Tape()

@@ -425,12 +425,13 @@ def test_gradcheck_passes_for_selected_models():
 
 
 def test_gradcheck_detects_a_corrupted_gradient():
-    proc = run_cli(
-        "gradcheck", "--models", "LR", "--fields", 3, "--vocab", 5,
-        "--batch", 4, "--corrupt", 0.1,
-    )
-    assert proc.returncode == 5
-    assert proc.stdout.startswith("FAIL LR")
+    for corrupt in (0.1, "nan"):
+        proc = run_cli(
+            "gradcheck", "--models", "LR", "--fields", 3, "--vocab", 5,
+            "--batch", 4, "--corrupt", corrupt,
+        )
+        assert proc.returncode == 5, corrupt
+        assert proc.stdout.startswith("FAIL LR"), corrupt
 
 
 def test_equivalence_checks_all_pass():
@@ -515,6 +516,29 @@ def test_bad_split_ratios_are_a_config_error(ws, synth_dir):
         "--split", "0.5,0.5",
     )
     assert proc.returncode == 2
+
+
+_BAD_FLOATS = [
+    *(
+        ("synth", flag, value)
+        for flag in ("--linear-scale", "--embed-scale", "--noise")
+        for value in ("nan", "inf", "-1")
+    ),
+    *(("synth", "--theta", value) for value in ("nan", "inf")),
+    *(("train", flag, value) for flag in ("--lr", "--l2", "--dropout") for value in ("nan", "inf", "-1")),
+    ("train", "--split", "nan,0.1,0.1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _BAD_FLOATS)
+def test_float_flags_reject_non_finite_and_negative_values(tmp_path, synth_dir, command, flag, value):
+    argv = [command, "--out", tmp_path / "out", f"{flag}={value}"]
+    if command == "train":
+        argv += ["--data", synth_dir, "--model", "LR", "--epochs", 1]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_unknown_model_name_is_rejected(ws, synth_dir):

@@ -10,13 +10,7 @@ import numpy as np
 import pytest
 
 from ctrzoo.errors import CatalogError, ContractError, DomainError
-from ctrzoo.interaction import (
-    MODEL_NAMES,
-    fi_catalog,
-    fi_forward,
-    ordered_pairs,
-    sym_pair_index,
-)
+from ctrzoo.interaction import MODEL_NAMES, fi_catalog, fi_forward, ordered_pairs
 from ctrzoo.tape import ParameterStore, Tape
 
 N, B, D = 4, 3, 4
@@ -130,12 +124,18 @@ def oracle_ffm(aware, n):
     return out
 
 
+def upper_pair_index(i, j, n):
+    """Position of the unordered pair {i, j}, i != j, in the row-major upper triangle."""
+    i, j = min(i, j), max(i, j)
+    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
 def oracle_fwfm(f, p):
     n = len(f)
     w = p["fi.pairw_sym"]
     return [
         sum(
-            np.sum(f[i] * f[j], axis=1) * w[sym_pair_index(i, j, n)]
+            np.sum(f[i] * f[j], axis=1) * w[upper_pair_index(i, j, n)]
             for j in range(n)
             if j != i
         )
@@ -361,16 +361,6 @@ def test_catalog_spot_rows():
 def test_catalog_unknown_model_rejected():
     with pytest.raises(CatalogError):
         fi_catalog("FM2000")
-
-
-def test_sym_pair_index_enumerates_upper_triangle():
-    n = 4
-    expect = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
-    for (i, j), pos in expect.items():
-        assert sym_pair_index(i, j, n) == pos
-        assert sym_pair_index(j, i, n) == pos
-    with pytest.raises(DomainError):
-        sym_pair_index(2, 2, n)
 
 
 def test_ordered_pairs_counts():

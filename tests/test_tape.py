@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ctrzoo.errors import ContractError, DataError, DomainError, NumericError, ShapeError
 from ctrzoo.interaction import MODEL_NAMES, fi_catalog
+from ctrzoo.metrics import PROB_FLOOR, logloss
 from ctrzoo.tape import ParameterStore, Tape, finite_diff_check, sigmoid, xavier_uniform
 from test_interaction import ORACLES, make_fields, make_slots, oracle_ffm, run_config
 
@@ -347,41 +348,6 @@ def test_lookup_scatter_is_bitwise_np_add_at(b, rows, d, blank, slot_major, seed
         assert store.grad(name).tobytes() == (2.0 * grad).tobytes(), name
 
 
-def test_take_repeats_negative_indices_into_one_gradient_row():
-    store = ParameterStore(seed=3)
-    store.add_xavier("x", (2, 4, 3))
-    idx = np.array([[-1, 3], [0, -4]])  # -1 is 3 and -4 is 0, so both rows repeat
-    weights = np.random.default_rng(4).normal(size=(2, 2, 2, 3))
-
-    def build(tape):
-        picked = tape.take(tape.parameter(store, "x"), idx, axis=1)  # (2, 2, 2, 3)
-        return _total(tape, tape.mul(picked, tape.constant(weights)))
-
-    _run_backward(build, store)
-    want = np.zeros((2, 4, 3))
-    np.add.at(want, (slice(None), idx), weights)
-    assert store.grad("x").tobytes() == want.tobytes()
-
-
-def test_clip_gradient_passes_only_strictly_inside():
-    store = ParameterStore()
-    store.add_value("w", [-2.0, 0.5, 3.0])
-
-    def build(tape):
-        w = tape.parameter(store, "w")
-        return _total(tape, tape.clip(w, 0.0, 1.0))
-
-    _run_backward(build, store)
-    np.testing.assert_array_equal(store.grad("w"), [0.0, 1.0, 0.0])
-
-
-def test_log_rejects_nonpositive():
-    tape = Tape()
-    x = tape.constant(np.array([1.0, 0.0]))
-    with pytest.raises(NumericError):
-        tape.log(x)
-
-
 def test_tape_rejects_nonfinite_result():
     tape = Tape()
     with pytest.raises(NumericError):
@@ -429,7 +395,7 @@ def test_shape_guards_on_binary_ops():
     tape = Tape()
     a = tape.constant(np.ones((2, 3)))
     b = tape.constant(np.ones((3, 2)))
-    for op in (tape.add, tape.sub, tape.mul):
+    for op in (tape.add, tape.mul):
         with pytest.raises(ShapeError):
             op(a, b)
     with pytest.raises(ShapeError):
@@ -474,12 +440,11 @@ def test_composite_network_checks_below_1e8():
         x = tape.reshape(tape.lookup(store, ["table"], idx[:, None]), (4, 3))
         y = tape.linear_map(tape.parameter(store, "m"), x)  # (4, 2)
         y = tape.add(y, tape.parameter(store, "b"))
-        y = tape.sigmoid(y)
         p = tape.softmax(y)  # rows sum to one
         z = tape.mul(p, y)
-        col = tape.reshape(tape.take(z, [0], axis=1), (4,))  # column 0
+        col = tape.reshape(tape.matmul(z, tape.constant([[1.0], [0.0]])), (4,))  # column 0
         pooled = tape.inner(col, tape.parameter(store, "v"))  # 0-d
-        total = _total(tape, tape.log(p))
+        total = tape.logloss(col, [1.0, 0.0, 0.0, 1.0])
         total = tape.add(total, pooled)
         total = tape.mul(total, tape.parameter(store, "s"))  # 0-d times 0-d
         total = tape.add(total, tape.parameter(store, "shift"))
@@ -517,7 +482,7 @@ def test_relu_concat_path_checks_below_1e8():
             tape.reshape(tape.constant(np.array([1.0, 2.0])), (2, 1)),
             tape.reshape(tape.constant(np.array([0.3, 0.4, 0.5, 0.6])), (1, 4)),
         )
-        return _total(tape, tape.mul(tape.sub(s, vec), s))
+        return _total(tape, tape.mul(tape.add(s, tape.scale_const(vec, -1.0)), s))
 
     def f():
         return float(build(Tape()).value)
@@ -544,6 +509,9 @@ def test_corrupted_gradient_is_detected():
     tape.backward(build(tape))
     store.grad("w")[0] += 0.05
     assert finite_diff_check(f, store, eps=1e-5) > 1e-2
+    # a NaN entry (the first, so finite errors follow it) fails any tolerance
+    store.grad("w")[0] = np.nan
+    assert not finite_diff_check(f, store, eps=1e-5) < 1e-2
 
 
 def test_finite_diff_step_must_be_positive():
@@ -551,6 +519,80 @@ def test_finite_diff_step_must_be_positive():
     store.add_value("w", [1.0])
     with pytest.raises(DomainError):
         finite_diff_check(lambda: 0.0, store, eps=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the log-loss node
+
+
+def _chain_logloss_grad(z, y):
+    """d loss / d z replayed through the node-by-node chain the loss node fuses:
+    sigmoid, clip, log(p), log(1 - p), label products, mean, negation."""
+    s = sigmoid(z)
+    inside = (s > PROB_FLOOR) & (s < 1.0 - PROB_FLOOR)
+    p = np.clip(s, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    g = np.broadcast_to(np.ones(()) * -1.0 / z.size, z.shape)
+    g_p = -(g * (1.0 - y) / (1.0 - p))
+    g_p = g_p + g * y / p
+    return g_p * inside * s * (1.0 - s)
+
+
+def _logloss_on_tape(z, y):
+    store = ParameterStore()
+    store.add_value("z", z)
+    tape = Tape()
+    logit = tape.parameter(store, "z")
+    loss = tape.logloss(logit, y)
+    tape.backward(loss)
+    return store, logit, loss
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    z=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_logloss_node_is_bitwise_the_metric_and_the_chain_gradient(z, seed):
+    z = np.array(z)
+    y = np.random.default_rng(seed).integers(0, 2, size=z.size).astype(np.float64)
+    _, logit, loss = _logloss_on_tape(z, y)
+    assert loss.value.shape == ()
+    assert float(loss.value) == logloss(sigmoid(z), y)
+    # the node's own gradient, before a buffer turns a -0.0 into 0.0
+    assert logit.grad.tobytes() == _chain_logloss_grad(z, y).tobytes()
+
+
+def test_logloss_node_checks_against_finite_differences():
+    rng = np.random.default_rng(31)
+    z, y = rng.normal(scale=2.0, size=12), rng.integers(0, 2, size=12).astype(np.float64)
+    store, _, _ = _logloss_on_tape(z, y)
+
+    def f():
+        tape = Tape()
+        return float(tape.logloss(tape.parameter(store, "z"), y).value)
+
+    assert finite_diff_check(f, store, eps=1e-6) < 1e-8
+
+
+def test_logloss_gradient_is_zero_where_the_clamp_is_active():
+    z = np.array([-40.0, -28.0, -0.5, 0.0, 2.0, 28.0, 40.0])
+    s = sigmoid(z)
+    clamped = (s <= PROB_FLOOR) | (s >= 1.0 - PROB_FLOOR)
+    assert clamped.tolist() == [True, True, False, False, False, True, True]
+    for y in (np.zeros(7), np.ones(7)):
+        store, _, _ = _logloss_on_tape(z, y)
+        g = store.grad("z")
+        assert np.all(g[clamped] == 0.0) and np.all(g[~clamped] != 0.0)
+
+
+def test_logloss_rejects_empty_mismatched_and_non_binary_labels():
+    tape = Tape()
+    with pytest.raises(DomainError):
+        tape.logloss(tape.constant(np.zeros(0)), np.zeros(0))
+    with pytest.raises(ShapeError):
+        tape.logloss(tape.constant(np.zeros(3)), np.zeros(2))
+    with pytest.raises(DataError):
+        tape.logloss(tape.constant(np.zeros(2)), [0.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +619,10 @@ def test_broadcast_binary_ops_check_against_finite_differences():
         a, b, c = (tape.parameter(store, k) for k in "abc")
         bias, shift = tape.parameter(store, "bias"), tape.parameter(store, "shift")
         prod = tape.mul(a, b)  # (2, 3, 3, 2) grid of pair products
-        prod = tape.sub(tape.add(prod, bias), shift)  # a (d,) bias and a 0-d shift
+        prod = tape.add(tape.add(prod, bias), tape.scale_const(shift, -1.0))  # a (d,) bias and a 0-d shift
         scaled = tape.mul(bias, tape.mul(prod, shift))  # lower-rank factors on either side
-        return _total(tape, tape.mul(tape.sub(tape.add(scaled, c), c), tape.add(prod, c)))
+        back = tape.add(tape.add(scaled, c), tape.scale_const(c, -1.0))
+        return _total(tape, tape.mul(back, tape.add(prod, c)))
 
     assert _grad_error(store, build) < 1e-8
 
@@ -625,8 +668,9 @@ def test_shape_plumbing_checks_against_finite_differences():
     def build(tape):
         x = tape.parameter(store, "x")
         y = tape.reshape(tape.transpose(x, (2, 0, 1)), (4, 6))
-        picked = tape.take(y, [5, 0, 5, 2], axis=1)  # a repeated column
-        rows = tape.take(tape.parameter(store, "t"), np.array([[0, 4], [4, 1]]), axis=0)
+        picked = tape.matmul(y, tape.constant(np.eye(6)[:, [5, 0, 5, 2]]))  # a repeated column
+        pick_rows = tape.constant(np.eye(5)[[[0, 4], [4, 1]]])  # (2, 2, 5), row 4 twice
+        rows = tape.einsum("ijk,k->ij", pick_rows, tape.parameter(store, "t"))
         # x and 2 * x along a new axis 1: (2, 2, 3, 4)
         twice = tape.constant(np.reshape([1.0, 2.0], (1, 2, 1, 1)))
         stacked = tape.mul(tape.reshape(x, (2, 1, 3, 4)), twice)
@@ -637,12 +681,6 @@ def test_shape_plumbing_checks_against_finite_differences():
         return tape.add(total, _total(tape, tape.sum_axis(scores, (0, 2))))
 
     assert _grad_error(store, build) < 1e-8
-
-
-def test_take_rejects_out_of_range_indices():
-    tape = Tape()
-    with pytest.raises(DomainError):
-        tape.take(tape.constant(np.ones((2, 3))), [3], axis=1)
 
 
 def test_einsum_checks_every_operand_against_finite_differences():

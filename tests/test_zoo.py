@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctrzoo.data import FieldSchema
-from ctrzoo.errors import CatalogError, ConfigError
+from ctrzoo.errors import CatalogError, ConfigError, DomainError
 from ctrzoo.interaction import MODEL_NAMES
 from ctrzoo.tape import Tape
 from ctrzoo.zoo import (
@@ -74,6 +74,17 @@ def test_loss_tape_grows_by_at_most_one_node_per_lookup(name):
         tables = n * (n - 1) if model.cfg.field_aware else n
         lookups[n] = tables + (n if model.spec.use_linear else 0)
     assert size[8] - size[3] <= lookups[8] - lookups[3]
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_loss_tape_is_the_logit_tape_plus_one_node(name):
+    model = build_model(small_spec(name), seed=0)
+    logit_tape, loss_tape = Tape(), Tape()
+    model.logit_node(logit_tape, BATCH)
+    model.loss_node(loss_tape, BATCH, _LABELS)
+    assert len(loss_tape) == len(logit_tape) + 1
+    with pytest.raises(DomainError):
+        model.loss(BATCH[:0], _LABELS[:0])
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
