@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,10 +35,10 @@ from .tape import ParameterStore
 from .training import TrainConfig, train
 from .zoo import (
     MODEL_NAMES,
-    RECIPES,
     ModelSpec,
     build_model,
     count_complexity,
+    fi_catalog,
     gradient_check,
     random_batch,
 )
@@ -303,7 +304,15 @@ def cmd_eval(args):
     return 0
 
 
+def _check_tol(tol):
+    if not math.isfinite(tol):
+        raise ConfigError(f"--tol must be finite, got {tol}")
+
+
 def cmd_gradcheck(args):
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise ConfigError(f"--eps must be a finite step > 0, got {args.eps}")
+    _check_tol(args.tol)
     names = MODEL_NAMES if args.models == "all" else tuple(args.models.split(","))
     schema = datamod.FieldSchema.of_sizes([args.vocab] * args.fields)
     indices, labels = random_batch(schema, args.batch, seed=args.seed)
@@ -338,6 +347,7 @@ def _equivalence_pair(which, schema, d, seed):
 
 
 def cmd_equivalence(args):
+    _check_tol(args.tol)
     checks = _EQUIVALENCE_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
     schema = datamod.FieldSchema.of_sizes([args.vocab] * args.fields)
     failures = 0
@@ -353,7 +363,7 @@ def cmd_equivalence(args):
 def cmd_complexity(args):
     schema = datamod.FieldSchema.of_sizes([3] * args.fields)
     if args.layers > 1:
-        layered = ", ".join(name for name in MODEL_NAMES if RECIPES[name].layered)
+        layered = ", ".join(name for name in MODEL_NAMES if fi_catalog(name).layered)
         print(f"note: --layers {args.layers} applies to {layered} only", file=sys.stderr)
     rows = []
     for name in MODEL_NAMES:

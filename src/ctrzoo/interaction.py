@@ -3,8 +3,11 @@
 Every model here scores a record by combining per-field embedding vectors
 through the same two-slot pattern: a similarity S(f_i, f_j) scaling a
 utility U(f_i, f_j), summed over a neighborhood of fields. Choosing S, U,
-and the neighborhood reproduces the classical architectures; `fi_catalog`
-holds those choices and `fi_forward` evaluates any of them on a tape.
+and the neighborhood reproduces the classical architectures. A model's
+`fi_catalog` row holds those choices, how the zoo turns the FI output into
+a logit (aggregation, transform, layers) and its extras (first-order
+table, bias); `add_fi_slots` creates the weights a row reads, and
+`fi_forward` evaluates the row on a tape.
 
 Conventions: "others" neighborhoods sum over ordered pairs j != i, so
 symmetric similarities count each unordered pair twice (the model layer
@@ -30,26 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CatalogError, ContractError, DomainError, ShapeError
-
-MODEL_NAMES = (
-    "LR",
-    "FM",
-    "FFM",
-    "FwFM",
-    "IPNN",
-    "DCN",
-    "DeepFM-deep",
-    "CIN2",
-    "AFM",
-    "AutoInt",
-    "SAM1",
-    "SAM2_A",
-    "SAM2_E",
-    "SAM3_A",
-    "SAM3_E",
-)
-
+from .errors import CatalogError, ConfigError, ContractError, DomainError, ShapeError
 
 # ---------------------------------------------------------------------------
 # catalog
@@ -57,35 +41,54 @@ MODEL_NAMES = (
 
 @dataclass(frozen=True)
 class FIConfig:
-    """Which similarity, utility, and neighborhood a model's FI layer uses."""
+    """One catalog row: a model's FI choices, how its output becomes a logit, and its extras."""
 
     model: str
     similarity: str
     utility: str
     neighborhood: str  # "self" | "others" | "all" | "grid"
+    aggregation: str  # "sum" | "concat" | "field_combination"
+    transform: str  # "none" | "affine" | "mlp"
     softmax: bool = False
     pair_softmax: bool = False
     field_aware: bool = False
-    self_product: bool = False  # grid hadamard reads f_i * f_i instead of f_i * f_j
+    self_product: bool = False  # the grid hadamard reads f_i * f_i instead of f_i * f_j
+    halve_pairs: bool = False  # the sum over ordered pairs is halved back to i < j
+    layered: bool = False  # one FI layer per `ModelSpec.layers`
+    residual: bool = False  # each layer adds a linear map of its input
+    linear_default: bool = False  # first-order table unless the spec says otherwise
+    bias_default: bool = False  # global bias unless the spec says otherwise
+    d_fixed: int | None = None  # embedding width, whatever the spec asks
+
+    def __post_init__(self):
+        if self.self_product and (self.utility, self.neighborhood) != ("hadamard", "grid"):
+            raise ConfigError(f"self_product only applies to the element-wise grid of SAM2_E, not {self.model}")
 
 
 _CATALOG = {
-    "LR": FIConfig("LR", "one", "identity", "self"),
-    "FM": FIConfig("FM", "inner", "one", "others"),
-    "FFM": FIConfig("FFM", "inner", "one", "others", field_aware=True),
-    "FwFM": FIConfig("FwFM", "inner", "scalar_pair_sym", "others"),
-    "IPNN": FIConfig("IPNN", "inner", "scalar_inner", "all"),
-    "DCN": FIConfig("DCN", "one", "scaled_identity", "self"),
-    "DeepFM-deep": FIConfig("DeepFM-deep", "one", "identity", "self"),
-    "CIN2": FIConfig("CIN2", "inner", "scalar_pair", "all"),
-    "AFM": FIConfig("AFM", "afm", "projected_inner", "others", pair_softmax=True),
-    "AutoInt": FIConfig("AutoInt", "proj_qk", "linear_map", "all", softmax=True),
-    "SAM1": FIConfig("SAM1", "one", "identity", "self"),
-    "SAM2_A": FIConfig("SAM2_A", "inner", "vector_pair", "grid"),
-    "SAM2_E": FIConfig("SAM2_E", "inner", "hadamard", "grid"),
-    "SAM3_A": FIConfig("SAM3_A", "proj_k", "vector_pair", "all", softmax=True),
-    "SAM3_E": FIConfig("SAM3_E", "proj_k", "hadamard", "all", softmax=True),
+    row.model: row
+    for row in (
+        FIConfig("LR", "one", "identity", "self", "sum", "none", bias_default=True, d_fixed=1),
+        FIConfig("FM", "inner", "one", "others", "sum", "none",
+                 halve_pairs=True, linear_default=True, bias_default=True),
+        FIConfig("FFM", "inner", "one", "others", "sum", "none", field_aware=True, halve_pairs=True),
+        FIConfig("FwFM", "inner", "scalar_pair_sym", "others", "sum", "none", halve_pairs=True),
+        FIConfig("IPNN", "inner", "scalar_inner", "all", "concat", "mlp"),
+        FIConfig("DCN", "one", "scaled_identity", "self", "concat", "affine"),
+        FIConfig("DeepFM-deep", "one", "identity", "self", "concat", "mlp"),
+        FIConfig("CIN2", "inner", "scalar_pair", "all", "concat", "affine"),
+        FIConfig("AFM", "afm", "projected_inner", "others", "sum", "none", pair_softmax=True),
+        FIConfig("AutoInt", "proj_qk", "linear_map", "all", "concat", "affine", softmax=True, layered=True),
+        FIConfig("SAM1", "one", "identity", "self", "concat", "affine"),
+        FIConfig("SAM2_A", "inner", "vector_pair", "grid", "concat", "affine"),
+        FIConfig("SAM2_E", "inner", "hadamard", "grid", "concat", "affine"),
+        FIConfig("SAM3_A", "proj_k", "vector_pair", "all", "field_combination", "affine",
+                 softmax=True, layered=True, residual=True),
+        FIConfig("SAM3_E", "proj_k", "hadamard", "all", "field_combination", "affine",
+                 softmax=True, layered=True, residual=True),
+    )
 }
+MODEL_NAMES = tuple(_CATALOG)
 
 
 def fi_catalog(name):
@@ -230,6 +233,55 @@ def _spread_pairs(tape, values, n):
     return tape.reshape(tape.matmul(values, spread), (values.value.shape[0], n, n))
 
 
+def add_fi_slots(store, cfg, prefix, n, d, grid_pairs=None, attention_width=None):
+    """Create under `prefix` the weights `fi_forward` reads for `cfg` on n fields of width d.
+
+    `grid_pairs` lists the pairs a grid reads (default all ordered pairs);
+    `attention_width` sizes AFM's attention network (default d).
+    """
+    if cfg.similarity == "proj_k":
+        store.add_xavier(prefix + "k", (d, d), fans=(d, d))
+    elif cfg.similarity == "proj_qk":
+        store.add_xavier(prefix + "q", (d, d), fans=(d, d))
+        store.add_xavier(prefix + "k", (d, d), fans=(d, d))
+    elif cfg.similarity == "afm":
+        t = attention_width or d
+        store.add_xavier(prefix + "attn_w", (t, d), fans=(d, t))
+        store.add_xavier(prefix + "attn_h", (t,), fans=(t, 1))
+        store.add_zeros(prefix + "attn_b", (t,))
+
+    util = cfg.utility
+    if util == "scaled_identity":
+        store.add_xavier(prefix + "fieldw", (n,), fans=(n, 1))
+    elif util == "scalar_pair":
+        store.add_xavier(prefix + "pairw", (n, n), fans=(n * n, 1))
+    elif util == "scalar_pair_sym":
+        m = n * (n - 1) // 2
+        store.add_xavier(prefix + "pairw", (m,), fans=(m, 1))
+    elif util == "scalar_inner":
+        store.add_xavier(prefix + "theta", (n, d), fans=(n, d))
+    elif util == "vector_pair":
+        # one vector per grid pair, or per ordered pair for attention
+        pairs = n * n if grid_pairs is None else len(grid_pairs)
+        store.add_xavier(prefix + "pairvec", (pairs, d), fans=(pairs, d))
+    elif util == "linear_map":
+        store.add_xavier(prefix + "v", (d, d), fans=(d, d))
+    elif util == "projected_inner":
+        store.add_xavier(prefix + "proj_p", (d,), fans=(d, 1))
+
+
+def fi_output_width(cfg, n, d, grid_pairs=None):
+    """Entries per record the transform reads from the FI output: d after a
+    field combination, P*d for a grid of P pairs (the rows of its head), and
+    else n for scalar utilities and n*d for vector ones."""
+    if cfg.aggregation == "field_combination":
+        return d
+    if cfg.neighborhood == "grid":
+        return (n * n if grid_pairs is None else len(grid_pairs)) * d
+    scalar = cfg.utility in ("one", "scalar_pair", "scalar_pair_sym", "scalar_inner", "projected_inner")
+    return n if scalar else n * d
+
+
 def _similarity(tape, cfg, E, param):
     """S[b, i, j] = S(f_i, f_j) as one (B, n, n) node; None for the unit similarity."""
     kind = cfg.similarity
@@ -280,16 +332,17 @@ def _utility(tape, cfg, E, W, param):
     """sum_j W[b, i, j] U(f_i, f_j) for every field.
 
     W is the masked (and possibly normalized) similarity; None stands for
-    the identity, i.e. the unit similarity over the self neighborhood.
+    the identity, i.e. the unit similarity over the self neighborhood,
+    which only the per-field utilities read.
     """
     kind = cfg.utility
     if kind == "one":
         if W is None:
             raise ContractError("similarity 'one' with utility 'one' leaves nothing to emit")
         return tape.sum_axis(W, -1)
-    B, n = E.value.shape[:2]
     if W is None and kind not in ("identity", "scaled_identity", "linear_map", "hadamard"):
-        W = tape.constant(np.broadcast_to(np.eye(n), (B, n, n)))
+        raise CatalogError(f"{cfg.model}: the unit similarity needs a per-field utility, not {kind!r}")
+    n = E.value.shape[1]
     table = _pair_scalars(tape, cfg, param, n)
     if table is not None:
         return tape.sum_axis(tape.mul(W, table), -1)
@@ -316,11 +369,6 @@ def _utility(tape, cfg, E, W, param):
     if kind == "linear_map":
         return mixed(tape.linear_map(param("v"), E))
     if kind == "hadamard":
-        if cfg.self_product:
-            square = tape.mul(E, E)
-            if W is None:
-                return square
-            return tape.mul(square, tape.reshape(tape.sum_axis(W, -1), (B, n, 1)))
         return tape.mul(E, mixed(E))
     raise CatalogError(f"unknown utility kind {kind!r}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, ShapeError
 
 
 def sum_nodes(tape, fields):
@@ -69,10 +69,11 @@ def add_mlp_slots(store, spec, prefix="st."):
         store.add_zeros(f"{prefix}l{k}.b", (b,))
 
 
-def mlp_nodes(tape, spec, store, x, *, prefix="st.", training=False, drop_rng=None):
+def mlp_nodes(tape, spec, store, x, *, prefix="st.", drop_rng=None):
     """Run the stack on a (B, input_dim) node; returns (B, out_dim).
 
     The weights are the `store` slots under `prefix`, as `add_mlp_slots` names them.
+    Given a `drop_rng`, dropout follows each hidden ReLU; without one, none does.
     """
     if x.value.ndim != 2 or x.value.shape[1] != spec.input_dim:
         raise ShapeError(f"mlp expects (B, {spec.input_dim}), got {x.value.shape}")
@@ -80,9 +81,7 @@ def mlp_nodes(tape, spec, store, x, *, prefix="st.", training=False, drop_rng=No
     for k in range(spec.depth):
         if k:
             h = tape.relu(h)
-            if training and spec.dropout > 0.0:
-                if drop_rng is None:
-                    raise DomainError("training-mode dropout needs a random generator")
+            if drop_rng is not None and spec.dropout > 0.0:
                 h = tape.dropout(h, spec.dropout, drop_rng)
         w, b = tape.parameter(store, f"{prefix}l{k}.w"), tape.parameter(store, f"{prefix}l{k}.b")
         h = tape.add(tape.matmul(h, w), b)

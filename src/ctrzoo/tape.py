@@ -417,28 +417,26 @@ class Tape:
     def lookup(self, store, names, indices, slot_major=False):
         """Batched row gather from k 2-D slots: indices (B, k) -> value (B, k, d).
 
-        Column j of `indices` reads rows of the slot `names[j]`; a None name
-        reads zero rows and passes no gradient. Named slots share the width d.
-        The value is C-contiguous; with `slot_major` it is k contiguous
-        (B, d) blocks, one per column, viewed as (B, k, d).
+        Column j of `indices` reads rows of the slot `names[j]`; the slots
+        share the width d. The value is C-contiguous; with `slot_major` it
+        is k contiguous (B, d) blocks, one per column, viewed as (B, k, d).
 
         The backward pass sums each column's gradient rows into its slot
         with `_scatter_rows`, so repeated indices inside a batch accumulate
         rather than overwrite.
         """
         names = list(names)
-        slots = [None if name is None else store.slot(name) for name in names]
+        slots = [store.slot(name) for name in names]
         idx = np.asarray(indices)
         if idx.ndim != 2 or idx.shape[1] != len(names) or not np.issubdtype(idx.dtype, np.integer):
             raise ShapeError(f"lookup indices must be a (B, {len(names)}) integer array")
-        widths = {s.value.shape[1:] for s in slots if s is not None}
+        widths = {s.value.shape[1:] for s in slots}
         if len(widths) != 1 or len(next(iter(widths))) != 1:
             raise ShapeError(f"lookup slots must be 2-D tables of one width, got {names}")
         ((d,),) = widths
-        rows = np.array([0 if s is None else s.value.shape[0] for s in slots])
+        rows = np.array([s.value.shape[0] for s in slots])
         if idx.size:
-            named = np.array([s is not None for s in slots])
-            bad = named & ((idx.min(axis=0) < 0) | (idx.max(axis=0) >= rows))
+            bad = (idx.min(axis=0) < 0) | (idx.max(axis=0) >= rows)
             if bad.any():
                 j = int(np.argmax(bad))
                 raise DomainError(
@@ -449,16 +447,12 @@ class Tape:
         b, k = idx.shape
         value = np.empty((k, b, d)).transpose(1, 0, 2) if slot_major else np.empty((b, k, d))
         for j, slot in enumerate(slots):
-            if slot is None:
-                value[:, j] = 0.0
-            else:
-                # in range, checked above; "clip" spares np.take a buffered copy
-                np.take(slot.value, columns[j], axis=0, out=value[:, j], mode="clip")
+            # in range, checked above; "clip" spares np.take a buffered copy
+            np.take(slot.value, columns[j], axis=0, out=value[:, j], mode="clip")
 
         def backward(g):
             for j, slot in enumerate(slots):
-                if slot is not None:
-                    slot.grad += _scatter_rows(columns[j], g[:, j], rows[j])
+                slot.grad += _scatter_rows(columns[j], g[:, j], rows[j])
 
         return self._emit(value, backward)
 

@@ -127,7 +127,7 @@ def _epoch_pass(model, indices, labels, order, config, adam, epoch):
         tape = Tape()
         drop_rng = np.random.default_rng([int(config.seed), 13, epoch, b])
         try:
-            loss = model.loss_node(tape, batch_idx, batch_y, training=True, drop_rng=drop_rng)
+            loss = model.loss_node(tape, batch_idx, batch_y, drop_rng=drop_rng)
             tape.backward(loss)
         except NumericError as exc:
             raise TrainingError(str(exc), epoch=epoch, batch=b) from exc

@@ -1,10 +1,11 @@
 """The model zoo: build any cataloged model and run its forward pass.
 
-A model is embedding tables plus an FI configuration from the catalog, an
-aggregation, and a transform stack, with two optional extras shared across
-the zoo: a first-order table (d=1 embeddings summed into the logit) and a
-global bias. LR and FM carry the extras by default, matching their
-classical definitions; the attention-style models leave them off.
+A model is its `fi_catalog` row made concrete: embedding tables, the FI
+layers (their slots from `add_fi_slots`), an aggregation and a transform
+stack, with two optional extras shared across the zoo: a first-order table
+(d=1 embeddings summed into the logit) and a global bias. The row sets the
+defaults: LR and FM carry the extras, matching their classical
+definitions, and the attention-style models leave them off.
 
 "Others"-neighborhood models with a symmetric similarity (FM, FFM, FwFM)
 sum every unordered pair twice, so their aggregated output is halved to
@@ -23,12 +24,10 @@ import numpy as np
 
 from . import embedding
 from .data import FieldSchema
-from .errors import CatalogError, ConfigError, ContractError, ShapeError
-from .interaction import MODEL_NAMES, fi_catalog, fi_forward, ordered_pairs
+from .errors import ConfigError, ContractError, ShapeError
+from .interaction import MODEL_NAMES, add_fi_slots, fi_catalog, fi_forward, fi_output_width, ordered_pairs
 from .layers import MLPSpec, add_mlp_slots, combine_fields_nodes, mlp_nodes, sum_nodes
 from .tape import ParameterStore, Tape, finite_diff_check, sigmoid
-
-_SCALAR_UTILITIES = {"one", "scalar_pair", "scalar_pair_sym", "scalar_inner", "projected_inner"}
 
 # the JSON values model.json may hold for each declared ModelSpec field type
 _JSON_TYPES = {
@@ -40,47 +39,16 @@ _JSON_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class Recipe:
-    """How a model assembles FI outputs into a logit."""
-
-    aggregation: str  # "sum" | "concat" | "field_combination"
-    transform: str  # "none" | "affine" | "mlp"
-    halve_pairs: bool = False
-    layered: bool = False
-    linear_default: bool = False
-    bias_default: bool = False
-    d_fixed: int | None = None
-
-
-RECIPES = {
-    "LR": Recipe("sum", "none", bias_default=True, d_fixed=1),
-    "FM": Recipe("sum", "none", halve_pairs=True, linear_default=True, bias_default=True),
-    "FFM": Recipe("sum", "none", halve_pairs=True),
-    "FwFM": Recipe("sum", "none", halve_pairs=True),
-    "IPNN": Recipe("concat", "mlp"),
-    "DCN": Recipe("concat", "affine"),
-    "DeepFM-deep": Recipe("concat", "mlp"),
-    "CIN2": Recipe("concat", "affine"),
-    "AFM": Recipe("sum", "none"),
-    "AutoInt": Recipe("concat", "affine", layered=True),
-    "SAM1": Recipe("concat", "affine"),
-    "SAM2_A": Recipe("concat", "affine"),
-    "SAM2_E": Recipe("concat", "affine"),
-    "SAM3_A": Recipe("field_combination", "affine", layered=True),
-    "SAM3_E": Recipe("field_combination", "affine", layered=True),
-}
-
-
 @dataclass
 class ModelSpec:
     """Everything needed to build a model, minus the seed.
 
     `dropout` and the linear/bias toggles default per model family when
     left as None. `softmax_enabled` turns similarity normalization off for
-    the SAM3 variants (raw similarity mode); `self_product` switches
-    SAM2_E to the literal f_i*f_i utility; `sam2_upper_only` restricts the
-    SAM2 grid to pairs with i < j.
+    the SAM3 variants (raw similarity mode); `self_product` switches the
+    SAM2_E grid to the literal f_i*f_i utility and raises ConfigError for
+    any other model; `sam2_upper_only` restricts the SAM2 grid to pairs
+    with i < j.
     """
 
     name: str
@@ -97,9 +65,7 @@ class ModelSpec:
     afm_width: int | None = None
 
     def __post_init__(self):
-        if self.name not in RECIPES:
-            known = ", ".join(MODEL_NAMES)
-            raise CatalogError(f"unknown model {self.name!r}; catalog has: {known}")
+        self.fi_config()  # rejects unknown names, and a self product outside the SAM2_E grid
         if self.d < 1:
             raise ConfigError(f"embedding dimension must be positive, got {self.d}")
         if self.layers < 1:
@@ -113,7 +79,7 @@ class ModelSpec:
             raise ConfigError(f"attention width must be positive, got {self.afm_width}")
         if self.name == "LR" and self.include_linear:
             raise ConfigError("LR is the first-order model; include_linear does not apply")
-        if fi_catalog(self.name).neighborhood == "others" and self.n < 2:
+        if self.row.neighborhood == "others" and self.n < 2:
             raise ConfigError(f"{self.name} sums over pairs of fields and needs at least two, got {self.n}")
         if self.sam2_upper_only and self.grid() == []:
             raise ConfigError(
@@ -121,12 +87,13 @@ class ModelSpec:
             )
 
     @property
-    def recipe(self):
-        return RECIPES[self.name]
+    def row(self):
+        """The model's catalog row, before the softmax and self-product switches."""
+        return fi_catalog(self.name)
 
     @property
     def dim(self):
-        return self.recipe.d_fixed or self.d
+        return self.row.d_fixed or self.d
 
     @property
     def n(self):
@@ -135,41 +102,31 @@ class ModelSpec:
     @property
     def use_linear(self):
         if self.include_linear is None:
-            return self.recipe.linear_default
+            return self.row.linear_default
         return bool(self.include_linear)
 
     @property
     def use_bias(self):
         if self.include_bias is None:
-            return self.recipe.bias_default
+            return self.row.bias_default
         return bool(self.include_bias)
 
     @property
     def drop_rate(self):
         if self.dropout is None:
-            return 0.5 if self.recipe.transform == "mlp" else 0.0
+            return 0.5 if self.row.transform == "mlp" else 0.0
         return float(self.dropout)
 
-    @property
-    def attention_width(self):
-        return self.afm_width or self.dim
-
     def fi_config(self):
-        cfg = fi_catalog(self.name)
-        if self.self_product:
-            if cfg.utility != "hadamard":
-                raise ConfigError(f"self_product only applies to element-wise models, not {self.name}")
-            cfg = replace(cfg, self_product=True)
-        if not self.softmax_enabled:
-            cfg = replace(cfg, softmax=False)
-        return cfg
+        row = self.row
+        return replace(row, self_product=self.self_product, softmax=row.softmax and self.softmax_enabled)
 
     @property
     def n_layers(self):
-        return self.layers if self.recipe.layered else 1
+        return self.layers if self.row.layered else 1
 
     def grid(self):
-        if fi_catalog(self.name).neighborhood != "grid":
+        if self.row.neighborhood != "grid":
             return None
         return ordered_pairs(self.n, upper_only=self.sam2_upper_only)
 
@@ -210,50 +167,6 @@ def _layer_prefixes(spec):
     return [f"fi.l{l}." for l in range(spec.n_layers)]
 
 
-def _add_fi_slots(store, spec, cfg, prefix):
-    n, d = spec.n, spec.dim
-    if cfg.similarity == "proj_k":
-        store.add_xavier(prefix + "k", (d, d), fans=(d, d))
-    elif cfg.similarity == "proj_qk":
-        store.add_xavier(prefix + "q", (d, d), fans=(d, d))
-        store.add_xavier(prefix + "k", (d, d), fans=(d, d))
-    elif cfg.similarity == "afm":
-        t = spec.attention_width
-        store.add_xavier(prefix + "attn_w", (t, d), fans=(d, t))
-        store.add_xavier(prefix + "attn_h", (t,), fans=(t, 1))
-        store.add_zeros(prefix + "attn_b", (t,))
-
-    util = cfg.utility
-    if util == "scaled_identity":
-        store.add_xavier(prefix + "fieldw", (n,), fans=(n, 1))
-    elif util == "scalar_pair":
-        store.add_xavier(prefix + "pairw", (n, n), fans=(n * n, 1))
-    elif util == "scalar_pair_sym":
-        m = n * (n - 1) // 2
-        store.add_xavier(prefix + "pairw", (m,), fans=(m, 1))
-    elif util == "scalar_inner":
-        store.add_xavier(prefix + "theta", (n, d), fans=(n, d))
-    elif util == "vector_pair":
-        # one vector per grid pair, or per ordered pair for attention
-        pairs = len(spec.grid()) if cfg.neighborhood == "grid" else n * n
-        store.add_xavier(prefix + "pairvec", (pairs, d), fans=(pairs, d))
-    elif util == "linear_map":
-        store.add_xavier(prefix + "v", (d, d), fans=(d, d))
-    elif util == "projected_inner":
-        store.add_xavier(prefix + "proj_p", (d,), fans=(d, 1))
-
-
-def _st_input_dim(spec, cfg):
-    n, d = spec.n, spec.dim
-    if spec.recipe.aggregation == "field_combination":
-        return d
-    if cfg.neighborhood == "grid":
-        return len(spec.grid()) * d
-    if cfg.utility in _SCALAR_UTILITIES:
-        return n
-    return n * d
-
-
 def build_model(spec, seed=0):
     """Instantiate parameters for `spec` under `seed` and wrap them."""
     model = Model(spec, ParameterStore(seed))
@@ -264,10 +177,10 @@ def build_model(spec, seed=0):
     if spec.use_bias:
         store.add_zeros("bias", ())
     for prefix in _layer_prefixes(spec):
-        _add_fi_slots(store, spec, cfg, prefix)
-        if spec.name.startswith("SAM3"):
+        add_fi_slots(store, cfg, prefix, spec.n, spec.dim, grid_pairs=spec.grid(), attention_width=spec.afm_width)
+        if cfg.residual:
             store.add_zeros(prefix + "res", (spec.dim, spec.dim))
-    if spec.recipe.aggregation == "field_combination":
+    if cfg.aggregation == "field_combination":
         store.add_value("al.w", np.full(spec.n, 1.0 / spec.n))
     if model.st_spec is not None:
         add_mlp_slots(store, model.st_spec, prefix="st.")
@@ -287,9 +200,10 @@ class Model:
         self.store = store
         self.cfg = spec.fi_config()
         self.st_spec = None
-        if spec.recipe.transform != "none":
-            hidden = spec.mlp_hidden if spec.recipe.transform == "mlp" else ()
-            self.st_spec = MLPSpec(_st_input_dim(spec, self.cfg), hidden, 1, dropout=spec.drop_rate)
+        if self.cfg.transform != "none":
+            hidden = spec.mlp_hidden if self.cfg.transform == "mlp" else ()
+            width = fi_output_width(self.cfg, spec.n, spec.dim, spec.grid())
+            self.st_spec = MLPSpec(width, hidden, 1, dropout=spec.drop_rate)
 
     @property
     def name(self):
@@ -316,22 +230,23 @@ class Model:
             z = fi_forward(
                 tape, self.cfg, g, self.store, prefix=prefix, grid_pairs=self.spec.grid(), head="st.l0.w"
             )
-            if self.name.startswith("SAM3"):
+            if self.cfg.residual:
                 z = tape.add(z, tape.linear_map(tape.parameter(self.store, prefix + "res"), g))
             g = z
         return g
 
-    def logit_node(self, tape, indices, training=False, drop_rng=None):
+    def logit_node(self, tape, indices, drop_rng=None):
+        """The batch's logits as a (B,) node; dropout runs exactly when `drop_rng` is given."""
         indices = self._check_batch(indices)
         z = self._fi_outputs(tape, indices)
-        agg_kind = self.spec.recipe.aggregation
+        agg_kind = self.cfg.aggregation
 
         if self.cfg.neighborhood == "grid":
             # the grid comes back already read by the affine head's weights
             core = tape.add(z, tape.parameter(self.store, "st.l0.b"))
         elif agg_kind == "sum":
             total = sum_nodes(tape, z)
-            if self.spec.recipe.halve_pairs:
+            if self.cfg.halve_pairs:
                 total = tape.scale_const(total, 0.5)
             core = tape.reshape(total, (len(indices),)) if total.value.ndim == 2 else total
         else:
@@ -340,9 +255,7 @@ class Model:
             else:
                 # concat: field-major rows with d innermost, as the st.* head reads them
                 x = tape.reshape(z, (len(indices), int(np.prod(z.value.shape[1:]))))
-            logit = mlp_nodes(
-                tape, self.st_spec, self.store, x, prefix="st.", training=training, drop_rng=drop_rng
-            )
+            logit = mlp_nodes(tape, self.st_spec, self.store, x, prefix="st.", drop_rng=drop_rng)
             core = tape.reshape(logit, (len(indices),))
 
         if self.spec.use_linear:
@@ -365,9 +278,9 @@ class Model:
         """Click probabilities (evaluation mode)."""
         return sigmoid(self.forward(indices))
 
-    def loss_node(self, tape, indices, labels, training=False, drop_rng=None):
+    def loss_node(self, tape, indices, labels, drop_rng=None):
         """Mean log-loss of the batch as a 0-d node on `tape`."""
-        logit = self.logit_node(tape, indices, training=training, drop_rng=drop_rng)
+        logit = self.logit_node(tape, indices, drop_rng=drop_rng)
         return tape.logloss(logit, labels)
 
     def loss(self, indices, labels):
@@ -389,19 +302,19 @@ def random_batch(schema, batch_size, seed=0):
     return indices, labels
 
 
-def gradient_check(model, indices, labels, eps=1e-5, training=False, dropout_seed=0, corrupt=0.0):
+def gradient_check(model, indices, labels, eps=1e-5, dropout_seed=None, corrupt=0.0):
     """Max relative error between tape gradients and central differences.
 
-    With `training` set, dropout masks are redrawn identically on every
-    evaluation (fixed seed), so the checked function stays deterministic.
+    With a `dropout_seed`, dropout masks are redrawn identically on every
+    evaluation, so the checked function stays deterministic.
     A nonzero `corrupt` is added to one analytic gradient entry before the
     comparison; the checker must then report at least that much error
     (sensitivity self-test).
     """
 
     def loss(tape):
-        rng = np.random.default_rng([int(dropout_seed), 13]) if training else None
-        return model.loss_node(tape, indices, labels, training=training, drop_rng=rng)
+        rng = None if dropout_seed is None else np.random.default_rng([int(dropout_seed), 13])
+        return model.loss_node(tape, indices, labels, drop_rng=rng)
 
     model.store.zero_grads()
     tape = Tape()
@@ -471,8 +384,9 @@ def count_complexity(target):
     layers = spec.n_layers
     cfg = fi_catalog(name)
     pairs = len(spec.grid() or []) if cfg.neighborhood == "grid" else 0
-    t = spec.attention_width
-    mlp = MLPSpec(_st_input_dim(spec, cfg), spec.mlp_hidden).weight_count()
+    t = spec.afm_width or d
+    width = fi_output_width(cfg, n, d, spec.grid())
+    mlp = MLPSpec(width, spec.mlp_hidden).weight_count()
 
     el = d * n * (n - 1) if cfg.field_aware else d * n
     if spec.use_linear:
@@ -498,12 +412,12 @@ def count_complexity(target):
     elif name == "SAM3_E":
         fi = layers * d * d
 
-    if spec.recipe.transform == "none":
+    if spec.row.transform == "none":
         st = 0
     elif name.startswith("SAM3"):
         st = d * n
-    elif spec.recipe.transform == "affine":
-        st = _st_input_dim(spec, cfg)
+    elif spec.row.transform == "affine":
+        st = width
     else:
         st = mlp
 

@@ -527,15 +527,20 @@ _BAD_FLOATS = [
     *(("synth", "--theta", value) for value in ("nan", "inf")),
     *(("train", flag, value) for flag in ("--lr", "--l2", "--dropout") for value in ("nan", "inf", "-1")),
     ("train", "--split", "nan,0.1,0.1"),
+    *(("gradcheck", "--eps", value) for value in ("nan", "inf", "-1", "0")),
+    *((command, "--tol", value) for command in ("gradcheck", "equivalence") for value in ("nan", "inf")),
 ]
 
 
 @pytest.mark.parametrize("command, flag, value", _BAD_FLOATS)
 def test_float_flags_reject_non_finite_and_negative_values(tmp_path, synth_dir, command, flag, value):
-    argv = [command, "--out", tmp_path / "out", f"{flag}={value}"]
-    if command == "train":
-        argv += ["--data", synth_dir, "--model", "LR", "--epochs", 1]
-    proc = run_cli(*argv)
+    argv = {
+        "synth": ["--out", tmp_path / "out"],
+        "train": ["--out", tmp_path / "out", "--data", synth_dir, "--model", "LR", "--epochs", 1],
+        "gradcheck": ["--models", "LR"],
+        "equivalence": ["--checks", "lr-sam1"],
+    }[command]
+    proc = run_cli(command, f"{flag}={value}", *argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
@@ -589,3 +594,20 @@ def test_config_file_values_go_through_each_flags_type(ws, synth_dir, key, value
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert config.name in proc.stderr and repr(key) in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_numpy_is_the_only_dependency_outside_the_standard_library():
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import ctrzoo, ctrzoo.cli\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["ctrzoo", "numpy"]

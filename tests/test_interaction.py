@@ -363,6 +363,14 @@ def test_catalog_unknown_model_rejected():
         fi_catalog("FM2000")
 
 
+def test_unit_similarity_with_a_pair_utility_is_rejected():
+    # the unit similarity mixes nothing across fields, so only per-field utilities apply
+    cfg = replace(fi_catalog("SAM1"), model="SAM1-pairw", utility="scalar_pair")
+    rng = np.random.default_rng(3)
+    with pytest.raises(CatalogError, match="SAM1-pairw"):
+        run_config(cfg, make_fields(rng), make_slots(rng))
+
+
 def test_ordered_pairs_counts():
     assert len(ordered_pairs(3)) == 9
     assert (1, 1) in ordered_pairs(3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctrzoo.errors import ConfigError, DomainError, ShapeError
+from ctrzoo.errors import ConfigError, ShapeError
 from ctrzoo.layers import MLPSpec, add_mlp_slots, combine_fields_nodes, mlp_nodes, sum_nodes
 from ctrzoo.tape import ParameterStore, Tape
 from test_interaction import as_nodes
@@ -137,15 +137,6 @@ def test_mlp_nodes_shape_guard():
         mlp_nodes(tape, spec, store, tape.constant(np.ones((2, 4))))
 
 
-def test_training_dropout_needs_generator():
-    spec = MLPSpec(3, hidden=(4,), dropout=0.5)
-    store = ParameterStore(seed=0)
-    add_mlp_slots(store, spec)
-    tape = Tape()
-    with pytest.raises(DomainError):
-        mlp_nodes(tape, spec, store, tape.constant(np.ones((2, 3))), training=True)
-
-
 def test_eval_mode_ignores_dropout():
     spec = MLPSpec(3, hidden=(4,), dropout=0.5)
     store = ParameterStore(seed=1)
@@ -174,9 +165,7 @@ def test_dropout_keeps_expected_activation_scale():
     acc = np.zeros(3)
     for _ in range(trials):
         tape = Tape()
-        out = mlp_nodes(
-            tape, spec, store, tape.constant(x), training=True, drop_rng=rng
-        )
+        out = mlp_nodes(tape, spec, store, tape.constant(x), drop_rng=rng)
         acc += out.value[0]
     mean = acc / trials
     tape = Tape()

@@ -209,10 +209,36 @@ def test_upper_only_grid_rejects_a_one_field_schema(name):
 
 
 def test_self_product_only_for_elementwise_models():
-    with pytest.raises(ConfigError):
-        build_model(small_spec("FM", self_product=True))
+    # SAM3_E's softmax weights sum to one, so f_i * f_i would leave its key map unread
+    for name in ("FM", "SAM3_E"):
+        with pytest.raises(ConfigError, match=name):
+            small_spec(name, self_product=True)
     model = build_model(small_spec("SAM2_E", self_product=True), seed=0)
     assert model.forward(BATCH).shape == (6,)
+
+
+_SLOT_CASES = [(name, {}) for name in MODEL_NAMES] + [
+    ("SAM2_A", {"sam2_upper_only": True}),
+    ("SAM2_E", {"sam2_upper_only": True}),
+    ("SAM2_E", {"self_product": True}),
+    ("SAM3_A", {"softmax_enabled": False}),
+    ("AutoInt", {"layers": 2}),
+    ("SAM3_E", {"layers": 2}),
+    ("SAM2_E", {"include_linear": True}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, kw", _SLOT_CASES, ids=[name + "".join(f"-{k}={v}" for k, v in kw.items()) for name, kw in _SLOT_CASES]
+)
+def test_every_created_slot_is_read(name, kw):
+    # a slot no forward reads passes a gradient check (0 == 0), so ask for a gradient
+    model = build_model(small_spec(name, **kw), seed=0)
+    indices, labels = random_batch(SCHEMA, 16, seed=4)
+    model.store.zero_grads()
+    tape = Tape()
+    tape.backward(model.loss_node(tape, indices, labels))
+    assert [s for s in model.store.names() if not model.store.grad(s).any()] == []
 
 
 def test_lr_dimension_is_pinned_to_one():
@@ -314,9 +340,9 @@ def test_training_mode_gradients_check_through_dropout(name, dropout_seed):
     indices, labels = random_batch(schema, 8, seed=0)
     # the masks gradient_check draws are live: the loss differs from eval mode
     rng = np.random.default_rng([dropout_seed, 13])
-    dropped = model.loss_node(Tape(), indices, labels, training=True, drop_rng=rng)
+    dropped = model.loss_node(Tape(), indices, labels, drop_rng=rng)
     assert float(dropped.value) != model.loss(indices, labels)
-    err = gradient_check(model, indices, labels, training=True, dropout_seed=dropout_seed)
+    err = gradient_check(model, indices, labels, dropout_seed=dropout_seed)
     assert err < 1e-6
 
 
