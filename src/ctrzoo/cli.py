@@ -13,6 +13,7 @@ failure during training, 5 a verification check exceeded its tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ from .errors import (
     ShapeError,
     TrainingError,
     read_json,
+    write_json,
 )
 from .metrics import evaluate
 from .tape import ParameterStore
@@ -58,8 +60,7 @@ def _write_manifest(out_dir, command, settings, outputs):
         "settings": settings,
         "outputs": sorted(outputs),
     }
-    with open(Path(out_dir) / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    write_json(Path(out_dir) / "manifest.json", payload)
 
 
 def _ensure_dir(path):
@@ -96,20 +97,21 @@ def _load_data_dir(path):
     return schema, dataset
 
 
+def _from_args(cls, args, **given):
+    """A `cls` dataclass from `given`, every other field from the flag dest of its name."""
+    names = (f.name for f in dataclasses.fields(cls) if f.name not in given)
+    return cls(**given, **{name: getattr(args, name) for name in names})
+
+
 def _model_spec_from_args(args, schema):
-    return ModelSpec(
+    return _from_args(
+        ModelSpec,
+        args,
         name=args.model,
         schema=schema,
-        d=args.d,
-        layers=args.layers,
         mlp_hidden=_parse_int_list(args.mlp_hidden),
-        dropout=args.dropout,
-        include_linear=args.include_linear,
-        include_bias=args.include_bias,
         sam2_upper_only=args.upper_only,
         softmax_enabled=not args.no_softmax,
-        self_product=args.self_product,
-        afm_width=args.afm_width,
     )
 
 
@@ -141,24 +143,13 @@ def _add_train_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _train_config_from_args(args):
-    return TrainConfig(
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        l2=args.l2,
-        seed=args.seed,
-        patience=args.patience,
-    )
-
-
 def _fit(schema, dataset, args):
     """Shared split-build-train-evaluate path for train and ablation."""
     ratios = _parse_ratios(args.split)
     split = datamod.split_dataset(dataset, ratios, seed=args.seed)
     spec = _model_spec_from_args(args, schema)
     model = build_model(spec, seed=args.seed)
-    history = train(model, split.train, split.valid, _train_config_from_args(args))
+    history = train(model, split.train, split.valid, _from_args(TrainConfig, args))
     report = evaluate(model.predict(split.test.indices), split.test.labels)
     return spec, model, history, report, ratios
 
@@ -168,18 +159,7 @@ def _fit(schema, dataset, args):
 
 
 def cmd_synth(args):
-    spec = datamod.SyntheticSpec(
-        n_fields=args.fields,
-        categories=args.categories,
-        family=args.family,
-        d_true=args.d_true,
-        linear_scale=args.linear_scale,
-        embed_scale=args.embed_scale,
-        theta=args.theta,
-        noise=args.noise,
-        count=args.count,
-        seed=args.seed,
-    )
+    spec = _from_args(datamod.SyntheticSpec, args, n_fields=args.fields)
     synth = datamod.generate_dcm(spec)
     out = _ensure_dir(args.out)
     datamod.save_schema(synth.schema, out / "schema.json")
@@ -187,9 +167,7 @@ def cmd_synth(args):
     with open(out / "oracle.tsv", "w", encoding="utf-8") as fh:
         for p in synth.probs:
             fh.write(f"{p!r}\n")
-    truth = {"theta": synth.theta, "spec": spec.to_dict()}
-    with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
+    write_json(out / "truth.json", {"theta": synth.theta, "spec": spec.to_dict()})
     _write_manifest(
         out, "synth", spec.to_dict(), ["schema.json", "encoded.tsv", "oracle.tsv", "truth.json"]
     )
@@ -240,15 +218,13 @@ def cmd_train(args):
     history.save_csv(out / "history.csv")
     run_config = {
         "model": spec.to_dict(),
-        "train": _train_config_from_args(args).to_dict(),
+        "train": _from_args(TrainConfig, args).to_dict(),
         "split": {"ratios": list(ratios), "seed": args.seed},
         "data": str(args.data),
     }
-    with open(out / "model.json", "w", encoding="utf-8") as fh:
-        json.dump(run_config, fh, indent=2, sort_keys=True)
+    write_json(out / "model.json", run_config)
     result = {"history": history.summary(), "test": report.to_dict()}
-    with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
+    write_json(out / "metrics.json", result)
     _write_manifest(
         out, "train", run_config, ["params.json", "history.csv", "model.json", "metrics.json"]
     )
@@ -312,6 +288,8 @@ def _check_tol(tol):
 def cmd_gradcheck(args):
     if not (math.isfinite(args.eps) and args.eps > 0):
         raise ConfigError(f"--eps must be a finite step > 0, got {args.eps}")
+    if args.batch < 1:
+        raise ConfigError(f"--batch must be at least 1, got {args.batch}")
     _check_tol(args.tol)
     names = MODEL_NAMES if args.models == "all" else tuple(args.models.split(","))
     schema = datamod.FieldSchema.of_sizes([args.vocab] * args.fields)
@@ -526,7 +504,7 @@ def _config_value(path, action, value):
     return value
 
 
-def _apply_config(parser, parsers, argv):
+def _apply_config(parsers, argv):
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv[1:] if argv and argv[0] in parsers else argv)
@@ -552,8 +530,10 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, parsers = build_parser()
     try:
-        _apply_config(parser, parsers, argv)
+        _apply_config(parsers, argv)
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ probability; the probability itself is kept alongside as the oracle.
 """
 from __future__ import annotations
 
-import json
 import math
 import operator
 from collections import Counter
@@ -22,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, ShapeError, read_json, reading
+from .errors import ConfigError, DataError, DomainError, ShapeError, read_json, reading, write_json
 from .tape import sigmoid
 
 MISSING_INDEX = 0
@@ -78,9 +77,9 @@ class FieldSchema:
         return [f.vocab_size for f in self.fields]
 
     @classmethod
-    def of_sizes(cls, sizes, names=None, kind="categorical"):
+    def of_sizes(cls, sizes, names=None):
         names = names or [f"f{i}" for i in range(len(sizes))]
-        return cls([SchemaField(nm, kind, int(v)) for nm, v in zip(names, sizes)])
+        return cls([SchemaField(nm, "categorical", int(v)) for nm, v in zip(names, sizes)])
 
     def to_dict(self):
         return asdict(self)
@@ -254,8 +253,7 @@ class Vocabulary:
             raise ConfigError(f"malformed vocabulary payload: {exc}") from exc
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path):
@@ -428,7 +426,7 @@ def generate_dcm(spec):
     h = _utility(cats, linear, embed)
     probs = sigmoid((h - theta) / spec.noise)
     labels = (rng.random(spec.count) < probs).astype(np.float64)
-    schema = FieldSchema.of_sizes([v + N_RESERVED] * n, names=[f"f{i}" for i in range(n)])
+    schema = FieldSchema.of_sizes([v + N_RESERVED] * n)
     dataset = Dataset(cats + N_RESERVED, labels)
     truth = {"linear": linear}
     if embed is not None:
@@ -441,8 +439,7 @@ def generate_dcm(spec):
 
 
 def save_schema(schema, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema.to_dict(), fh, sort_keys=True, indent=2)
+    write_json(path, schema.to_dict())
 
 
 def load_schema(path):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the file readers that raise them.
+"""Exception types shared across the package, the file readers that raise them, and the JSON writer.
 
 The CLI maps these onto distinct process exit codes, so keep the hierarchy
 flat and the meanings crisp: configuration problems, data problems, numeric
@@ -76,3 +76,9 @@ def read_json(path, error=DataError):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(f"{path}: not valid JSON: {exc}") from exc
+
+
+def write_json(path, payload):
+    """Write `payload` to `path` as the package's JSON artifacts are written: indented, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)

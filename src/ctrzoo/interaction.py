@@ -5,8 +5,9 @@ through the same two-slot pattern: a similarity S(f_i, f_j) scaling a
 utility U(f_i, f_j), summed over a neighborhood of fields. Choosing S, U,
 and the neighborhood reproduces the classical architectures. A model's
 `fi_catalog` row holds those choices, how the zoo turns the FI output into
-a logit (aggregation, transform, layers) and its extras (first-order
-table, bias); `add_fi_slots` creates the weights a row reads, and
+a logit (aggregation, transform, layers, residual maps) and its extras
+(first-order table, bias); `ModelSpec.fi_config` folds the spec's FI
+switches into it. `add_fi_slots` creates the weights a row reads, and
 `fi_forward` evaluates the row on a tape.
 
 Conventions: "others" neighborhoods sum over ordered pairs j != i, so
@@ -16,15 +17,16 @@ work per pair, FFM's field-aware inner product and AFM's attention
 network, is computed once per pair i < j and mirrored onto (j, i).
 Softmax-normalized similarities renormalize per target field;
 attention-pooled ones (AFM) renormalize jointly over all ordered pairs.
-Grid configurations (SAM2) weigh one vector per listed pair, i == j
-included in the full grid, and are only ever read through the affine head
-that follows them, so `fi_forward` returns the grid already contracted
-with the head weights and never forms a vector per pair.
+Grid configurations (SAM2) weigh one vector per ordered pair, i == j
+included (per pair i < j with `upper_only`), and are only ever read through
+the affine head that follows them, so `fi_forward` returns the grid already
+contracted with the head weights and never forms a vector per pair.
 
 `fi_forward` evaluates a row on the whole (B, n, d) field tensor: the
 similarity is one (B, n, n) matrix, each neighborhood a constant (n, n)
 mask, and the utility one contraction with the weights, so the tape
-records a fixed number of nodes whatever n is.
+records a fixed number of nodes whatever n is. A `residual` row adds a
+linear map of the layer's input to the utility.
 """
 from __future__ import annotations
 
@@ -41,7 +43,9 @@ from .errors import CatalogError, ConfigError, ContractError, DomainError, Shape
 
 @dataclass(frozen=True)
 class FIConfig:
-    """One catalog row: a model's FI choices, how its output becomes a logit, and its extras."""
+    """One catalog row: a model's FI choices, how its output becomes a logit, and its extras.
+
+    `ModelSpec.fi_config` sets the spec's switches, which the catalog leaves at their defaults."""
 
     model: str
     similarity: str
@@ -53,9 +57,11 @@ class FIConfig:
     pair_softmax: bool = False
     field_aware: bool = False
     self_product: bool = False  # the grid hadamard reads f_i * f_i instead of f_i * f_j
+    upper_only: bool = False  # a grid reads the pairs i < j only
+    attention_width: int | None = None  # AFM's attention network width; None is d
     halve_pairs: bool = False  # the sum over ordered pairs is halved back to i < j
     layered: bool = False  # one FI layer per `ModelSpec.layers`
-    residual: bool = False  # each layer adds a linear map of its input
+    residual: bool = False  # each layer adds a linear map of its input, slot `res`
     linear_default: bool = False  # first-order table unless the spec says otherwise
     bias_default: bool = False  # global bias unless the spec says otherwise
     d_fixed: int | None = None  # embedding width, whatever the spec asks
@@ -99,10 +105,9 @@ def fi_catalog(name):
         raise CatalogError(f"unknown model {name!r}; catalog has: {known}") from None
 
 
-def ordered_pairs(n, upper_only=False):
-    if upper_only:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [(i, j) for i in range(n) for j in range(n)]
+def grid_size(cfg, n):
+    """The pairs a grid reads on n fields: all n*n ordered ones, or the n(n-1)/2 with i < j."""
+    return n * (n - 1) // 2 if cfg.upper_only else n * n
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +154,11 @@ def _field_pairs(n):
 
 
 @lru_cache(maxsize=None)
-def _grid_placement(pairs, n):
-    """(n*n, P) one-hot map putting listed pair p = (i, j) at grid entry i*n + j."""
-    place = np.zeros((n * n, len(pairs)))
-    for p, (i, j) in enumerate(pairs):
-        place[i * n + j, p] = 1.0
+def _grid_placement(n, upper_only):
+    """(n*n, P) one-hot map putting grid pair p = (i, j), in row-major order, at entry i*n + j."""
+    first, second = np.triu_indices(n, 1) if upper_only else np.indices((n, n)).reshape(2, -1)
+    place = np.zeros((n * n, len(first)))
+    place[first * n + second, np.arange(len(first))] = 1.0
     return _frozen(place)
 
 
@@ -169,7 +174,7 @@ def _fields_of_pairs(m):
 # forward evaluation
 
 
-def fi_forward(tape, cfg, fields, store, *, prefix="fi.", grid_pairs=None, head=None):
+def fi_forward(tape, cfg, fields, store, *, prefix="fi.", head=None):
     """Evaluate one FI layer on a whole batch: sum_j N_ij S(f_i, f_j) U(f_i, f_j).
 
     `fields` is one stacked (B, n, d) node of field embeddings or, for
@@ -180,12 +185,13 @@ def fi_forward(tape, cfg, fields, store, *, prefix="fi.", grid_pairs=None, head=
     (B, n, n) matrix, the neighborhood N a constant (n, n) mask, the
     optional softmax runs per target field (or jointly over every pair for
     `pair_softmax`), and the utility is contracted against the weights.
-    The weights are the `store` slots named `prefix` + their role, bound
+    A `residual` row then adds `res` @ f_i to each field's output. The
+    weights are the `store` slots named `prefix` + their role, bound
     through `tape.parameter`.
 
     Returns (B, n, d) for per-field vector utilities and (B, n) for scalar
     utilities. A grid config returns its logit contribution (B,): the sum
-    over the pairs p = (i, j) in `grid_pairs` (default all ordered pairs) of
+    over its P = `grid_size(cfg, n)` pairs p = (i, j), in row-major order, of
     w_p . S(f_i, f_j) U(f_i, f_j), where `head` names the (P*d, 1) slot of
     the affine head that reads the grid, row p*d + k weighing coordinate k
     of pair p; the `pairvec` slot of a vector-pair grid has one row per pair.
@@ -208,7 +214,7 @@ def fi_forward(tape, cfg, fields, store, *, prefix="fi.", grid_pairs=None, head=
     if cfg.neighborhood == "grid":
         if head is None:
             raise ContractError(f"{cfg.model}: a grid is read through its head weights")
-        return _grid(tape, cfg, fields, param, grid_pairs, tape.parameter(store, head))
+        return _grid(tape, cfg, fields, param, tape.parameter(store, head))
 
     mask = _neighborhood_mask(cfg.neighborhood, n)
     scores = _similarity(tape, cfg, fields, param)
@@ -224,7 +230,8 @@ def fi_forward(tape, cfg, fields, store, *, prefix="fi.", grid_pairs=None, head=
         weights = scores
     else:
         weights = tape.mul(scores, tape.constant(mask))
-    return _utility(tape, cfg, fields, weights, param)
+    out = _utility(tape, cfg, fields, weights, param)
+    return tape.add(out, tape.linear_map(param("res"), fields)) if cfg.residual else out
 
 
 def _spread_pairs(tape, values, n):
@@ -233,11 +240,12 @@ def _spread_pairs(tape, values, n):
     return tape.reshape(tape.matmul(values, spread), (values.value.shape[0], n, n))
 
 
-def add_fi_slots(store, cfg, prefix, n, d, grid_pairs=None, attention_width=None):
+def add_fi_slots(store, cfg, prefix, n, d):
     """Create under `prefix` the weights `fi_forward` reads for `cfg` on n fields of width d.
 
-    `grid_pairs` lists the pairs a grid reads (default all ordered pairs);
-    `attention_width` sizes AFM's attention network (default d).
+    A grid's `pairvec` has `grid_size(cfg, n)` rows, AFM's attention network
+    `cfg.attention_width` (default d), and a residual row's zero (d, d) map
+    `res` comes last.
     """
     if cfg.similarity == "proj_k":
         store.add_xavier(prefix + "k", (d, d), fans=(d, d))
@@ -245,7 +253,7 @@ def add_fi_slots(store, cfg, prefix, n, d, grid_pairs=None, attention_width=None
         store.add_xavier(prefix + "q", (d, d), fans=(d, d))
         store.add_xavier(prefix + "k", (d, d), fans=(d, d))
     elif cfg.similarity == "afm":
-        t = attention_width or d
+        t = cfg.attention_width or d
         store.add_xavier(prefix + "attn_w", (t, d), fans=(d, t))
         store.add_xavier(prefix + "attn_h", (t,), fans=(t, 1))
         store.add_zeros(prefix + "attn_b", (t,))
@@ -262,22 +270,24 @@ def add_fi_slots(store, cfg, prefix, n, d, grid_pairs=None, attention_width=None
         store.add_xavier(prefix + "theta", (n, d), fans=(n, d))
     elif util == "vector_pair":
         # one vector per grid pair, or per ordered pair for attention
-        pairs = n * n if grid_pairs is None else len(grid_pairs)
+        pairs = grid_size(cfg, n) if cfg.neighborhood == "grid" else n * n
         store.add_xavier(prefix + "pairvec", (pairs, d), fans=(pairs, d))
     elif util == "linear_map":
         store.add_xavier(prefix + "v", (d, d), fans=(d, d))
     elif util == "projected_inner":
         store.add_xavier(prefix + "proj_p", (d,), fans=(d, 1))
+    if cfg.residual:
+        store.add_zeros(prefix + "res", (d, d))
 
 
-def fi_output_width(cfg, n, d, grid_pairs=None):
+def fi_output_width(cfg, n, d):
     """Entries per record the transform reads from the FI output: d after a
     field combination, P*d for a grid of P pairs (the rows of its head), and
     else n for scalar utilities and n*d for vector ones."""
     if cfg.aggregation == "field_combination":
         return d
     if cfg.neighborhood == "grid":
-        return (n * n if grid_pairs is None else len(grid_pairs)) * d
+        return grid_size(cfg, n) * d
     scalar = cfg.utility in ("one", "scalar_pair", "scalar_pair_sym", "scalar_inner", "projected_inner")
     return n if scalar else n * d
 
@@ -373,22 +383,22 @@ def _utility(tape, cfg, E, W, param):
     raise CatalogError(f"unknown utility kind {kind!r}")
 
 
-def _grid(tape, cfg, E, param, grid_pairs, head):
-    """sum_p w_p . S(f_i, f_j) U(f_i, f_j) over the listed pairs p = (i, j), as (B,).
+def _grid(tape, cfg, E, param, head):
+    """sum_p w_p . S(f_i, f_j) U(f_i, f_j) over the grid pairs p = (i, j), as (B,).
 
     The head rows (and pair vectors) are placed on the (n, n) grid, zero at
-    unlisted pairs, so full and partial pair lists share one path and no
-    per-pair vector is ever formed.
+    the pairs it leaves out, so the full and the upper-only grid share one
+    path and no per-pair vector is ever formed.
     """
     B, n, d = E.value.shape
-    pairs = tuple(ordered_pairs(n) if grid_pairs is None else grid_pairs)
-    if head.value.shape != (len(pairs) * d, 1):
-        raise ShapeError(f"{cfg.model}: head weights {head.value.shape} do not read {len(pairs)} pairs of {d}")
+    pairs = grid_size(cfg, n)
+    if head.value.shape != (pairs * d, 1):
+        raise ShapeError(f"{cfg.model}: head weights {head.value.shape} do not read {pairs} pairs of {d}")
     scores = _similarity(tape, cfg, E, param)
     if scores is None:
         raise CatalogError(f"{cfg.model}: a grid needs a similarity")
-    place = tape.constant(_grid_placement(pairs, n))
-    w = tape.reshape(head, (len(pairs), d))
+    place = tape.constant(_grid_placement(n, cfg.upper_only))
+    w = tape.reshape(head, (pairs, d))
     if cfg.utility == "hadamard":
         weights = tape.reshape(tape.matmul(place, w), (n, n, d))
         # sum_k w_ijk f_ik f_jk for every pair; the self product reads f_i twice

@@ -54,25 +54,20 @@ class MLPSpec:
     def depth(self):
         return len(self.hidden) + 1
 
-    def weight_count(self, include_bias=False):
-        ws = self.widths
-        total = sum(a * b for a, b in zip(ws[:-1], ws[1:]))
-        if include_bias:
-            total += sum(ws[1:])
-        return total
+    def weight_count(self):
+        return sum(a * b for a, b in zip(self.widths, self.widths[1:]))
 
 
-def add_mlp_slots(store, spec, prefix="st."):
-    ws = spec.widths
-    for k, (a, b) in enumerate(zip(ws[:-1], ws[1:])):
-        store.add_xavier(f"{prefix}l{k}.w", (a, b), fans=(a, b))
-        store.add_zeros(f"{prefix}l{k}.b", (b,))
+def add_mlp_slots(store, spec):
+    for k, (a, b) in enumerate(zip(spec.widths, spec.widths[1:])):
+        store.add_xavier(f"st.l{k}.w", (a, b), fans=(a, b))
+        store.add_zeros(f"st.l{k}.b", (b,))
 
 
-def mlp_nodes(tape, spec, store, x, *, prefix="st.", drop_rng=None):
+def mlp_nodes(tape, spec, store, x, *, drop_rng=None):
     """Run the stack on a (B, input_dim) node; returns (B, out_dim).
 
-    The weights are the `store` slots under `prefix`, as `add_mlp_slots` names them.
+    The weights are the `store` slots `st.l{k}.w` and `st.l{k}.b` that `add_mlp_slots` creates.
     Given a `drop_rng`, dropout follows each hidden ReLU; without one, none does.
     """
     if x.value.ndim != 2 or x.value.shape[1] != spec.input_dim:
@@ -83,6 +78,6 @@ def mlp_nodes(tape, spec, store, x, *, prefix="st.", drop_rng=None):
             h = tape.relu(h)
             if drop_rng is not None and spec.dropout > 0.0:
                 h = tape.dropout(h, spec.dropout, drop_rng)
-        w, b = tape.parameter(store, f"{prefix}l{k}.w"), tape.parameter(store, f"{prefix}l{k}.b")
+        w, b = tape.parameter(store, f"st.l{k}.w"), tape.parameter(store, f"st.l{k}.b")
         h = tape.add(tape.matmul(h, w), b)
     return h

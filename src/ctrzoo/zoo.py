@@ -1,11 +1,12 @@
 """The model zoo: build any cataloged model and run its forward pass.
 
-A model is its `fi_catalog` row made concrete: embedding tables, the FI
-layers (their slots from `add_fi_slots`), an aggregation and a transform
-stack, with two optional extras shared across the zoo: a first-order table
-(d=1 embeddings summed into the logit) and a global bias. The row sets the
-defaults: LR and FM carry the extras, matching their classical
-definitions, and the attention-style models leave them off.
+A model is its `fi_catalog` row, with the spec's FI switches folded in by
+`ModelSpec.fi_config`, made concrete: embedding tables, the FI layers
+(their slots, residual maps included, from `add_fi_slots`), an aggregation
+and a transform stack, with two optional extras shared across the zoo: a
+first-order table (d=1 embeddings summed into the logit) and a global
+bias. The row sets the defaults: LR and FM carry the extras, matching
+their classical definitions, and the attention-style models leave them off.
 
 "Others"-neighborhood models with a symmetric similarity (FM, FFM, FwFM)
 sum every unordered pair twice, so their aggregated output is halved to
@@ -25,7 +26,7 @@ import numpy as np
 from . import embedding
 from .data import FieldSchema
 from .errors import ConfigError, ContractError, ShapeError
-from .interaction import MODEL_NAMES, add_fi_slots, fi_catalog, fi_forward, fi_output_width, ordered_pairs
+from .interaction import MODEL_NAMES, add_fi_slots, fi_catalog, fi_forward, fi_output_width, grid_size
 from .layers import MLPSpec, add_mlp_slots, combine_fields_nodes, mlp_nodes, sum_nodes
 from .tape import ParameterStore, Tape, finite_diff_check, sigmoid
 
@@ -65,7 +66,7 @@ class ModelSpec:
     afm_width: int | None = None
 
     def __post_init__(self):
-        self.fi_config()  # rejects unknown names, and a self product outside the SAM2_E grid
+        cfg = self.fi_config()  # rejects unknown names, and a self product outside the SAM2_E grid
         if self.d < 1:
             raise ConfigError(f"embedding dimension must be positive, got {self.d}")
         if self.layers < 1:
@@ -79,16 +80,14 @@ class ModelSpec:
             raise ConfigError(f"attention width must be positive, got {self.afm_width}")
         if self.name == "LR" and self.include_linear:
             raise ConfigError("LR is the first-order model; include_linear does not apply")
-        if self.row.neighborhood == "others" and self.n < 2:
+        if cfg.neighborhood == "others" and self.n < 2:
             raise ConfigError(f"{self.name} sums over pairs of fields and needs at least two, got {self.n}")
-        if self.sam2_upper_only and self.grid() == []:
-            raise ConfigError(
-                f"{self.name} with sam2_upper_only reads the pairs i < j and needs at least two fields, got {self.n}"
-            )
+        if cfg.upper_only and self.n < 2:
+            raise ConfigError(f"{self.name} with sam2_upper_only needs two fields for a pair i < j, got {self.n}")
 
     @property
     def row(self):
-        """The model's catalog row, before the softmax and self-product switches."""
+        """The model's catalog row, before `fi_config` folds in the spec's switches."""
         return fi_catalog(self.name)
 
     @property
@@ -118,17 +117,16 @@ class ModelSpec:
         return float(self.dropout)
 
     def fi_config(self):
+        """The catalog row with the spec's FI switches folded in; `upper_only` is set on grid rows only."""
         row = self.row
-        return replace(row, self_product=self.self_product, softmax=row.softmax and self.softmax_enabled)
+        softmax = row.softmax and self.softmax_enabled
+        upper_only = self.sam2_upper_only and row.neighborhood == "grid"
+        return replace(row, softmax=softmax, self_product=self.self_product,
+                       upper_only=upper_only, attention_width=self.afm_width)
 
     @property
     def n_layers(self):
         return self.layers if self.row.layered else 1
-
-    def grid(self):
-        if self.row.neighborhood != "grid":
-            return None
-        return ordered_pairs(self.n, upper_only=self.sam2_upper_only)
 
     def to_dict(self):
         return {**asdict(self), "mlp_hidden": list(self.mlp_hidden)}
@@ -177,13 +175,11 @@ def build_model(spec, seed=0):
     if spec.use_bias:
         store.add_zeros("bias", ())
     for prefix in _layer_prefixes(spec):
-        add_fi_slots(store, cfg, prefix, spec.n, spec.dim, grid_pairs=spec.grid(), attention_width=spec.afm_width)
-        if cfg.residual:
-            store.add_zeros(prefix + "res", (spec.dim, spec.dim))
+        add_fi_slots(store, cfg, prefix, spec.n, spec.dim)
     if cfg.aggregation == "field_combination":
         store.add_value("al.w", np.full(spec.n, 1.0 / spec.n))
     if model.st_spec is not None:
-        add_mlp_slots(store, model.st_spec, prefix="st.")
+        add_mlp_slots(store, model.st_spec)
     return model
 
 
@@ -202,7 +198,7 @@ class Model:
         self.st_spec = None
         if self.cfg.transform != "none":
             hidden = spec.mlp_hidden if self.cfg.transform == "mlp" else ()
-            width = fi_output_width(self.cfg, spec.n, spec.dim, spec.grid())
+            width = fi_output_width(self.cfg, spec.n, spec.dim)
             self.st_spec = MLPSpec(width, hidden, 1, dropout=spec.drop_rate)
 
     @property
@@ -227,12 +223,7 @@ class Model:
         lookup = embedding.lookup_field_aware if self.cfg.field_aware else embedding.lookup_fields
         g = lookup(tape, self.store, indices)
         for prefix in _layer_prefixes(self.spec):
-            z = fi_forward(
-                tape, self.cfg, g, self.store, prefix=prefix, grid_pairs=self.spec.grid(), head="st.l0.w"
-            )
-            if self.cfg.residual:
-                z = tape.add(z, tape.linear_map(tape.parameter(self.store, prefix + "res"), g))
-            g = z
+            g = fi_forward(tape, self.cfg, g, self.store, prefix=prefix, head="st.l0.w")
         return g
 
     def logit_node(self, tape, indices, drop_rng=None):
@@ -255,7 +246,7 @@ class Model:
             else:
                 # concat: field-major rows with d innermost, as the st.* head reads them
                 x = tape.reshape(z, (len(indices), int(np.prod(z.value.shape[1:]))))
-            logit = mlp_nodes(tape, self.st_spec, self.store, x, prefix="st.", drop_rng=drop_rng)
+            logit = mlp_nodes(tape, self.st_spec, self.store, x, drop_rng=drop_rng)
             core = tape.reshape(logit, (len(indices),))
 
         if self.spec.use_linear:
@@ -382,10 +373,10 @@ def count_complexity(target):
         raise ContractError("count_complexity takes a Model or ModelSpec")
     name, n, d = spec.name, spec.n, spec.dim
     layers = spec.n_layers
-    cfg = fi_catalog(name)
-    pairs = len(spec.grid() or []) if cfg.neighborhood == "grid" else 0
-    t = spec.afm_width or d
-    width = fi_output_width(cfg, n, d, spec.grid())
+    cfg = spec.fi_config()
+    pairs = grid_size(cfg, n)
+    t = cfg.attention_width or d
+    width = fi_output_width(cfg, n, d)
     mlp = MLPSpec(width, spec.mlp_hidden).weight_count()
 
     el = d * n * (n - 1) if cfg.field_aware else d * n
@@ -412,11 +403,11 @@ def count_complexity(target):
     elif name == "SAM3_E":
         fi = layers * d * d
 
-    if spec.row.transform == "none":
+    if cfg.transform == "none":
         st = 0
     elif name.startswith("SAM3"):
         st = d * n
-    elif spec.row.transform == "affine":
+    elif cfg.transform == "affine":
         st = width
     else:
         st = mlp

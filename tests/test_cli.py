@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface.
 
-Every test drives the installed entry point in a subprocess, so exit
-codes, stdout contracts, and written artifacts are checked exactly as a
-shell user would see them.
+Almost every test drives the installed entry point in a subprocess, so
+exit codes, stdout contracts, and written artifacts are checked exactly as
+a shell user would see them; the spec-builder guard calls `cli.main` in
+process to watch which flags each spec is built from.
 """
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -15,6 +17,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from ctrzoo import cli
 
 
 def run_cli(*argv):
@@ -529,14 +533,20 @@ _BAD_FLOATS = [
     ("train", "--split", "nan,0.1,0.1"),
     *(("gradcheck", "--eps", value) for value in ("nan", "inf", "-1", "0")),
     *((command, "--tol", value) for command in ("gradcheck", "equivalence") for value in ("nan", "inf")),
+    *(("gradcheck", "--batch", value) for value in ("0", "-1")),
+    *((command, "--seed", "-1") for command in ("synth", "prepare", "train", "gradcheck", "equivalence", "ablation")),
 ]
 
 
 @pytest.mark.parametrize("command, flag, value", _BAD_FLOATS)
 def test_float_flags_reject_non_finite_and_negative_values(tmp_path, synth_dir, command, flag, value):
+    (tmp_path / "raw.tsv").write_text("1\ta\n0\tb\n")
+    (tmp_path / "fields.json").write_text(json.dumps({"fields": [{"name": "x"}]}))
     argv = {
         "synth": ["--out", tmp_path / "out"],
+        "prepare": ["--out", tmp_path / "out", "--raw", tmp_path / "raw.tsv", "--fields", tmp_path / "fields.json"],
         "train": ["--out", tmp_path / "out", "--data", synth_dir, "--model", "LR", "--epochs", 1],
+        "ablation": ["--out", tmp_path / "out", "--data", synth_dir, "--model", "LR", "--epochs", 1],
         "gradcheck": ["--models", "LR"],
         "equivalence": ["--checks", "lr-sam1"],
     }[command]
@@ -562,6 +572,16 @@ def test_config_file_supplies_defaults_and_flags_override(ws):
     proc = run_cli("synth", "--config", config, "--out", out2, "--count", 30)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["records"] == 30
+
+
+@pytest.mark.parametrize("command", ["synth", "gradcheck"])
+def test_config_file_negative_seed_is_a_configuration_error(tmp_path, command):
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": -1}))
+    argv = ["--out", tmp_path / "out"] if command == "synth" else ["--models", "LR"]
+    proc = run_cli(command, "--config", config, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_config_file_rejects_unknown_settings(ws):
@@ -594,6 +614,30 @@ def test_config_file_values_go_through_each_flags_type(ws, synth_dir, key, value
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert config.name in proc.stderr and repr(key) in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "ablation"])
+def test_every_spec_field_read_from_flags_has_a_flag(tmp_path, synth_dir, monkeypatch, command):
+    # a new SyntheticSpec, TrainConfig or ModelSpec field without a flag fails here, not at run time
+    _, parsers = cli.build_parser()
+    dests = {action.dest for action in parsers[command]._actions}
+    built = set()
+    from_args = cli._from_args
+
+    def checked(cls, args, **given):
+        missing = [f.name for f in dataclasses.fields(cls) if f.name not in given and f.name not in dests]
+        assert not missing, f"{command}: {cls.__name__} fields without a flag: {missing}"
+        built.add(cls.__name__)
+        return from_args(cls, args, **given)
+
+    monkeypatch.setattr(cli, "_from_args", checked)
+    argv = {
+        "synth": ["--count", 20, "--fields", 2],
+        "train": ["--data", synth_dir, "--model", "LR", "--epochs", 1],
+        "ablation": ["--data", synth_dir, "--model", "LR", "--epochs", 1, "--layers-list", 1],
+    }[command]
+    assert cli.main([command, "--out", str(tmp_path / "out"), *map(str, argv)]) == 0
+    assert built == ({"SyntheticSpec"} if command == "synth" else {"TrainConfig", "ModelSpec"})
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ctrzoo.errors import CatalogError, ContractError, DomainError
-from ctrzoo.interaction import MODEL_NAMES, fi_catalog, fi_forward, ordered_pairs
+from ctrzoo.interaction import MODEL_NAMES, fi_catalog, fi_forward, grid_size
 from ctrzoo.tape import ParameterStore, Tape
 
 N, B, D = 4, 3, 4
@@ -62,17 +62,18 @@ def make_slots(rng, n=N, d=D):
     store.add_value("fi.pairvec", rng.normal(size=(n * n, d)))
     store.add_value("fi.proj_p", rng.normal(size=(d,)))
     store.add_value("head", rng.normal(size=(n * n * d, 1)))
+    store.add_value("fi.res", np.zeros((d, d)))
     return store
 
 
-def grid_entries(cfg, f, store, grid_pairs=None):
+def grid_entries(cfg, f, store):
     """The grid of a SAM2 config, one (B, d) entry per pair.
 
     fi_forward returns the grid contracted with the head weights, so entry
     (p, k) is its output under a head that is one-hot at row p*d + k.
     """
     n, b, d = np.shape(f)
-    pairs = n * n if grid_pairs is None else len(grid_pairs)
+    pairs = grid_size(cfg, n)
     with_head = ParameterStore()
     for name in store.names():
         if name != "head":
@@ -84,17 +85,17 @@ def grid_entries(cfg, f, store, grid_pairs=None):
         head[row, 0] = 1.0
         tape = Tape()
         columns.append(
-            fi_forward(tape, cfg, as_nodes(tape, f), with_head, grid_pairs=grid_pairs, head="head").value
+            fi_forward(tape, cfg, as_nodes(tape, f), with_head, head="head").value
         )
     return list(np.stack(columns, axis=1).reshape(b, pairs, d).transpose(1, 0, 2))
 
 
-def run_config(cfg, f, store, aware=None, grid_pairs=None):
+def run_config(cfg, f, store, aware=None):
     if cfg.neighborhood == "grid":
-        return grid_entries(cfg, f, store, grid_pairs)
+        return grid_entries(cfg, f, store)
     tape = Tape()
     fields = as_aware_node(tape, aware) if aware is not None else as_nodes(tape, f)
-    out = fi_forward(tape, cfg, fields, store, grid_pairs=grid_pairs)
+    out = fi_forward(tape, cfg, fields, store)
     return per_entry(out)
 
 
@@ -371,12 +372,6 @@ def test_unit_similarity_with_a_pair_utility_is_rejected():
         run_config(cfg, make_fields(rng), make_slots(rng))
 
 
-def test_ordered_pairs_counts():
-    assert len(ordered_pairs(3)) == 9
-    assert (1, 1) in ordered_pairs(3)
-    assert ordered_pairs(3, upper_only=True) == [(0, 1), (0, 2), (1, 2)]
-
-
 # ---------------------------------------------------------------------------
 # full-layer evaluation against the oracles
 
@@ -466,7 +461,7 @@ def test_softmax_similarity_weights_sum_to_one_per_field():
     rng = np.random.default_rng(17)
     f = make_fields(rng)
     store = make_slots(rng)
-    cfg = replace(fi_catalog("SAM3_A"), utility="one")
+    cfg = replace(fi_catalog("SAM3_A"), utility="one", residual=False)
     got = run_config(cfg, f, store)
     for z in got:
         np.testing.assert_allclose(z, np.ones(B), rtol=0, atol=1e-12)
@@ -496,11 +491,11 @@ def test_self_product_reads_the_target_field_twice():
 def test_grid_respects_explicit_pair_list():
     rng = np.random.default_rng(29)
     f = make_fields(rng)
-    pairs = ordered_pairs(N, upper_only=True)
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
     # the pair vectors hold one row per listed pair, as the model sizes them
     store = ParameterStore()
     store.add_value("fi.pairvec", make_slots(rng).value("fi.pairvec")[: len(pairs)])
-    got = run_config(fi_catalog("SAM2_A"), f, store, grid_pairs=pairs)
+    got = run_config(replace(fi_catalog("SAM2_A"), upper_only=True), f, store)
     assert len(got) == N * (N - 1) // 2
     vecs = store.value("fi.pairvec")
     for pos, (i, j) in enumerate(pairs):
@@ -521,6 +516,20 @@ def test_softmax_disabled_gives_raw_score_sums():
             for j in range(N)
         )
         np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["SAM3_A", "SAM3_E"])
+def test_residual_map_adds_a_linear_map_of_each_field(name):
+    rng = np.random.default_rng(41)
+    f = make_fields(rng)
+    store = make_slots(rng)
+    store.set_value("fi.res", rng.normal(size=(D, D)))
+    got = run_config(fi_catalog(name), f, store)
+    params = {name_: store.value(name_) for name_ in store.names()}
+    want = ORACLES[name](f, params)
+    assert len(got) == len(want) == N
+    for i in range(N):
+        np.testing.assert_allclose(got[i], want[i] + f[i] @ params["fi.res"].T, rtol=0, atol=1e-12)
 
 
 def test_field_aware_config_requires_aware_embeddings():

@@ -68,7 +68,6 @@ def test_mlp_spec_widths_and_depth():
     assert spec.widths == (6, 8, 4, 2)
     assert spec.depth == 3
     assert spec.weight_count() == 6 * 8 + 8 * 4 + 4 * 2
-    assert spec.weight_count(include_bias=True) == spec.weight_count() + 8 + 4 + 2
 
 
 def test_mlp_spec_validation():

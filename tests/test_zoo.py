@@ -7,7 +7,7 @@ import pytest
 
 from ctrzoo.data import FieldSchema
 from ctrzoo.errors import CatalogError, ConfigError, DomainError
-from ctrzoo.interaction import MODEL_NAMES
+from ctrzoo.interaction import MODEL_NAMES, grid_size
 from ctrzoo.tape import Tape
 from ctrzoo.zoo import (
     ComplexityReport,
@@ -113,7 +113,7 @@ def test_pair_models_hold_no_per_pair_vectors_beyond_the_pairs_i_below_j(name, u
     tape = Tape()
     model.loss_node(tape, indices, labels)
     shapes = {node.value.shape for node in tape._nodes}
-    pairs = len(model.spec.grid() or [])
+    pairs = grid_size(model.cfg, n)
     assert (b, n, n, d) not in shapes
     if name.startswith("SAM2"):
         assert not {(b, pairs, d), (b, pairs * d)} & shapes
