@@ -313,6 +313,7 @@ def split_dataset(dataset, ratios=(0.8, 0.1, 0.1), seed=0):
 
     Split sizes are cumulative floors of the ratios, so each is within one
     record of the exact proportion and the three parts partition the input.
+    A part that would be empty raises DataError naming it.
     """
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
@@ -320,12 +321,13 @@ def split_dataset(dataset, ratios=(0.8, 0.1, 0.1), seed=0):
     if not abs(sum(ratios) - 1.0) <= 1e-9:  # NaN fails this too
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
     n = len(dataset)
-    if n < 3:
-        raise DataError(f"cannot split {n} records three ways")
-    rng = np.random.default_rng([int(seed), 5])
-    perm = rng.permutation(n)
     cut1 = int(math.floor(ratios[0] * n))
     cut2 = int(math.floor((ratios[0] + ratios[1]) * n))
+    sizes = {"train": cut1, "valid": cut2 - cut1, "test": n - cut2}
+    empty = [part for part, size in sizes.items() if not size]
+    if empty:
+        raise DataError(f"splitting {n} records by {ratios} leaves these parts empty: {', '.join(empty)}")
+    perm = np.random.default_rng([int(seed), 5]).permutation(n)
     return DatasetSplit(
         train=dataset.subset(perm[:cut1]),
         valid=dataset.subset(perm[cut1:cut2]),

@@ -46,8 +46,7 @@ def auc(scores, labels):
     ranks = np.empty(scores.size, dtype=np.float64)
     # boundaries of runs of equal score; each run shares the average rank
     bounds = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1], True])
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        ranks[order[a:b]] = 0.5 * (a + 1 + b)
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + 1 + bounds[1:]), np.diff(bounds))
     rank_sum = float(ranks[labels == 1.0].sum())
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 

@@ -16,10 +16,10 @@ so it contracts several operands without forming their product. `logloss`
 is the training loss as one node: sigmoid, clamp and mean log-loss fused,
 with a hand-written backward.
 
-Every `ParameterStore` slot has a gradient buffer, and the buffers are
-accumulation-only: `backward` adds into them and never clears them, so
-calling it twice without `zero_grads` doubles every buffer exactly. That
-property is what the finite-difference checker and the optimizer rely on.
+A `ParameterStore` keeps its slots in one flat `values` and one flat `grads`
+buffer. Gradients are accumulation-only: `backward` adds into them and never
+clears them, so calling it twice without `zero_grads` doubles every gradient
+exactly, which the finite-difference checker and the optimizer rely on.
 """
 from __future__ import annotations
 
@@ -78,38 +78,48 @@ def xavier_uniform(rng, shape, fan_in, fan_out):
 
 
 class _Slot:
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "span", "shape", "value", "grad")
 
-    def __init__(self, name, value):
-        self.name = name
-        self.value = value
-        self.grad = np.zeros_like(value)
+    def __init__(self, name, span, shape):
+        self.name, self.span, self.shape = name, span, shape
 
 
 class ParameterStore:
-    """Named float64 parameter slots, each with a gradient buffer of its shape.
+    """Named float64 parameter slots laid out in two flat buffers.
 
-    Slots are created once (duplicate names are an error) and iterate in
-    insertion order, which keeps initialization, regularization, and
-    optimizer updates bit-reproducible for a given seed. Every slot is
-    trained.
+    Slots are created once (duplicate names are an error) and are all
+    trained. `values` and `grads` hold their entries in creation order and
+    a slot's `value` and `grad` are views into them. The buffers grow
+    geometrically as slots are added, so a view taken before an `add_*` call
+    may be stale after it.
     """
 
     def __init__(self, seed=0):
         self.seed = seed
         self.rng = np.random.default_rng([int(seed), 3])
         self._slots: dict[str, _Slot] = {}
+        self._buffer = np.zeros((2, 0))  # values, then gradients; spare columns at the end
+        self.values, self.grads = self._buffer
 
     # -- creation ----------------------------------------------------------
 
     def add_value(self, name, value):
         if name in self._slots:
             raise ContractError(f"duplicate parameter slot {name!r}")
-        value = np.array(value, dtype=np.float64)
+        value = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(value)):
             raise NumericError(f"non-finite initial value for slot {name!r}")
-        slot = _Slot(name, value)
-        self._slots[name] = slot
+        start, end = self.values.size, self.values.size + value.size
+        slot = self._slots[name] = _Slot(name, slice(start, end), value.shape)
+        moved = end > self._buffer.shape[1]
+        if moved:  # grow geometrically, and re-bind every view
+            old, self._buffer = self._buffer, np.zeros((2, max(end, 2 * self._buffer.shape[1])))
+            self._buffer[:, :start] = old[:, :start]
+        values, grads = self._buffer[0], self._buffer[1]
+        for s in self._slots.values() if moved else [slot]:
+            s.value, s.grad = values[s.span].reshape(s.shape), grads[s.span].reshape(s.shape)
+        self.values, self.grads = values[:end], grads[:end]
+        slot.value[...] = value
         return slot.value
 
     def add_zeros(self, name, shape):
@@ -141,10 +151,8 @@ class ParameterStore:
     def set_value(self, name, value):
         slot = self.slot(name)
         value = np.asarray(value, dtype=np.float64)
-        if value.shape != slot.value.shape:
-            raise ShapeError(
-                f"set_value shape mismatch for {name!r}: {value.shape} vs {slot.value.shape}"
-            )
+        if value.shape != slot.shape:
+            raise ShapeError(f"set_value shape mismatch for {name!r}: {value.shape} vs {slot.shape}")
         slot.value[...] = value
 
     def __contains__(self, name):
@@ -159,11 +167,10 @@ class ParameterStore:
     # -- bookkeeping -------------------------------------------------------
 
     def zero_grads(self):
-        for slot in self._slots.values():
-            slot.grad[...] = 0.0
+        self.grads[...] = 0.0
 
     def param_count(self):
-        return int(sum(s.value.size for s in self._slots.values()))
+        return self.values.size
 
     def snapshot(self):
         return {name: slot.value.copy() for name, slot in self._slots.items()}
@@ -739,25 +746,22 @@ def finite_diff_check(f, store, eps=1e-5):
     `f` is a deterministic zero-argument callable returning the scalar being
     differentiated, re-reading current store values on every call. The caller
     is expected to have populated the gradient buffers (zero_grads, forward,
-    backward) before invoking this. Returns the maximum over all slot
+    backward) before invoking this. Returns the maximum over all store
     entries of |analytic - central| / max(1, |central|), or NaN once either
     value is NaN, so a non-finite gradient fails every `err < tol` check.
     """
     if eps <= 0:
         raise DomainError(f"finite difference step must be positive, got {eps}")
     worst = 0.0
-    for slot in store.slots():
-        flat = slot.value.reshape(-1)
-        gflat = slot.grad.reshape(-1)
-        for k in range(flat.size):
-            saved = flat[k]
-            flat[k] = saved + eps
-            f_plus = float(f())
-            flat[k] = saved - eps
-            f_minus = float(f())
-            flat[k] = saved
-            central = (f_plus - f_minus) / (2.0 * eps)
-            err = abs(gflat[k] - central) / max(1.0, abs(central))
-            if err > worst or np.isnan(err):
-                worst = err
+    for k in range(store.values.size):
+        saved = store.values[k]
+        store.values[k] = saved + eps
+        f_plus = float(f())
+        store.values[k] = saved - eps
+        f_minus = float(f())
+        store.values[k] = saved
+        central = (f_plus - f_minus) / (2.0 * eps)
+        err = abs(store.grads[k] - central) / max(1.0, abs(central))
+        if err > worst or np.isnan(err):
+            worst = err
     return worst

@@ -1,10 +1,10 @@
 """Mini-batch training with Adam, weight decay, and validation-AUC early stop.
 
 The loop is deterministic for a given config: the epoch shuffle and the
-per-batch dropout masks come from seeded generators, parameter slots
-iterate in insertion order, and regularization enters through the gradient
-buffers (2 * l2 * theta added after backward), so two runs with equal
-seeds produce bit-identical parameters and history rows.
+per-batch dropout masks come from seeded generators, and `adam_step` walks
+the store's flat buffers in a fixed order, adding the regularization term
+2 * l2 * theta to each gradient just before updating it. So two runs with
+equal seeds produce bit-identical parameters and history rows.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .tape import Tape, sigmoid
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 15  # entries per Adam block: few numpy calls, small temporaries
 
 
 @dataclass
@@ -48,30 +49,30 @@ class TrainConfig:
 
 
 class AdamState:
-    """First and second moment buffers, one pair per slot."""
+    """First and second moments, flat arrays laid out like the store's `values`."""
 
     def __init__(self, store):
         self.t = 0
-        self.m = {s.name: np.zeros_like(s.value) for s in store.slots()}
-        self.v = {s.name: np.zeros_like(s.value) for s in store.slots()}
+        self.m, self.v = np.zeros((2, store.values.size))
 
 
-def adam_step(store, state, lr):
-    """One Adam update from the current gradient buffers."""
+def adam_step(store, state, lr, l2=0.0):
+    """One Adam update with weight decay `l2`, over the flat buffers block by block."""
     if state.t < 0:
         raise ContractError(f"optimizer step counter must be non-negative, got {state.t}")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for slot in store.slots():
-        g = slot.grad
-        m = state.m[slot.name]
-        v = state.v[slot.name]
+    for start in range(0, store.values.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        theta, g, m, v = store.values[block], store.grads[block], state.m[block], state.v[block]
+        if l2 > 0.0:
+            g += 2.0 * l2 * theta
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        slot.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -121,22 +122,17 @@ def _epoch_pass(model, indices, labels, order, config, adam, epoch):
     n_batches = (len(order) + config.batch_size - 1) // config.batch_size
     for b in range(n_batches):
         rows = order[b * config.batch_size : (b + 1) * config.batch_size]
-        batch_idx = indices[rows]
-        batch_y = labels[rows]
         model.store.zero_grads()
         tape = Tape()
         drop_rng = np.random.default_rng([int(config.seed), 13, epoch, b])
         try:
-            loss = model.loss_node(tape, batch_idx, batch_y, drop_rng=drop_rng)
+            loss = model.loss_node(tape, indices[rows], labels[rows], drop_rng=drop_rng)
             tape.backward(loss)
         except NumericError as exc:
             raise TrainingError(str(exc), epoch=epoch, batch=b) from exc
         if not np.isfinite(loss.value):
             raise TrainingError("non-finite training loss", epoch=epoch, batch=b)
-        if config.l2 > 0.0:
-            for slot in model.store.slots():
-                slot.grad += 2.0 * config.l2 * slot.value
-        adam_step(model.store, adam, config.lr)
+        adam_step(model.store, adam, config.lr, config.l2)
         loss_sum += float(loss.value) * len(rows)
     return loss_sum / len(order)
 

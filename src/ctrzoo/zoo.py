@@ -311,7 +311,7 @@ def gradient_check(model, indices, labels, eps=1e-5, dropout_seed=None, corrupt=
     tape = Tape()
     tape.backward(loss(tape))
     if corrupt:
-        model.store.slots()[0].grad.reshape(-1)[0] += corrupt
+        model.store.grads[0] += corrupt
     return finite_diff_check(lambda: float(loss(Tape()).value), model.store, eps)
 
 
@@ -383,29 +383,15 @@ def count_complexity(target):
     if spec.use_linear:
         el += n
 
-    fi = 0
-    if name == "FwFM":
-        fi = n * (n - 1) // 2
-    elif name == "DCN":
-        fi = n
-    elif name == "CIN2":
-        fi = n * n
-    elif name == "IPNN":
-        fi = d * n
-    elif name == "AFM":
-        fi = t * d + t + d
-    elif name == "AutoInt":
-        fi = 3 * layers * d * d
-    elif name == "SAM2_A":
-        fi = pairs * d
-    elif name == "SAM3_A":
-        fi = layers * (d * d + d * n * n)
-    elif name == "SAM3_E":
-        fi = layers * d * d
+    # the FI weights as `add_fi_slots` creates them, less the zero-initialised ones
+    fi_slots = ParameterStore()
+    for prefix in _layer_prefixes(spec):
+        add_fi_slots(fi_slots, cfg, prefix, n, d)
+    fi = sum(s.value.size for s in fi_slots.slots() if not s.name.endswith(("attn_b", "res")))
 
     if cfg.transform == "none":
         st = 0
-    elif name.startswith("SAM3"):
+    elif cfg.aggregation == "field_combination":
         st = d * n
     elif cfg.transform == "affine":
         st = width

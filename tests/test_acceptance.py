@@ -199,6 +199,16 @@ def test_containment_lifts_agree_exhaustively():
 SPACE_FORMS = {
     "LR": lambda n, d, L: n,
     "FM": lambda n, d, L: n + d * n,
+    # the (32, 32, 32) head of IPNN and DeepFM-deep reads its input with 32
+    # weights per entry, then 32*32 + 32*32 + 32 = 2080 more
+    "FFM": lambda n, d, L: d * n * (n - 1),
+    "FwFM": lambda n, d, L: d * n + n * (n - 1) // 2,
+    "IPNN": lambda n, d, L: 2 * d * n + 32 * n + 2080,
+    "DCN": lambda n, d, L: 2 * d * n + n,
+    "DeepFM-deep": lambda n, d, L: 33 * d * n + 2080,
+    "CIN2": lambda n, d, L: d * n + n * n + n,
+    "AFM": lambda n, d, L: d * n + d * d + 2 * d,
+    "AutoInt": lambda n, d, L: 2 * d * n + 3 * L * d * d,
     "SAM1": lambda n, d, L: 2 * d * n,
     "SAM2_A": lambda n, d, L: 2 * d * n * n + d * n,
     "SAM2_E": lambda n, d, L: d * n * n + d * n,
@@ -209,6 +219,14 @@ SPACE_FORMS = {
 TIME_FORMS = {
     "LR": lambda n, d, L: n,
     "FM": lambda n, d, L: d * n,
+    "FFM": lambda n, d, L: d * n * n,
+    "FwFM": lambda n, d, L: d * n * n,
+    "IPNN": lambda n, d, L: d * n * n + 32 * n + 2080,
+    "DCN": lambda n, d, L: 2 * d * n,
+    "DeepFM-deep": lambda n, d, L: 32 * d * n + 2080,
+    "CIN2": lambda n, d, L: d * n * n,
+    "AFM": lambda n, d, L: n * n * (d * d + 2 * d),
+    "AutoInt": lambda n, d, L: L * (3 * d * d * n + 2 * d * n * n) + d * n,
     "SAM1": lambda n, d, L: d * n,
     "SAM2_A": lambda n, d, L: 2 * d * n * n,
     "SAM2_E": lambda n, d, L: 2 * d * n * n,
@@ -237,7 +255,7 @@ def test_parameter_and_work_counts_match_closed_forms():
                     checked += 1
     ok = not mismatches
     gate(
-        "complexity counts (7 models, n 2..8, d 1..8, L 1..3)",
+        "complexity counts (15 models, n 2..8, d 1..8, L 1..3)",
         ok,
         f"{checked} combinations exact" if ok else "; ".join(mismatches[:3]),
     )

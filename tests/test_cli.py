@@ -522,6 +522,14 @@ def test_bad_split_ratios_are_a_config_error(ws, synth_dir):
     assert proc.returncode == 2
 
 
+def test_too_few_records_to_split_is_a_data_error(tmp_path):
+    data = tmp_path / "tiny"
+    assert run_cli("synth", "--out", data, "--count", 3, "--fields", 2).returncode == 0
+    proc = run_cli("train", "--data", data, "--out", tmp_path / "run", "--model", "FM", "--epochs", 1)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and "parts empty: valid" in proc.stderr
+
+
 _BAD_FLOATS = [
     *(
         ("synth", flag, value)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrzoo.errors import DomainError, MetricError, ShapeError
 from ctrzoo.metrics import auc, evaluate, logloss
@@ -65,6 +67,33 @@ def test_auc_matches_pairwise_oracle_exactly():
         if labels.sum() in (0, n):
             labels[0] = 1.0 - labels[0]
         assert auc(scores, labels) == pairwise_auc(scores, labels)
+
+
+def loop_auc(scores, labels):
+    """Average ranks assigned one run of tied scores at a time."""
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size)
+    bounds = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1], True])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        ranks[order[a:b]] = 0.5 * (a + 1 + b)
+    pos = int(labels.sum())
+    neg = labels.size - pos
+    return (float(ranks[labels == 1.0].sum()) - pos * (pos + 1) / 2.0) / (pos * neg)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    levels=st.integers(1, 6),
+    n=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_auc_on_heavy_ties_is_bitwise_the_run_loop(levels, n, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels, size=n) / 7.0
+    labels = (rng.random(n) < 0.5).astype(np.float64)
+    labels[:2] = [1.0, 0.0]
+    assert np.float64(auc(scores, labels)).tobytes() == np.float64(loop_auc(scores, labels)).tobytes()
 
 
 def test_auc_invariant_under_sigmoid_exactly():

@@ -150,6 +150,50 @@ def test_store_counts_and_norm():
     assert sum(float(np.sum(s.value * s.value)) for s in store.slots()) == 55.0
 
 
+def test_store_slot_views_and_flat_buffers_alias_both_ways():
+    store = ParameterStore()
+    store.add_value("w", [[1.0, 2.0], [3.0, 4.0]])
+    store.add_value("b", 5.0)
+    store.add_value("c", [6.0, 7.0])
+    assert store.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    # slot -> buffer
+    store.value("w")[1, 0] = -3.0
+    store.grad("b")[...] = 2.5
+    assert store.values[2] == -3.0 and store.grads[4] == 2.5
+    # buffer -> slot
+    store.values[5] = 60.0
+    store.grads[:] = np.arange(7.0)
+    assert store.value("c").tolist() == [60.0, 7.0]
+    assert store.grad("w").tolist() == [[0.0, 1.0], [2.0, 3.0]] and store.grad("b") == 4.0
+    store.zero_grads()
+    assert not np.any(store.grads) and not np.any(store.grad("c"))
+
+
+def test_store_values_and_gradients_survive_buffer_growth():
+    store = ParameterStore(seed=1)
+    store.add_value("first", [1.0, 2.0])
+    store.grad("first")[...] = [-1.0, -2.0]
+    buffer = store.values
+    for k in range(12):
+        store.add_xavier(f"t{k}", (k + 1, 3))
+    assert not np.shares_memory(buffer, store.values), "the buffers never moved"
+    assert store.value("first").tolist() == [1.0, 2.0]
+    assert store.grad("first").tolist() == [-1.0, -2.0]
+    # every slot is a view at its place in creation order, after every move
+    start = 0
+    for slot in store.slots():
+        end = start + slot.value.size
+        assert np.shares_memory(slot.value, store.values[start:end])
+        assert np.shares_memory(slot.grad, store.grads[start:end])
+        start = end
+    assert start == store.param_count() == store.values.size == store.grads.size
+    # the draws are those of a store that never grew
+    fresh = ParameterStore(seed=1)
+    fresh.add_value("first", [1.0, 2.0])
+    for k in range(12):
+        assert fresh.add_xavier(f"t{k}", (k + 1, 3)).tobytes() == store.value(f"t{k}").tobytes()
+
+
 def test_store_snapshot_restore_round_trip():
     store = ParameterStore()
     store.add_value("w", [1.0, 2.0])

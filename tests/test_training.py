@@ -11,6 +11,9 @@ from ctrzoo.interaction import MODEL_NAMES
 from ctrzoo.metrics import auc, logloss
 from ctrzoo.tape import ParameterStore
 from ctrzoo.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     AdamState,
     EpochStats,
@@ -105,6 +108,32 @@ def test_adam_biased_moments_match_reference_formula():
         vh = v / (1.0 - 0.999**t)
         w = w - 0.01 * mh / (np.sqrt(vh) + ADAM_EPS)
         np.testing.assert_allclose(store.value("w"), w, rtol=0, atol=1e-15)
+
+
+def test_blocked_adam_with_l2_is_bitwise_a_per_slot_loop():
+    # slots that straddle the block boundaries of a store three blocks long:
+    # a block that skipped entries or overlapped its neighbour changes bytes
+    rng = np.random.default_rng(21)
+    store = ParameterStore()
+    for k, size in enumerate((ADAM_BLOCK - 5, 7, 2 * ADAM_BLOCK + 3)):
+        store.add_value(f"w{k}", rng.normal(size=size))
+    ref = {name: store.value(name).copy() for name in store.names()}
+    m = {name: np.zeros_like(w) for name, w in ref.items()}
+    v = {name: np.zeros_like(w) for name, w in ref.items()}
+    state = AdamState(store)
+    lr, l2 = 0.01, 0.05
+    for t in range(1, 4):
+        store.zero_grads()
+        for name, w in ref.items():
+            g = rng.normal(size=w.shape)
+            store.grad(name)[...] = g
+            g += 2.0 * l2 * w
+            m[name] = m[name] * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
+            v[name] = v[name] * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
+            w -= lr * (m[name] / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v[name] / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+        adam_step(store, state, lr, l2)
+        for name, w in ref.items():
+            assert store.value(name).tobytes() == w.tobytes(), (t, name)
 
 
 # ---------------------------------------------------------------------------
