@@ -16,6 +16,15 @@ so it contracts several operands without forming their product. `logloss`
 is the training loss as one node: sigmoid, clamp and mean log-loss fused,
 with a hand-written backward.
 
+Every op checks its operands and its result the same way on either kind of
+tape: a non-finite value raises NumericError, a broadcast or batch mismatch
+ShapeError, an out-of-range lookup DomainError naming the slot. A tape built
+with `record=False` drops each op's backward closure and keeps no node list,
+so intermediates are freed as soon as they are dead and `backward` raises
+ContractError. `Model.forward` (and so `predict`, validation and
+`verify_equivalence`), `Model.loss` and the finite-difference evaluations in
+`gradient_check` run on one; training steps record.
+
 A `ParameterStore` keeps its slots in one flat `values` and one flat `grads`
 buffer. Gradients are accumulation-only: `backward` adds into them and never
 clears them, so calling it twice without `zero_grads` doubles every gradient
@@ -45,24 +54,24 @@ __all__ = [
 # pure value-level operations
 
 
-def _as_f64(x):
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("non-finite input value")
-    return arr
+def _finite(arr):
+    """True when every entry of the float array is finite: one ufunc and one reduction."""
+    return np.logical_and.reduce(np.isfinite(arr), axis=None)
 
 
 def sigmoid(x):
     """Logistic function, numerically stable over the full float64 range."""
-    arr = np.atleast_1d(_as_f64(x))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if np.asarray(x).ndim == 0:
-        return float(out[0])
-    return out.reshape(np.shape(x))
+    arr = np.asarray(x, dtype=np.float64)
+    if not _finite(arr):
+        raise NumericError("non-finite input value")
+    out = _logistic(arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _logistic(arr):
+    """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1."""
+    e = np.exp(-np.abs(arr))
+    return np.where(arr >= 0, 1.0, e) / (1.0 + e)
 
 
 def xavier_uniform(rng, shape, fan_in, fan_out):
@@ -107,7 +116,7 @@ class ParameterStore:
         if name in self._slots:
             raise ContractError(f"duplicate parameter slot {name!r}")
         value = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(value)):
+        if not _finite(value):
             raise NumericError(f"non-finite initial value for slot {name!r}")
         start, end = self.values.size, self.values.size + value.size
         slot = self._slots[name] = _Slot(name, slice(start, end), value.shape)
@@ -204,7 +213,8 @@ class ParameterStore:
         A file that cannot be read as JSON, names another format, lacks an
         entry, has a seed that is not a non-negative integer, marks a slot
         other than trainable, or holds values that do not fit their shape
-        raises DataError naming `path`.
+        or are not finite raises DataError naming `path`. Every slot is
+        read before the buffers are allocated, once, at their exact size.
         """
         payload = read_json(path)
         if not isinstance(payload, dict) or "format" not in payload:
@@ -217,7 +227,7 @@ class ParameterStore:
         seed = payload.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise DataError(f"{path}: checkpoint seed is not a non-negative integer: {json.dumps(seed)}")
-        store = cls(seed)
+        arrays = {}
         for name, rec in slots.items():
             try:
                 shape, values, trainable = rec["shape"], rec["values"], rec["trainable"]
@@ -226,13 +236,15 @@ class ParameterStore:
             if trainable is not True:
                 raise DataError(f"{path}: slot {name!r} is not trainable: {json.dumps(trainable)}")
             try:
-                arr = np.array(values, dtype=np.float64).reshape(shape)
+                arr = arrays[name] = np.array(values, dtype=np.float64).reshape(shape)
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: slot {name!r} values do not fit shape {shape}: {exc}") from exc
-            try:
-                store.add_value(name, arr)
-            except NumericError as exc:
-                raise DataError(f"{path}: {exc}") from exc
+            if not _finite(arr):
+                raise DataError(f"{path}: non-finite initial value for slot {name!r}")
+        store = cls(seed)
+        store._buffer = np.zeros((2, sum(arr.size for arr in arrays.values())))  # never grows
+        for name, arr in arrays.items():
+            store.add_value(name, arr)
         return store
 
 
@@ -315,6 +327,8 @@ def _scatter_rows(rows, g, n_rows):
 def _broadcast(op, a, b):
     """Raise ShapeError unless a (op) b follows the broadcasting rule above."""
     ashape, bshape = a.value.shape, b.value.shape
+    if ashape == bshape:
+        return
     if len(ashape) == len(bshape):
         try:
             np.broadcast_shapes(ashape, bshape)
@@ -369,10 +383,10 @@ def _axes(axis, ndim):
     axes = (axis,) if isinstance(axis, (int, np.integer)) else tuple(axis)
     if any(not -ndim <= a < ndim for a in axes):
         raise ShapeError(f"axis {axis} out of range for a {ndim}-D node")
-    axes = tuple(sorted({int(a) % ndim for a in axes}))
-    if len(axes) != len(np.atleast_1d(axis)):
+    unique = tuple(sorted({int(a) % ndim for a in axes}))
+    if len(unique) != len(axes):
         raise ShapeError(f"repeated axis in {axis}")
-    return axes
+    return unique
 
 
 class Tape:
@@ -381,22 +395,28 @@ class Tape:
     Operations append nodes in topological order by construction, so
     `backward` is a single reversed sweep that touches each node once.
     Build a fresh tape per forward pass; nodes alias parameter-store
-    values, so a tape is only valid until those values change.
+    values, so a tape is only valid until those values change. `len` counts
+    the nodes emitted, also with `record=False` (module docstring).
     """
 
-    def __init__(self):
+    def __init__(self, record=True):
+        self.record = record
         self._nodes: list[Node] = []
+        self._emitted = 0
         self._params: dict[_Slot, Node] = {}
 
     def __len__(self):
-        return len(self._nodes)
+        return self._emitted
 
     def _emit(self, value, backward=None, moved=False):
         """Append a node. `moved` marks a value that only rearranges entries
         of nodes already on the tape, which were checked to be finite."""
         value = np.asarray(value, dtype=np.float64)
-        if not moved and not np.all(np.isfinite(value)):
+        if not (moved or _finite(value)):
             raise NumericError("non-finite value produced on tape")
+        self._emitted += 1
+        if not self.record:
+            return Node(value)
         node = Node(value, backward)
         self._nodes.append(node)
         return node
@@ -435,27 +455,25 @@ class Tape:
         names = list(names)
         slots = [store.slot(name) for name in names]
         idx = np.asarray(indices)
-        if idx.ndim != 2 or idx.shape[1] != len(names) or not np.issubdtype(idx.dtype, np.integer):
+        if idx.ndim != 2 or idx.shape[1] != len(names) or idx.dtype.kind not in "iu":
             raise ShapeError(f"lookup indices must be a (B, {len(names)}) integer array")
-        widths = {s.value.shape[1:] for s in slots}
+        widths = {s.shape[1:] for s in slots}
         if len(widths) != 1 or len(next(iter(widths))) != 1:
             raise ShapeError(f"lookup slots must be 2-D tables of one width, got {names}")
         ((d,),) = widths
-        rows = np.array([s.value.shape[0] for s in slots])
-        if idx.size:
-            bad = (idx.min(axis=0) < 0) | (idx.max(axis=0) >= rows)
-            if bad.any():
-                j = int(np.argmax(bad))
-                raise DomainError(
-                    f"lookup index out of range for slot {names[j]!r} (rows={rows[j]})"
-                )
+        rows = [s.shape[0] for s in slots]
         # a copy, one contiguous row per column: the caller may reuse `indices`
         columns = np.array(idx.T, dtype=np.int64, order="C")
         b, k = idx.shape
+        if b:
+            # read as unsigned, a negative index is out of range too
+            for name, top, n_rows in zip(names, columns.view(np.uint64).max(axis=1).tolist(), rows):
+                if top >= n_rows:
+                    raise DomainError(f"lookup index out of range for slot {name!r} (rows={n_rows})")
         value = np.empty((k, b, d)).transpose(1, 0, 2) if slot_major else np.empty((b, k, d))
         for j, slot in enumerate(slots):
-            # in range, checked above; "clip" spares np.take a buffered copy
-            np.take(slot.value, columns[j], axis=0, out=value[:, j], mode="clip")
+            # in range, checked above; "clip" spares take a buffered copy
+            slot.value.take(columns[j], axis=0, out=value[:, j], mode="clip")
 
         def backward(g):
             for j, slot in enumerate(slots):
@@ -574,10 +592,6 @@ class Tape:
         xs, ws = x.value.shape, w.value.shape
         if len(xs) < 2 or len(ws) < 2 or xs[-1] != ws[-2]:
             raise ShapeError(f"matmul shapes: {xs}, {ws}")
-        try:
-            np.broadcast_shapes(xs[:-2], ws[:-2])
-        except ValueError:
-            raise ShapeError(f"matmul batch shapes: {xs}, {ws}") from None
 
         if len(ws) == 2:
             # one shared matrix: fold every leading axis into one 2-D product
@@ -588,6 +602,10 @@ class Tape:
                     _bump(w, x.value.reshape(-1, xs[-1]).T @ g.reshape(-1, ws[-1]))
 
             return self._emit(_last_axis_product(x.value, w.value), backward)
+        try:
+            np.broadcast_shapes(xs[:-2], ws[:-2])
+        except ValueError:
+            raise ShapeError(f"matmul batch shapes: {xs}, {ws}") from None
 
         def backward(g):
             if _needs_grad(x):
@@ -671,12 +689,12 @@ class Tape:
         axes = tuple(int(a) for a in axes)
         if sorted(axes) != list(range(x.value.ndim)):
             raise ShapeError(f"transpose axes {axes} do not permute a {x.value.ndim}-D node")
-        inverse = tuple(np.argsort(axes))
+        inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
         def backward(g):
-            _bump(x, np.transpose(g, inverse))
+            _bump(x, g.transpose(inverse))
 
-        return self._emit(np.transpose(x.value, axes), backward, moved=True)
+        return self._emit(x.value.transpose(axes), backward, moved=True)
 
     def sum_axis(self, x, axis):
         """Sum over `axis` (an int or a tuple of axes), dropping it."""
@@ -685,7 +703,7 @@ class Tape:
         def backward(g):
             _bump(x, np.broadcast_to(np.expand_dims(g, axes), x.value.shape))
 
-        return self._emit(x.value.sum(axis=axes), backward)
+        return self._emit(np.add.reduce(x.value, axis=axes), backward)
 
     # -- loss --------------------------------------------------------------
 
@@ -699,22 +717,25 @@ class Tape:
         y = np.asarray(labels, dtype=np.float64)
         if y.shape != logit.value.shape:
             raise ShapeError(f"labels {y.shape} do not match logits {logit.value.shape}")
-        if not np.all((y == 0.0) | (y == 1.0)):
+        if not np.logical_and.reduce((y == 0.0) | (y == 1.0), axis=None):
             raise DataError("labels must be 0 or 1")
         if y.size == 0:
             raise DomainError("log-loss of an empty batch")
-        s = np.asarray(sigmoid(logit.value))
-        inside = (s > PROB_FLOOR) & (s < 1.0 - PROB_FLOOR)
-        p = np.clip(s, PROB_FLOOR, 1.0 - PROB_FLOOR)
+        s = _logistic(logit.value)  # a tape value, finite already
+        # the clamp as np.clip computes it on finite values
+        p = np.minimum(np.maximum(s, PROB_FLOOR), 1.0 - PROB_FLOOR)
         y_off, q = 1.0 - y, 1.0 - p
 
         def backward(g):
             # d/dp of the mean, the clamp mask, then s(1 - s), in the order that
             # separate mean, log, clip and sigmoid nodes would apply them
             c = -g / y.size
+            inside = (s > PROB_FLOOR) & (s < 1.0 - PROB_FLOOR)
             _bump(logit, (-(c * y_off / q) + c * y / p) * inside * s * (1.0 - s))
 
-        return self._emit(-(y * np.log(p) + y_off * np.log(q)).mean(), backward)
+        # the mean as ndarray.mean forms it: one sum, one division
+        terms = y * np.log(p) + y_off * np.log(q)
+        return self._emit(-(np.add.reduce(terms, axis=None) / y.size), backward)
 
     # -- reverse sweep -----------------------------------------------------
 
@@ -725,6 +746,8 @@ class Tape:
         reset here; store buffers are not (accumulation is the caller's
         contract, cleared via `ParameterStore.zero_grads`).
         """
+        if not self.record:
+            raise ContractError("backward on a tape that records no backward (record=False)")
         if root.value.shape != ():
             raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
         for node in self._nodes:

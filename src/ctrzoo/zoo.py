@@ -259,10 +259,10 @@ class Model:
     def forward(self, indices, chunk=4096):
         """Logits for a batch (evaluation mode), evaluated in chunks to bound memory."""
         indices = self._check_batch(indices)
-        out = []
-        for start in range(0, len(indices), chunk):
-            node = self.logit_node(Tape(), indices[start : start + chunk])
-            out.append(node.value.copy())
+        out = [
+            self.logit_node(Tape(record=False), indices[start : start + chunk]).value
+            for start in range(0, len(indices), chunk)
+        ]
         return np.concatenate(out) if out else np.empty(0)
 
     def predict(self, indices):
@@ -275,8 +275,7 @@ class Model:
         return tape.logloss(logit, labels)
 
     def loss(self, indices, labels):
-        tape = Tape()
-        return float(self.loss_node(tape, indices, labels).value)
+        return float(self.loss_node(Tape(record=False), indices, labels).value)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +311,7 @@ def gradient_check(model, indices, labels, eps=1e-5, dropout_seed=None, corrupt=
     tape.backward(loss(tape))
     if corrupt:
         model.store.grads[0] += corrupt
-    return finite_diff_check(lambda: float(loss(Tape()).value), model.store, eps)
+    return finite_diff_check(lambda: float(loss(Tape(record=False)).value), model.store, eps)
 
 
 # ---------------------------------------------------------------------------

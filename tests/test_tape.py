@@ -222,6 +222,26 @@ def test_store_save_load_bit_exact(tmp_path):
     assert [slots[name]["trainable"] for name in store.names()] == [True, True]
 
 
+def test_store_load_allocates_once_at_the_exact_size(tmp_path):
+    rng = np.random.default_rng(4)
+    store = ParameterStore(seed=5)
+    for k, shape in enumerate([(3, 2), (4,), (), (2, 2, 2)]):
+        store.add_value(f"s{k}", rng.normal(size=shape))
+    path = tmp_path / "params.json"
+    store.save(path)
+    loaded = ParameterStore.load(path)
+    assert loaded._buffer.shape == (2, 19) and loaded.values.size == 19
+    assert loaded.values.tobytes() == store.values.tobytes()
+
+
+def test_store_load_rejects_a_non_finite_value(tmp_path):
+    path = tmp_path / "params.json"
+    slots = '{"w": {"shape": [2], "values": [1.0, 1e999], "trainable": true}}'
+    path.write_text('{"format": "ctrzoo-params-v1", "slots": %s}' % slots)
+    with pytest.raises(DataError, match="params.json: non-finite initial value for slot 'w'"):
+        ParameterStore.load(path)
+
+
 def test_store_load_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else", "slots": {}}')
@@ -630,6 +650,59 @@ def test_logloss_rejects_empty_mismatched_and_non_binary_labels():
         tape.logloss(tape.constant(np.zeros(3)), np.zeros(2))
     with pytest.raises(DataError):
         tape.logloss(tape.constant(np.zeros(2)), [0.0, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# tapes that record no backward
+
+
+def test_a_tape_that_records_no_backward_counts_nodes_and_refuses_backward():
+    store = ParameterStore(seed=2)
+    store.add_xavier("w", (3, 2))
+    lengths, values = [], []
+    for record in (True, False):
+        tape = Tape(record=record)
+        w = tape.parameter(store, "w")
+        assert tape.parameter(store, "w") is w  # one leaf per slot per tape
+        root = _total(tape, tape.mul(w, tape.transpose(tape.reshape(w, (2, 3)), (1, 0))))
+        lengths.append(len(tape))
+        values.append(root.value.tobytes())
+    assert lengths == [5, 5] and values[0] == values[1]
+    with pytest.raises(ContractError):
+        tape.backward(root)
+    assert not np.any(store.grads)
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_every_op_check_holds_on_either_tape(record):
+    store = ParameterStore()
+    store.add_zeros("a", (3, 2))
+    store.add_zeros("b", (2, 2))
+    store.add_zeros("bad", (2,))
+    tape = Tape(record=record)
+    c = tape.constant
+    x = c(np.ones((2, 3, 4)))
+    for entry in (np.nan, np.inf):
+        store.values[-1] = entry
+        with pytest.raises(NumericError):
+            Tape(record=record).parameter(store, "bad")
+    with pytest.raises(NumericError), np.errstate(over="ignore"):
+        tape.scale_const(c([1e308]), 10.0)
+    with pytest.raises(ShapeError):
+        tape.add(c(np.ones(3)), c(np.ones((3, 1))))
+    with pytest.raises(ShapeError):
+        tape.matmul(x, c(np.ones((3, 4, 2))))
+    for axis in ((1, 1), (0, -3), 3, (0, -4)):
+        with pytest.raises(ShapeError):
+            tape.sum_axis(x, axis)
+    for axes in ((0, 0, 1), (0, 1, 3), (0, 1)):
+        with pytest.raises(ShapeError):
+            tape.transpose(x, axes)
+    for row in (2, -1, 2**63 + 1):
+        dtype = np.uint64 if row > 0 else np.int64
+        with pytest.raises(DomainError, match="slot 'b' \\(rows=2\\)"):
+            tape.lookup(store, ["a", "b"], np.array([[0, 1], [2, row]], dtype=dtype))
+    assert tape.lookup(store, ["a", "b"], np.array([[2, 1]], dtype=np.uint8)).value.shape == (1, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctrzoo.data import FieldSchema
-from ctrzoo.errors import CatalogError, ConfigError, DomainError
+from ctrzoo.errors import CatalogError, ConfigError, DomainError, NumericError
 from ctrzoo.interaction import MODEL_NAMES, grid_size
 from ctrzoo.tape import Tape
 from ctrzoo.zoo import (
@@ -85,6 +85,28 @@ def test_loss_tape_is_the_logit_tape_plus_one_node(name):
     assert len(loss_tape) == len(logit_tape) + 1
     with pytest.raises(DomainError):
         model.loss(BATCH[:0], _LABELS[:0])
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_a_tape_that_records_no_backward_gives_the_same_bits(name):
+    model = build_model(small_spec(name, layers=2), seed=4)
+    tapes = {record: Tape(record=record) for record in (True, False)}
+    logits = {r: model.logit_node(t, BATCH).value.tobytes() for r, t in tapes.items()}
+    losses = {r: model.loss_node(t, BATCH, _LABELS).value.tobytes() for r, t in tapes.items()}
+    assert logits[True] == logits[False] and losses[True] == losses[False]
+    assert len(tapes[True]) == len(tapes[False])
+    assert model.forward(BATCH).tobytes() == logits[True]
+    assert np.float64(model.loss(BATCH, _LABELS)).tobytes() == losses[True]
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_a_non_finite_slot_entry_is_a_numeric_error_on_either_tape(record):
+    for bad in (np.nan, np.inf, -np.inf):
+        for name in ("FM", "DeepFM-deep"):
+            model = build_model(small_spec(name), seed=0)
+            model.store.values[-1] = bad  # the last slot: the head's bias, or FM's global bias
+            with pytest.raises(NumericError):
+                model.logit_node(Tape(record=record), BATCH)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
