@@ -7,8 +7,10 @@ directory together with a manifest.json recording the resolved settings;
 the manifest is the only artifact carrying a timestamp, so checkpoints
 and history files are byte-identical across reruns with equal settings.
 
-Exit codes: 0 success, 2 configuration problem, 3 data problem, 4 numeric
-failure during training, 5 a verification check exceeded its tolerance.
+Exit codes: 0 success, 5 a verification check exceeded its tolerance;
+an error exits with the `exit_code` of its class in `errors.py` (2
+configuration problem, 3 data problem, 4 numeric failure during training,
+1 any other error).
 """
 from __future__ import annotations
 
@@ -26,11 +28,10 @@ from .errors import (
     ConfigError,
     CtrZooError,
     DataError,
-    NumericError,
     ShapeError,
-    TrainingError,
     read_json,
     write_json,
+    write_text,
 )
 from .metrics import evaluate
 from .tape import ParameterStore
@@ -164,9 +165,7 @@ def cmd_synth(args):
     out = _ensure_dir(args.out)
     datamod.save_schema(synth.schema, out / "schema.json")
     datamod.save_encoded(synth.dataset, out / "encoded.tsv")
-    with open(out / "oracle.tsv", "w", encoding="utf-8") as fh:
-        for p in synth.probs:
-            fh.write(f"{p!r}\n")
+    write_text(out / "oracle.tsv", (f"{p!r}\n" for p in synth.probs.tolist()))
     write_json(out / "truth.json", {"theta": synth.theta, "spec": spec.to_dict()})
     _write_manifest(
         out, "synth", spec.to_dict(), ["schema.json", "encoded.tsv", "oracle.tsv", "truth.json"]
@@ -376,9 +375,7 @@ def cmd_ablation(args):
             f"{history.best_val_auc!r},{report.auc!r},{report.logloss!r}"
         )
         print(lines[-1])
-    csv_text = "\n".join(lines) + "\n"
-    with open(out / "ablation.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text)
+    write_text(out / "ablation.csv", ["\n".join(lines) + "\n"])
     settings = {
         "model": args.model,
         "layers_list": list(layer_counts),
@@ -535,18 +532,9 @@ def main(argv=None):
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except CtrZooError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, ShapeError, read_json, reading, write_json
+from .errors import ConfigError, DataError, DomainError, ShapeError, read_json, reading, write_json, write_text
 from .tape import sigmoid
 
 MISSING_INDEX = 0
@@ -270,18 +270,10 @@ def build_vocab(table, min_count=10):
         raise ConfigError(f"min_count must be at least 1, got {min_count}")
     if not len(table):
         raise DataError("cannot build a vocabulary from zero records")
-    counts = [Counter() for _ in table.fields]
-    orders = [{} for _ in table.fields]
-    for row in table.rows:
-        for i, token in enumerate(row):
-            if token is None:
-                continue
-            counts[i][token] += 1
-            if token not in orders[i]:
-                orders[i][token] = len(orders[i])
     maps = []
-    for cnt, order in zip(counts, orders):
-        kept = [t for t in order if cnt[t] >= min_count]
+    for column in zip(*table.rows):
+        counts = Counter(t for t in column if t is not None)  # keeps first-appearance order
+        kept = [t for t, c in counts.items() if c >= min_count]
         maps.append({t: N_RESERVED + k for k, t in enumerate(kept)})
     return Vocabulary(list(table.fields), maps, min_count)
 
@@ -461,9 +453,8 @@ def load_fields(path):
 
 
 def save_encoded(dataset, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, row in zip(dataset.labels, dataset.indices):
-            fh.write("\t".join([str(int(label))] + [str(int(k)) for k in row]) + "\n")
+    table = np.column_stack([dataset.labels.astype(np.int64), dataset.indices])
+    write_text(path, ("\t".join(map(str, row.tolist())) + "\n" for row in table))
 
 
 def load_encoded(path, schema=None):
@@ -484,7 +475,10 @@ def load_encoded(path, schema=None):
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataError(f"{path}: inconsistent column counts {sorted(widths)}")
-    dataset = Dataset(np.array(rows, dtype=np.int64), np.array(labels, dtype=np.float64))
+    try:
+        dataset = Dataset(np.array(rows, dtype=np.int64), np.array(labels, dtype=np.float64))
+    except OverflowError as exc:
+        raise DataError(f"{path}: a value is out of range: {exc}") from exc
     if schema is not None:
         dataset.check_schema(schema)
     return dataset

@@ -23,6 +23,7 @@ the field count:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from itertools import product
 
@@ -166,8 +167,7 @@ def enumerate_records(schema, limit=1024, seed=0):
     every field's index range, reserved rows included.
     """
     sizes = schema.vocab_sizes
-    total = int(np.prod(sizes, dtype=np.float64))
-    if total <= limit:
+    if math.prod(sizes) <= limit:
         rows = np.array(list(product(*(range(s) for s in sizes))), dtype=np.int64)
         return rows, True
     rng = np.random.default_rng([int(seed), 19])

@@ -1,8 +1,13 @@
-"""Exception types shared across the package, the file readers that raise them, and the JSON writer.
+"""Exception types shared across the package, and the one place that opens files.
 
-The CLI maps these onto distinct process exit codes, so keep the hierarchy
-flat and the meanings crisp: configuration problems, data problems, numeric
-blow-ups, and broken internal contracts are different failure modes.
+Each error class states the process exit code the CLI returns for it, so
+keep the hierarchy flat and the meanings crisp: configuration problems,
+data problems, numeric blow-ups, and broken internal contracts are
+different failure modes.
+
+Every read goes through `reading` and every write through `write_text`:
+files are UTF-8, and the artifacts written have `\n` line ends on every
+platform.
 """
 import json
 from contextlib import contextmanager
@@ -10,6 +15,8 @@ from contextlib import contextmanager
 
 class CtrZooError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 1
 
 
 class ShapeError(CtrZooError):
@@ -23,6 +30,8 @@ class DomainError(CtrZooError):
 class ConfigError(CtrZooError):
     """A spec, flag, or config file is inconsistent or unusable."""
 
+    exit_code = 2
+
 
 class CatalogError(ConfigError):
     """A model name is not in the catalog."""
@@ -31,13 +40,19 @@ class CatalogError(ConfigError):
 class DataError(CtrZooError):
     """Raw or encoded data cannot be read, parsed, or validated."""
 
+    exit_code = 3
+
 
 class NumericError(CtrZooError):
     """A computation produced NaN/Inf or otherwise left the float64 domain."""
 
+    exit_code = 4
+
 
 class TrainingError(CtrZooError):
     """Training diverged or could not proceed; carries epoch/batch context."""
+
+    exit_code = 4
 
     def __init__(self, message, epoch=None, batch=None):
         super().__init__(message)
@@ -78,7 +93,12 @@ def read_json(path, error=DataError):
             raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
+def write_text(path, chunks):
+    """Write the strings in `chunks` to `path` in order, as UTF-8 with `\n` line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+
+
 def write_json(path, payload):
     """Write `payload` to `path` as the package's JSON artifacts are written: indented, keys sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    write_text(path, json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))

@@ -37,7 +37,7 @@ import string
 
 import numpy as np
 
-from .errors import ContractError, DataError, DomainError, NumericError, ShapeError, read_json
+from .errors import ContractError, DataError, DomainError, NumericError, ShapeError, read_json, write_text
 from .metrics import PROB_FLOOR
 
 __all__ = [
@@ -190,21 +190,15 @@ class ParameterStore:
 
     # -- serialization -----------------------------------------------------
 
-    def state_dict(self):
-        return {
-            name: {
-                "shape": list(slot.value.shape),
-                # every slot is trained; the entry keeps the v1 format
-                "trainable": True,
-                "values": slot.value.reshape(-1).tolist(),
-            }
+    def save(self, path):
+        """Write every slot to `path` as a `ctrzoo-params-v1` checkpoint, streamed as it is encoded."""
+        slots = {
+            # every slot is trained; the entry keeps the v1 format
+            name: {"shape": list(slot.shape), "trainable": True, "values": self.values[slot.span].tolist()}
             for name, slot in self._slots.items()
         }
-
-    def save(self, path):
-        payload = {"format": "ctrzoo-params-v1", "seed": self.seed, "slots": self.state_dict()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, allow_nan=False)
+        payload = {"format": "ctrzoo-params-v1", "seed": self.seed, "slots": slots}
+        write_text(path, json.JSONEncoder(sort_keys=True, allow_nan=False).iterencode(payload))
 
     @classmethod
     def load(cls, path):

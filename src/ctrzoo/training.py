@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError, TrainingError
+from .errors import ConfigError, ContractError, NumericError, TrainingError, write_text
 from .metrics import auc, logloss
 from .tape import Tape, sigmoid
 
@@ -104,8 +104,7 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
+        write_text(path, [self.to_csv()])
 
     def summary(self):
         return {

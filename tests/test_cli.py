@@ -6,6 +6,7 @@ a shell user would see them; the spec-builder guard calls `cli.main` in
 process to watch which flags each spec is built from.
 """
 
+import ast
 import dataclasses
 import json
 import shutil
@@ -14,11 +15,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrzoo import cli
+from ctrzoo.data import SyntheticSpec, generate_dcm
 
 
 def run_cli(*argv):
@@ -87,6 +90,15 @@ def test_synth_is_deterministic_across_reruns(ws, synth_dir):
     assert proc.returncode == 0
     for name in ("encoded.tsv", "oracle.tsv", "schema.json"):
         assert (again / name).read_bytes() == (synth_dir / name).read_bytes()
+
+
+def test_synth_oracle_holds_the_generated_probabilities(ws):
+    out = ws / "synth_oracle"
+    proc = run_cli("synth", "--out", out, "--count", 5, "--fields", 3)
+    assert proc.returncode == 0, proc.stderr
+    probs = [float(line) for line in (out / "oracle.tsv").read_text().splitlines()]
+    expected = generate_dcm(SyntheticSpec(n_fields=3, count=5)).probs
+    assert np.array(probs).tobytes() == expected.tobytes()
 
 
 def test_synth_rejects_unknown_family(ws):
@@ -273,6 +285,16 @@ def test_train_rejects_an_unreadable_data_file(tmp_path, synth_dir, target, edit
     assert target in proc.stderr
 
 
+def test_train_rejects_an_index_beyond_int64(tmp_path, synth_dir):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    encoded = data / "encoded.tsv"
+    encoded.write_text(encoded.read_text() + "1\t123456789012345678901234\t2\t2\t2\n")
+    proc = run_cli("train", "--data", data, "--out", tmp_path / "run", "--model", "LR", "--epochs", 1)
+    assert_data_error(proc)
+    assert "encoded.tsv" in proc.stderr
+
+
 @pytest.mark.parametrize("key", ["format", "slots", "shape", "values"])
 def test_eval_rejects_a_checkpoint_missing_an_entry(ws, synth_dir, run_dir, key):
     def drop(payload):
@@ -450,6 +472,13 @@ def test_equivalence_unreachable_tolerance_fails():
     proc = run_cli("equivalence", "--checks", "lr-sam1", "--tol=-1")
     assert proc.returncode == 5
     assert proc.stdout.startswith("FAIL ")
+
+
+def test_equivalence_samples_a_grid_too_large_for_a_float_count():
+    proc = run_cli("equivalence", "--checks", "lr-sam1", "--fields", 400, "--vocab", 10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS lr-sam1")
+    assert json.loads(proc.stdout.split(" ", 2)[2])["n_points"] == 1024
 
 
 def test_equivalence_unknown_check_is_a_config_error():
@@ -663,3 +692,16 @@ def test_numpy_is_the_only_dependency_outside_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["ctrzoo", "numpy"]
+
+
+def test_only_the_errors_module_opens_files():
+    package = Path(cli.__file__).parent
+    openers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open":
+                    openers.append(f"{path.name}:{node.lineno}")
+    assert openers and all(site.startswith("errors.py:") for site in openers), openers

@@ -397,6 +397,13 @@ def test_load_encoded_validates(tmp_path):
         load_encoded(path)
 
 
+def test_load_encoded_rejects_an_index_beyond_int64(tmp_path):
+    path = tmp_path / "encoded.tsv"
+    path.write_text("1\t2\t3\n0\t123456789012345678901234\t2\n")
+    with pytest.raises(DataError, match="encoded.tsv"):
+        load_encoded(path)
+
+
 def test_vocab_file_round_trip(tmp_path):
     vocab = build_vocab(_table([["a", "x"], ["b", "x"]]), min_count=1)
     path = tmp_path / "vocab.json"

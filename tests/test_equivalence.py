@@ -23,6 +23,12 @@ def fresh(name, seed=1, **kw):
     return build_model(ModelSpec(name, SCHEMA, **kw), seed=seed)
 
 
+def test_enumeration_samples_a_grid_too_large_for_a_float_count():
+    rows, exhaustive = enumerate_records(FieldSchema.of_sizes([10] * 400))
+    assert not exhaustive
+    assert rows.shape == (1024, 400)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 

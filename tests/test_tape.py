@@ -234,6 +234,24 @@ def test_store_load_allocates_once_at_the_exact_size(tmp_path):
     assert loaded.values.tobytes() == store.values.tobytes()
 
 
+def test_store_save_streams_the_checkpoint_in_small_chunks(tmp_path, monkeypatch):
+    from ctrzoo import tape as tape_module
+
+    chunks, write_text = [], tape_module.write_text
+
+    def recording_write_text(path, pieces):
+        write_text(path, (chunks.append(c) or c for c in pieces))
+
+    monkeypatch.setattr(tape_module, "write_text", recording_write_text)
+    store = ParameterStore(seed=2)
+    store.add_xavier("emb", (2000, 8))
+    path = tmp_path / "params.json"
+    store.save(path)
+    text = path.read_text()
+    assert "".join(chunks) == text
+    assert len(text) > 100_000 and max(map(len, chunks)) < 100
+
+
 def test_store_load_rejects_a_non_finite_value(tmp_path):
     path = tmp_path / "params.json"
     slots = '{"w": {"shape": [2], "values": [1.0, 1e999], "trainable": true}}'
