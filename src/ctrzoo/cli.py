@@ -245,6 +245,14 @@ def _rebuild_run(run_dir):
     except ConfigError as exc:
         raise DataError(f"{model_path}: {exc}") from exc
     loaded = ParameterStore.load(params_path)
+    for name, want in spec.table_shapes().items():  # before any table is allocated
+        if name not in loaded:
+            raise DataError(f"{model_path} does not match {params_path}: the checkpoint has no slot {name!r}")
+        if loaded.slot(name).shape != want:
+            raise DataError(
+                f"{model_path} does not match {params_path}: slot {name!r} has shape "
+                f"{loaded.slot(name).shape}, the model config needs {want}"
+            )
     model = build_model(spec, seed=loaded.seed)
     if sorted(loaded.names()) != sorted(model.store.names()):
         raise DataError(f"{run_dir}: checkpoint slots do not match the model config")

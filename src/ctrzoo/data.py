@@ -14,6 +14,8 @@ probability; the probability itself is kept alongside as the oracle.
 """
 from __future__ import annotations
 
+import io
+import itertools
 import math
 import operator
 from collections import Counter
@@ -29,6 +31,7 @@ OOV_INDEX = 1
 N_RESERVED = 2
 
 _DELIMITERS = {"tab": "\t", "comma": ","}
+_DELETE_RECORD_CHARS = str.maketrans("", "", "0123456789-\t\n")  # `str.translate` leaves what is not record text
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +119,10 @@ class Dataset:
             raise ShapeError(f"dataset indices must be (N, n), got {self.indices.shape}")
         if self.labels.shape != (self.indices.shape[0],):
             raise ShapeError("dataset labels length must match rows")
-        if not np.all((self.labels == 0.0) | (self.labels == 1.0)):
-            raise DataError("labels must be 0 or 1")
+        bad = (self.labels != 0.0) & (self.labels != 1.0)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise DataError(f"label must be 0 or 1, got '{self.labels[row]:g}'", row=row)
 
     def __len__(self):
         return self.indices.shape[0]
@@ -130,12 +135,20 @@ class Dataset:
         return Dataset(self.indices[rows], self.labels[rows])
 
     def check_schema(self, schema):
+        """DataError for a field count other than the schema's, or for the first
+        record (its `row`) holding an index outside its field's vocabulary."""
         if self.n_fields != schema.n:
             raise DataError(f"dataset has {self.n_fields} fields, schema has {schema.n}")
-        for i, size in enumerate(schema.vocab_sizes):
-            col = self.indices[:, i]
-            if len(col) and (col.min() < 0 or col.max() >= size):
-                raise DataError(f"field {i}: index outside vocabulary of size {size}")
+        sizes = schema.vocab_sizes
+        bad = np.column_stack([(col < 0) | (col >= size) for col, size in zip(self.indices.T, sizes)])
+        if bad.any():
+            row, i = np.argwhere(bad)[0]
+            field = schema.fields[i]
+            raise DataError(
+                f"field {i} ({field.name!r}): index {self.indices[row, i]} "
+                f"outside its vocabulary of size {field.vocab_size}",
+                row=int(row),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -458,27 +471,72 @@ def save_encoded(dataset, path):
 
 
 def load_encoded(path, schema=None):
-    labels, rows = [], []
+    """Read the records `save_encoded` writes: a 0/1 label, then one index per field.
+
+    Every problem raises DataError naming `path` and, where one line is
+    at fault, its number: a cell that is not an integer, a record whose
+    width differs from the first, a value beyond int64, a label other
+    than 0 or 1, and, given `schema`, a record of another width or an
+    index outside its field's vocabulary.
+    """
     with reading(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split("\t")
-            try:
-                labels.append(int(cells[0]))
-                rows.append([int(c) for c in cells[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    if not labels:
-        raise DataError(f"{path}: no records")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataError(f"{path}: inconsistent column counts {sorted(widths)}")
+        text = fh.read()
+    table = _parse_vectorized(text)
+    if table is None:
+        table = _parse_lines(path, text)
     try:
-        dataset = Dataset(np.array(rows, dtype=np.int64), np.array(labels, dtype=np.float64))
-    except OverflowError as exc:
-        raise DataError(f"{path}: a value is out of range: {exc}") from exc
-    if schema is not None:
-        dataset.check_schema(schema)
+        dataset = Dataset(np.ascontiguousarray(table[:, 1:]), table[:, 0])
+        if schema is not None:
+            dataset.check_schema(schema)
+    except DataError as exc:
+        where = path if exc.row is None else f"{path}:{_line_of(text, exc.row)}"
+        raise DataError(f"{where}: {exc}") from exc
     return dataset
+
+
+def _parse_vectorized(text):
+    """The (N, 1 + n) int64 table of `text` in one `np.loadtxt` pass, or None.
+
+    Only text made of ASCII digits, '-', tabs and newlines is tried: there
+    the parse reads exactly what `_parse_lines` reads, or raises. Other
+    text, empty text and text the parse rejects give None.
+    """
+    if not text.strip("\t\n") or text.translate(_DELETE_RECORD_CHARS):
+        return None
+    try:
+        return np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _records(text):
+    """(line number, stripped line) of each line of `text` that is not blank."""
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        line = line.strip()
+        if line:
+            yield lineno, line
+
+
+def _line_of(text, row):
+    """The line number of record `row` (0-based) of `text`."""
+    return next(itertools.islice(_records(text), row, None))[0]
+
+
+def _parse_lines(path, text):
+    """The (N, 1 + n) int64 table of `text`, one line at a time with Python `int`."""
+    rows = []
+    for lineno, line in _records(text):
+        try:
+            row = [int(c) for c in line.split("\t")]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise DataError(f"{path}:{lineno}: inconsistent column counts: {len(row)}, first record {len(rows[0])}")
+        rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no records")
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        row = next(r for r, cells in enumerate(rows) if min(cells) < -(2**63) or max(cells) >= 2**63)
+        raise DataError(f"{path}:{_line_of(text, row)}: a value is out of the int64 range") from None

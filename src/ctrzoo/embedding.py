@@ -28,28 +28,37 @@ def linear_slot(i):
     return f"{LINEAR}.{i}"
 
 
-def add_embedding_tables(store, schema, d, field_aware=False):
-    """Create the embedding slots for every field.
+def embedding_shapes(schema, d, field_aware=False):
+    """Slot name -> shape of every embedding table, in creation order.
 
     Plain: one (vocab_i, d) table per field. Field-aware: one (vocab_i, d)
     table per ordered (field, other-field) pair, n*(n-1) tables in total.
     """
+    n = schema.n
+    return {
+        emb_slot(i, t): (size, d)
+        for i, size in enumerate(schema.vocab_sizes)
+        for t in ([t for t in range(n) if t != i] if field_aware else [None])
+    }
+
+
+def linear_shapes(schema):
+    """Slot name -> shape of the first-order weights: a d=1 table per field."""
+    return {linear_slot(i): (size, 1) for i, size in enumerate(schema.vocab_sizes)}
+
+
+def add_embedding_tables(store, schema, d, field_aware=False):
+    """Create the embedding slots for every field (see `embedding_shapes`)."""
     if d < 1:
         raise ConfigError(f"embedding dimension must be positive, got {d}")
-    n = schema.n
-    for i, size in enumerate(schema.vocab_sizes):
-        if field_aware:
-            for t in range(n):
-                if t != i:
-                    store.add_xavier(emb_slot(i, t), (size, d), fans=(size, d))
-        else:
-            store.add_xavier(emb_slot(i), (size, d), fans=(size, d))
+    for name, shape in embedding_shapes(schema, d, field_aware).items():
+        store.add_xavier(name, shape, fans=shape)
 
 
 def add_linear_table(store, schema):
     """First-order weights: a d=1 embedding table per field."""
-    for i, size in enumerate(schema.vocab_sizes):
-        store.add_xavier(linear_slot(i), (size, 1), fans=(size, 1))
+    for name, shape in linear_shapes(schema).items():
+        store.add_xavier(name, shape, fans=shape)
 
 
 def _check_indices(indices):

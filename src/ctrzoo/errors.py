@@ -38,9 +38,16 @@ class CatalogError(ConfigError):
 
 
 class DataError(CtrZooError):
-    """Raw or encoded data cannot be read, parsed, or validated."""
+    """Raw or encoded data cannot be read, parsed, or validated.
+
+    `row` is the index of the offending record, when one is known.
+    """
 
     exit_code = 3
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class NumericError(CtrZooError):

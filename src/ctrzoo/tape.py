@@ -85,6 +85,8 @@ def xavier_uniform(rng, shape, fan_in, fan_out):
 # ---------------------------------------------------------------------------
 # parameter storage
 
+_SAVE_BLOCK = 4096  # floats formatted at once by `ParameterStore.save`; bounds its memory
+
 
 class _Slot:
     __slots__ = ("name", "span", "shape", "value", "grad")
@@ -191,14 +193,35 @@ class ParameterStore:
     # -- serialization -----------------------------------------------------
 
     def save(self, path):
-        """Write every slot to `path` as a `ctrzoo-params-v1` checkpoint, streamed as it is encoded."""
-        slots = {
-            # every slot is trained; the entry keeps the v1 format
-            name: {"shape": list(slot.shape), "trainable": True, "values": self.values[slot.span].tolist()}
-            for name, slot in self._slots.items()
-        }
-        payload = {"format": "ctrzoo-params-v1", "seed": self.seed, "slots": slots}
-        write_text(path, json.JSONEncoder(sort_keys=True, allow_nan=False).iterencode(payload))
+        """Write every slot to `path` as a `ctrzoo-params-v1` checkpoint, streamed in small chunks.
+
+        A non-finite value raises NumericError naming its slot before `path`
+        is opened.
+        """
+        names = sorted(self._slots)
+        for name in names:
+            if not _finite(self._slots[name].value):
+                raise NumericError(f"non-finite value in slot {name!r}; {path} not written")
+        write_text(path, self._v1_chunks(names))
+
+    def _v1_chunks(self, names):
+        """The text `json.dumps(payload, sort_keys=True)` gives for the v1 payload, 64 characters a chunk.
+
+        Values are formatted `_SAVE_BLOCK` at a time by the list repr, which
+        writes each float with `float.__repr__`, as the json module does.
+        """
+        yield f'{{"format": "ctrzoo-params-v1", "seed": {json.dumps(self.seed)}, "slots": {{'
+        for k, name in enumerate(names):
+            slot = self._slots[name]
+            shape = json.dumps(list(slot.shape))
+            yield f'{", " if k else ""}{json.dumps(name)}: {{"shape": {shape}, "trainable": true, "values": ['
+            values = self.values[slot.span]
+            for start in range(0, values.size, _SAVE_BLOCK):
+                text = (", " if start else "") + repr(values[start:start + _SAVE_BLOCK].tolist())[1:-1]
+                for i in range(0, len(text), 64):
+                    yield text[i:i + 64]
+            yield "]}"
+        yield "}}"
 
     @classmethod
     def load(cls, path):

@@ -124,6 +124,13 @@ class ModelSpec:
         return replace(row, softmax=softmax, self_product=self.self_product,
                        upper_only=upper_only, attention_width=self.afm_width)
 
+    def table_shapes(self):
+        """Slot name -> shape of every table the schema sizes: embeddings, then first-order weights if used."""
+        shapes = embedding.embedding_shapes(self.schema, self.dim, self.fi_config().field_aware)
+        if self.use_linear:
+            shapes.update(embedding.linear_shapes(self.schema))
+        return shapes
+
     @property
     def n_layers(self):
         return self.layers if self.row.layered else 1

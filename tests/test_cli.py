@@ -295,6 +295,23 @@ def test_train_rejects_an_index_beyond_int64(tmp_path, synth_dir):
     assert "encoded.tsv" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        pytest.param("2\t2\t2\t2\t2", "encoded.tsv:401: label must be 0 or 1, got '2'", id="label"),
+        pytest.param("1\t2\t99\t2\t2", "encoded.tsv:401: field 1 ('f1'): index 99 outside", id="index"),
+    ],
+)
+def test_train_names_the_file_and_line_of_a_bad_record(tmp_path, synth_dir, record, message):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    encoded = data / "encoded.tsv"
+    encoded.write_text(encoded.read_text() + record + "\n")
+    proc = run_cli("train", "--data", data, "--out", tmp_path / "run", "--model", "LR", "--epochs", 1)
+    assert_data_error(proc)
+    assert message in proc.stderr
+
+
 @pytest.mark.parametrize("key", ["format", "slots", "shape", "values"])
 def test_eval_rejects_a_checkpoint_missing_an_entry(ws, synth_dir, run_dir, key):
     def drop(payload):
@@ -330,6 +347,17 @@ def test_eval_rejects_a_checkpoint_slot_of_the_wrong_shape(ws, synth_dir, run_di
     proc = run_cli("eval", "--run", run, "--data", synth_dir)
     assert_data_error(proc)
     assert "'emb.0' has shape" in proc.stderr
+
+
+def test_eval_checks_the_model_config_against_the_checkpoint_before_allocating(ws, synth_dir, run_dir):
+    def huge(config):
+        config["model"]["schema"]["fields"][2]["vocab_size"] = 10**15
+
+    run = broken_run(ws, run_dir, "run_huge_vocab", edit_json(huge), target="model.json")
+    proc = run_cli("eval", "--run", run, "--data", synth_dir)
+    assert_data_error(proc)
+    assert "model.json does not match" in proc.stderr and "params.json" in proc.stderr
+    assert "'emb.2' has shape" in proc.stderr
 
 
 def test_eval_rejects_a_run_config_without_its_split(ws, synth_dir, run_dir):

@@ -1,10 +1,14 @@
 """Data pipeline tests: binning, vocabularies, splits, and the click simulator."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ctrzoo import data
 from ctrzoo.data import (
     Dataset,
     Field,
@@ -402,6 +406,70 @@ def test_load_encoded_rejects_an_index_beyond_int64(tmp_path):
     path.write_text("1\t2\t3\n0\t123456789012345678901234\t2\n")
     with pytest.raises(DataError, match="encoded.tsv"):
         load_encoded(path)
+
+
+def test_load_encoded_reads_saved_records_in_one_vectorized_pass(tmp_path):
+    rng = np.random.default_rng(2)
+    ds = Dataset(rng.integers(0, 50, size=(300, 4)), rng.integers(0, 2, size=300))
+    path = tmp_path / "encoded.tsv"
+    save_encoded(ds, path)
+    with mock.patch.object(data, "_parse_lines", side_effect=AssertionError("line loop used")):
+        loaded = load_encoded(path, FieldSchema.of_sizes([50] * 4))
+    assert loaded.indices.tolist() == ds.indices.tolist() and loaded.labels.tolist() == ds.labels.tolist()
+
+
+def _load_outcome(path, schema):
+    """The dataset `load_encoded` returns, as lists, or the message of its DataError."""
+    try:
+        ds = load_encoded(path, schema)
+    except DataError as exc:
+        return str(exc)
+    return ds.indices.shape, ds.indices.tolist(), ds.labels.tolist()
+
+
+_CELLS = st.sampled_from(
+    ["0", "1", "2", "-", "--3", "3-", "-0", "007", "", " 1", "1\x0c", "0\x0c1", "\u0663",
+     "9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809"]
+) | st.integers(-3, 5).map(str) | st.text("0123456789-", max_size=3)
+_RECORD_TEXT = st.lists(st.lists(_CELLS, min_size=1, max_size=4), max_size=5).map(
+    lambda lines: "".join("\t".join(cells) + "\n" for cells in lines)
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    text=st.text("0123456789-\t\n \x0c\u0663", max_size=30) | _RECORD_TEXT | _RECORD_TEXT.map(str.rstrip),
+    with_schema=st.booleans(),
+)
+@example(text="0\x0c1\n1\n", with_schema=False)  # one record to Python, two to `str.splitlines`
+@example(text="1\t2\n\n\t0\t3\t\n", with_schema=True)
+@example(text="1\t9223372036854775808\n", with_schema=False)
+def test_load_encoded_vectorized_pass_agrees_with_the_line_loop(tmp_path_factory, text, with_schema):
+    # blank lines, leading and trailing tabs, signs, zero padding, one-column
+    # and ragged records, int64 overflow, and characters only Python reads
+    path = tmp_path_factory.mktemp("encoded") / "encoded.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    schema = FieldSchema.of_sizes([3, 3]) if with_schema else None
+    with mock.patch.object(data, "_parse_vectorized", return_value=None):
+        by_lines = _load_outcome(path, schema)
+    assert _load_outcome(path, schema) == by_lines
+    # and both read what Python reads line by line from the file
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = [[int(c) for c in line.strip().split("\t")] for line in fh if line.strip()]
+    except ValueError:
+        rows = []
+    valid = (
+        rows
+        and len({len(r) for r in rows}) == 1
+        and all(-(2**63) <= v < 2**63 for r in rows for v in r)
+        and all(r[0] in (0, 1) for r in rows)
+        and (schema is None or all(len(r) == 3 and 0 <= min(r[1:]) and max(r[1:]) < 3 for r in rows))
+    )
+    if valid:
+        assert by_lines == ((len(rows), len(rows[0]) - 1), [r[1:] for r in rows], [r[0] for r in rows])
+    else:
+        assert isinstance(by_lines, str) and by_lines.startswith(f"{path}")
 
 
 def test_vocab_file_round_trip(tmp_path):

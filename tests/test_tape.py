@@ -252,6 +252,53 @@ def test_store_save_streams_the_checkpoint_in_small_chunks(tmp_path, monkeypatch
     assert len(text) > 100_000 and max(map(len, chunks)) < 100
 
 
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+_slot_values = st.lists(
+    st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False), max_size=8
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**40),
+    slots=st.dictionaries(st.text(max_size=6), _slot_values, max_size=5),
+    scalar=st.sampled_from(_EDGE_FLOATS),
+    long=st.sampled_from([4095, 4096, 4097, 8193]),
+)
+def test_store_save_writes_the_stdlib_encoding_of_the_v1_payload(tmp_path_factory, seed, slots, scalar, long):
+    # a 0-d slot, an empty slot and one long enough to be formatted in several
+    # blocks always, plus named random slots of any length
+    store = ParameterStore(seed=seed)
+    store.add_value("zero-d", np.array(scalar))
+    store.add_zeros("empty", (0, 3))
+    store.add_value("long", np.random.default_rng(seed).normal(size=long))
+    for name, values in slots.items():
+        if name not in store:
+            store.add_value(name, values)
+    payload = {
+        "format": "ctrzoo-params-v1",
+        "seed": seed,
+        "slots": {
+            name: {"shape": list(slot.shape), "trainable": True, "values": slot.value.ravel().tolist()}
+            for name, slot in zip(store.names(), store.slots())
+        },
+    }
+    path = tmp_path_factory.mktemp("save") / "params.json"
+    store.save(path)
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
+def test_store_save_refuses_a_non_finite_value_before_opening_the_file(tmp_path):
+    store = ParameterStore(seed=1)
+    store.add_value("a", [1.0, 2.0])
+    store.add_value("b", [3.0, 4.0])
+    store.value("b")[1] = np.nan
+    path = tmp_path / "params.json"
+    with pytest.raises(NumericError, match="'b'"):
+        store.save(path)
+    assert not path.exists()
+
+
 def test_store_load_rejects_a_non_finite_value(tmp_path):
     path = tmp_path / "params.json"
     slots = '{"w": {"shape": [2], "values": [1.0, 1e999], "trainable": true}}'
