@@ -34,7 +34,7 @@ from .errors import (
     write_text,
 )
 from .metrics import evaluate
-from .tape import ParameterStore
+from .tape import ParameterStore, release_memory
 from .training import TrainConfig, train
 from .zoo import (
     MODEL_NAMES,
@@ -43,6 +43,7 @@ from .zoo import (
     count_complexity,
     fi_catalog,
     gradient_check,
+    model_on_store,
     random_batch,
 )
 
@@ -244,33 +245,22 @@ def _rebuild_run(run_dir):
         spec = ModelSpec.from_dict(run_config["model"])
     except ConfigError as exc:
         raise DataError(f"{model_path}: {exc}") from exc
-    loaded = ParameterStore.load(params_path)
-    for name, want in spec.table_shapes().items():  # before any table is allocated
-        if name not in loaded:
-            raise DataError(f"{model_path} does not match {params_path}: the checkpoint has no slot {name!r}")
-        if loaded.slot(name).shape != want:
-            raise DataError(
-                f"{model_path} does not match {params_path}: slot {name!r} has shape "
-                f"{loaded.slot(name).shape}, the model config needs {want}"
-            )
-    model = build_model(spec, seed=loaded.seed)
-    if sorted(loaded.names()) != sorted(model.store.names()):
-        raise DataError(f"{run_dir}: checkpoint slots do not match the model config")
-    for name in model.store.names():
-        try:
-            model.store.set_value(name, loaded.value(name))
-        except ShapeError as exc:
-            got, want = loaded.value(name).shape, model.store.value(name).shape
-            raise DataError(
-                f"{run_dir}: checkpoint slot {name!r} has shape {got}, the model config needs {want}"
-            ) from exc
+    try:
+        model = model_on_store(spec, ParameterStore.load(params_path))
+    except ShapeError as exc:
+        raise DataError(f"{model_path} does not match {params_path}: {exc}") from exc
     return model, run_config
 
 
 def cmd_eval(args):
     model, run_config = _rebuild_run(args.run)
     schema, dataset = _load_data_dir(args.data)
-    dataset.check_schema(model.schema)
+    try:
+        dataset.check_schema(model.schema)
+    except DataError as exc:
+        encoded = Path(args.data) / "encoded.tsv"
+        where = encoded if exc.row is None else f"{encoded}:{datamod.record_line(encoded, exc.row)}"
+        raise DataError(f"{where}: {exc}, as {Path(args.run) / 'model.json'} records it") from exc
     if args.split == "all":
         part = dataset
     else:
@@ -543,6 +533,8 @@ def main(argv=None):
     except CtrZooError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        release_memory()  # what the command's steps kept for reuse goes back to the kernel
 
 
 if __name__ == "__main__":

@@ -522,6 +522,12 @@ def _line_of(text, row):
     return next(itertools.islice(_records(text), row, None))[0]
 
 
+def record_line(path, row):
+    """The line number of record `row` (0-based) of the encoded records at `path`."""
+    with reading(path) as fh:
+        return _line_of(fh.read(), row)
+
+
 def _parse_lines(path, text):
     """The (N, 1 + n) int64 table of `text`, one line at a time with Python `int`."""
     rows = []

@@ -29,9 +29,13 @@ A `ParameterStore` keeps its slots in one flat `values` and one flat `grads`
 buffer. Gradients are accumulation-only: `backward` adds into them and never
 clears them, so calling it twice without `zero_grads` doubles every gradient
 exactly, which the finite-difference checker and the optimizer rely on.
+
+Importing this module has glibc keep freed memory in the process (see
+`keep_freed_memory`); `release_memory` hands it back.
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import string
 
@@ -48,6 +52,49 @@ __all__ = [
     "finite_diff_check",
     "xavier_uniform",
 ]
+
+
+# ---------------------------------------------------------------------------
+# process memory
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters (malloc.h)
+
+
+def _c_library():
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):  # no process-wide C library to open, as on Windows
+        return None
+
+
+_LIBC = _c_library()
+
+
+def keep_freed_memory(libc):
+    """Have glibc keep freed blocks below 32 MiB in the process; True when `libc` took both settings.
+
+    A step's tape allocates a fresh 1-6 MB array per op and frees them all
+    when it ends. glibc's dynamic thresholds give blocks that size their own
+    mmap, or trim them off the heap top, so each step gave them back to the
+    kernel and the next one faulted them in again, 4 KB at a time. 32 MiB is
+    glibc's own ceiling for its dynamic mmap threshold on 64-bit, so larger
+    arrays still map and unmap. Without `mallopt`, or where it refuses (a C
+    library other than glibc), nothing changes.
+    """
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    return mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1
+
+
+def release_memory():
+    """Hand the freed memory this process keeps back to the kernel (glibc's `malloc_trim(0)`)."""
+    trim = getattr(_LIBC, "malloc_trim", None)
+    if trim is not None:
+        trim(0)
+
+
+keep_freed_memory(_LIBC)
 
 
 # ---------------------------------------------------------------------------

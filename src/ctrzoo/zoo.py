@@ -124,13 +124,6 @@ class ModelSpec:
         return replace(row, softmax=softmax, self_product=self.self_product,
                        upper_only=upper_only, attention_width=self.afm_width)
 
-    def table_shapes(self):
-        """Slot name -> shape of every table the schema sizes: embeddings, then first-order weights if used."""
-        shapes = embedding.embedding_shapes(self.schema, self.dim, self.fi_config().field_aware)
-        if self.use_linear:
-            shapes.update(embedding.linear_shapes(self.schema))
-        return shapes
-
     @property
     def n_layers(self):
         return self.layers if self.row.layered else 1
@@ -169,13 +162,12 @@ class ModelSpec:
 
 
 def _layer_prefixes(spec):
-    return [f"fi.l{l}." for l in range(spec.n_layers)]
+    return (f"fi.l{l}." for l in range(spec.n_layers))
 
 
-def build_model(spec, seed=0):
-    """Instantiate parameters for `spec` under `seed` and wrap them."""
-    model = Model(spec, ParameterStore(seed))
-    store, cfg = model.store, model.cfg
+def _add_slots(store, model):
+    """Create in `store`, in order, every slot `model` reads."""
+    spec, cfg = model.spec, model.cfg
     embedding.add_embedding_tables(store, spec.schema, spec.dim, field_aware=cfg.field_aware)
     if spec.use_linear:
         embedding.add_linear_table(store, spec.schema)
@@ -187,6 +179,51 @@ def build_model(spec, seed=0):
         store.add_value("al.w", np.full(spec.n, 1.0 / spec.n))
     if model.st_spec is not None:
         add_mlp_slots(store, model.st_spec)
+
+
+def build_model(spec, seed=0):
+    """Instantiate parameters for `spec` under `seed` and wrap them."""
+    model = Model(spec, ParameterStore(seed))
+    _add_slots(model.store, model)
+    return model
+
+
+class _SlotCheck:
+    """Takes `_add_slots`' calls in place of a store: checks each slot against `store`, allocating nothing."""
+
+    def __init__(self, store):
+        self.store, self.names = store, set()
+
+    def add_zeros(self, name, shape):
+        if name not in self.store:
+            raise ShapeError(f"the checkpoint has no slot {name!r}")
+        have = self.store.slot(name).shape
+        if have != tuple(shape):
+            raise ShapeError(f"slot {name!r} has shape {have}, the model config needs {tuple(shape)}")
+        self.names.add(name)
+
+    def add_xavier(self, name, shape, fans=None):
+        self.add_zeros(name, shape)
+
+    def add_value(self, name, value):
+        self.add_zeros(name, np.shape(value))
+
+
+def model_on_store(spec, store):
+    """The model `spec` describes, reading its parameters from the slots of `store`.
+
+    `store` (a loaded checkpoint) must hold exactly the slots `build_model`
+    creates for `spec`, shape for shape, or ShapeError names the first that
+    differs. The spec's slots are compared one at a time, as `build_model`
+    would create them, and none is allocated, so a spec far larger than the
+    checkpoint fails at the first slot the checkpoint lacks.
+    """
+    model = Model(spec, store)
+    check = _SlotCheck(store)
+    _add_slots(check, model)
+    extra = sorted(set(store.names()) - check.names)
+    if extra:
+        raise ShapeError(f"the checkpoint has slots the model config does not: {', '.join(extra)}")
     return model
 
 

@@ -9,6 +9,7 @@ process to watch which flags each spec is built from.
 import ast
 import dataclasses
 import json
+import resource
 import shutil
 import subprocess
 import sys
@@ -24,11 +25,15 @@ from ctrzoo import cli
 from ctrzoo.data import SyntheticSpec, generate_dcm
 
 
-def run_cli(*argv):
+def run_cli(*argv, max_bytes=None):
+    """Run the CLI in a subprocess; `max_bytes` caps its address space, so an
+    allocation of that size or more fails at once instead of taking the memory."""
+    limit = None if max_bytes is None else lambda: resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
     return subprocess.run(
         [sys.executable, "-m", "ctrzoo.cli", *[str(a) for a in argv]],
         capture_output=True,
         text=True,
+        preexec_fn=limit,
     )
 
 
@@ -358,6 +363,69 @@ def test_eval_checks_the_model_config_against_the_checkpoint_before_allocating(w
     assert_data_error(proc)
     assert "model.json does not match" in proc.stderr and "params.json" in proc.stderr
     assert "'emb.2' has shape" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def model_runs(ws, synth_dir, run_dir):
+    """Short runs of FM, a model with an MLP head, AFM and a two-layer SAM3_A."""
+    runs = {"FM": run_dir}
+    for name, extra in [("DeepFM-deep", ("--mlp-hidden", "8,8")), ("AFM", ()), ("SAM3_A", ("--layers", 2))]:
+        out = runs[name] = ws / f"run_{name}"
+        proc = run_cli(
+            "train", "--data", synth_dir, "--out", out, "--model", name, "--d", 3,
+            "--batch", 128, "--epochs", 1, "--seed", 1, *extra,
+        )
+        assert proc.returncode == 0, proc.stderr
+    return runs
+
+
+@pytest.mark.parametrize(
+    "model, change, message",
+    [
+        pytest.param(
+            "DeepFM-deep", {"mlp_hidden": [10**6, 10**6, 32]},
+            "slot 'st.l0.w' has shape (12, 8), the model config needs (12, 1000000)", id="mlp-hidden",
+        ),
+        pytest.param(
+            "AFM", {"afm_width": 10**9},
+            "slot 'fi.l0.attn_w' has shape (3, 3), the model config needs (1000000000, 3)", id="afm-width",
+        ),
+        pytest.param("SAM3_A", {"layers": 10**9}, "the checkpoint has no slot 'fi.l2.k'", id="layers"),
+        pytest.param(
+            "FM", {"include_bias": False}, "the checkpoint has slots the model config does not: bias",
+            id="include-bias",
+        ),
+    ],
+)
+def test_eval_checks_every_slot_of_the_model_config_before_allocating(
+    ws, synth_dir, model_runs, model, change, message
+):
+    run = broken_run(
+        ws, model_runs[model], f"run_{model}_{'_'.join(change)}",
+        edit_json(lambda config: config["model"].update(change)), target="model.json",
+    )
+    proc = run_cli("eval", "--run", run, "--data", synth_dir, max_bytes=1 << 30)
+    assert_data_error(proc)
+    assert f"model.json does not match {run / 'params.json'}: {message}" in proc.stderr
+
+
+def test_eval_names_the_file_and_line_of_an_index_outside_the_models_vocabulary(ws):
+    narrow, wide = ws / "synth_categories_4", ws / "synth_categories_9"
+    for out, categories in ((narrow, 4), (wide, 9)):
+        proc = run_cli("synth", "--out", out, "--fields", 4, "--categories", categories, "--count", 300, "--seed", 2)
+        assert proc.returncode == 0, proc.stderr
+    run = ws / "run_categories_4"
+    proc = run_cli("train", "--data", narrow, "--out", run, "--model", "LR", "--epochs", 1, "--seed", 2)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("eval", "--run", run, "--data", wide)
+    assert_data_error(proc)
+    sizes = [f["vocab_size"] for f in json.loads((run / "model.json").read_text())["model"]["schema"]["fields"]]
+    records = np.loadtxt(wide / "encoded.tsv", dtype=np.int64, ndmin=2)[:, 1:]
+    row, field = np.argwhere(records >= sizes)[0]
+    assert (
+        f"error: {wide / 'encoded.tsv'}:{row + 1}: field {field} ('f{field}'): index {records[row, field]} "
+        f"outside its vocabulary of size {sizes[field]}, as {run / 'model.json'} records it"
+    ) in proc.stderr
 
 
 def test_eval_rejects_a_run_config_without_its_split(ws, synth_dir, run_dir):
@@ -703,6 +771,16 @@ def test_every_spec_field_read_from_flags_has_a_flag(tmp_path, synth_dir, monkey
     }[command]
     assert cli.main([command, "--out", str(tmp_path / "out"), *map(str, argv)]) == 0
     assert built == ({"SyntheticSpec"} if command == "synth" else {"TrainConfig", "ModelSpec"})
+
+
+def test_main_releases_memory_after_every_command(monkeypatch, capsys):
+    released = []
+    monkeypatch.setattr(cli, "release_memory", lambda: released.append(True))
+    assert cli.main(["complexity", "--fields", "3"]) == 0
+    assert len(released) == 1
+    assert cli.main(["gradcheck", "--models", "LR", "--batch", "0"]) == 2  # a ConfigError's exit code
+    assert len(released) == 2
+    assert "error: --batch must be at least 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,27 @@
 import importlib
 import json
 import math
+import platform
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrzoo import tape as tape_module
 from ctrzoo.errors import ContractError, DataError, DomainError, NumericError, ShapeError
 from ctrzoo.interaction import MODEL_NAMES, fi_catalog
 from ctrzoo.metrics import PROB_FLOOR, logloss
-from ctrzoo.tape import ParameterStore, Tape, finite_diff_check, sigmoid, xavier_uniform
+from ctrzoo.tape import (
+    ParameterStore,
+    Tape,
+    finite_diff_check,
+    keep_freed_memory,
+    release_memory,
+    sigmoid,
+    xavier_uniform,
+)
 from test_interaction import ORACLES, make_fields, make_slots, oracle_ffm, run_config
 
 
@@ -992,3 +1003,35 @@ def test_store_load_rejects_malformed_checkpoints_as_data_errors(tmp_path, text)
     path.write_text(text)
     with pytest.raises(DataError, match="params.json"):
         ParameterStore.load(path)
+
+
+# ---------------------------------------------------------------------------
+# process memory
+
+
+def test_keep_freed_memory_sets_both_glibc_thresholds():
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+    assert keep_freed_memory(libc)
+    assert calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+    if platform.libc_ver()[0] == "glibc":
+        assert keep_freed_memory(tape_module._LIBC)
+
+
+def test_keep_freed_memory_is_a_silent_no_op_without_glibc():
+    calls = []
+    refusing = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 0)
+    assert not keep_freed_memory(refusing)
+    assert calls == [(-3, 32 << 20)]  # nothing more after a refusal
+    assert not keep_freed_memory(SimpleNamespace())  # no mallopt symbol
+    assert not keep_freed_memory(None)  # no C library
+
+
+def test_release_memory_trims_the_heap_where_it_can(monkeypatch):
+    trims = []
+    monkeypatch.setattr(tape_module, "_LIBC", SimpleNamespace(malloc_trim=trims.append))
+    release_memory()
+    assert trims == [0]
+    for libc in (SimpleNamespace(), None):
+        monkeypatch.setattr(tape_module, "_LIBC", libc)
+        release_memory()  # no malloc_trim: nothing to do, and no error

@@ -271,6 +271,26 @@ def test_dropout_models_train_deterministically():
     assert len(csvs) == 1
 
 
+def test_training_is_bitwise_independent_of_the_allocation_history():
+    # freed memory stays in the process, so each tensor lands wherever the heap
+    # has room; what a model learns and predicts must not depend on where
+    data = generate_dcm(SyntheticSpec(n_fields=8, categories=5, count=2000, seed=6))
+    split = split_dataset(data.dataset, (0.8, 0.1, 0.1), seed=6)
+    config = TrainConfig(lr=1e-2, batch_size=512, epochs=3, seed=6, patience=3)
+
+    def fit(name):
+        model = build_model(ModelSpec(name, data.schema, d=8), seed=6)
+        train(model, split.train, split.valid, config)
+        return model.store.values.tobytes(), model.predict(split.test.indices).tobytes()
+
+    first = {name: fit(name) for name in ("AFM", "SAM3_E")}
+    rng = np.random.default_rng(6)
+    held = [np.ones(int(n)) for n in np.exp(rng.uniform(0.0, np.log(2**20), size=48))]  # 8 B to 8 MB
+    del held[::3]  # holes of assorted sizes between the blocks still held
+    again = {name: fit(name) for name in ("SAM3_E", "AFM")}
+    assert held and again == first
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_poisoned_parameters_raise_training_error_with_location():
     data, split = synth_split(count=300)
