@@ -138,7 +138,7 @@ def _neighborhood_mask(kind, n):
 @lru_cache(maxsize=None)
 def _field_pairs(n):
     """Constants for the m = n(n-1)/2 pairs i < j: one-hot (m, n) rows picking
-    i and j, and the (m, n*n) map spreading a pair value over (i, j) and (j, i).
+    i and j, and the (m, n, n) map spreading a pair value over (i, j) and (j, i).
 
     FFM and AFM spread their per-pair similarities with the map, FwFM its
     pair weights."""
@@ -147,18 +147,18 @@ def _field_pairs(n):
     pick_first, pick_second = np.zeros((m, n)), np.zeros((m, n))
     pick_first[np.arange(m), first] = 1.0
     pick_second[np.arange(m), second] = 1.0
-    spread = np.zeros((m, n * n))
-    spread[np.arange(m), first * n + second] = 1.0
-    spread[np.arange(m), second * n + first] = 1.0
+    spread = np.zeros((m, n, n))
+    spread[np.arange(m), first, second] = 1.0
+    spread[np.arange(m), second, first] = 1.0
     return _frozen(pick_first), _frozen(pick_second), _frozen(spread)
 
 
 @lru_cache(maxsize=None)
 def _grid_placement(n, upper_only):
-    """(n*n, P) one-hot map putting grid pair p = (i, j), in row-major order, at entry i*n + j."""
+    """(n, n, P) one-hot map putting grid pair p = (i, j), in row-major order, at entry (i, j)."""
     first, second = np.triu_indices(n, 1) if upper_only else np.indices((n, n)).reshape(2, -1)
-    place = np.zeros((n * n, len(first)))
-    place[first * n + second, np.arange(len(first))] = 1.0
+    place = np.zeros((n, n, len(first)))
+    place[first, second, np.arange(len(first))] = 1.0
     return _frozen(place)
 
 
@@ -231,13 +231,7 @@ def fi_forward(tape, cfg, fields, store, *, prefix="fi.", head=None):
     else:
         weights = tape.mul(scores, tape.constant(mask))
     out = _utility(tape, cfg, fields, weights, param)
-    return tape.add(out, tape.linear_map(param("res"), fields)) if cfg.residual else out
-
-
-def _spread_pairs(tape, values, n):
-    """(B, m) values of the pairs i < j as the symmetric (B, n, n) matrix, zero diagonal."""
-    spread = tape.constant(_field_pairs(n)[2])
-    return tape.reshape(tape.matmul(values, spread), (values.value.shape[0], n, n))
+    return tape.add(out, tape.contract("bid,ed->bie", fields, param("res"))) if cfg.residual else out
 
 
 def add_fi_slots(store, cfg, prefix, n, d):
@@ -299,43 +293,42 @@ def _similarity(tape, cfg, E, param):
         return None
     if kind == "inner":
         if cfg.field_aware:
-            # <e_i^(j), e_j^(i)>, once per pair i < j
+            # <e_i^(j), e_j^(i)>, once per pair i < j, spread over (i, j) and (j, i)
             mine, theirs = E
-            return _spread_pairs(tape, tape.inner(mine, theirs), _fields_of_pairs(mine.value.shape[1]))
-        gram = tape.matmul(E, tape.transpose(E, (0, 2, 1)))
+            spread = tape.constant(_field_pairs(_fields_of_pairs(mine.value.shape[1]))[2])
+            return tape.contract("bp,pij->bij", tape.contract("bpd,bpd->bp", mine, theirs), spread)
+        gram = tape.contract("bid,bjd->bij", E, E)
         # a matrix product does not promise S_ij == S_ji to the last bit; the
         # symmetric part does, which keeps symmetric grids exactly symmetric
         return tape.scale_const(tape.add(gram, tape.transpose(gram, (0, 2, 1))), 0.5)
     if kind == "proj_k":
-        return tape.matmul(E, tape.transpose(tape.linear_map(param("k"), E), (0, 2, 1)))
+        return tape.contract("bid,bjd->bij", E, tape.contract("bid,ed->bie", E, param("k")))
     if kind == "proj_qk":
-        q = tape.linear_map(param("q"), E)
-        k = tape.linear_map(param("k"), E)
-        return tape.matmul(q, tape.transpose(k, (0, 2, 1)))
+        q = tape.contract("bid,ed->bie", E, param("q"))
+        k = tape.contract("bid,ed->bie", E, param("k"))
+        return tape.contract("bid,bjd->bij", q, k)
     if kind == "afm":
         # h . relu(W (f_i * f_j) + b) is symmetric in the pair and the
         # diagonal is masked out: run the attention network once per pair i < j
         n = E.value.shape[1]
-        first, second, _ = (tape.constant(c) for c in _field_pairs(n))
-        pairs = tape.mul(tape.matmul(first, E), tape.matmul(second, E))
-        hidden = tape.relu(tape.add(tape.linear_map(param("attn_w"), pairs), param("attn_b")))
-        return _spread_pairs(tape, tape.inner(hidden, param("attn_h")), n)
+        first, second, spread = (tape.constant(c) for c in _field_pairs(n))
+        pairs = tape.mul(tape.contract("pi,bid->bpd", first, E), tape.contract("pi,bid->bpd", second, E))
+        hidden = tape.relu(tape.add(tape.contract("bpd,td->bpt", pairs, param("attn_w")), param("attn_b")))
+        return tape.contract("bp,pij->bij", tape.contract("bpt,t->bp", hidden, param("attn_h")), spread)
     raise CatalogError(f"unknown similarity kind {kind!r}")
 
 
 def _pair_scalars(tape, cfg, param, n):
-    """(1, n, n) node of the per-pair scalar utility, or None if it is not one."""
+    """(n, n) node of the per-pair scalar utility, or None if it is not one."""
     kind = cfg.utility
     if kind == "scalar_pair":
-        table = param("pairw")
-    elif kind == "scalar_pair_sym":
-        table = tape.einsum("p,pq->q", param("pairw"), tape.constant(_field_pairs(n)[2]))
-    elif kind == "scalar_inner":
+        return param("pairw")
+    if kind == "scalar_pair_sym":
+        return tape.contract("p,pij->ij", param("pairw"), tape.constant(_field_pairs(n)[2]))
+    if kind == "scalar_inner":
         theta = param("theta")
-        table = tape.matmul(theta, tape.transpose(theta, (1, 0)))
-    else:
-        return None
-    return tape.reshape(table, (1, n, n))
+        return tape.contract("id,jd->ij", theta, theta)
+    return None
 
 
 def _utility(tape, cfg, E, W, param):
@@ -357,27 +350,22 @@ def _utility(tape, cfg, E, W, param):
     if table is not None:
         return tape.sum_axis(tape.mul(W, table), -1)
     if kind == "projected_inner":
-        # <p, f_i * f_j> for every pair as (E * p) @ E^T
-        d = E.value.shape[-1]
-        scaled = tape.mul(E, tape.reshape(param("proj_p"), (1, 1, d)))
-        util = tape.matmul(scaled, tape.transpose(E, (0, 2, 1)))
+        # <p, f_i * f_j> for every pair as (E * p) E^T
+        util = tape.contract("bid,bjd->bij", tape.mul(E, param("proj_p")), E)
         return tape.sum_axis(tape.mul(W, util), -1)
     if kind == "vector_pair":
-        d = E.value.shape[-1]
-        vecs = tape.reshape(param("pairvec"), (n, n, d))
-        # per target field i: weights W[:, i, :] (B, n) times its vectors (n, d)
-        out = tape.matmul(tape.transpose(W, (1, 0, 2)), vecs)
-        return tape.transpose(out, (1, 0, 2))
+        vecs = tape.reshape(param("pairvec"), (n, n, E.value.shape[-1]))
+        return tape.contract("bij,ijd->bid", W, vecs)
 
     def mixed(x):
-        return x if W is None else tape.matmul(W, x)
+        return x if W is None else tape.contract("bij,bjd->bid", W, x)
 
     if kind == "identity":
         return mixed(E)
     if kind == "scaled_identity":
         return tape.mul(mixed(E), tape.reshape(param("fieldw"), (1, n, 1)))
     if kind == "linear_map":
-        return mixed(tape.linear_map(param("v"), E))
+        return mixed(tape.contract("bid,ed->bie", E, param("v")))
     if kind == "hadamard":
         return tape.mul(E, mixed(E))
     raise CatalogError(f"unknown utility kind {kind!r}")
@@ -390,7 +378,7 @@ def _grid(tape, cfg, E, param, head):
     the pairs it leaves out, so the full and the upper-only grid share one
     path and no per-pair vector is ever formed.
     """
-    B, n, d = E.value.shape
+    _, n, d = E.value.shape
     pairs = grid_size(cfg, n)
     if head.value.shape != (pairs * d, 1):
         raise ShapeError(f"{cfg.model}: head weights {head.value.shape} do not read {pairs} pairs of {d}")
@@ -400,12 +388,12 @@ def _grid(tape, cfg, E, param, head):
     place = tape.constant(_grid_placement(n, cfg.upper_only))
     w = tape.reshape(head, (pairs, d))
     if cfg.utility == "hadamard":
-        weights = tape.reshape(tape.matmul(place, w), (n, n, d))
+        weights = tape.contract("ijp,pk->ijk", place, w)
         # sum_k w_ijk f_ik f_jk for every pair; the self product reads f_i twice
         spec = "bik,ijk,bik->bij" if cfg.self_product else "bik,ijk,bjk->bij"
-        return tape.einsum("bij,bij->b", scores, tape.einsum(spec, E, weights, E))
+        return tape.contract("bij,bij->b", scores, tape.contract(spec, E, weights, E))
     if cfg.utility == "vector_pair":
         # the head reads pair vector p through the scalar sum_k pairvec_pk w_pk
-        coeff = tape.inner(place, tape.inner(param("pairvec"), w))
-        return tape.inner(tape.reshape(scores, (B, n * n)), coeff)
+        coeff = tape.contract("ijp,p->ij", place, tape.contract("pk,pk->p", param("pairvec"), w))
+        return tape.contract("bij,ij->b", scores, coeff)
     raise CatalogError(f"{cfg.model}: grid utility {cfg.utility!r} is not supported")

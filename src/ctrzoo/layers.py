@@ -22,7 +22,7 @@ def combine_fields_nodes(tape, fields, weights):
     """Trainable weighted sum over fields, sum_i w_i z_i: (B, n, d) with (n,) -> (B, d)."""
     if fields.value.ndim != 3 or weights.value.shape != fields.value.shape[1:2]:
         raise ShapeError("field_combination needs one weight per field vector")
-    return tape.inner(tape.transpose(fields, (0, 2, 1)), weights)
+    return tape.contract("bid,i->bd", fields, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -79,5 +79,5 @@ def mlp_nodes(tape, spec, store, x, *, drop_rng=None):
             if drop_rng is not None and spec.dropout > 0.0:
                 h = tape.dropout(h, spec.dropout, drop_rng)
         w, b = tape.parameter(store, f"st.l{k}.w"), tape.parameter(store, f"st.l{k}.b")
-        h = tape.add(tape.matmul(h, w), b)
+        h = tape.add(tape.contract("bp,pq->bq", h, w), b)
     return h

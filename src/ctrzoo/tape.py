@@ -10,11 +10,18 @@ not with array entries. Batched operands carry the batch on axis 0.
 broadcast over axes of size 1, and an operand of lower rank must equal the
 trailing axes of the other. So (B, m) + (m,) and (B,) + () broadcast, while
 (3,) + (3, 1) raises ShapeError rather than growing into a (3, 3) result.
-`inner` contracts the last axis of two equal shapes, or of (..., d) with a
-(d,) vector. `einsum` takes explicit subscripts ("bik,ijk,bjk->bij"),
-so it contracts several operands without forming their product. `logloss`
-is the training loss as one node: sigmoid, clamp and mean log-loss fused,
-with a hand-written backward.
+`contract(spec, *nodes)` is the one contraction op. Its spec is explicit
+einsum subscripts ("bid,bjd->bij"): letters and one '->', no index repeated
+within an operand, every operand index also in the output or another
+operand, and one size per index, so unlike `add` it never broadcasts a
+size-1 axis. Operand k's gradient is the contraction `out,<others>->ins[k]`
+of the output gradient with the other operands. A plan cached per (spec,
+shapes) makes one numpy call, forward and backward alike: `np.einsum` for
+three operands and for dot products (no index owned by one operand alone),
+one broadcast multiply when nothing is summed, and otherwise one `@` of the
+operands transposed and reshaped into (stacked, own, summed) blocks.
+`logloss` is the training loss as one node: sigmoid, clamp and mean
+log-loss fused, with a hand-written backward.
 
 Every op checks its operands and its result the same way on either kind of
 tape: a non-finite value raises NumericError, a broadcast or batch mismatch
@@ -37,7 +44,9 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import string
+from functools import lru_cache
 
 import numpy as np
 
@@ -407,7 +416,7 @@ def _broadcast(op, a, b):
 
 
 def _einsum_operands(spec, shapes):
-    """Split an explicit einsum spec into (operand subscripts, output subscripts).
+    """Split an explicit einsum spec into (operand subscripts, output subscripts, index sizes).
 
     Raises ShapeError unless the spec has `->` and no ellipsis, one subscript
     per shape, each of the shape's rank with no repeated index, every index of
@@ -434,12 +443,96 @@ def _einsum_operands(spec, shapes):
         elsewhere = set(out).union(*(ins[m] for m in range(len(ins)) if m != k))
         if not set(sub) <= elsewhere:
             raise ShapeError(f"einsum operand {sub!r} has an index found nowhere else in {spec!r}")
-    return ins, out
+    return ins, out, sizes
 
 
-def _last_axis_product(x, m):
-    """x (..., q) @ m (q, p) as one 2-D product (numpy would loop over the leading axes)."""
-    return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape[:-1] + m.shape[-1:])
+@lru_cache(maxsize=1024)
+def _contraction(spec, shapes):
+    """(run, gradients) of `spec` on operands of `shapes`: `run(*arrays, like=None)`
+    makes the numpy call, and entry k of `gradients` is the (spec, shapes) of
+    operand k's gradient, whose operands are the output gradient and the others."""
+    ins, out, sizes = _einsum_operands(spec, shapes)
+    out_shape = tuple(map(sizes.get, out))
+    grads = tuple(
+        (",".join([out, *ins[:k], *ins[k + 1 :]]) + "->" + sub, (out_shape, *shapes[:k], *shapes[k + 1 :]))
+        for k, sub in enumerate(ins)
+    )
+    if len(ins) == 2 and set(ins[0]) <= set(out):
+        return _broadcast_product(ins, out), grads
+    if len(ins) == 2 and not set(out) <= set(ins[0]) & set(ins[1]):
+        return _block_product(ins, out, sizes), grads
+    return (lambda *arrays, like=None: np.einsum(spec, *arrays)), grads
+
+
+def _broadcast_product(ins, out):
+    """Nothing summed: one multiply of the operands with their axes in output order.
+
+    A `like` array sets the product's memory order; a factor lacking axes is first copied into it."""
+    plans = [(tuple(sub.index(c) for c in out if c in sub),
+              tuple(slice(None) if c in sub else None for c in out),  # spread over the axes it lacks
+              tuple(slice(None) if c in sub else 0 for c in out)) for sub in ins]  # `like`'s layout on the rest
+
+    def run(*arrays, like=None):
+        factors = []
+        for x, (perm, spread, pick) in zip(arrays, plans):
+            x = x.transpose(perm)
+            if like is not None and x.ndim < like.ndim and not like.flags.c_contiguous:
+                laid = np.empty_like(like[pick])
+                laid[...] = x
+                x = laid
+            factors.append(x[spread])
+        return np.multiply(*factors, out=None if like is None else np.empty_like(like))
+
+    return run
+
+
+def _block_product(ins, out, sizes):
+    """One `@` of the blocks (stacked, own, summed) @ (stacked, summed, own).
+
+    An index both operands share with the output is stacked. When both
+    operands own indices and one's own indices sit on both sides of its
+    summed ones, the leading ones are stacked too and the other operand is
+    broadcast over them. The operand whose own indices lead the output goes
+    on the left; one that owns none stays where the spec puts it, a vector
+    unless something is stacked. A step that would change nothing is None.
+    """
+    stack = [c for c in out if c in ins[0] and c in ins[1]]
+    summed = [c for c in ins[0] if c not in out]
+    own = [[c for c in out if c in mine and c not in theirs] for mine, theirs in (ins, ins[::-1])]
+    for k, sub in enumerate(ins):
+        lead = [c for c in own[k] if sub.index(c) < min(map(sub.index, summed))]
+        if own[1 - k] and lead and lead != own[k]:
+            stack, own[k] = stack + lead, [c for c in own[k] if c not in lead]
+            break
+    left = int(all(own) and next(c for c in out if c in own[0] + own[1]) in own[1])
+
+    def merged(groups):  # one axis per stacked index and per non-empty group
+        return tuple(math.prod(map(sizes.get, g)) for g in groups if g or stack)
+
+    def block(sub, groups):  # transpose to (stacked, groups...), then merge each group
+        axes = [c for c in stack if c in sub] + groups[0] + groups[1]
+        shape = tuple(sizes[c] if c in sub else 1 for c in stack) + merged(groups)
+        return _unless(tuple(map(sub.index, axes)), range(len(sub))), _unless(shape, map(sizes.get, axes))
+
+    lhs, rhs = own[left], own[1 - left]
+    (lperm, lshape), (rperm, rshape) = block(ins[left], (lhs, summed)), block(ins[1 - left], (summed, rhs))
+    axes = stack + lhs + rhs
+    shape = _unless(tuple(map(sizes.get, axes)), tuple(map(sizes.get, stack)) + merged((lhs, rhs)))
+    perm = _unless(tuple(map(axes.index, out)), range(len(out)))
+
+    def run(*arrays, like=None):
+        a, b = arrays[left], arrays[1 - left]
+        a, b = (a if lperm is None else a.transpose(lperm)), (b if rperm is None else b.transpose(rperm))
+        product = (a if lshape is None else a.reshape(lshape)) @ (b if rshape is None else b.reshape(rshape))
+        product = product if shape is None else product.reshape(shape)
+        return product if perm is None else product.transpose(perm)
+
+    return run
+
+
+def _unless(value, same):
+    """`value`, or None where it equals `same`: a step that would change nothing."""
+    return None if value == tuple(same) else value
 
 
 def _axes(axis, ndim):
@@ -580,104 +673,18 @@ class Tape:
 
         return self._emit(a.value * c, backward)
 
-    def inner(self, u, v):
-        """Dot product over the last axis: (..., d) with (..., d) -> (...).
-
-        Equal shapes pair up entry-wise over the leading axes, e.g.
-        (B, d)x(B, d) -> (B,) and (d,)x(d,) -> 0-d. A vector (d,), the
-        trailing axis of the other operand, is contracted with every row:
-        (..., d)x(d,) and (d,)x(..., d) -> (...).
-        """
-        if u.value.ndim < v.value.ndim:
-            u, v = v, u
-        ushape, vshape = u.value.shape, v.value.shape
-        if ushape == vshape and ushape:
-            out = np.einsum("...d,...d->...", u.value, v.value)
-
-            def backward(g):
-                # work in the operands' memory order: the output is laid out
-                # like them, and each gradient is laid out like its operand
-                laid_out = np.empty_like(out)
-                laid_out[...] = g
-                g = laid_out[..., None]
-                _bump(u, np.multiply(g, v.value, out=np.empty_like(u.value)))
-                _bump(v, np.multiply(g, u.value, out=np.empty_like(v.value)))
-
-            return self._emit(out, backward)
-        if len(vshape) != 1 or ushape[-1:] != vshape:
-            raise ShapeError(f"inner shape mismatch: {ushape} vs {vshape}")
-        rows = u.value.reshape(-1, vshape[0])
-
-        def backward(g):
-            _bump(u, g[..., None] * v.value)
-            _bump(v, g.reshape(-1) @ rows)
-
-        return self._emit((rows @ v.value).reshape(ushape[:-1]), backward)
-
-    def einsum(self, spec, *nodes):
-        """`np.einsum` with explicit subscripts, e.g. "bik,ijk,bjk->bij".
-
-        The rules `_einsum_operands` checks keep every gradient one einsum:
-        each operand's is the output gradient contracted with the other
-        operands. A node may be passed more than once.
-        """
-        ins, out = _einsum_operands(spec, [node.value.shape for node in nodes])
+    def contract(self, spec, *nodes):
+        """Contract `nodes` by explicit einsum subscripts, "bid,bjd->bij" say; a node may come twice."""
+        values = [node.value for node in nodes]
+        run, grads = _contraction(spec, tuple([x.shape for x in values]))
 
         def backward(g):
             for k, node in enumerate(nodes):
                 if _needs_grad(node):
-                    others = [m for m in range(len(nodes)) if m != k]
-                    grad_spec = ",".join([out] + [ins[m] for m in others]) + "->" + ins[k]
-                    _bump(node, np.einsum(grad_spec, g, *(nodes[m].value for m in others)))
+                    grad_run = _contraction(*grads[k])[0]
+                    _bump(node, grad_run(g, *values[:k], *values[k + 1 :], like=node.value))
 
-        return self._emit(np.einsum(spec, *(node.value for node in nodes)), backward)
-
-    def linear_map(self, m, x):
-        """Apply matrix m (p, q) to the last axis of x: (..., q) -> (..., p)."""
-        if m.value.ndim != 2:
-            raise ShapeError(f"linear_map matrix must be 2-D, got {m.value.shape}")
-        p, q = m.value.shape
-        if x.value.ndim == 0 or x.value.shape[-1] != q:
-            raise ShapeError(f"linear_map shapes: {m.value.shape}, {x.value.shape}")
-
-        def backward(g):
-            _bump(x, _last_axis_product(g, m.value))
-            _bump(m, g.reshape(-1, p).T @ x.value.reshape(-1, q))
-
-        return self._emit(_last_axis_product(x.value, m.value.T), backward)
-
-    def matmul(self, x, w):
-        """Matrix product x @ w of operands of rank >= 2, numpy style.
-
-        The last two axes multiply as matrices, (p, q) @ (q, r) -> (p, r);
-        leading axes broadcast, so (B, p, q) @ (q, r) and
-        (B, p, q) @ (B, q, r) both give (B, p, r).
-        """
-        xs, ws = x.value.shape, w.value.shape
-        if len(xs) < 2 or len(ws) < 2 or xs[-1] != ws[-2]:
-            raise ShapeError(f"matmul shapes: {xs}, {ws}")
-
-        if len(ws) == 2:
-            # one shared matrix: fold every leading axis into one 2-D product
-            def backward(g):
-                if _needs_grad(x):
-                    _bump(x, _last_axis_product(g, w.value.T))
-                if _needs_grad(w):
-                    _bump(w, x.value.reshape(-1, xs[-1]).T @ g.reshape(-1, ws[-1]))
-
-            return self._emit(_last_axis_product(x.value, w.value), backward)
-        try:
-            np.broadcast_shapes(xs[:-2], ws[:-2])
-        except ValueError:
-            raise ShapeError(f"matmul batch shapes: {xs}, {ws}") from None
-
-        def backward(g):
-            if _needs_grad(x):
-                _bump(x, _unbroadcast(g @ np.swapaxes(w.value, -1, -2), xs))
-            if _needs_grad(w):
-                _bump(w, _unbroadcast(np.swapaxes(x.value, -1, -2) @ g, ws))
-
-        return self._emit(x.value @ w.value, backward)
+        return self._emit(run(*values), backward)
 
     # -- nonlinearities ----------------------------------------------------
 

@@ -19,6 +19,7 @@ bias; the head's slots are the same as for any other affine head.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -189,18 +190,20 @@ def build_model(spec, seed=0):
 
 
 class _SlotCheck:
-    """Takes `_add_slots`' calls in place of a store: checks each slot against `store`, allocating nothing."""
+    """Takes a store's slot-creating calls and records each slot's shape, allocating nothing;
+    given a `store`, each slot is checked against the one there."""
 
-    def __init__(self, store):
-        self.store, self.names = store, set()
+    def __init__(self, store=None):
+        self.store, self.shapes = store, {}
 
     def add_zeros(self, name, shape):
-        if name not in self.store:
+        shape = tuple(shape)
+        if self.store is not None and name not in self.store:
             raise ShapeError(f"the checkpoint has no slot {name!r}")
-        have = self.store.slot(name).shape
-        if have != tuple(shape):
-            raise ShapeError(f"slot {name!r} has shape {have}, the model config needs {tuple(shape)}")
-        self.names.add(name)
+        have = shape if self.store is None else self.store.slot(name).shape
+        if have != shape:
+            raise ShapeError(f"slot {name!r} has shape {have}, the model config needs {shape}")
+        self.shapes[name] = shape
 
     def add_xavier(self, name, shape, fans=None):
         self.add_zeros(name, shape)
@@ -221,7 +224,7 @@ def model_on_store(spec, store):
     model = Model(spec, store)
     check = _SlotCheck(store)
     _add_slots(check, model)
-    extra = sorted(set(store.names()) - check.names)
+    extra = sorted(set(store.names()) - check.shapes.keys())
     if extra:
         raise ShapeError(f"the checkpoint has slots the model config does not: {', '.join(extra)}")
     return model
@@ -427,10 +430,10 @@ def count_complexity(target):
         el += n
 
     # the FI weights as `add_fi_slots` creates them, less the zero-initialised ones
-    fi_slots = ParameterStore()
+    fi_slots = _SlotCheck()
     for prefix in _layer_prefixes(spec):
         add_fi_slots(fi_slots, cfg, prefix, n, d)
-    fi = sum(s.value.size for s in fi_slots.slots() if not s.name.endswith(("attn_b", "res")))
+    fi = sum(math.prod(s) for name, s in fi_slots.shapes.items() if not name.endswith(("attn_b", "res")))
 
     if cfg.transform == "none":
         st = 0

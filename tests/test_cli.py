@@ -597,6 +597,14 @@ def test_complexity_csv_lists_every_model():
     assert {"LR", "FM", "AutoInt", "SAM3_E"} <= names
 
 
+def test_complexity_counts_a_wide_schema_without_allocating_its_slots():
+    # SAM2_A's pair vectors alone would take about 3 GiB at 5000 fields
+    proc = run_cli("complexity", "--fields", 5000, max_bytes=1 << 30)
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split(",")[0]: line.split(",") for line in proc.stdout.strip().split("\n")[1:]}
+    assert rows["SAM2_A"][1:3] == ["5000", "16"]
+
+
 def test_complexity_json_carries_space_and_time(capfd):
     proc = run_cli("complexity", "--format", "json", "--layers", 2)
     assert proc.returncode == 0

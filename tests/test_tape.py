@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrzoo import tape as tape_module
+from ctrzoo.data import FieldSchema
 from ctrzoo.errors import ContractError, DataError, DomainError, NumericError, ShapeError
-from ctrzoo.interaction import MODEL_NAMES, fi_catalog
+from ctrzoo.interaction import MODEL_NAMES, _field_pairs, fi_catalog
 from ctrzoo.metrics import PROB_FLOOR, logloss
 from ctrzoo.tape import (
     ParameterStore,
@@ -24,6 +25,7 @@ from ctrzoo.tape import (
     sigmoid,
     xavier_uniform,
 )
+from ctrzoo.zoo import ModelSpec, build_model, random_batch
 from test_interaction import ORACLES, make_fields, make_slots, oracle_ffm, run_config
 
 
@@ -37,15 +39,21 @@ def _values(op, *arrays):
     return getattr(tape, op)(*(tape.constant(np.asarray(a, dtype=np.float64)) for a in arrays)).value
 
 
+def _contracted(spec, *arrays):
+    """Value of `Tape.contract(spec, ...)` applied to constants."""
+    tape = Tape()
+    return tape.contract(spec, *(tape.constant(np.asarray(a, dtype=np.float64)) for a in arrays)).value
+
+
 def test_inner_hand_value():
-    assert _values("inner", [1.0, 2.0], [3.0, 4.0]) == 11.0
+    assert _contracted("i,i->", [1.0, 2.0], [3.0, 4.0]) == 11.0
 
 
 def test_inner_rejects_bad_shapes():
     with pytest.raises(ShapeError):
-        _values("inner", [1.0, 2.0], [1.0, 2.0, 3.0])
+        _contracted("i,i->", [1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ShapeError):
-        _values("inner", np.ones((2, 3)), np.ones((3, 2)))
+        _contracted("bi,bi->b", np.ones((2, 3)), np.ones((3, 2)))
 
 
 def test_hadamard_hand_value():
@@ -355,7 +363,7 @@ def test_quadratic_gradient_is_two_w():
 
     def build(tape):
         w = tape.parameter(store, "w")
-        return tape.inner(w, w)
+        return tape.contract("i,i->", w, w)
 
     _run_backward(build, store)
     np.testing.assert_array_equal(store.grad("w"), [2.0, -4.0, 6.0])
@@ -520,7 +528,7 @@ def test_inner_batched_matches_rowwise_dot():
     a = rng.normal(size=(6, 3))
     b = rng.normal(size=(6, 3))
     tape = Tape()
-    out = tape.inner(tape.constant(a), tape.constant(b))
+    out = tape.contract("bi,bi->b", tape.constant(a), tape.constant(b))
     np.testing.assert_allclose(out.value, (a * b).sum(axis=1), rtol=0, atol=1e-14)
 
 
@@ -532,7 +540,7 @@ def test_shape_guards_on_binary_ops():
         with pytest.raises(ShapeError):
             op(a, b)
     with pytest.raises(ShapeError):
-        tape.matmul(a, tape.constant(np.ones((2, 2))))
+        tape.contract("ij,jk->ik", a, tape.constant(np.ones((2, 2))))
     with pytest.raises(ShapeError):
         tape.reshape(a, (2,))
 
@@ -547,7 +555,7 @@ def test_linear_function_checks_at_machine_precision():
     c = np.array([2.0, 0.5, -1.5])
 
     def build(tape):
-        return tape.inner(tape.parameter(store, "w"), tape.constant(c))
+        return tape.contract("i,i->", tape.parameter(store, "w"), tape.constant(c))
 
     def f():
         tape = Tape()
@@ -571,12 +579,12 @@ def test_composite_network_checks_below_1e8():
 
     def build(tape):
         x = tape.reshape(tape.lookup(store, ["table"], idx[:, None]), (4, 3))
-        y = tape.linear_map(tape.parameter(store, "m"), x)  # (4, 2)
+        y = tape.contract("bq,pq->bp", x, tape.parameter(store, "m"))  # (4, 2)
         y = tape.add(y, tape.parameter(store, "b"))
         p = tape.softmax(y)  # rows sum to one
         z = tape.mul(p, y)
-        col = tape.reshape(tape.matmul(z, tape.constant([[1.0], [0.0]])), (4,))  # column 0
-        pooled = tape.inner(col, tape.parameter(store, "v"))  # 0-d
+        col = tape.contract("bi,i->b", z, tape.constant([1.0, 0.0]))  # column 0
+        pooled = tape.contract("b,b->", col, tape.parameter(store, "v"))  # 0-d
         total = tape.logloss(col, [1.0, 0.0, 0.0, 1.0])
         total = tape.add(total, pooled)
         total = tape.mul(total, tape.parameter(store, "s"))  # 0-d times 0-d
@@ -602,13 +610,13 @@ def test_relu_concat_path_checks_below_1e8():
 
     def build(tape):
         a = tape.parameter(store, "a")
-        h = tape.matmul(a, tape.parameter(store, "w"))
+        h = tape.contract("bi,ij->bj", a, tape.parameter(store, "w"))
         guard = np.abs(h.value)
         assert np.all(guard > 1e-2)
         h = tape.relu(h)
         # [h | a] along the last axis: each block times a constant selector
         left, right = np.eye(4)[:2], np.eye(4)[2:]
-        both = tape.add(tape.matmul(h, tape.constant(left)), tape.matmul(a, tape.constant(right)))
+        both = tape.add(tape.contract("bi,ij->bj", h, tape.constant(left)), tape.contract("bi,ij->bj", a, tape.constant(right)))
         s = tape.mul(tape.reshape(tape.constant(np.array([0.9, 1.1])), (2, 1)), both)
         # outer product of a batch scalar and a fixed vector
         vec = tape.mul(
@@ -632,7 +640,7 @@ def test_corrupted_gradient_is_detected():
 
     def build(tape):
         w = tape.parameter(store, "w")
-        return tape.inner(w, w)
+        return tape.contract("i,i->", w, w)
 
     def f():
         return float(build(Tape()).value)
@@ -767,7 +775,7 @@ def test_every_op_check_holds_on_either_tape(record):
     with pytest.raises(ShapeError):
         tape.add(c(np.ones(3)), c(np.ones((3, 1))))
     with pytest.raises(ShapeError):
-        tape.matmul(x, c(np.ones((3, 4, 2))))
+        tape.contract("bij,bjk->bik", x, c(np.ones((3, 4, 2))))
     for axis in ((1, 1), (0, -3), 3, (0, -4)):
         with pytest.raises(ShapeError):
             tape.sum_axis(x, axis)
@@ -829,9 +837,9 @@ def test_batched_matmul_checks_against_finite_differences():
 
     def build(tape):
         e = tape.parameter(store, "e")
-        s = tape.matmul(e, tape.transpose(tape.matmul(e, tape.parameter(store, "k")), (0, 2, 1)))
-        per_field = tape.matmul(tape.transpose(s, (1, 0, 2)), tape.parameter(store, "v"))
-        mixed = tape.matmul(s, e)  # (2, 3, 3) @ (2, 3, 4)
+        s = tape.contract("bid,bjd->bij", e, tape.contract("bjd,dk->bjk", e, tape.parameter(store, "k")))
+        per_field = tape.contract("bij,ijc->ibc", s, tape.parameter(store, "v"))
+        mixed = tape.contract("bij,bjd->bid", s, e)  # (2, 3, 3) @ (2, 3, 4)
         return tape.add(_total(tape, tape.mul(per_field, per_field)), _total(tape, mixed))
 
     assert _grad_error(store, build) < 1e-8
@@ -840,7 +848,7 @@ def test_batched_matmul_checks_against_finite_differences():
 def test_matmul_rejects_mismatched_batch_axes():
     tape = Tape()
     with pytest.raises(ShapeError):
-        tape.matmul(tape.constant(np.ones((2, 3, 4))), tape.constant(np.ones((3, 4, 2))))
+        tape.contract("bij,bjk->bik", tape.constant(np.ones((2, 3, 4))), tape.constant(np.ones((3, 4, 2))))
 
 
 def test_shape_plumbing_checks_against_finite_differences():
@@ -854,15 +862,15 @@ def test_shape_plumbing_checks_against_finite_differences():
     def build(tape):
         x = tape.parameter(store, "x")
         y = tape.reshape(tape.transpose(x, (2, 0, 1)), (4, 6))
-        picked = tape.matmul(y, tape.constant(np.eye(6)[:, [5, 0, 5, 2]]))  # a repeated column
+        picked = tape.contract("ij,jk->ik", y, tape.constant(np.eye(6)[:, [5, 0, 5, 2]]))  # a repeated column
         pick_rows = tape.constant(np.eye(5)[[[0, 4], [4, 1]]])  # (2, 2, 5), row 4 twice
-        rows = tape.einsum("ijk,k->ij", pick_rows, tape.parameter(store, "t"))
+        rows = tape.contract("ijk,k->ij", pick_rows, tape.parameter(store, "t"))
         # x and 2 * x along a new axis 1: (2, 2, 3, 4)
         twice = tape.constant(np.reshape([1.0, 2.0], (1, 2, 1, 1)))
         stacked = tape.mul(tape.reshape(x, (2, 1, 3, 4)), twice)
-        mapped = tape.linear_map(tape.parameter(store, "m"), stacked)  # (2, 2, 3, 3)
+        mapped = tape.contract("abcq,pq->abcp", stacked, tape.parameter(store, "m"))  # (2, 2, 3, 3)
         hidden = tape.relu(tape.add(mapped, tape.parameter(store, "b")))
-        scores = tape.inner(hidden, tape.parameter(store, "h"))  # (2, 2, 3)
+        scores = tape.contract("abcp,p->abc", hidden, tape.parameter(store, "h"))  # (2, 2, 3)
         total = tape.add(_total(tape, tape.mul(picked, picked)), _total(tape, tape.mul(rows, rows)))
         return tape.add(total, _total(tape, tape.sum_axis(scores, (0, 2))))
 
@@ -879,11 +887,11 @@ def test_einsum_checks_every_operand_against_finite_differences():
     def build(tape):
         e, w, s, v = (tape.parameter(store, k) for k in "ewsv")
         # e passed twice in one op, and again with a vector
-        pairs = tape.einsum("bik,ijk,bjk->bij", e, w, e)
-        square = tape.einsum("bik,ijk,bik->bij", e, w, e)
-        read = tape.einsum("bij,bij->b", s, tape.add(pairs, square))
-        lengths = tape.einsum("bik,k->bi", e, v)
-        return tape.einsum("b,b->", read, tape.einsum("bi,bi->b", lengths, lengths))
+        pairs = tape.contract("bik,ijk,bjk->bij", e, w, e)
+        square = tape.contract("bik,ijk,bik->bij", e, w, e)
+        read = tape.contract("bij,bij->b", s, tape.add(pairs, square))
+        lengths = tape.contract("bik,k->bi", e, v)
+        return tape.contract("b,b->", read, tape.contract("bi,bi->b", lengths, lengths))
 
     assert _grad_error(store, build) < 1e-8
 
@@ -905,14 +913,257 @@ def test_einsum_checks_every_operand_against_finite_differences():
 def test_einsum_rejects_malformed_specs(spec, shapes):
     tape = Tape()
     with pytest.raises(ShapeError):
-        tape.einsum(spec, *(tape.constant(np.ones(shape)) for shape in shapes))
+        tape.contract(spec, *(tape.constant(np.ones(shape)) for shape in shapes))
 
 
 def test_einsum_rejects_a_non_finite_result():
     tape = Tape()
     big = tape.constant(np.full((2, 3), 1e200))
     with pytest.raises(NumericError):
-        tape.einsum("bi,bi->b", big, big)
+        tape.contract("bi,bi->b", big, big)
+
+
+# ---------------------------------------------------------------------------
+# contract: the numpy calls it makes, and its values and gradients on random specs
+
+
+def _rows_at(x, m):
+    """x (..., q) @ m (q, p) as one 2-D product."""
+    return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape[:-1] + m.shape[-1:])
+
+
+_B, _N, _D, _T = 6, 4, 3, 5  # batch, fields, width, attention width
+_M, _P = _N * (_N - 1) // 2, _N * _N  # pairs i < j, grid pairs
+
+
+def _swap(x):
+    return np.swapaxes(x, -1, -2)
+
+
+# Every spec the zoo contracts, on operands of the shapes it uses, with the
+# numpy expression of the op it replaced: (value, one gradient per operand).
+# A gradient is None where the operand is a constant whose gradient the zoo
+# never forms (the one-hot pair picks). `fixed` operands keep that value.
+_PINNED = {
+    "bid,ed->bie": (  # linear maps: residual, projections, AutoInt's values
+        [(_B, _N, _D), (_T, _D)], {},
+        lambda x, m: _rows_at(x, m.T),
+        [lambda g, x, m: _rows_at(g, m), lambda g, x, m: g.reshape(-1, _T).T @ x.reshape(-1, _D)],
+    ),
+    "bid,bjd->bij": (  # Gram and projected similarities
+        [(_B, _N, _D), (_B, _N, _D)], {},
+        lambda a, b: a @ b.transpose(0, 2, 1),
+        [lambda g, a, b: g @ b, lambda g, a, b: (_swap(a) @ g).transpose(0, 2, 1)],
+    ),
+    "bpd,bpd->bp": (  # FFM's field-aware pair scores
+        [(_B, _M, _D), (_B, _M, _D)], {},
+        lambda u, v: np.einsum("...d,...d->...", u, v),
+        [lambda g, u, v: g[..., None] * v, lambda g, u, v: g[..., None] * u],
+    ),
+    "bp,pij->bij": (  # pair values spread over (i, j) and (j, i)
+        [(_B, _M), (_M, _N, _N)], {},
+        lambda x, s: _rows_at(x, s.reshape(_M, -1)).reshape(_B, _N, _N),
+        [
+            lambda g, x, s: _rows_at(g.reshape(_B, -1), s.reshape(_M, -1).T),
+            lambda g, x, s: (x.reshape(-1, _M).T @ g.reshape(_B, -1)).reshape(s.shape),
+        ],
+    ),
+    "pi,bid->bpd": (  # AFM's pair picks
+        [(_M, _N), (_B, _N, _D)], {},
+        lambda first, e: first @ e,
+        [None, lambda g, first, e: _swap(first) @ g],
+    ),
+    "bpd,td->bpt": (  # AFM's attention layer
+        [(_B, _M, _D), (_T, _D)], {},
+        lambda x, m: _rows_at(x, m.T),
+        [lambda g, x, m: _rows_at(g, m), lambda g, x, m: g.reshape(-1, _T).T @ x.reshape(-1, _D)],
+    ),
+    "bpt,t->bp": (  # AFM's attention scores
+        [(_B, _M, _T), (_T,)], {},
+        lambda x, h: (x.reshape(-1, _T) @ h).reshape(_B, _M),
+        [lambda g, x, h: g[..., None] * h, lambda g, x, h: g.reshape(-1) @ x.reshape(-1, _T)],
+    ),
+    "p,pij->ij": (  # FwFM's pair weights, spread
+        [(_M,), (_M, _N, _N)], {1: _field_pairs(_N)[2]},
+        lambda w, s: np.einsum("p,pq->q", w, s.reshape(_M, -1)).reshape(_N, _N),
+        [
+            lambda g, w, s: np.einsum("q,pq->p", g.reshape(-1), s.reshape(_M, -1)),
+            lambda g, w, s: np.einsum("q,p->pq", g.reshape(-1), w).reshape(s.shape),
+        ],
+    ),
+    "id,jd->ij": (  # IPNN's theta Gram
+        [(_N, _D), (_N, _D)], {},
+        lambda a, b: _rows_at(a, b.T),
+        [lambda g, a, b: _rows_at(g, b), lambda g, a, b: (a.T @ g).T],
+    ),
+    "bij,ijd->bid": (  # vector-pair utility
+        [(_B, _N, _N), (_N, _N, _D)], {},
+        lambda w, v: (w.transpose(1, 0, 2) @ v).transpose(1, 0, 2),
+        [
+            lambda g, w, v: (g.transpose(1, 0, 2) @ _swap(v)).transpose(1, 0, 2),
+            lambda g, w, v: _swap(w.transpose(1, 0, 2)) @ g.transpose(1, 0, 2),
+        ],
+    ),
+    "bij,bjd->bid": (  # similarity-weighted sum of utilities
+        [(_B, _N, _N), (_B, _N, _D)], {},
+        lambda w, x: w @ x,
+        [lambda g, w, x: g @ _swap(x), lambda g, w, x: _swap(w) @ g],
+    ),
+    "ijp,pk->ijk": (  # SAM2_E's head rows placed on the grid
+        [(_N, _N, _P), (_P, _D)], {},
+        lambda place, w: _rows_at(place, w),
+        [lambda g, place, w: _rows_at(g, w.T), lambda g, place, w: place.reshape(-1, _P).T @ g.reshape(-1, _D)],
+    ),
+    "bik,ijk,bjk->bij": (  # SAM2_E's grid
+        [(_B, _N, _D), (_N, _N, _D), (_B, _N, _D)], {},
+        lambda a, w, b: np.einsum("bik,ijk,bjk->bij", a, w, b),
+        [
+            lambda g, a, w, b: np.einsum("bij,ijk,bjk->bik", g, w, b),
+            lambda g, a, w, b: np.einsum("bij,bik,bjk->ijk", g, a, b),
+            lambda g, a, w, b: np.einsum("bij,bik,ijk->bjk", g, a, w),
+        ],
+    ),
+    "bik,ijk,bik->bij": (  # SAM2_E's grid with the self product
+        [(_B, _N, _D), (_N, _N, _D), (_B, _N, _D)], {},
+        lambda a, w, b: np.einsum("bik,ijk,bik->bij", a, w, b),
+        [
+            lambda g, a, w, b: np.einsum("bij,ijk,bik->bik", g, w, b),
+            lambda g, a, w, b: np.einsum("bij,bik,bik->ijk", g, a, b),
+            lambda g, a, w, b: np.einsum("bij,bik,ijk->bik", g, a, w),
+        ],
+    ),
+    "bij,bij->b": (  # SAM2_E's grid read by the similarity
+        [(_B, _N, _N), (_B, _N, _N)], {},
+        lambda s, u: np.einsum("bij,bij->b", s, u),
+        [lambda g, s, u: np.einsum("b,bij->bij", g, u), lambda g, s, u: np.einsum("b,bij->bij", g, s)],
+    ),
+    "pk,pk->p": (  # SAM2_A's pair vectors read by the head rows
+        [(_P, _D), (_P, _D)], {},
+        lambda u, v: np.einsum("...d,...d->...", u, v),
+        [lambda g, u, v: g[..., None] * v, lambda g, u, v: g[..., None] * u],
+    ),
+    "ijp,p->ij": (  # SAM2_A's pair coefficients placed on the grid
+        [(_N, _N, _P), (_P,)], {},
+        lambda place, c: (place.reshape(-1, _P) @ c).reshape(_N, _N),
+        [lambda g, place, c: g[..., None] * c, lambda g, place, c: g.reshape(-1) @ place.reshape(-1, _P)],
+    ),
+    "bij,ij->b": (  # SAM2_A's grid read by the similarity
+        [(_B, _N, _N), (_N, _N)], {},
+        lambda s, c: s.reshape(_B, -1) @ c.reshape(-1),
+        [
+            lambda g, s, c: (g[:, None] * c.reshape(-1)).reshape(s.shape),
+            lambda g, s, c: (g @ s.reshape(_B, -1)).reshape(c.shape),
+        ],
+    ),
+    "bid,i->bd": (  # field combination
+        [(_B, _N, _D), (_N,)], {},
+        lambda z, w: (z.transpose(0, 2, 1).reshape(-1, _N) @ w).reshape(_B, _D),
+        [
+            lambda g, z, w: (g[..., None] * w).transpose(0, 2, 1),
+            lambda g, z, w: g.reshape(-1) @ z.transpose(0, 2, 1).reshape(-1, _N),
+        ],
+    ),
+    "bp,pq->bq": (  # transform layers
+        [(_B, _N * _D), (_N * _D, _T)], {},
+        lambda h, w: _rows_at(h, w),
+        [lambda g, h, w: _rows_at(g, w.T), lambda g, h, w: h.reshape(-1, _N * _D).T @ g.reshape(-1, _T)],
+    ),
+}
+
+
+def _leaves(tape, store, arrays, slot_major):
+    """Parameter nodes holding `arrays`; with `slot_major` a (B, m, d) one is a view
+    of m contiguous (B, d) blocks, as `lookup_field_aware` returns."""
+    swapped = [slot_major and x.shape == (_B, _M, _D) for x in arrays]
+    for k, (x, swap) in enumerate(zip(arrays, swapped)):
+        store.add_value(f"x{k}", x.transpose(1, 0, 2) if swap else x)
+    nodes = [tape.parameter(store, f"x{k}") for k in range(len(arrays))]
+    return [tape.transpose(node, (1, 0, 2)) if swap else node for node, swap in zip(nodes, swapped)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, slot_major",
+    [(spec, False) for spec in _PINNED]
+    + [(spec, True) for spec, case in _PINNED.items() if (_B, _M, _D) in case[0]],
+)
+def test_contract_makes_the_numpy_calls_of_the_ops_it_replaced(spec, slot_major):
+    shapes, fixed, value, grads = _PINNED[spec]
+    rng = np.random.default_rng(31)
+    arrays = [fixed.get(k, rng.normal(size=shape)) for k, shape in enumerate(shapes)]
+    tape, store = Tape(), ParameterStore()
+    nodes = _leaves(tape, store, arrays, slot_major)
+    xs = [node.value for node in nodes]
+    assert any(not x.flags.c_contiguous for x in xs) == slot_major
+    out = tape.contract(spec, *nodes)
+    assert _same_bits(out.value, value(*xs))
+    sub = spec.split("->")[1]
+    tape.backward(tape.contract(f"{sub},{sub}->", out, tape.constant(rng.normal(size=out.value.shape))))
+    for node, grad in zip(nodes, grads):
+        if grad is not None:
+            assert _same_bits(node.grad, grad(out.grad, *xs))
+
+
+def test_pinned_specs_are_every_spec_the_zoo_contracts(monkeypatch):
+    seen = set()
+    contract = Tape.contract
+
+    def recording(tape, spec, *nodes):
+        seen.add(spec)
+        return contract(tape, spec, *nodes)
+
+    monkeypatch.setattr(Tape, "contract", recording)
+    schema = FieldSchema.of_sizes([4] * 4)
+    for name in MODEL_NAMES:
+        for switches in [{}] + ([{"self_product": True}] if name == "SAM2_E" else []):
+            model = build_model(ModelSpec(name, schema, d=3, mlp_hidden=(4,), **switches), seed=0)
+            model.loss(*random_batch(schema, 5))
+    assert seen == set(_PINNED)
+
+
+@st.composite
+def _contractions(draw):
+    """(spec, shapes, storage orders): 2 or 3 operands over up to 5 indices of
+    sizes 1-4, each operand stored in a random axis order and read through a view."""
+    letters = "abcde"[: draw(st.integers(1, 5))]
+    sizes = {c: draw(st.integers(1, 4)) for c in letters}
+    ins = [
+        "".join(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=len(letters), unique=True)))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    once = [c for c in letters if sum(c in sub for sub in ins) == 1]
+    shared = [c for c in letters if sum(c in sub for sub in ins) > 1]
+    out = draw(st.permutations(once + draw(st.lists(st.sampled_from(shared), unique=True)) if shared else once))
+    orders = [draw(st.permutations(range(len(sub)))) for sub in ins]
+    return ",".join(ins) + "->" + "".join(out), [tuple(sizes[c] for c in sub) for sub in ins], orders
+
+
+@settings(max_examples=60, deadline=None)
+@given(_contractions(), st.integers(0, 2**32 - 1))
+def test_contract_matches_einsum_and_finite_differences_on_random_specs(case, seed):
+    spec, shapes, orders = case
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    for k, (shape, order) in enumerate(zip(shapes, orders)):
+        store.add_value(f"x{k}", rng.normal(size=[shape[a] for a in order]))
+    weights = rng.normal(size=np.einsum(spec, *(np.ones(shape) for shape in shapes)).shape)
+
+    def build(tape):
+        nodes = [
+            tape.transpose(tape.parameter(store, f"x{k}"), np.argsort(order)) for k, order in enumerate(orders)
+        ]
+        out = tape.contract(spec, *nodes)
+        if tape.record:
+            xs = [node.value for node in nodes]
+            bound = 1e-12 * np.einsum(spec, *(np.abs(x) for x in xs))
+            assert np.all(np.abs(out.value - np.einsum(spec, *xs)) <= bound)
+        sub = spec.split("->")[1]
+        return tape.contract(f"{sub},{sub}->", out, tape.constant(weights)) if sub else out
+
+    assert _grad_error(store, build) < 1e-8
 
 
 def test_masked_softmax_checks_against_finite_differences():
