@@ -66,8 +66,12 @@ def _write_manifest(out_dir, command, settings, outputs):
 
 
 def _ensure_dir(path):
+    """The output directory `path`, made if missing; ConfigError naming it if it cannot be."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: cannot make the output directory: {exc.strerror or exc}") from exc
     return out
 
 
@@ -161,9 +165,9 @@ def _fit(schema, dataset, args):
 
 
 def cmd_synth(args):
+    out = _ensure_dir(args.out)
     spec = _from_args(datamod.SyntheticSpec, args, n_fields=args.fields)
     synth = datamod.generate_dcm(spec)
-    out = _ensure_dir(args.out)
     datamod.save_schema(synth.schema, out / "schema.json")
     datamod.save_encoded(synth.dataset, out / "encoded.tsv")
     write_text(out / "oracle.tsv", (f"{p!r}\n" for p in synth.probs.tolist()))
@@ -177,13 +181,13 @@ def cmd_synth(args):
 
 
 def cmd_prepare(args):
+    out = _ensure_dir(args.out)
     fields = datamod.load_fields(args.fields)
     table = datamod.read_raw(args.raw, fields, delimiter=args.delimiter)
     vocab = datamod.build_vocab(table, min_count=args.min_count)
     dataset = datamod.encode(table, vocab)
     ratios = _parse_ratios(args.split)
     split = datamod.split_dataset(dataset, ratios, seed=args.seed)
-    out = _ensure_dir(args.out)
     vocab.save(out / "vocab.json")
     datamod.save_schema(vocab.schema(), out / "schema.json")
     datamod.save_encoded(dataset, out / "encoded.tsv")
@@ -211,9 +215,9 @@ def cmd_prepare(args):
 
 
 def cmd_train(args):
+    out = _ensure_dir(args.out)
     schema, dataset = _load_data_dir(args.data)
     spec, model, history, report, ratios = _fit(schema, dataset, args)
-    out = _ensure_dir(args.out)
     model.store.save(out / "params.json")
     history.save_csv(out / "history.csv")
     run_config = {
@@ -358,8 +362,8 @@ def cmd_complexity(args):
 
 
 def cmd_ablation(args):
-    schema, dataset = _load_data_dir(args.data)
     out = _ensure_dir(args.out)
+    schema, dataset = _load_data_dir(args.data)
     layer_counts = _parse_int_list(args.layers_list)
     if not layer_counts:
         raise ConfigError("ablation needs at least one layer count")

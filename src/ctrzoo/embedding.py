@@ -12,6 +12,8 @@ batch receive exact zeros.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
@@ -88,11 +90,14 @@ def lookup_field_aware(tape, store, indices):
     n = indices.shape[1]
     if n < 2:
         raise DomainError("field-aware embeddings need at least two fields")
-    first, second = np.triu_indices(n, 1)
+    # slot-major: each table's (B, d) block, and its gradient, is contiguous
+    return tuple(tape.lookup(store, names, indices[:, own], slot_major=True) for own, names in _pair_sides(n))
 
-    def read(own, partner):
-        # slot-major: each table's (B, d) block, and its gradient, is contiguous
-        names = [emb_slot(i, t) for i, t in zip(own, partner)]
-        return tape.lookup(store, names, indices[:, own], slot_major=True)
 
-    return read(first, second), read(second, first)
+@lru_cache(maxsize=None)
+def _pair_sides(n):
+    """For i, then j, of the pairs i < j on n fields: the field each pair reads and the names of its tables."""
+    sides = np.triu_indices(n, 1)
+    for own in sides:  # shared by every call
+        own.flags.writeable = False
+    return tuple((own, tuple(map(emb_slot, own.tolist(), other.tolist()))) for own, other in (sides, sides[::-1]))

@@ -101,9 +101,13 @@ def read_json(path, error=DataError):
 
 
 def write_text(path, chunks):
-    """Write the strings in `chunks` to `path` in order, as UTF-8 with `\n` line ends."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
+    """Write the strings in `chunks` to `path` in order, as UTF-8 with `\n` line ends.
+    A path that cannot be written, a directory say, raises DataError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def write_json(path, payload):

@@ -229,7 +229,7 @@ def fi_forward(tape, cfg, fields, store, *, prefix="fi.", head=None):
     elif mask.all():
         weights = scores
     else:
-        weights = tape.mul(scores, tape.constant(mask))
+        weights = tape.contract("bij,ij->bij", scores, tape.constant(mask[0]))
     out = _utility(tape, cfg, fields, weights, param)
     return tape.add(out, tape.contract("bid,ed->bie", fields, param("res"))) if cfg.residual else out
 
@@ -312,7 +312,8 @@ def _similarity(tape, cfg, E, param):
         # diagonal is masked out: run the attention network once per pair i < j
         n = E.value.shape[1]
         first, second, spread = (tape.constant(c) for c in _field_pairs(n))
-        pairs = tape.mul(tape.contract("pi,bid->bpd", first, E), tape.contract("pi,bid->bpd", second, E))
+        pairs = tape.contract("bpd,bpd->bpd", tape.contract("pi,bid->bpd", first, E),
+                              tape.contract("pi,bid->bpd", second, E))
         hidden = tape.relu(tape.add(tape.contract("bpd,td->bpt", pairs, param("attn_w")), param("attn_b")))
         return tape.contract("bp,pij->bij", tape.contract("bpt,t->bp", hidden, param("attn_h")), spread)
     raise CatalogError(f"unknown similarity kind {kind!r}")
@@ -348,11 +349,11 @@ def _utility(tape, cfg, E, W, param):
     n = E.value.shape[1]
     table = _pair_scalars(tape, cfg, param, n)
     if table is not None:
-        return tape.sum_axis(tape.mul(W, table), -1)
+        return tape.sum_axis(tape.contract("bij,ij->bij", W, table), -1)
     if kind == "projected_inner":
         # <p, f_i * f_j> for every pair as (E * p) E^T
-        util = tape.contract("bid,bjd->bij", tape.mul(E, param("proj_p")), E)
-        return tape.sum_axis(tape.mul(W, util), -1)
+        util = tape.contract("bid,bjd->bij", tape.contract("bid,d->bid", E, param("proj_p")), E)
+        return tape.sum_axis(tape.contract("bij,bij->bij", W, util), -1)
     if kind == "vector_pair":
         vecs = tape.reshape(param("pairvec"), (n, n, E.value.shape[-1]))
         return tape.contract("bij,ijd->bid", W, vecs)
@@ -363,11 +364,11 @@ def _utility(tape, cfg, E, W, param):
     if kind == "identity":
         return mixed(E)
     if kind == "scaled_identity":
-        return tape.mul(mixed(E), tape.reshape(param("fieldw"), (1, n, 1)))
+        return tape.contract("bid,i->bid", mixed(E), param("fieldw"))
     if kind == "linear_map":
         return mixed(tape.contract("bid,ed->bie", E, param("v")))
     if kind == "hadamard":
-        return tape.mul(E, mixed(E))
+        return tape.contract("bid,bid->bid", E, mixed(E))
     raise CatalogError(f"unknown utility kind {kind!r}")
 
 

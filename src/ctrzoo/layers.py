@@ -9,6 +9,7 @@ are expressed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ConfigError, ShapeError
 
@@ -58,10 +59,16 @@ class MLPSpec:
         return sum(a * b for a, b in zip(self.widths, self.widths[1:]))
 
 
+@lru_cache(maxsize=None)
+def _layer_slots(depth):
+    """The slot names (`st.l{k}.w`, `st.l{k}.b`) of each of `depth` layers."""
+    return tuple((f"st.l{k}.w", f"st.l{k}.b") for k in range(depth))
+
+
 def add_mlp_slots(store, spec):
-    for k, (a, b) in enumerate(zip(spec.widths, spec.widths[1:])):
-        store.add_xavier(f"st.l{k}.w", (a, b), fans=(a, b))
-        store.add_zeros(f"st.l{k}.b", (b,))
+    for (w, bias), (a, b) in zip(_layer_slots(spec.depth), zip(spec.widths, spec.widths[1:])):
+        store.add_xavier(w, (a, b), fans=(a, b))
+        store.add_zeros(bias, (b,))
 
 
 def mlp_nodes(tape, spec, store, x, *, drop_rng=None):
@@ -73,11 +80,11 @@ def mlp_nodes(tape, spec, store, x, *, drop_rng=None):
     if x.value.ndim != 2 or x.value.shape[1] != spec.input_dim:
         raise ShapeError(f"mlp expects (B, {spec.input_dim}), got {x.value.shape}")
     h = x
-    for k in range(spec.depth):
+    for k, (w_name, b_name) in enumerate(_layer_slots(spec.depth)):
         if k:
             h = tape.relu(h)
             if drop_rng is not None and spec.dropout > 0.0:
                 h = tape.dropout(h, spec.dropout, drop_rng)
-        w, b = tape.parameter(store, f"st.l{k}.w"), tape.parameter(store, f"st.l{k}.b")
+        w, b = tape.parameter(store, w_name), tape.parameter(store, b_name)
         h = tape.add(tape.contract("bp,pq->bq", h, w), b)
     return h

@@ -6,22 +6,22 @@ records whole-tensor operations in creation order, so replaying it backward is
 a single reverse sweep and its length scales with the number of operations,
 not with array entries. Batched operands carry the batch on axis 0.
 
-`add` and `mul` follow one broadcasting rule: operands of equal rank
-broadcast over axes of size 1, and an operand of lower rank must equal the
-trailing axes of the other. So (B, m) + (m,) and (B,) + () broadcast, while
-(3,) + (3, 1) raises ShapeError rather than growing into a (3, 3) result.
-`contract(spec, *nodes)` is the one contraction op. Its spec is explicit
-einsum subscripts ("bid,bjd->bij"): letters and one '->', no index repeated
-within an operand, every operand index also in the output or another
-operand, and one size per index, so unlike `add` it never broadcasts a
+`contract(spec, *nodes)` is the one product op, element-wise products
+included. Its spec is explicit einsum subscripts ("bid,bjd->bij" for a
+Gram matrix, "bid,d->bid" for a scaled vector): letters and one '->', no
+index repeated within an operand, every operand index also in the output
+or another operand, and one size per index, so it never broadcasts a
 size-1 axis. Operand k's gradient is the contraction `out,<others>->ins[k]`
 of the output gradient with the other operands. A plan cached per (spec,
 shapes) makes one numpy call, forward and backward alike: `np.einsum` for
 three operands and for dot products (no index owned by one operand alone),
 one broadcast multiply when nothing is summed, and otherwise one `@` of the
 operands transposed and reshaped into (stacked, own, summed) blocks.
-`logloss` is the training loss as one node: sigmoid, clamp and mean
-log-loss fused, with a hand-written backward.
+`add` is the one op that broadcasts, by one rule: an operand of lower
+rank equals the trailing axes of the other, so (B, m) + (m,) adds a bias
+to every row and (B,) + () shifts every entry, while (3,) + (3, 1) and
+(2, 3) + (1, 3) raise ShapeError. `logloss` is the training loss as one
+node: sigmoid, clamp and mean log-loss fused, with a hand-written backward.
 
 Every op checks its operands and its result the same way on either kind of
 tape: a non-finite value raises NumericError, a broadcast or batch mismatch
@@ -345,40 +345,9 @@ def _bump(node, g):
         node.grad = node.grad + g
 
 
-def _needs_grad(node):
-    """False for constants: leaves recorded without a backward closure."""
-    return node._backward is not None
-
-
 def _unbroadcast(g, shape):
-    """Sum a gradient down to `shape`, undoing a broadcast `_broadcast` allows."""
-    if g.shape == shape:
-        return g
-    if g.ndim > len(shape):
-        # a lower-rank operand: fold the leading axes into one and sum it away
-        return g.reshape((-1,) + shape).sum(axis=0)
-    axes = tuple(k for k, size in enumerate(shape) if size == 1 and g.shape[k] != 1)
-    return g.sum(axis=axes, keepdims=True)
-
-
-def _product_grad(g, other, shape):
-    """g * other summed down to `shape`: the gradient of a broadcast product.
-
-    `shape` has g's rank or is its trailing axes. The reduction runs inside
-    one einsum, so the full-size product of a broadcast operand is never
-    formed.
-    """
-    if g.shape == shape:
-        return g * other
-    names = "abcdefghijklmnopqrstuvwxyz"
-    ndim = g.ndim
-    padded = (1,) * (ndim - len(shape)) + tuple(shape)
-    g_sub = names[:ndim]
-    other_sub = "".join(
-        g_sub[k] if other.shape[k] == g.shape[k] else names[ndim + k] for k in range(ndim)
-    )
-    out_sub = "".join(g_sub[k] for k in range(ndim) if padded[k] == g.shape[k])
-    return np.einsum(f"{g_sub},{other_sub}->{out_sub}", g, other).reshape(shape)
+    """Sum a gradient down to `shape`, the trailing axes of g: fold the leading ones into one and sum it."""
+    return g if g.shape == shape else g.reshape((-1,) + shape).sum(axis=0)
 
 
 def _scatter_rows(rows, g, n_rows):
@@ -397,22 +366,14 @@ def _scatter_rows(rows, g, n_rows):
     return sums.astype(np.float64, copy=False).reshape((n_rows,) + tail)
 
 
-def _broadcast(op, a, b):
-    """Raise ShapeError unless a (op) b follows the broadcasting rule above."""
+def _broadcast(a, b):
+    """Raise ShapeError unless a + b has equal shapes or one's shape is the other's trailing axes."""
     ashape, bshape = a.value.shape, b.value.shape
     if ashape == bshape:
         return
-    if len(ashape) == len(bshape):
-        try:
-            np.broadcast_shapes(ashape, bshape)
-            return
-        except ValueError:
-            pass
-    else:
-        short, long = sorted((ashape, bshape), key=len)
-        if long[len(long) - len(short) :] == short:
-            return
-    raise ShapeError(f"{op} shape mismatch: {ashape} vs {bshape}")
+    short, long = sorted((ashape, bshape), key=len)
+    if long[len(long) - len(short) :] != short:
+        raise ShapeError(f"add shape mismatch: {ashape} vs {bshape}")
 
 
 def _einsum_operands(spec, shapes):
@@ -640,30 +601,15 @@ class Tape:
 
     # -- arithmetic --------------------------------------------------------
 
-    # Binary element-wise ops broadcast by the rule in the module docstring:
-    # (B, n, 1, d) * (B, 1, n, d) is the (B, n, n, d) grid of pair products,
-    # (B, m) + (m,) adds a bias to every row.
-
     def add(self, a, b):
-        _broadcast("add", a, b)
+        """a + b, broadcast by the rule in the module docstring: (B, m) + (m,) adds a bias to every row."""
+        _broadcast(a, b)
 
         def backward(g):
             _bump(a, _unbroadcast(g, a.value.shape))
             _bump(b, _unbroadcast(g, b.value.shape))
 
         return self._emit(a.value + b.value, backward)
-
-    def mul(self, a, b):
-        """Element-wise (Hadamard) product."""
-        _broadcast("mul", a, b)
-
-        def backward(g):
-            if _needs_grad(a):
-                _bump(a, _product_grad(g, b.value, a.value.shape))
-            if _needs_grad(b):
-                _bump(b, _product_grad(g, a.value, b.value.shape))
-
-        return self._emit(a.value * b.value, backward)
 
     def scale_const(self, a, c):
         c = float(c)
@@ -680,7 +626,7 @@ class Tape:
 
         def backward(g):
             for k, node in enumerate(nodes):
-                if _needs_grad(node):
+                if node._backward is not None:  # not a constant
                     grad_run = _contraction(*grads[k])[0]
                     _bump(node, grad_run(g, *values[:k], *values[k + 1 :], like=node.value))
 

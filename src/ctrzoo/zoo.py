@@ -281,7 +281,7 @@ class Model:
 
         if self.cfg.neighborhood == "grid":
             # the grid comes back already read by the affine head's weights
-            core = tape.add(z, tape.parameter(self.store, "st.l0.b"))
+            core = tape.add(z, tape.reshape(tape.parameter(self.store, "st.l0.b"), ()))
         elif agg_kind == "sum":
             total = sum_nodes(tape, z)
             if self.cfg.halve_pairs:

@@ -3,7 +3,8 @@
 Almost every test drives the installed entry point in a subprocess, so
 exit codes, stdout contracts, and written artifacts are checked exactly as
 a shell user would see them; the spec-builder guard calls `cli.main` in
-process to watch which flags each spec is built from.
+process to watch which flags each spec is built from, and the --out guard
+to see that no fit starts before the output directory is made.
 """
 
 import ast
@@ -661,6 +662,48 @@ def test_too_few_records_to_split_is_a_data_error(tmp_path):
     proc = run_cli("train", "--data", data, "--out", tmp_path / "run", "--model", "FM", "--epochs", 1)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error: ") and "parts empty: valid" in proc.stderr
+
+
+def _out_argv(tmp_path, synth_dir, command):
+    """Every flag but --out that `command` needs, on small valid inputs."""
+    (tmp_path / "raw.tsv").write_text("1\ta\n0\tb\n")
+    (tmp_path / "fields.json").write_text(json.dumps({"fields": [{"name": "x"}]}))
+    return {
+        "synth": ["--count", 20, "--fields", 2],
+        "prepare": ["--raw", tmp_path / "raw.tsv", "--fields", tmp_path / "fields.json"],
+        "train": ["--data", synth_dir, "--model", "LR", "--epochs", 1],
+        "ablation": ["--data", synth_dir, "--model", "LR", "--epochs", 1, "--layers-list", 1],
+    }[command]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["synth", "prepare", "train", "ablation"])
+def test_an_out_path_that_names_a_file_is_a_config_error(tmp_path, synth_dir, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if below else taken
+    proc = run_cli(command, "--out", out, *_out_argv(tmp_path, synth_dir, command))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: --out {out}: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "ablation"])
+def test_a_bad_out_path_fails_before_fitting(tmp_path, synth_dir, monkeypatch, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(cli, "_fit", lambda *args: pytest.fail(f"{command} fitted before checking --out"))
+    argv = [command, "--out", taken, *_out_argv(tmp_path, synth_dir, command)]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {taken}: ")
+
+
+def test_an_artifact_path_that_is_a_directory_is_a_data_error(tmp_path, synth_dir):
+    (tmp_path / "run" / "params.json").mkdir(parents=True)
+    proc = run_cli("train", "--out", tmp_path / "run", *_out_argv(tmp_path, synth_dir, "train"))
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {tmp_path / 'run' / 'params.json'}: cannot write")
 
 
 _BAD_FLOATS = [

@@ -57,7 +57,7 @@ def test_inner_rejects_bad_shapes():
 
 
 def test_hadamard_hand_value():
-    np.testing.assert_array_equal(_values("mul", [2.0, 3.0], [4.0, 5.0]), [8.0, 15.0])
+    np.testing.assert_array_equal(_contracted("i,i->i", [2.0, 3.0], [4.0, 5.0]), [8.0, 15.0])
 
 
 def test_softmax_weights_hand_value():
@@ -375,7 +375,7 @@ def test_backward_twice_doubles_buffers_exactly():
 
     def build(tape):
         w = tape.parameter(store, "w")
-        return _total(tape, tape.mul(w, w))
+        return _total(tape, tape.contract("i,i->i", w, w))
 
     store.zero_grads()
     tape = Tape()
@@ -413,7 +413,7 @@ def test_lookup_untouched_rows_get_exact_zero_gradient():
 
     def build(tape):
         rows = tape.reshape(tape.lookup(store, ["table"], np.array([1, 3])[:, None]), (2, 3))
-        return _total(tape, tape.mul(rows, rows))
+        return _total(tape, tape.contract("bd,bd->bd", rows, rows))
 
     _run_backward(build, store)
     g = store.grad("table")
@@ -468,7 +468,7 @@ def test_lookup_scatter_is_bitwise_np_add_at(b, rows, d, slot_major, seed):
     store.zero_grads()
     tape = Tape()
     looked_up = tape.lookup(store, names, idx, slot_major=slot_major)
-    root = _total(tape, tape.mul(looked_up, tape.constant(weights)))
+    root = _total(tape, tape.contract("bkd,bkd->bkd", looked_up, tape.constant(weights)))
     tape.backward(root)
 
     value = looked_up.value
@@ -536,9 +536,10 @@ def test_shape_guards_on_binary_ops():
     tape = Tape()
     a = tape.constant(np.ones((2, 3)))
     b = tape.constant(np.ones((3, 2)))
-    for op in (tape.add, tape.mul):
-        with pytest.raises(ShapeError):
-            op(a, b)
+    with pytest.raises(ShapeError):
+        tape.add(a, b)
+    with pytest.raises(ShapeError):
+        tape.contract("ij,ij->ij", a, b)
     with pytest.raises(ShapeError):
         tape.contract("ij,jk->ik", a, tape.constant(np.ones((2, 2))))
     with pytest.raises(ShapeError):
@@ -582,12 +583,12 @@ def test_composite_network_checks_below_1e8():
         y = tape.contract("bq,pq->bp", x, tape.parameter(store, "m"))  # (4, 2)
         y = tape.add(y, tape.parameter(store, "b"))
         p = tape.softmax(y)  # rows sum to one
-        z = tape.mul(p, y)
+        z = tape.contract("bp,bp->bp", p, y)
         col = tape.contract("bi,i->b", z, tape.constant([1.0, 0.0]))  # column 0
         pooled = tape.contract("b,b->", col, tape.parameter(store, "v"))  # 0-d
         total = tape.logloss(col, [1.0, 0.0, 0.0, 1.0])
         total = tape.add(total, pooled)
-        total = tape.mul(total, tape.parameter(store, "s"))  # 0-d times 0-d
+        total = tape.contract(",->", total, tape.parameter(store, "s"))  # 0-d times 0-d
         total = tape.add(total, tape.parameter(store, "shift"))
         # the mean of total and 2 * total
         return tape.scale_const(tape.add(total, tape.scale_const(total, 2.0)), 0.5)
@@ -617,13 +618,12 @@ def test_relu_concat_path_checks_below_1e8():
         # [h | a] along the last axis: each block times a constant selector
         left, right = np.eye(4)[:2], np.eye(4)[2:]
         both = tape.add(tape.contract("bi,ij->bj", h, tape.constant(left)), tape.contract("bi,ij->bj", a, tape.constant(right)))
-        s = tape.mul(tape.reshape(tape.constant(np.array([0.9, 1.1])), (2, 1)), both)
+        s = tape.contract("b,bj->bj", tape.constant(np.array([0.9, 1.1])), both)
         # outer product of a batch scalar and a fixed vector
-        vec = tape.mul(
-            tape.reshape(tape.constant(np.array([1.0, 2.0])), (2, 1)),
-            tape.reshape(tape.constant(np.array([0.3, 0.4, 0.5, 0.6])), (1, 4)),
+        vec = tape.contract(
+            "b,j->bj", tape.constant(np.array([1.0, 2.0])), tape.constant(np.array([0.3, 0.4, 0.5, 0.6]))
         )
-        return _total(tape, tape.mul(tape.add(s, tape.scale_const(vec, -1.0)), s))
+        return _total(tape, tape.contract("bj,bj->bj", tape.add(s, tape.scale_const(vec, -1.0)), s))
 
     def f():
         return float(build(Tape()).value)
@@ -748,7 +748,7 @@ def test_a_tape_that_records_no_backward_counts_nodes_and_refuses_backward():
         tape = Tape(record=record)
         w = tape.parameter(store, "w")
         assert tape.parameter(store, "w") is w  # one leaf per slot per tape
-        root = _total(tape, tape.mul(w, tape.transpose(tape.reshape(w, (2, 3)), (1, 0))))
+        root = _total(tape, tape.contract("ij,ij->ij", w, tape.transpose(tape.reshape(w, (2, 3)), (1, 0))))
         lengths.append(len(tape))
         values.append(root.value.tobytes())
     assert lengths == [5, 5] and values[0] == values[1]
@@ -803,20 +803,20 @@ def _grad_error(store, build):
 
 def test_broadcast_binary_ops_check_against_finite_differences():
     store = ParameterStore(seed=21)
-    store.add_xavier("a", (2, 3, 1, 2))
-    store.add_xavier("b", (2, 1, 3, 2))
-    store.add_xavier("c", (1, 3, 1, 1))
+    store.add_xavier("a", (2, 3, 2))
+    store.add_xavier("b", (2, 3, 2))
+    store.add_xavier("c", (3, 2))
     store.add_xavier("bias", (2,))
     store.add_value("shift", np.array(0.3))
 
     def build(tape):
         a, b, c = (tape.parameter(store, k) for k in "abc")
         bias, shift = tape.parameter(store, "bias"), tape.parameter(store, "shift")
-        prod = tape.mul(a, b)  # (2, 3, 3, 2) grid of pair products
+        prod = tape.contract("bid,bjd->bijd", a, b)  # (2, 3, 3, 2) grid of pair products
         prod = tape.add(tape.add(prod, bias), tape.scale_const(shift, -1.0))  # a (d,) bias and a 0-d shift
-        scaled = tape.mul(bias, tape.mul(prod, shift))  # lower-rank factors on either side
-        back = tape.add(tape.add(scaled, c), tape.scale_const(c, -1.0))
-        return _total(tape, tape.mul(back, tape.add(prod, c)))
+        scaled = tape.contract("d,bijd->bijd", bias, tape.contract("bijd,->bijd", prod, shift))
+        back = tape.add(tape.add(scaled, c), tape.scale_const(c, -1.0))  # (j, d) trailing axes on either side
+        return _total(tape, tape.contract("bijd,bijd->bijd", back, tape.add(c, prod)))
 
     assert _grad_error(store, build) < 1e-8
 
@@ -827,6 +827,8 @@ def test_broadcast_needs_equal_ranks():
         tape.add(tape.constant(np.ones((3,))), tape.constant(np.ones((3, 1))))
     with pytest.raises(ShapeError):
         tape.add(tape.constant(np.ones((2,))), tape.constant(np.ones((2, 3))))
+    with pytest.raises(ShapeError):  # equal ranks broadcast no size-1 axis
+        tape.add(tape.constant(np.ones((2, 3))), tape.constant(np.ones((1, 3))))
 
 
 def test_batched_matmul_checks_against_finite_differences():
@@ -840,7 +842,7 @@ def test_batched_matmul_checks_against_finite_differences():
         s = tape.contract("bid,bjd->bij", e, tape.contract("bjd,dk->bjk", e, tape.parameter(store, "k")))
         per_field = tape.contract("bij,ijc->ibc", s, tape.parameter(store, "v"))
         mixed = tape.contract("bij,bjd->bid", s, e)  # (2, 3, 3) @ (2, 3, 4)
-        return tape.add(_total(tape, tape.mul(per_field, per_field)), _total(tape, mixed))
+        return tape.add(_total(tape, tape.contract("ibc,ibc->ibc", per_field, per_field)), _total(tape, mixed))
 
     assert _grad_error(store, build) < 1e-8
 
@@ -866,12 +868,13 @@ def test_shape_plumbing_checks_against_finite_differences():
         pick_rows = tape.constant(np.eye(5)[[[0, 4], [4, 1]]])  # (2, 2, 5), row 4 twice
         rows = tape.contract("ijk,k->ij", pick_rows, tape.parameter(store, "t"))
         # x and 2 * x along a new axis 1: (2, 2, 3, 4)
-        twice = tape.constant(np.reshape([1.0, 2.0], (1, 2, 1, 1)))
-        stacked = tape.mul(tape.reshape(x, (2, 1, 3, 4)), twice)
+        stacked = tape.contract("bcq,a->bacq", x, tape.constant([1.0, 2.0]))
         mapped = tape.contract("abcq,pq->abcp", stacked, tape.parameter(store, "m"))  # (2, 2, 3, 3)
         hidden = tape.relu(tape.add(mapped, tape.parameter(store, "b")))
         scores = tape.contract("abcp,p->abc", hidden, tape.parameter(store, "h"))  # (2, 2, 3)
-        total = tape.add(_total(tape, tape.mul(picked, picked)), _total(tape, tape.mul(rows, rows)))
+        total = tape.add(
+            _total(tape, tape.contract("ik,ik->ik", picked, picked)), _total(tape, tape.contract("ij,ij->ij", rows, rows))
+        )
         return tape.add(total, _total(tape, tape.sum_axis(scores, (0, 2))))
 
     assert _grad_error(store, build) < 1e-8
@@ -1068,6 +1071,38 @@ _PINNED = {
         lambda h, w: _rows_at(h, w),
         [lambda g, h, w: _rows_at(g, w.T), lambda g, h, w: h.reshape(-1, _N * _D).T @ g.reshape(-1, _T)],
     ),
+    # element-wise products: one multiply, and the gradient g * other, or
+    # one einsum over the axes an operand lacks
+    "bij,ij->bij": (  # the neighborhood mask, and the pair-scalar tables
+        [(_B, _N, _N), (_N, _N)], {},
+        lambda w, t: w * t,
+        [lambda g, w, t: g * t, lambda g, w, t: np.einsum("abc,abc->bc", g, w)],
+    ),
+    "bpd,bpd->bpd": (  # AFM's pair products
+        [(_B, _M, _D), (_B, _M, _D)], {},
+        lambda u, v: u * v,
+        [lambda g, u, v: g * v, lambda g, u, v: g * u],
+    ),
+    "bid,d->bid": (  # AFM's projection of the first field
+        [(_B, _N, _D), (_D,)], {},
+        lambda x, p: x * p,
+        [lambda g, x, p: g * p, lambda g, x, p: np.einsum("abc,abc->c", g, x)],
+    ),
+    "bij,bij->bij": (  # AFM's projected inner products weighed
+        [(_B, _N, _N), (_B, _N, _N)], {},
+        lambda w, u: w * u,
+        [lambda g, w, u: g * u, lambda g, w, u: g * w],
+    ),
+    "bid,i->bid": (  # DCN's field weights
+        [(_B, _N, _D), (_N,)], {},
+        lambda x, w: x * w.reshape(1, _N, 1),
+        [lambda g, x, w: g * w.reshape(1, _N, 1), lambda g, x, w: np.einsum("abc,abc->b", g, x)],
+    ),
+    "bid,bid->bid": (  # the hadamard utility
+        [(_B, _N, _D), (_B, _N, _D)], {},
+        lambda e, x: e * x,
+        [lambda g, e, x: g * x, lambda g, e, x: g * e],
+    ),
 }
 
 
@@ -1176,7 +1211,7 @@ def test_masked_softmax_checks_against_finite_differences():
         s, u = tape.parameter(store, "s"), tape.parameter(store, "u")
         rows = tape.softmax(s, axis=-1, mask=others)
         joint = tape.softmax(s, axis=(1, 2), mask=others)
-        return _total(tape, tape.mul(tape.add(rows, joint), u))
+        return _total(tape, tape.contract("bij,bij->bij", tape.add(rows, joint), u))
 
     assert _grad_error(store, build) < 1e-8
 
@@ -1191,7 +1226,7 @@ def test_masked_entry_gets_exactly_zero_weight_whatever_its_score():
     np.testing.assert_allclose(p.value.sum(axis=1), [1.0, 1.0], rtol=0, atol=1e-15)
     # and no gradient flows back to the masked scores
     store.zero_grads()
-    tape.backward(_total(tape, tape.mul(p, tape.constant(np.arange(6.0).reshape(2, 3)))))
+    tape.backward(_total(tape, tape.contract("ij,ij->ij", p, tape.constant(np.arange(6.0).reshape(2, 3)))))
     assert store.grad("s")[0, 0] == 0.0 and store.grad("s")[1, 2] == 0.0
 
 

@@ -1,0 +1,113 @@
+"""Print sha256 fingerprints of every zoo model's numbers, to compare two checkouts bit for bit.
+
+For the `ctrzoo` found on `sys.path`, each configuration line gives the
+model, its switches, the field count n, width d, batch B, layer count, the
+recorded tape's length, and one sha256 over the store's initial values,
+`Model.forward`, the training loss and every gradient (dropout drawn from a
+fixed generator). The configurations are the 15 models and 7 variants at
+three sizes. Then one line per model gives the sha256 of the `params.json`
+and `history.csv` a short `ctrzoo train` writes on a fixed synthetic set,
+and a last `TOTAL` line hashes every fingerprint above it. Tape lengths are
+printed but left out of `TOTAL`, so a change that only adds or removes
+nodes keeps it.
+
+Run it from the repository root on two checkouts and compare:
+
+    PYTHONPATH=src python tools/bit_parity.py > change.txt
+    PYTHONPATH=../parent/src python tools/bit_parity.py > parent.txt
+    diff parent.txt change.txt
+
+Needs only the standard library and numpy. A run takes a few seconds on a 2-CPU machine.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import ctrzoo
+from ctrzoo.cli import main as cli_main
+from ctrzoo.data import FieldSchema
+from ctrzoo.tape import Tape
+from ctrzoo.zoo import MODEL_NAMES, ModelSpec, build_model, random_batch
+
+SIZES = ((5, 4, 8, 2), (10, 16, 1024, 2), (4, 5, 37, 3))  # (n, d, B, layers)
+VARIANTS = (
+    ("SAM2_E", {"self_product": True}),
+    ("SAM2_A", {"sam2_upper_only": True}),
+    ("SAM2_E", {"sam2_upper_only": True}),
+    ("SAM3_A", {"softmax_enabled": False}),
+    ("AFM", {"afm_width": 3}),
+    ("FM", {"include_linear": False}),
+    ("AutoInt", {"layers": 3}),
+)
+SEED = 7
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def fingerprint(name, switches, n, d, b, layers):
+    """(tape length, sha256) of one configuration's values, forward, loss and gradients."""
+    schema = FieldSchema.of_sizes([5 + i % 4 for i in range(n)])
+    spec = ModelSpec(name, schema, d=d, **{"layers": layers, **switches})
+    model = build_model(spec, seed=SEED)
+    indices, labels = random_batch(schema, b, seed=SEED)
+    start = model.store.values.copy()
+    forward = model.forward(indices)
+    model.store.zero_grads()
+    tape = Tape()
+    loss = model.loss_node(tape, indices, labels, drop_rng=np.random.default_rng([SEED, 13]))
+    tape.backward(loss)
+    return len(tape), _digest(start, forward, loss.value, model.store.grads)
+
+
+def trained(name, data, out):
+    """sha256 of the params.json and history.csv of a short `ctrzoo train` of `name`."""
+    argv = ["train", "--data", data, "--out", out, "--model", name, "--d", "4", "--layers", "2",
+            "--mlp-hidden", "8,8", "--epochs", "2", "--batch", "64", "--seed", "1"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli_main(argv) != 0:
+            raise SystemExit(f"ctrzoo train --model {name} failed")
+    h = hashlib.sha256()
+    for artifact in ("params.json", "history.csv"):
+        h.update((Path(out) / artifact).read_bytes())
+    return h.hexdigest()
+
+
+def main():
+    print(f"ctrzoo from {Path(ctrzoo.__file__).parent}", file=sys.stderr)
+    total = hashlib.sha256()
+    configs = [(name, {}) for name in MODEL_NAMES] + list(VARIANTS)
+    for n, d, b, layers in SIZES:
+        for name, switches in configs:
+            nodes, sha = fingerprint(name, switches, n, d, b, layers)
+            label = ",".join(f"{k}={v}" for k, v in switches.items()) or "-"
+            print(f"{name:<12} {label:<22} n={n:<3} d={d:<3} B={b:<5} layers={layers} nodes={nodes:<4} {sha}")
+            total.update(sha.encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        data = str(Path(tmp) / "data")
+        argv = ["synth", "--out", data, "--fields", "5", "--categories", "6", "--count", "400", "--seed", "3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli_main(argv) != 0:
+                raise SystemExit("ctrzoo synth failed")
+        for name in MODEL_NAMES:
+            sha = trained(name, data, str(Path(tmp) / name))
+            print(f"{name:<12} train params.json+history.csv {sha}")
+            total.update(sha.encode())
+    print(f"TOTAL {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
