@@ -537,6 +537,9 @@ def main(argv=None):
     except CtrZooError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # an array larger than the memory the process may take
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     finally:
         release_memory()  # what the command's steps kept for reuse goes back to the kernel
 

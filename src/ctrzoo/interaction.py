@@ -14,13 +14,15 @@ Conventions: "others" neighborhoods sum over ordered pairs j != i, so
 symmetric similarities count each unordered pair twice (the model layer
 compensates where the classical form sums i < j). A similarity that costs
 work per pair, FFM's field-aware inner product and AFM's attention
-network, is computed once per pair i < j and mirrored onto (j, i).
+network, is computed once per pair i < j and mirrored onto (j, i) by an
+integer index map, one `Tape.take` (`_pair_index`), as is FwFM's pair weight.
 Softmax-normalized similarities renormalize per target field;
 attention-pooled ones (AFM) renormalize jointly over all ordered pairs.
 Grid configurations (SAM2) weigh one vector per ordered pair, i == j
 included (per pair i < j with `upper_only`), and are only ever read through
 the affine head that follows them, so `fi_forward` returns the grid already
-contracted with the head weights and never forms a vector per pair.
+contracted with the head weights and never forms a vector per pair; an
+index map places the head rows on the (n, n) grid.
 
 `fi_forward` evaluates a row on the whole (B, n, d) field tensor: the
 similarity is one (B, n, n) matrix, each neighborhood a constant (n, n)
@@ -137,29 +139,19 @@ def _neighborhood_mask(kind, n):
 
 @lru_cache(maxsize=None)
 def _field_pairs(n):
-    """Constants for the m = n(n-1)/2 pairs i < j: one-hot (m, n) rows picking
-    i and j, and the (m, n, n) map spreading a pair value over (i, j) and (j, i).
-
-    FFM and AFM spread their per-pair similarities with the map, FwFM its
-    pair weights."""
-    first, second = np.triu_indices(n, 1)
-    m = len(first)
-    pick_first, pick_second = np.zeros((m, n)), np.zeros((m, n))
-    pick_first[np.arange(m), first] = 1.0
-    pick_second[np.arange(m), second] = 1.0
-    spread = np.zeros((m, n, n))
-    spread[np.arange(m), first, second] = 1.0
-    spread[np.arange(m), second, first] = 1.0
-    return _frozen(pick_first), _frozen(pick_second), _frozen(spread)
+    """One-hot (m, n) rows picking field i, and field j, of the m = n(n-1)/2 pairs i < j: AFM's pair picks."""
+    return tuple(_frozen(np.eye(n)[fields]) for fields in np.triu_indices(n, 1))
 
 
 @lru_cache(maxsize=None)
-def _grid_placement(n, upper_only):
-    """(n, n, P) one-hot map putting grid pair p = (i, j), in row-major order, at entry (i, j)."""
+def _pair_index(n, upper_only, mirrored):
+    """(n, n) map from entry (i, j) to the position of pair p = (i, j) for `Tape.take`: row-major over
+    all n*n pairs or, `upper_only`, the P pairs i < j. With `mirrored` (j, i) reads p too; every entry
+    left out reads position P, the zero `take` appends."""
     first, second = np.triu_indices(n, 1) if upper_only else np.indices((n, n)).reshape(2, -1)
-    place = np.zeros((n, n, len(first)))
-    place[first, second, np.arange(len(first))] = 1.0
-    return _frozen(place)
+    index = np.full((n, n), len(first))
+    index[first, second] = np.arange(len(first))
+    return _frozen(np.minimum(index, index.T) if mirrored else index)
 
 
 def _fields_of_pairs(m):
@@ -295,8 +287,8 @@ def _similarity(tape, cfg, E, param):
         if cfg.field_aware:
             # <e_i^(j), e_j^(i)>, once per pair i < j, spread over (i, j) and (j, i)
             mine, theirs = E
-            spread = tape.constant(_field_pairs(_fields_of_pairs(mine.value.shape[1]))[2])
-            return tape.contract("bp,pij->bij", tape.contract("bpd,bpd->bp", mine, theirs), spread)
+            spread = _pair_index(_fields_of_pairs(mine.value.shape[1]), True, True)
+            return tape.take(tape.contract("bpd,bpd->bp", mine, theirs), spread, axis=1)
         gram = tape.contract("bid,bjd->bij", E, E)
         # a matrix product does not promise S_ij == S_ji to the last bit; the
         # symmetric part does, which keeps symmetric grids exactly symmetric
@@ -311,11 +303,11 @@ def _similarity(tape, cfg, E, param):
         # h . relu(W (f_i * f_j) + b) is symmetric in the pair and the
         # diagonal is masked out: run the attention network once per pair i < j
         n = E.value.shape[1]
-        first, second, spread = (tape.constant(c) for c in _field_pairs(n))
+        first, second = (tape.constant(c) for c in _field_pairs(n))
         pairs = tape.contract("bpd,bpd->bpd", tape.contract("pi,bid->bpd", first, E),
                               tape.contract("pi,bid->bpd", second, E))
         hidden = tape.relu(tape.add(tape.contract("bpd,td->bpt", pairs, param("attn_w")), param("attn_b")))
-        return tape.contract("bp,pij->bij", tape.contract("bpt,t->bp", hidden, param("attn_h")), spread)
+        return tape.take(tape.contract("bpt,t->bp", hidden, param("attn_h")), _pair_index(n, True, True), axis=1)
     raise CatalogError(f"unknown similarity kind {kind!r}")
 
 
@@ -325,7 +317,7 @@ def _pair_scalars(tape, cfg, param, n):
     if kind == "scalar_pair":
         return param("pairw")
     if kind == "scalar_pair_sym":
-        return tape.contract("p,pij->ij", param("pairw"), tape.constant(_field_pairs(n)[2]))
+        return tape.take(param("pairw"), _pair_index(n, True, True))
     if kind == "scalar_inner":
         theta = param("theta")
         return tape.contract("id,jd->ij", theta, theta)
@@ -375,9 +367,9 @@ def _utility(tape, cfg, E, W, param):
 def _grid(tape, cfg, E, param, head):
     """sum_p w_p . S(f_i, f_j) U(f_i, f_j) over the grid pairs p = (i, j), as (B,).
 
-    The head rows (and pair vectors) are placed on the (n, n) grid, zero at
-    the pairs it leaves out, so the full and the upper-only grid share one
-    path and no per-pair vector is ever formed.
+    The head rows (and pair vectors) are placed on the (n, n) grid by one
+    `Tape.take` of an index map, zero at the pairs it leaves out, so the full
+    and the upper-only grid share one path and no per-pair vector is formed.
     """
     _, n, d = E.value.shape
     pairs = grid_size(cfg, n)
@@ -386,15 +378,15 @@ def _grid(tape, cfg, E, param, head):
     scores = _similarity(tape, cfg, E, param)
     if scores is None:
         raise CatalogError(f"{cfg.model}: a grid needs a similarity")
-    place = tape.constant(_grid_placement(n, cfg.upper_only))
+    place = _pair_index(n, cfg.upper_only, False)
     w = tape.reshape(head, (pairs, d))
     if cfg.utility == "hadamard":
-        weights = tape.contract("ijp,pk->ijk", place, w)
+        weights = tape.take(w, place)
         # sum_k w_ijk f_ik f_jk for every pair; the self product reads f_i twice
         spec = "bik,ijk,bik->bij" if cfg.self_product else "bik,ijk,bjk->bij"
         return tape.contract("bij,bij->b", scores, tape.contract(spec, E, weights, E))
     if cfg.utility == "vector_pair":
         # the head reads pair vector p through the scalar sum_k pairvec_pk w_pk
-        coeff = tape.contract("ijp,p->ij", place, tape.contract("pk,pk->p", param("pairvec"), w))
+        coeff = tape.take(tape.contract("pk,pk->p", param("pairvec"), w), place)
         return tape.contract("bij,ij->b", scores, coeff)
     raise CatalogError(f"{cfg.model}: grid utility {cfg.utility!r} is not supported")

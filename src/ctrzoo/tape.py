@@ -20,17 +20,21 @@ operands transposed and reshaped into (stacked, own, summed) blocks.
 `add` is the one op that broadcasts, by one rule: an operand of lower
 rank equals the trailing axes of the other, so (B, m) + (m,) adds a bias
 to every row and (B,) + () shifts every entry, while (3,) + (3, 1) and
-(2, 3) + (1, 3) raise ShapeError. `logloss` is the training loss as one
-node: sigmoid, clamp and mean log-loss fused, with a hand-written backward.
+(2, 3) + (1, 3) raise ShapeError. `take(x, index, axis)` is the one gather:
+the axes of a constant integer `index` replace `axis`, an entry equal to the
+axis length reads zero, and the backward sums each entry's reads with
+`_scatter_rows`. `logloss` is the training loss as one node: sigmoid, clamp
+and mean log-loss fused, with a hand-written backward.
 
 Every op checks its operands and its result the same way on either kind of
 tape: a non-finite value raises NumericError, a broadcast or batch mismatch
-ShapeError, an out-of-range lookup DomainError naming the slot. A tape built
-with `record=False` drops each op's backward closure and keeps no node list,
-so intermediates are freed as soon as they are dead and `backward` raises
-ContractError. `Model.forward` (and so `predict`, validation and
-`verify_equivalence`), `Model.loss` and the finite-difference evaluations in
-`gradient_check` run on one; training steps record.
+or a non-integer take index ShapeError, an out-of-range lookup DomainError
+naming the slot and a take index outside [0, axis length] one naming that
+range. A tape built with `record=False` drops each op's backward closure and
+keeps no node list, so intermediates are freed as soon as they are dead and
+`backward` raises ContractError. `Model.forward` (and so `predict`,
+validation and `verify_equivalence`), `Model.loss` and the finite-difference
+evaluations in `gradient_check` run on one; training steps record.
 
 A `ParameterStore` keeps its slots in one flat `values` and one flat `grads`
 buffer. Gradients are accumulation-only: `backward` adds into them and never
@@ -350,20 +354,21 @@ def _unbroadcast(g, shape):
     return g if g.shape == shape else g.reshape((-1,) + shape).sum(axis=0)
 
 
-def _scatter_rows(rows, g, n_rows):
-    """Sum the rows of g (m, ...) into n_rows rows by `rows` (m,) non-negative.
+def _scatter_rows(rows, g, n_rows, axis=0):
+    """Sum the len(rows) entries of g along `axis` into n_rows entries by `rows` (non-negative).
 
-    One `np.bincount` over row * width + column adds the rows of g in
+    One `np.bincount` over the flat positions adds the entries of g in
     order, so each sum is bitwise the one a loop adding them into zeros
     gives. A gradient buffer then takes each sum in one addition, so a
     second `backward` doubles it exactly.
     """
-    tail = g.shape[1:]
-    width = int(np.prod(tail))
-    bins = (rows[:, None] * width + np.arange(width)).reshape(-1)
-    sums = np.bincount(bins, weights=g.reshape(-1), minlength=n_rows * width)
+    lead, width = math.prod(g.shape[:axis]), math.prod(g.shape[axis + 1 :])
+    bins = rows[:, None] * width + np.arange(width)
+    if lead > 1:  # each index of the leading axes sums into n_rows entries of its own
+        bins = (np.arange(lead) * (n_rows * width))[:, None, None] + bins
+    sums = np.bincount(bins.reshape(-1), weights=g.reshape(-1), minlength=lead * n_rows * width)
     # an empty `rows` gives an integer array
-    return sums.astype(np.float64, copy=False).reshape((n_rows,) + tail)
+    return sums.astype(np.float64, copy=False).reshape(g.shape[:axis] + (n_rows,) + g.shape[axis + 1 :])
 
 
 def _broadcast(a, b):
@@ -712,6 +717,25 @@ class Tape:
             _bump(x, g.transpose(inverse))
 
         return self._emit(x.value.transpose(axes), backward, moved=True)
+
+    def take(self, x, index, axis=0):
+        """x read along `axis` at the integer array `index`, whose axes replace it; an entry
+        equal to the axis length reads zero. The backward sums each entry's reads, in order."""
+        index, v = np.asarray(index), x.value
+        (axis,) = _axes(axis, v.ndim)
+        n, head, tail = v.shape[axis], v.shape[:axis], v.shape[axis + 1 :]
+        if index.dtype.kind not in "iu":
+            raise ShapeError(f"take index must be an integer array, got {index.dtype}")
+        if index.size and not 0 <= index.min() <= index.max() <= n:
+            raise DomainError(f"take index outside [0, {n}]; {n} reads zero")
+        rows = index.reshape(-1).astype(np.int64)  # a copy: the caller may reuse `index`
+
+        def backward(g):
+            sums = _scatter_rows(rows, g.reshape(head + (-1,) + tail), n + 1, axis)
+            _bump(x, sums[(slice(None),) * axis + (slice(n),)])
+
+        padded = np.concatenate((v, np.zeros(head + (1,) + tail)), axis)
+        return self._emit(padded.take(index, axis), backward, moved=True)
 
     def sum_axis(self, x, axis):
         """Sum over `axis` (an int or a tuple of axes), dropping it."""

@@ -55,6 +55,14 @@ def synth_dir(ws):
 
 
 @pytest.fixture(scope="module")
+def wide_dir(ws):
+    out = ws / "synth_wide"
+    proc = run_cli("synth", "--out", out, "--fields", 120, "--categories", 2, "--count", 60)
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+@pytest.fixture(scope="module")
 def run_dir(ws, synth_dir):
     out = ws / "run"
     proc = run_cli(
@@ -515,6 +523,20 @@ def test_zero_embedding_width_flag_stays_a_config_error(ws, synth_dir):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "model",
+    [["FFM"], ["AFM"], ["FwFM"], ["SAM2_A"], ["SAM2_E"], ["SAM2_E", "--upper-only"]],
+    ids=["FFM", "AFM", "FwFM", "SAM2_A", "SAM2_E", "SAM2_E-upper-only"],
+)
+def test_pair_models_train_on_a_wide_schema_in_bounded_memory(ws, wide_dir, model):
+    # at 120 fields a one-hot pair constant would take 98 MiB to 1.5 GiB
+    proc = run_cli(
+        "train", "--data", wide_dir, "--out", ws / f"run_wide_{'_'.join(model)}", "--model", *model,
+        "--d", 2, "--epochs", 1, "--batch", 32, "--mlp-hidden", 4, max_bytes=1 << 30,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_affine_model_learns_a_linear_signal_end_to_end(ws):
     data = ws / "synth_linear"
     proc = run_cli(
@@ -822,6 +844,22 @@ def test_every_spec_field_read_from_flags_has_a_flag(tmp_path, synth_dir, monkey
     }[command]
     assert cli.main([command, "--out", str(tmp_path / "out"), *map(str, argv)]) == 0
     assert built == ({"SyntheticSpec"} if command == "synth" else {"TrainConfig", "ModelSpec"})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--models", "SAM1", "--fields", 3, "--d", 100_000_000],
+        ["synth", "--count", 1_000_000_000],
+    ],
+    ids=["gradcheck", "synth"],
+)
+def test_running_out_of_memory_is_one_error_line(tmp_path, argv):
+    if argv[0] == "synth":
+        argv = [*argv, "--out", tmp_path / "data"]
+    proc = run_cli(*argv, max_bytes=1 << 30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_main_releases_memory_after_every_command(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ctrzoo import tape as tape_module
 from ctrzoo.data import FieldSchema
 from ctrzoo.errors import ContractError, DataError, DomainError, NumericError, ShapeError
-from ctrzoo.interaction import MODEL_NAMES, _field_pairs, fi_catalog
+from ctrzoo.interaction import MODEL_NAMES, _pair_index, fi_catalog
 from ctrzoo.metrics import PROB_FLOOR, logloss
 from ctrzoo.tape import (
     ParameterStore,
@@ -787,6 +787,27 @@ def test_every_op_check_holds_on_either_tape(record):
         with pytest.raises(DomainError, match="slot 'b' \\(rows=2\\)"):
             tape.lookup(store, ["a", "b"], np.array([[0, 1], [2, row]], dtype=dtype))
     assert tape.lookup(store, ["a", "b"], np.array([[2, 1]], dtype=np.uint8)).value.shape == (1, 2, 2)
+    for index in (np.array([0.0, 1.0]), np.array([True]), [[0], [1.5]]):
+        with pytest.raises(ShapeError, match="integer array"):
+            tape.take(x, index, axis=1)
+    for axis in (3, -4):
+        with pytest.raises(ShapeError):
+            tape.take(x, [0], axis)
+    for index in ([0, -1], [[4]], np.array([2**63 + 1], dtype=np.uint64)):  # 3 entries on axis 1
+        with pytest.raises(DomainError, match=r"outside \[0, 3\]"):
+            tape.take(x, index, axis=1)
+    assert tape.take(x, [[3, 0]], axis=1).value.shape == (2, 1, 2, 4)
+
+
+def test_take_keeps_its_index_when_the_caller_reuses_it():
+    store = ParameterStore()
+    store.add_value("x", np.array([1.0, 2.0, 3.0]))
+    index = np.array([0, 0, 2])
+    tape = Tape()
+    out = tape.take(tape.parameter(store, "x"), index)
+    index[:] = 1
+    tape.backward(tape.contract("i,i->", out, tape.constant([1.0, 10.0, 100.0])))
+    np.testing.assert_array_equal(store.grad("x"), [11.0, 0.0, 100.0])
 
 
 # ---------------------------------------------------------------------------
@@ -946,61 +967,45 @@ def _swap(x):
 # Every spec the zoo contracts, on operands of the shapes it uses, with the
 # numpy expression of the op it replaced: (value, one gradient per operand).
 # A gradient is None where the operand is a constant whose gradient the zoo
-# never forms (the one-hot pair picks). `fixed` operands keep that value.
+# never forms (the one-hot pair picks).
 _PINNED = {
     "bid,ed->bie": (  # linear maps: residual, projections, AutoInt's values
-        [(_B, _N, _D), (_T, _D)], {},
+        [(_B, _N, _D), (_T, _D)],
         lambda x, m: _rows_at(x, m.T),
         [lambda g, x, m: _rows_at(g, m), lambda g, x, m: g.reshape(-1, _T).T @ x.reshape(-1, _D)],
     ),
     "bid,bjd->bij": (  # Gram and projected similarities
-        [(_B, _N, _D), (_B, _N, _D)], {},
+        [(_B, _N, _D), (_B, _N, _D)],
         lambda a, b: a @ b.transpose(0, 2, 1),
         [lambda g, a, b: g @ b, lambda g, a, b: (_swap(a) @ g).transpose(0, 2, 1)],
     ),
     "bpd,bpd->bp": (  # FFM's field-aware pair scores
-        [(_B, _M, _D), (_B, _M, _D)], {},
+        [(_B, _M, _D), (_B, _M, _D)],
         lambda u, v: np.einsum("...d,...d->...", u, v),
         [lambda g, u, v: g[..., None] * v, lambda g, u, v: g[..., None] * u],
     ),
-    "bp,pij->bij": (  # pair values spread over (i, j) and (j, i)
-        [(_B, _M), (_M, _N, _N)], {},
-        lambda x, s: _rows_at(x, s.reshape(_M, -1)).reshape(_B, _N, _N),
-        [
-            lambda g, x, s: _rows_at(g.reshape(_B, -1), s.reshape(_M, -1).T),
-            lambda g, x, s: (x.reshape(-1, _M).T @ g.reshape(_B, -1)).reshape(s.shape),
-        ],
-    ),
     "pi,bid->bpd": (  # AFM's pair picks
-        [(_M, _N), (_B, _N, _D)], {},
+        [(_M, _N), (_B, _N, _D)],
         lambda first, e: first @ e,
         [None, lambda g, first, e: _swap(first) @ g],
     ),
     "bpd,td->bpt": (  # AFM's attention layer
-        [(_B, _M, _D), (_T, _D)], {},
+        [(_B, _M, _D), (_T, _D)],
         lambda x, m: _rows_at(x, m.T),
         [lambda g, x, m: _rows_at(g, m), lambda g, x, m: g.reshape(-1, _T).T @ x.reshape(-1, _D)],
     ),
     "bpt,t->bp": (  # AFM's attention scores
-        [(_B, _M, _T), (_T,)], {},
+        [(_B, _M, _T), (_T,)],
         lambda x, h: (x.reshape(-1, _T) @ h).reshape(_B, _M),
         [lambda g, x, h: g[..., None] * h, lambda g, x, h: g.reshape(-1) @ x.reshape(-1, _T)],
     ),
-    "p,pij->ij": (  # FwFM's pair weights, spread
-        [(_M,), (_M, _N, _N)], {1: _field_pairs(_N)[2]},
-        lambda w, s: np.einsum("p,pq->q", w, s.reshape(_M, -1)).reshape(_N, _N),
-        [
-            lambda g, w, s: np.einsum("q,pq->p", g.reshape(-1), s.reshape(_M, -1)),
-            lambda g, w, s: np.einsum("q,p->pq", g.reshape(-1), w).reshape(s.shape),
-        ],
-    ),
     "id,jd->ij": (  # IPNN's theta Gram
-        [(_N, _D), (_N, _D)], {},
+        [(_N, _D), (_N, _D)],
         lambda a, b: _rows_at(a, b.T),
         [lambda g, a, b: _rows_at(g, b), lambda g, a, b: (a.T @ g).T],
     ),
     "bij,ijd->bid": (  # vector-pair utility
-        [(_B, _N, _N), (_N, _N, _D)], {},
+        [(_B, _N, _N), (_N, _N, _D)],
         lambda w, v: (w.transpose(1, 0, 2) @ v).transpose(1, 0, 2),
         [
             lambda g, w, v: (g.transpose(1, 0, 2) @ _swap(v)).transpose(1, 0, 2),
@@ -1008,17 +1013,12 @@ _PINNED = {
         ],
     ),
     "bij,bjd->bid": (  # similarity-weighted sum of utilities
-        [(_B, _N, _N), (_B, _N, _D)], {},
+        [(_B, _N, _N), (_B, _N, _D)],
         lambda w, x: w @ x,
         [lambda g, w, x: g @ _swap(x), lambda g, w, x: _swap(w) @ g],
     ),
-    "ijp,pk->ijk": (  # SAM2_E's head rows placed on the grid
-        [(_N, _N, _P), (_P, _D)], {},
-        lambda place, w: _rows_at(place, w),
-        [lambda g, place, w: _rows_at(g, w.T), lambda g, place, w: place.reshape(-1, _P).T @ g.reshape(-1, _D)],
-    ),
     "bik,ijk,bjk->bij": (  # SAM2_E's grid
-        [(_B, _N, _D), (_N, _N, _D), (_B, _N, _D)], {},
+        [(_B, _N, _D), (_N, _N, _D), (_B, _N, _D)],
         lambda a, w, b: np.einsum("bik,ijk,bjk->bij", a, w, b),
         [
             lambda g, a, w, b: np.einsum("bij,ijk,bjk->bik", g, w, b),
@@ -1027,7 +1027,7 @@ _PINNED = {
         ],
     ),
     "bik,ijk,bik->bij": (  # SAM2_E's grid with the self product
-        [(_B, _N, _D), (_N, _N, _D), (_B, _N, _D)], {},
+        [(_B, _N, _D), (_N, _N, _D), (_B, _N, _D)],
         lambda a, w, b: np.einsum("bik,ijk,bik->bij", a, w, b),
         [
             lambda g, a, w, b: np.einsum("bij,ijk,bik->bik", g, w, b),
@@ -1036,22 +1036,17 @@ _PINNED = {
         ],
     ),
     "bij,bij->b": (  # SAM2_E's grid read by the similarity
-        [(_B, _N, _N), (_B, _N, _N)], {},
+        [(_B, _N, _N), (_B, _N, _N)],
         lambda s, u: np.einsum("bij,bij->b", s, u),
         [lambda g, s, u: np.einsum("b,bij->bij", g, u), lambda g, s, u: np.einsum("b,bij->bij", g, s)],
     ),
     "pk,pk->p": (  # SAM2_A's pair vectors read by the head rows
-        [(_P, _D), (_P, _D)], {},
+        [(_P, _D), (_P, _D)],
         lambda u, v: np.einsum("...d,...d->...", u, v),
         [lambda g, u, v: g[..., None] * v, lambda g, u, v: g[..., None] * u],
     ),
-    "ijp,p->ij": (  # SAM2_A's pair coefficients placed on the grid
-        [(_N, _N, _P), (_P,)], {},
-        lambda place, c: (place.reshape(-1, _P) @ c).reshape(_N, _N),
-        [lambda g, place, c: g[..., None] * c, lambda g, place, c: g.reshape(-1) @ place.reshape(-1, _P)],
-    ),
     "bij,ij->b": (  # SAM2_A's grid read by the similarity
-        [(_B, _N, _N), (_N, _N)], {},
+        [(_B, _N, _N), (_N, _N)],
         lambda s, c: s.reshape(_B, -1) @ c.reshape(-1),
         [
             lambda g, s, c: (g[:, None] * c.reshape(-1)).reshape(s.shape),
@@ -1059,7 +1054,7 @@ _PINNED = {
         ],
     ),
     "bid,i->bd": (  # field combination
-        [(_B, _N, _D), (_N,)], {},
+        [(_B, _N, _D), (_N,)],
         lambda z, w: (z.transpose(0, 2, 1).reshape(-1, _N) @ w).reshape(_B, _D),
         [
             lambda g, z, w: (g[..., None] * w).transpose(0, 2, 1),
@@ -1067,39 +1062,39 @@ _PINNED = {
         ],
     ),
     "bp,pq->bq": (  # transform layers
-        [(_B, _N * _D), (_N * _D, _T)], {},
+        [(_B, _N * _D), (_N * _D, _T)],
         lambda h, w: _rows_at(h, w),
         [lambda g, h, w: _rows_at(g, w.T), lambda g, h, w: h.reshape(-1, _N * _D).T @ g.reshape(-1, _T)],
     ),
     # element-wise products: one multiply, and the gradient g * other, or
     # one einsum over the axes an operand lacks
     "bij,ij->bij": (  # the neighborhood mask, and the pair-scalar tables
-        [(_B, _N, _N), (_N, _N)], {},
+        [(_B, _N, _N), (_N, _N)],
         lambda w, t: w * t,
         [lambda g, w, t: g * t, lambda g, w, t: np.einsum("abc,abc->bc", g, w)],
     ),
     "bpd,bpd->bpd": (  # AFM's pair products
-        [(_B, _M, _D), (_B, _M, _D)], {},
+        [(_B, _M, _D), (_B, _M, _D)],
         lambda u, v: u * v,
         [lambda g, u, v: g * v, lambda g, u, v: g * u],
     ),
     "bid,d->bid": (  # AFM's projection of the first field
-        [(_B, _N, _D), (_D,)], {},
+        [(_B, _N, _D), (_D,)],
         lambda x, p: x * p,
         [lambda g, x, p: g * p, lambda g, x, p: np.einsum("abc,abc->c", g, x)],
     ),
     "bij,bij->bij": (  # AFM's projected inner products weighed
-        [(_B, _N, _N), (_B, _N, _N)], {},
+        [(_B, _N, _N), (_B, _N, _N)],
         lambda w, u: w * u,
         [lambda g, w, u: g * u, lambda g, w, u: g * w],
     ),
     "bid,i->bid": (  # DCN's field weights
-        [(_B, _N, _D), (_N,)], {},
+        [(_B, _N, _D), (_N,)],
         lambda x, w: x * w.reshape(1, _N, 1),
         [lambda g, x, w: g * w.reshape(1, _N, 1), lambda g, x, w: np.einsum("abc,abc->b", g, x)],
     ),
     "bid,bid->bid": (  # the hadamard utility
-        [(_B, _N, _D), (_B, _N, _D)], {},
+        [(_B, _N, _D), (_B, _N, _D)],
         lambda e, x: e * x,
         [lambda g, e, x: g * x, lambda g, e, x: g * e],
     ),
@@ -1126,9 +1121,9 @@ def _same_bits(a, b):
     + [(spec, True) for spec, case in _PINNED.items() if (_B, _M, _D) in case[0]],
 )
 def test_contract_makes_the_numpy_calls_of_the_ops_it_replaced(spec, slot_major):
-    shapes, fixed, value, grads = _PINNED[spec]
+    shapes, value, grads = _PINNED[spec]
     rng = np.random.default_rng(31)
-    arrays = [fixed.get(k, rng.normal(size=shape)) for k, shape in enumerate(shapes)]
+    arrays = [rng.normal(size=shape) for shape in shapes]
     tape, store = Tape(), ParameterStore()
     nodes = _leaves(tape, store, arrays, slot_major)
     xs = [node.value for node in nodes]
@@ -1157,6 +1152,80 @@ def test_pinned_specs_are_every_spec_the_zoo_contracts(monkeypatch):
             model = build_model(ModelSpec(name, schema, d=3, mlp_hidden=(4,), **switches), seed=0)
             model.loss(*random_batch(schema, 5))
     assert seen == set(_PINNED)
+
+
+# ---------------------------------------------------------------------------
+# take: the gather that replaced the one-hot pair products
+
+
+@pytest.mark.parametrize(
+    "spec, shape, index, axis",
+    [
+        # FFM's and AFM's (B, m) pair scores and FwFM's (m,) pair weights, spread over (i, j) and (j, i)
+        pytest.param("bp,pij->bij", (_B, _M), _pair_index(_N, True, True), 1, id="bp,pij->bij"),
+        pytest.param("p,pij->ij", (_M,), _pair_index(_N, True, True), 0, id="p,pij->ij"),
+        # SAM2's head rows and pair coefficients placed on the full and the upper-only grid
+        pytest.param("ijp,pk->ijk", (_P, _D), _pair_index(_N, False, False), 0, id="ijp,pk->ijk"),
+        pytest.param("ijp,pk->ijk", (_M, _D), _pair_index(_N, True, False), 0, id="ijp,pk->ijk-upper"),
+        pytest.param("ijp,p->ij", (_P,), _pair_index(_N, False, False), 0, id="ijp,p->ij"),
+        pytest.param("ijp,p->ij", (_M,), _pair_index(_N, True, False), 0, id="ijp,p->ij-upper"),
+    ],
+)
+def test_take_is_bitwise_the_one_hot_product_it_replaced(spec, shape, index, axis):
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=shape)
+    hot = (index[..., None] == np.arange(shape[axis])).astype(np.float64)  # (n, n, pairs)
+    sub = spec.split("->")[1]
+    weights = rng.normal(size=shape[:axis] + index.shape + shape[axis + 1 :])
+
+    def run(op):
+        tape, store = Tape(), ParameterStore()
+        store.add_value("x", x)
+        node = tape.parameter(store, "x")
+        out = op(tape, node)
+        tape.backward(tape.contract(f"{sub},{sub}->", out, tape.constant(weights)))
+        return out.value, node.grad
+
+    if spec.startswith("ijp"):
+        expected = run(lambda tape, node: tape.contract(spec, tape.constant(hot), node))
+    else:
+        expected = run(lambda tape, node: tape.contract(spec, node, tape.constant(np.moveaxis(hot, -1, 0))))
+    value, grad = run(lambda tape, node: tape.take(node, index, axis))
+    assert _same_bits(value, expected[0]) and _same_bits(grad, expected[1])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.data(),
+    st.sampled_from([np.int64, np.int32, np.uint8, np.uint64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_take_matches_numpy_and_finite_differences_on_random_indices(shape, data, dtype, seed):
+    given_axis = data.draw(st.integers(-len(shape), len(shape) - 1))  # a negative axis counts from the end
+    axis = given_axis % len(shape)
+    n, head, tail = shape[axis], tuple(shape[:axis]), tuple(shape[axis + 1 :])
+    reads = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=5))
+    reads += [n, reads[0]]  # the zero, and a repeat
+    index = np.array(reads, dtype=dtype).reshape(data.draw(st.sampled_from([(-1,), (1, -1), (-1, 1)])))
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    x = store.add_value("x", rng.normal(size=shape))
+    weights = rng.normal(size=head + index.shape + tail)
+
+    def build(tape):
+        out = tape.take(tape.parameter(store, "x"), index, given_axis)
+        padded = np.concatenate((x, np.zeros(head + (1,) + tail)), axis)
+        assert _same_bits(out.value, np.take(padded, index, axis))
+        sub = "abcde"[: out.value.ndim]
+        return tape.contract(f"{sub},{sub}->", out, tape.constant(weights))
+
+    assert _grad_error(store, build) < 1e-8
+    # each entry's reads summed in order into zeros, as np.add.at sums them
+    g = np.moveaxis(weights.reshape(head + (-1,) + tail), axis, 0)
+    summed = np.zeros((n + 1,) + g.shape[1:])
+    np.add.at(summed, index.reshape(-1).astype(np.int64), g)
+    assert _same_bits(store.grad("x"), np.moveaxis(summed[:n], 0, axis))
 
 
 @st.composite

@@ -1,0 +1,25 @@
+"""Smoke tests of the scripts under tools/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bit_parity_prints_every_fingerprint_and_the_same_total_twice():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    totals = []
+    for _ in range(2):  # fresh processes: no cache or heap state carries over
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "bit_parity.py")], capture_output=True, text=True, env=env, cwd=ROOT
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        # 15 models and 7 variants at three sizes, one short training run per model, then TOTAL
+        assert sum(" nodes=" in line for line in lines) == 66
+        assert sum(" train params.json+history.csv " in line for line in lines) == 15
+        assert len(lines) == 82 and lines[-1].startswith("TOTAL ")
+        totals.append(lines[-1])
+    assert totals[0] == totals[1]
