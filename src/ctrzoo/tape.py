@@ -20,21 +20,24 @@ operands transposed and reshaped into (stacked, own, summed) blocks.
 `add` is the one op that broadcasts, by one rule: an operand of lower
 rank equals the trailing axes of the other, so (B, m) + (m,) adds a bias
 to every row and (B,) + () shifts every entry, while (3,) + (3, 1) and
-(2, 3) + (1, 3) raise ShapeError. `take(x, index, axis)` is the one gather:
-the axes of a constant integer `index` replace `axis`, an entry equal to the
-axis length reads zero, and the backward sums each entry's reads with
-`_scatter_rows`. `logloss` is the training loss as one node: sigmoid, clamp
-and mean log-loss fused, with a hand-written backward.
+(2, 3) + (1, 3) raise ShapeError. `take(x, index, axis)` gathers along `axis`
+at a constant integer `index`, whose axes replace it (an entry equal to the
+axis length reads zero); `lookup` gathers the rows of k tables with one `take`
+from a (rows, d) view of the store's `values`, so the tables must lie whole
+rows apart there. Both backwards sum the reads with one `_scatter_rows`, in
+the value's memory order. `softmax` takes its max, which is exact, as one
+reduce over a contiguous copy with the normalized axes first. `logloss` is
+the training loss as one node: sigmoid, clamp and mean log-loss fused.
 
 Every op checks its operands and its result the same way on either kind of
-tape: a non-finite value raises NumericError, a broadcast or batch mismatch
-or a non-integer take index ShapeError, an out-of-range lookup DomainError
-naming the slot and a take index outside [0, axis length] one naming that
-range. A tape built with `record=False` drops each op's backward closure and
-keeps no node list, so intermediates are freed as soon as they are dead and
-`backward` raises ContractError. `Model.forward` (and so `predict`,
-validation and `verify_equivalence`), `Model.loss` and the finite-difference
-evaluations in `gradient_check` run on one; training steps record.
+tape: a non-finite value raises NumericError naming the op, a broadcast or
+batch mismatch or a non-integer take index ShapeError, an out-of-range
+lookup DomainError naming the slot and a take index outside [0, axis length]
+one naming that range. A tape built with `record=False` drops each op's
+backward closure and keeps no node list, so intermediates are freed as soon
+as they are dead and `backward` raises ContractError. `Model.forward`
+(so `predict`, validation and `verify_equivalence`), `Model.loss` and the
+finite differences of `gradient_check` run on one; training steps record.
 
 A `ParameterStore` keeps its slots in one flat `values` and one flat `grads`
 buffer. Gradients are accumulation-only: `backward` adds into them and never
@@ -50,6 +53,7 @@ import ctypes
 import json
 import math
 import string
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -169,6 +173,7 @@ class ParameterStore:
         self.seed = seed
         self.rng = np.random.default_rng([int(seed), 3])
         self._slots: dict[str, _Slot] = {}
+        self._row_views: dict[tuple, tuple] = {}
         self._buffer = np.zeros((2, 0))  # values, then gradients; spare columns at the end
         self.values, self.grads = self._buffer
 
@@ -228,6 +233,23 @@ class ParameterStore:
 
     def __contains__(self, name):
         return name in self._slots
+
+    def row_view(self, names):
+        """(start, end, d, offsets, rows): the 2-D slots `names`, of one width d, as rows of the
+        (rows, d) views of `values[start:end]` and `grads[start:end]`, slot j's rows[j] rows
+        from row offsets[j] on. Cached per names: slot spans never move."""
+        if names not in self._row_views:
+            slots = [self.slot(name) for name in names]
+            if len({s.shape[1:] for s in slots}) != 1 or len(slots[0].shape) != 2 or slots[0].shape[1] < 1:
+                raise ShapeError(f"lookup slots must be 2-D tables of one positive width, got {list(names)}")
+            d, first = slots[0].shape[1], min(slots, key=lambda s: s.span.start)
+            starts = [s.span.start - first.span.start for s in slots]
+            for s, at in zip(slots, starts):
+                if at % d:
+                    raise ShapeError(f"lookup slots {first.name!r} and {s.name!r} are not whole {d}-wide rows apart")
+            self._row_views[names] = (first.span.start, max(s.span.stop for s in slots), d,
+                                      np.array(starts) // d, np.array([s.shape[0] for s in slots], np.uint64))
+        return self._row_views[names]
 
     def names(self):
         return list(self._slots)
@@ -415,12 +437,13 @@ def _einsum_operands(spec, shapes):
 @lru_cache(maxsize=1024)
 def _contraction(spec, shapes):
     """(run, gradients) of `spec` on operands of `shapes`: `run(*arrays, like=None)`
-    makes the numpy call, and entry k of `gradients` is the (spec, shapes) of
-    operand k's gradient, whose operands are the output gradient and the others."""
+    makes the numpy call, and entry k of `gradients` is the run of operand k's
+    gradient, whose operands are the output gradient and the others."""
     ins, out, sizes = _einsum_operands(spec, shapes)
     out_shape = tuple(map(sizes.get, out))
     grads = tuple(
-        (",".join([out, *ins[:k], *ins[k + 1 :]]) + "->" + sub, (out_shape, *shapes[:k], *shapes[k + 1 :]))
+        _planned_at_first_call(",".join([out, *ins[:k], *ins[k + 1 :]]) + "->" + sub,
+                               (out_shape, *shapes[:k], *shapes[k + 1 :]))
         for k, sub in enumerate(ins)
     )
     if len(ins) == 2 and set(ins[0]) <= set(out):
@@ -430,23 +453,35 @@ def _contraction(spec, shapes):
     return (lambda *arrays, like=None: np.einsum(spec, *arrays)), grads
 
 
+def _planned_at_first_call(spec, shapes):
+    """The run of `_contraction(spec, shapes)`, planned when first called and kept."""
+    plan = []
+
+    def run(*arrays, like=None):
+        if not plan:
+            plan.append(_contraction(spec, shapes)[0])
+        return plan[0](*arrays, like=like)
+
+    return run
+
+
 def _broadcast_product(ins, out):
     """Nothing summed: one multiply of the operands with their axes in output order.
 
     A `like` array sets the product's memory order; a factor lacking axes is first copied into it."""
-    plans = [(tuple(sub.index(c) for c in out if c in sub),
-              tuple(slice(None) if c in sub else None for c in out),  # spread over the axes it lacks
+    plans = [(_unless(tuple(sub.index(c) for c in out if c in sub), range(len(sub))),
+              _unless(tuple(slice(None) if c in sub else None for c in out), [slice(None)] * len(out)),  # spread
               tuple(slice(None) if c in sub else 0 for c in out)) for sub in ins]  # `like`'s layout on the rest
 
     def run(*arrays, like=None):
         factors = []
         for x, (perm, spread, pick) in zip(arrays, plans):
-            x = x.transpose(perm)
+            x = x if perm is None else x.transpose(perm)
             if like is not None and x.ndim < like.ndim and not like.flags.c_contiguous:
                 laid = np.empty_like(like[pick])
                 laid[...] = x
                 x = laid
-            factors.append(x[spread])
+            factors.append(x if spread is None else x[spread])
         return np.multiply(*factors, out=None if like is None else np.empty_like(like))
 
     return run
@@ -536,7 +571,8 @@ class Tape:
         of nodes already on the tape, which were checked to be finite."""
         value = np.asarray(value, dtype=np.float64)
         if not (moved or _finite(value)):
-            raise NumericError("non-finite value produced on tape")
+            # the op is named on this path alone, so the finite path pays nothing for it
+            raise NumericError(f"non-finite value produced on tape by {sys._getframe(1).f_code.co_name}")
         self._emitted += 1
         if not self.record:
             return Node(value)
@@ -567,42 +603,32 @@ class Tape:
     def lookup(self, store, names, indices, slot_major=False):
         """Batched row gather from k 2-D slots: indices (B, k) -> value (B, k, d).
 
-        Column j of `indices` reads rows of the slot `names[j]`; the slots
-        share the width d. The value is C-contiguous; with `slot_major` it
-        is k contiguous (B, d) blocks, one per column, viewed as (B, k, d).
-
-        The backward pass sums each column's gradient rows into its slot
-        with `_scatter_rows`, so repeated indices inside a batch accumulate
-        rather than overwrite.
+        Column j of `indices` reads rows of the slot `names[j]`; the slots share
+        the width d and lie whole rows apart (`ParameterStore.row_view`). One
+        `take` reads every row in the value's memory order: k contiguous (B, d)
+        blocks, one per column, with `slot_major`, else C order. The backward
+        sums the gradient rows into `store.grads` in that order with one
+        `_scatter_rows`, so repeated indices accumulate in batch order.
         """
-        names = list(names)
-        slots = [store.slot(name) for name in names]
+        names = tuple(names)
+        start, end, d, offsets, rows = store.row_view(names)
         idx = np.asarray(indices)
-        if idx.ndim != 2 or idx.shape[1] != len(names) or idx.dtype.kind not in "iu":
-            raise ShapeError(f"lookup indices must be a (B, {len(names)}) integer array")
-        widths = {s.shape[1:] for s in slots}
-        if len(widths) != 1 or len(next(iter(widths))) != 1:
-            raise ShapeError(f"lookup slots must be 2-D tables of one width, got {names}")
-        ((d,),) = widths
-        rows = [s.shape[0] for s in slots]
-        # a copy, one contiguous row per column: the caller may reuse `indices`
-        columns = np.array(idx.T, dtype=np.int64, order="C")
-        b, k = idx.shape
-        if b:
-            # read as unsigned, a negative index is out of range too
-            for name, top, n_rows in zip(names, columns.view(np.uint64).max(axis=1).tolist(), rows):
-                if top >= n_rows:
-                    raise DomainError(f"lookup index out of range for slot {name!r} (rows={n_rows})")
-        value = np.empty((k, b, d)).transpose(1, 0, 2) if slot_major else np.empty((b, k, d))
-        for j, slot in enumerate(slots):
-            # in range, checked above; "clip" spares take a buffered copy
-            slot.value.take(columns[j], axis=0, out=value[:, j], mode="clip")
+        if idx.ndim != 2 or idx.shape[1] != len(rows) or idx.dtype.kind not in "iu":
+            raise ShapeError(f"lookup indices must be a (B, {len(rows)}) integer array")
+        # a copy in the value's memory order: the caller may reuse `indices`
+        flat = np.array(idx.T if slot_major else idx, dtype=np.int64, order="C")
+        if flat.size:  # read as unsigned, a negative index is out of range too
+            for j in np.flatnonzero(flat.view(np.uint64).max(axis=int(slot_major)) >= rows)[:1]:
+                raise DomainError(f"lookup index out of range for slot {names[j]!r} (rows={rows[j]})")
+        flat += offsets[:, None] if slot_major else offsets
+        # in range, checked above; "clip" skips a second check
+        value = store.values[start:end].reshape(-1, d).take(flat, axis=0, mode="clip")
 
         def backward(g):
-            for j, slot in enumerate(slots):
-                slot.grad += _scatter_rows(columns[j], g[:, j], rows[j])
+            grads, g = store.grads[start:end].reshape(-1, d), g.transpose(1, 0, 2) if slot_major else g
+            grads += _scatter_rows(flat.reshape(-1), g.reshape(-1, d), len(grads))
 
-        return self._emit(value, backward)
+        return self._emit(value.transpose(1, 0, 2) if slot_major else value, backward)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -632,18 +658,15 @@ class Tape:
         def backward(g):
             for k, node in enumerate(nodes):
                 if node._backward is not None:  # not a constant
-                    grad_run = _contraction(*grads[k])[0]
-                    _bump(node, grad_run(g, *values[:k], *values[k + 1 :], like=node.value))
+                    _bump(node, grads[k](g, *values[:k], *values[k + 1 :], like=node.value))
 
         return self._emit(run(*values), backward)
 
     # -- nonlinearities ----------------------------------------------------
 
     def relu(self, x):
-        mask = x.value > 0
-
         def backward(g):
-            _bump(x, g * mask)
+            _bump(x, g * (x.value > 0))
 
         return self._emit(np.maximum(x.value, 0.0), backward)
 
@@ -661,16 +684,18 @@ class Tape:
         axes = _axes(axis, v.ndim)
         if any(v.shape[a] == 0 for a in axes):
             raise DomainError("softmax over an empty axis")
-        if mask is None:
-            e = np.exp(v - v.max(axis=axes, keepdims=True))
-        else:
+        if mask is not None:
             mask = np.asarray(mask, dtype=bool)
-            if mask.ndim != v.ndim:
+            if mask.ndim != v.ndim or any(m not in (1, n) for m, n in zip(mask.shape, v.shape)):
                 raise ShapeError(f"softmax mask {mask.shape} does not match {v.shape}")
             if not np.all(np.any(mask, axis=axes)):
                 raise DomainError("softmax over a slice whose entries are all masked")
-            top = np.max(v, axis=axes, keepdims=True, where=mask, initial=-np.inf)
-            e = np.exp(np.where(mask, v - top, -np.inf))
+            if not mask.all():
+                v = np.where(mask, v, -np.inf)
+        # a max is exact: one reduce over a contiguous copy with the normalized axes first keeps its bits
+        lead = np.ascontiguousarray(v.transpose(axes + tuple(a for a in range(v.ndim) if a not in axes)))
+        top = np.maximum.reduce(lead.reshape(math.prod(lead.shape[: len(axes)]), -1))
+        e = np.exp(v - top.reshape([1 if a in axes else n for a, n in enumerate(v.shape)]))
         p = e / e.sum(axis=axes, keepdims=True)
 
         def backward(g):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrzoo import embedding
 from ctrzoo import tape as tape_module
 from ctrzoo.data import FieldSchema
 from ctrzoo.errors import ContractError, DataError, DomainError, NumericError, ShapeError
@@ -489,10 +490,87 @@ def test_lookup_scatter_is_bitwise_np_add_at(b, rows, d, slot_major, seed):
         assert store.grad(name).tobytes() == (2.0 * grad).tobytes(), name
 
 
+def _check_lookups_per_table(store, lookups, seed):
+    """Run `lookups(tape)` -> [(node, names, indices)] on one tape, weigh each value by
+    a random constant, and hold every value and slot gradient to the per-table referee:
+    `np.take` of each column from its table and `np.add.at` of its weights into zeros."""
+    rng = np.random.default_rng(seed)
+    store.zero_grads()
+    tape = Tape()
+    looked_up = lookups(tape)
+    weights = [rng.normal(size=node.value.shape) for node, _, _ in looked_up]
+    terms = [tape.contract("bkd,bkd->bkd", node, tape.constant(w)) for (node, _, _), w in zip(looked_up, weights)]
+    tape.backward(tape.add(*(_total(tape, term) for term in terms)))
+    want = {name: np.zeros_like(store.value(name)) for _, names, _ in looked_up for name in names}
+    for (node, names, idx), w in zip(looked_up, weights):
+        for j, name in enumerate(names):
+            assert node.value[:, j].tobytes() == store.value(name).take(idx[:, j], axis=0).tobytes(), name
+            np.add.at(want[name], idx[:, j], w[:, j])
+    for name, grad in want.items():
+        assert store.grad(name).tobytes() == grad.tobytes(), name
+    assert not np.any(np.delete(store.grads, np.concatenate([np.r_[store.slot(n).span] for n in want])))
+
+
+@pytest.mark.parametrize("slot_major", [False, True])
+def test_lookups_over_a_loaded_store_are_bitwise_the_per_table_referee(tmp_path, slot_major):
+    # a checkpoint holds its slots in sorted order: "bias" comes before the tables
+    model = build_model(ModelSpec("FM", FieldSchema.of_sizes([3, 11, 5, 2, 9, 4, 7, 6, 8, 10, 12]), d=3))
+    model.store.save(tmp_path / "params.json")
+    store = ParameterStore.load(tmp_path / "params.json")
+    assert store.names()[0] == "bias" and store.slot("emb.0").span.start == 1
+    indices, _ = random_batch(model.schema, 37, seed=4)
+    emb, lin = [[f"{kind}.{i}" for i in range(11)] for kind in ("emb", "lin")]
+
+    def lookups(tape):
+        return [(tape.lookup(store, names, indices, slot_major=slot_major), names, indices) for names in (emb, lin)]
+
+    _check_lookups_per_table(store, lookups, seed=5)
+
+
+def test_ffm_lookups_on_one_tape_are_bitwise_the_per_table_referee():
+    model = build_model(ModelSpec("FFM", FieldSchema.of_sizes([4, 6, 3, 5, 7]), d=4))
+    indices, _ = random_batch(model.schema, 23, seed=6)
+    sides = embedding._pair_sides(5)
+
+    def lookups(tape):
+        nodes = embedding.lookup_field_aware(tape, model.store, indices)
+        return [(node, names, indices[:, own]) for node, (own, names) in zip(nodes, sides)]
+
+    _check_lookups_per_table(model.store, lookups, seed=7)
+
+
+def test_lookup_tables_must_lie_whole_rows_apart():
+    store = ParameterStore()
+    store.add_zeros("t0", (3, 2))
+    store.add_zeros("odd", (1,))
+    store.add_zeros("t1", (3, 2))
+    store.add_zeros("t2", (2, 2))
+    assert Tape().lookup(store, ["t1", "t2"], np.zeros((1, 2), np.int64)).value.shape == (1, 2, 2)
+    for names in (["t0", "t1"], ["t2", "t0"]):
+        with pytest.raises(ShapeError, match="'t0' and 't[12]' are not whole 2-wide rows apart"):
+            Tape().lookup(store, names, np.zeros((1, 2), np.int64))
+
+
 def test_tape_rejects_nonfinite_result():
     tape = Tape()
     with pytest.raises(NumericError):
         tape.constant(np.array([np.inf]))
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_a_non_finite_result_names_the_op_that_produced_it(record):
+    tape = Tape(record=record)
+    big = tape.constant([1e200, 1.0])
+    overflows = {
+        "contract": lambda: tape.contract("i,i->i", big, big),
+        "scale_const": lambda: tape.scale_const(big, 1e200),
+        "add": lambda: tape.add(tape.constant([1.7e308]), tape.constant([1.7e308])),
+        "constant": lambda: tape.constant([np.nan]),
+    }
+    for op, make in overflows.items():
+        message = f"^non-finite value produced on tape by {op}$"
+        with pytest.raises(NumericError, match=message), np.errstate(over="ignore"):
+            make()
 
 
 def test_dropout_zero_rate_is_identity():
@@ -1297,6 +1375,53 @@ def test_masked_entry_gets_exactly_zero_weight_whatever_its_score():
     store.zero_grads()
     tape.backward(_total(tape, tape.contract("ij,ij->ij", p, tape.constant(np.arange(6.0).reshape(2, 3)))))
     assert store.grad("s")[0, 0] == 0.0 and store.grad("s")[1, 2] == 0.0
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    b=st.integers(0, 4),
+    n=st.integers(1, 5),
+    case=st.sampled_from(["none", "all", "partial", "joint"]),
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_softmax_is_bitwise_the_masked_max_formula(b, n, case, transposed, seed):
+    # referee: the masked `np.max` and `exp` formula, which the contiguous max must equal bit for bit
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(scale=30.0, size=(b, n, n))
+    store = ParameterStore()
+    store.add_value("s", scores)
+    v = store.value("s").transpose(0, 2, 1) if transposed else store.value("s")  # the layout the op reads
+    weights = rng.normal(size=(b, n, n))
+    axes = (1, 2) if case == "joint" else (2,)
+    mask = None if case == "none" else np.ones((1, n, n), bool)
+    if case in ("partial", "joint"):
+        mask = rng.random((1, n, n)) < 0.5
+        mask[0, :, rng.integers(n)] = True  # every row and the joint slice keep an entry
+    full = np.ones((1, n, n), bool) if mask is None else mask
+    top = np.max(v, axis=axes, keepdims=True, where=full, initial=-np.inf)
+    e = np.exp(np.where(full, v - top, -np.inf))
+    want = e / e.sum(axis=axes, keepdims=True)
+    want_grad = want * (weights - np.sum(weights * want, axis=axes, keepdims=True))
+
+    store.zero_grads()
+    tape = Tape()
+    x = tape.parameter(store, "s")
+    x = tape.transpose(x, (0, 2, 1)) if transposed else x
+    p = tape.softmax(x, axis=axes if case == "joint" else -1, mask=mask)
+    tape.backward(_total(tape, tape.contract("bij,bij->bij", p, tape.constant(weights))))
+    assert p.value.tobytes() == want.tobytes()
+    # added into a zeroed gradient buffer, which turns a -0.0 into 0.0
+    assert store.grad("s").tobytes() == (0.0 + (want_grad.transpose(0, 2, 1) if transposed else want_grad)).tobytes()
+
+
+@pytest.mark.parametrize("name", ["AFM", "AutoInt", "SAM3_A", "SAM3_E"])
+def test_an_empty_batch_reaches_the_loss_through_the_softmax(name):
+    model = build_model(ModelSpec(name, FieldSchema.of_sizes([3, 4, 5]), d=2))
+    indices, labels = random_batch(model.schema, 0)
+    assert model.forward(indices).shape == (0,)
+    with pytest.raises(DomainError, match="log-loss of an empty batch"):
+        model.loss(indices, labels)
 
 
 def test_fully_masked_row_is_a_domain_error():

@@ -5,9 +5,12 @@ model, its switches, the field count n, width d, batch B, layer count, the
 recorded tape's length, and one sha256 over the store's initial values,
 `Model.forward`, the training loss and every gradient (dropout drawn from a
 fixed generator). The configurations are the 15 models and 7 variants at
-three sizes. Then one line per model gives the sha256 of the `params.json`
-and `history.csv` a short `ctrzoo train` writes on a fixed synthetic set,
-and a last `TOTAL` line hashes every fingerprint above it. Tape lengths are
+three sizes, then the 15 models at the middle size once more on a store
+that went through `ParameterStore.save` and `load`, whose slots lie in
+sorted order, so lookups read their tables at other offsets. Then one line
+per model gives the sha256 of the `params.json` and `history.csv` a short
+`ctrzoo train` writes on a fixed synthetic set, and a last `TOTAL` line
+hashes every fingerprint above it. Tape lengths are
 printed but left out of `TOTAL`, so a change that only adds or removes
 nodes keeps it.
 
@@ -33,8 +36,8 @@ import numpy as np
 import ctrzoo
 from ctrzoo.cli import main as cli_main
 from ctrzoo.data import FieldSchema
-from ctrzoo.tape import Tape
-from ctrzoo.zoo import MODEL_NAMES, ModelSpec, build_model, random_batch
+from ctrzoo.tape import ParameterStore, Tape
+from ctrzoo.zoo import MODEL_NAMES, ModelSpec, build_model, model_on_store, random_batch
 
 SIZES = ((5, 4, 8, 2), (10, 16, 1024, 2), (4, 5, 37, 3))  # (n, d, B, layers)
 VARIANTS = (
@@ -58,11 +61,15 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-def fingerprint(name, switches, n, d, b, layers):
-    """(tape length, sha256) of one configuration's values, forward, loss and gradients."""
+def fingerprint(name, switches, n, d, b, layers, checkpoint=None):
+    """(tape length, sha256) of one configuration's values, forward, loss and gradients;
+    with a `checkpoint` path, of the model on its store saved there and loaded back."""
     schema = FieldSchema.of_sizes([5 + i % 4 for i in range(n)])
     spec = ModelSpec(name, schema, d=d, **{"layers": layers, **switches})
     model = build_model(spec, seed=SEED)
+    if checkpoint is not None:
+        model.store.save(checkpoint)
+        model = model_on_store(spec, ParameterStore.load(checkpoint))
     indices, labels = random_batch(schema, b, seed=SEED)
     start = model.store.values.copy()
     forward = model.forward(indices)
@@ -90,13 +97,14 @@ def main():
     print(f"ctrzoo from {Path(ctrzoo.__file__).parent}", file=sys.stderr)
     total = hashlib.sha256()
     configs = [(name, {}) for name in MODEL_NAMES] + list(VARIANTS)
-    for n, d, b, layers in SIZES:
-        for name, switches in configs:
-            nodes, sha = fingerprint(name, switches, n, d, b, layers)
-            label = ",".join(f"{k}={v}" for k, v in switches.items()) or "-"
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(name, switches, size, None) for size in SIZES for name, switches in configs]
+        runs += [(name, {}, SIZES[1], Path(tmp) / f"{name}.json") for name in MODEL_NAMES]
+        for name, switches, (n, d, b, layers), checkpoint in runs:
+            nodes, sha = fingerprint(name, switches, n, d, b, layers, checkpoint)
+            label = ",".join(f"{k}={v}" for k, v in switches.items()) or ("loaded" if checkpoint else "-")
             print(f"{name:<12} {label:<22} n={n:<3} d={d:<3} B={b:<5} layers={layers} nodes={nodes:<4} {sha}")
             total.update(sha.encode())
-    with tempfile.TemporaryDirectory() as tmp:
         data = str(Path(tmp) / "data")
         argv = ["synth", "--out", data, "--fields", "5", "--categories", "6", "--count", "400", "--seed", "3"]
         with contextlib.redirect_stdout(io.StringIO()):
