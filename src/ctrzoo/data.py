@@ -260,9 +260,10 @@ class Vocabulary:
     def from_dict(cls, payload):
         try:
             fields = [Field(f["name"], f["kind"]) for f in payload["fields"]]
-            maps = [{k: int(v) for k, v in f["values"].items()} for f in payload["fields"]]
-            return cls(fields, maps, int(payload["min_count"]))
-        except (KeyError, TypeError) as exc:
+            # JSON integers: a float or a string is not truncated or parsed
+            maps = [{k: operator.index(v) for k, v in f["values"].items()} for f in payload["fields"]]
+            return cls(fields, maps, operator.index(payload["min_count"]))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed vocabulary payload: {exc}") from exc
 
     def save(self, path):
@@ -270,7 +271,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        return cls.from_dict(read_json(path))
+        try:
+            return cls.from_dict(read_json(path))
+        except ConfigError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def build_vocab(table, min_count=10):

@@ -90,8 +90,7 @@ def lookup_field_aware(tape, store, indices):
     n = indices.shape[1]
     if n < 2:
         raise DomainError("field-aware embeddings need at least two fields")
-    # slot-major: each table's (B, d) block, and its gradient, is contiguous
-    return tuple(tape.lookup(store, names, indices[:, own], slot_major=True) for own, names in _pair_sides(n))
+    return tuple(tape.lookup(store, names, indices[:, own]) for own, names in _pair_sides(n))
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,12 @@ index repeated within an operand, every operand index also in the output
 or another operand, and one size per index, so it never broadcasts a
 size-1 axis. Operand k's gradient is the contraction `out,<others>->ins[k]`
 of the output gradient with the other operands. A plan cached per (spec,
-shapes) makes one numpy call, forward and backward alike: `np.einsum` for
-three operands and for dot products (no index owned by one operand alone),
-one broadcast multiply when nothing is summed, and otherwise one `@` of the
-operands transposed and reshaped into (stacked, own, summed) blocks.
+shapes) makes one numpy call, forward and backward alike: one `@` of two
+operands transposed and reshaped into (stacked, own, summed) blocks when an
+index is summed and one operand owns an index alone, and `np.einsum` for
+everything else, element-wise products included. `np.einsum` adds each
+product into a zeroed output, so an exactly zero product of a negative factor
+comes out +0.0 where `np.multiply` gives -0.0; no other bit differs.
 `add` is the one op that broadcasts, by one rule: an operand of lower
 rank equals the trailing axes of the other, so (B, m) + (m,) adds a bias
 to every row and (B,) + () shifts every entry, while (3,) + (3, 1) and
@@ -24,8 +26,8 @@ to every row and (B,) + () shifts every entry, while (3,) + (3, 1) and
 at a constant integer `index`, whose axes replace it (an entry equal to the
 axis length reads zero); `lookup` gathers the rows of k tables with one `take`
 from a (rows, d) view of the store's `values`, so the tables must lie whole
-rows apart there. Both backwards sum the reads with one `_scatter_rows`, in
-the value's memory order. `softmax` takes its max, which is exact, as one
+rows apart there; every value it makes is in C order. Both backwards sum the
+reads with one `_scatter_rows`. `softmax` takes its max, which is exact, as one
 reduce over a contiguous copy with the normalized axes first. `logloss` is
 the training loss as one node: sigmoid, clamp and mean log-loss fused.
 
@@ -436,8 +438,8 @@ def _einsum_operands(spec, shapes):
 
 @lru_cache(maxsize=1024)
 def _contraction(spec, shapes):
-    """(run, gradients) of `spec` on operands of `shapes`: `run(*arrays, like=None)`
-    makes the numpy call, and entry k of `gradients` is the run of operand k's
+    """(run, gradients) of `spec` on operands of `shapes`: `run(*arrays)` makes
+    the numpy call, and entry k of `gradients` is the run of operand k's
     gradient, whose operands are the output gradient and the others."""
     ins, out, sizes = _einsum_operands(spec, shapes)
     out_shape = tuple(map(sizes.get, out))
@@ -446,43 +448,20 @@ def _contraction(spec, shapes):
                                (out_shape, *shapes[:k], *shapes[k + 1 :]))
         for k, sub in enumerate(ins)
     )
-    if len(ins) == 2 and set(ins[0]) <= set(out):
-        return _broadcast_product(ins, out), grads
-    if len(ins) == 2 and not set(out) <= set(ins[0]) & set(ins[1]):
+    # something summed (an operand index the output lacks) and an index owned by one operand alone
+    if len(ins) == 2 and not set(ins[0]) <= set(out) and not set(out) <= set(ins[0]) & set(ins[1]):
         return _block_product(ins, out, sizes), grads
-    return (lambda *arrays, like=None: np.einsum(spec, *arrays)), grads
+    return (lambda *arrays: np.einsum(spec, *arrays)), grads
 
 
 def _planned_at_first_call(spec, shapes):
     """The run of `_contraction(spec, shapes)`, planned when first called and kept."""
     plan = []
 
-    def run(*arrays, like=None):
+    def run(*arrays):
         if not plan:
             plan.append(_contraction(spec, shapes)[0])
-        return plan[0](*arrays, like=like)
-
-    return run
-
-
-def _broadcast_product(ins, out):
-    """Nothing summed: one multiply of the operands with their axes in output order.
-
-    A `like` array sets the product's memory order; a factor lacking axes is first copied into it."""
-    plans = [(_unless(tuple(sub.index(c) for c in out if c in sub), range(len(sub))),
-              _unless(tuple(slice(None) if c in sub else None for c in out), [slice(None)] * len(out)),  # spread
-              tuple(slice(None) if c in sub else 0 for c in out)) for sub in ins]  # `like`'s layout on the rest
-
-    def run(*arrays, like=None):
-        factors = []
-        for x, (perm, spread, pick) in zip(arrays, plans):
-            x = x if perm is None else x.transpose(perm)
-            if like is not None and x.ndim < like.ndim and not like.flags.c_contiguous:
-                laid = np.empty_like(like[pick])
-                laid[...] = x
-                x = laid
-            factors.append(x if spread is None else x[spread])
-        return np.multiply(*factors, out=None if like is None else np.empty_like(like))
+        return plan[0](*arrays)
 
     return run
 
@@ -521,7 +500,7 @@ def _block_product(ins, out, sizes):
     shape = _unless(tuple(map(sizes.get, axes)), tuple(map(sizes.get, stack)) + merged((lhs, rhs)))
     perm = _unless(tuple(map(axes.index, out)), range(len(out)))
 
-    def run(*arrays, like=None):
+    def run(*arrays):
         a, b = arrays[left], arrays[1 - left]
         a, b = (a if lperm is None else a.transpose(lperm)), (b if rperm is None else b.transpose(rperm))
         product = (a if lshape is None else a.reshape(lshape)) @ (b if rshape is None else b.reshape(rshape))
@@ -600,35 +579,33 @@ class Tape:
             node = self._params[slot] = self._emit(slot.value, backward)
         return node
 
-    def lookup(self, store, names, indices, slot_major=False):
-        """Batched row gather from k 2-D slots: indices (B, k) -> value (B, k, d).
+    def lookup(self, store, names, indices):
+        """Batched row gather from k 2-D slots: indices (B, k) -> value (B, k, d), C order.
 
         Column j of `indices` reads rows of the slot `names[j]`; the slots share
         the width d and lie whole rows apart (`ParameterStore.row_view`). One
-        `take` reads every row in the value's memory order: k contiguous (B, d)
-        blocks, one per column, with `slot_major`, else C order. The backward
-        sums the gradient rows into `store.grads` in that order with one
-        `_scatter_rows`, so repeated indices accumulate in batch order.
+        `take` reads every row and the backward sums the gradient rows into
+        `store.grads` with one `_scatter_rows`, both in (B, k) order, so
+        repeated indices accumulate in batch order.
         """
         names = tuple(names)
         start, end, d, offsets, rows = store.row_view(names)
         idx = np.asarray(indices)
         if idx.ndim != 2 or idx.shape[1] != len(rows) or idx.dtype.kind not in "iu":
             raise ShapeError(f"lookup indices must be a (B, {len(rows)}) integer array")
-        # a copy in the value's memory order: the caller may reuse `indices`
-        flat = np.array(idx.T if slot_major else idx, dtype=np.int64, order="C")
+        flat = np.array(idx, dtype=np.int64, order="C")  # a copy: the caller may reuse `indices`
         if flat.size:  # read as unsigned, a negative index is out of range too
-            for j in np.flatnonzero(flat.view(np.uint64).max(axis=int(slot_major)) >= rows)[:1]:
+            for j in np.flatnonzero(flat.view(np.uint64).max(axis=0) >= rows)[:1]:
                 raise DomainError(f"lookup index out of range for slot {names[j]!r} (rows={rows[j]})")
-        flat += offsets[:, None] if slot_major else offsets
+        flat += offsets
         # in range, checked above; "clip" skips a second check
         value = store.values[start:end].reshape(-1, d).take(flat, axis=0, mode="clip")
 
         def backward(g):
-            grads, g = store.grads[start:end].reshape(-1, d), g.transpose(1, 0, 2) if slot_major else g
+            grads = store.grads[start:end].reshape(-1, d)
             grads += _scatter_rows(flat.reshape(-1), g.reshape(-1, d), len(grads))
 
-        return self._emit(value.transpose(1, 0, 2) if slot_major else value, backward)
+        return self._emit(value, backward)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -658,7 +635,7 @@ class Tape:
         def backward(g):
             for k, node in enumerate(nodes):
                 if node._backward is not None:  # not a constant
-                    _bump(node, grads[k](g, *values[:k], *values[k + 1 :], like=node.value))
+                    _bump(node, grads[k](g, *values[:k], *values[k + 1 :]))
 
         return self._emit(run(*values), backward)
 

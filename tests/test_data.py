@@ -1,5 +1,6 @@
 """Data pipeline tests: binning, vocabularies, splits, and the click simulator."""
 
+import json
 import math
 from unittest import mock
 
@@ -479,6 +480,19 @@ def test_vocab_file_round_trip(tmp_path):
     loaded = Vocabulary.load(path)
     assert loaded.maps == vocab.maps
     assert loaded.min_count == vocab.min_count
+
+
+@pytest.mark.parametrize(
+    "values, min_count",
+    [({"x": "two"}, 1), ({"x": 2.7}, 1), ({"x": 2}, "abc")],
+    ids=["index-string", "index-float", "min-count-string"],
+)
+def test_vocab_load_rejects_a_malformed_file_naming_it(tmp_path, values, min_count):
+    path = tmp_path / "vocab.json"
+    fields = [{"name": "f0", "kind": "categorical", "values": values}]
+    path.write_text(json.dumps({"min_count": min_count, "fields": fields}), encoding="utf-8")
+    with pytest.raises(DataError, match="vocab.json: malformed vocabulary payload"):
+        Vocabulary.load(path)
 
 
 def test_write_raw_read_raw_round_trip(tmp_path):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctrzoo import embedding
@@ -452,10 +452,9 @@ def test_lookup_index_snapshot_is_defensive():
     b=st.integers(0, 9),
     rows=st.lists(st.integers(1, 5), min_size=1, max_size=4),
     d=st.integers(1, 4),
-    slot_major=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lookup_scatter_is_bitwise_np_add_at(b, rows, d, slot_major, seed):
+def test_lookup_scatter_is_bitwise_np_add_at(b, rows, d, seed):
     # referee: each table's gradient is np.add.at of its column into zeros
     rng = np.random.default_rng(seed)
     store = ParameterStore()
@@ -468,13 +467,13 @@ def test_lookup_scatter_is_bitwise_np_add_at(b, rows, d, slot_major, seed):
 
     store.zero_grads()
     tape = Tape()
-    looked_up = tape.lookup(store, names, idx, slot_major=slot_major)
+    looked_up = tape.lookup(store, names, idx)
     root = _total(tape, tape.contract("bkd,bkd->bkd", looked_up, tape.constant(weights)))
     tape.backward(root)
 
     value = looked_up.value
     assert value.shape == (b, len(names), d)
-    assert (value.transpose(1, 0, 2) if slot_major else value).flags.c_contiguous
+    assert value.flags.c_contiguous
     once = {}
     for j, name in enumerate(names):
         np.testing.assert_array_equal(value[:, j], store.value(name)[idx[:, j]])
@@ -511,8 +510,7 @@ def _check_lookups_per_table(store, lookups, seed):
     assert not np.any(np.delete(store.grads, np.concatenate([np.r_[store.slot(n).span] for n in want])))
 
 
-@pytest.mark.parametrize("slot_major", [False, True])
-def test_lookups_over_a_loaded_store_are_bitwise_the_per_table_referee(tmp_path, slot_major):
+def test_lookups_over_a_loaded_store_are_bitwise_the_per_table_referee(tmp_path):
     # a checkpoint holds its slots in sorted order: "bias" comes before the tables
     model = build_model(ModelSpec("FM", FieldSchema.of_sizes([3, 11, 5, 2, 9, 4, 7, 6, 8, 10, 12]), d=3))
     model.store.save(tmp_path / "params.json")
@@ -522,7 +520,7 @@ def test_lookups_over_a_loaded_store_are_bitwise_the_per_table_referee(tmp_path,
     emb, lin = [[f"{kind}.{i}" for i in range(11)] for kind in ("emb", "lin")]
 
     def lookups(tape):
-        return [(tape.lookup(store, names, indices, slot_major=slot_major), names, indices) for names in (emb, lin)]
+        return [(tape.lookup(store, names, indices), names, indices) for names in (emb, lin)]
 
     _check_lookups_per_table(store, lookups, seed=5)
 
@@ -892,12 +890,12 @@ def test_take_keeps_its_index_when_the_caller_reuses_it():
 # whole-tensor ops used by the FI kernel
 
 
-def _grad_error(store, build):
-    """Max relative gap between tape gradients and central differences."""
+def _grad_error(store, build, eps=1e-6):
+    """Max relative gap between tape gradients and central differences of step `eps`."""
     store.zero_grads()
     tape = Tape()
     tape.backward(build(tape))
-    return finite_diff_check(lambda: float(build(Tape()).value), store, eps=1e-6)
+    return finite_diff_check(lambda: float(build(Tape()).value), store, eps=eps)
 
 
 def test_broadcast_binary_ops_check_against_finite_differences():
@@ -1144,8 +1142,9 @@ _PINNED = {
         lambda h, w: _rows_at(h, w),
         [lambda g, h, w: _rows_at(g, w.T), lambda g, h, w: h.reshape(-1, _N * _D).T @ g.reshape(-1, _T)],
     ),
-    # element-wise products: one multiply, and the gradient g * other, or
-    # one einsum over the axes an operand lacks
+    # element-wise products: the multiply they replaced, whose bits np.einsum
+    # keeps on nonzero products, and the gradient g * other, or one einsum
+    # over the axes an operand lacks
     "bij,ij->bij": (  # the neighborhood mask, and the pair-scalar tables
         [(_B, _N, _N), (_N, _N)],
         lambda w, t: w * t,
@@ -1179,10 +1178,11 @@ _PINNED = {
 }
 
 
-def _leaves(tape, store, arrays, slot_major):
-    """Parameter nodes holding `arrays`; with `slot_major` a (B, m, d) one is a view
-    of m contiguous (B, d) blocks, as `lookup_field_aware` returns."""
-    swapped = [slot_major and x.shape == (_B, _M, _D) for x in arrays]
+def _leaves(tape, store, arrays, transposed):
+    """Parameter nodes holding `arrays`; with `transposed` a (B, m, d) one is a
+    `Tape.transpose` view of m contiguous (B, d) blocks, so `contract` reads a
+    non-contiguous operand."""
+    swapped = [transposed and x.shape == (_B, _M, _D) for x in arrays]
     for k, (x, swap) in enumerate(zip(arrays, swapped)):
         store.add_value(f"x{k}", x.transpose(1, 0, 2) if swap else x)
     nodes = [tape.parameter(store, f"x{k}") for k in range(len(arrays))]
@@ -1194,18 +1194,18 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize(
-    "spec, slot_major",
+    "spec, transposed",
     [(spec, False) for spec in _PINNED]
     + [(spec, True) for spec, case in _PINNED.items() if (_B, _M, _D) in case[0]],
 )
-def test_contract_makes_the_numpy_calls_of_the_ops_it_replaced(spec, slot_major):
+def test_contract_makes_the_numpy_calls_of_the_ops_it_replaced(spec, transposed):
     shapes, value, grads = _PINNED[spec]
     rng = np.random.default_rng(31)
     arrays = [rng.normal(size=shape) for shape in shapes]
     tape, store = Tape(), ParameterStore()
-    nodes = _leaves(tape, store, arrays, slot_major)
+    nodes = _leaves(tape, store, arrays, transposed)
     xs = [node.value for node in nodes]
-    assert any(not x.flags.c_contiguous for x in xs) == slot_major
+    assert any(not x.flags.c_contiguous for x in xs) == transposed
     out = tape.contract(spec, *nodes)
     assert _same_bits(out.value, value(*xs))
     sub = spec.split("->")[1]
@@ -1325,6 +1325,7 @@ def _contractions(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_contractions(), st.integers(0, 2**32 - 1))
+@example(("abdce,b,a->cde", [(2, 4, 4, 4, 4), (4,), (2,)], [(0, 1, 2, 3, 4), (0,), (0,)]), 0)
 def test_contract_matches_einsum_and_finite_differences_on_random_specs(case, seed):
     spec, shapes, orders = case
     rng = np.random.default_rng(seed)
@@ -1345,7 +1346,9 @@ def test_contract_matches_einsum_and_finite_differences_on_random_specs(case, se
         sub = spec.split("->")[1]
         return tape.contract(f"{sub},{sub}->", out, tape.constant(weights)) if sub else out
 
-    assert _grad_error(store, build) < 1e-8
+    # every operand is a distinct leaf, so the loss is linear in each stored entry and a central
+    # difference has no truncation error at any step; a unit step keeps its rounding error small
+    assert _grad_error(store, build, eps=1.0) < 1e-8
 
 
 def test_masked_softmax_checks_against_finite_differences():
