@@ -523,6 +523,8 @@ def _apply_config(parsers, argv):
     target.set_defaults(
         **{key: _config_value(known.config, actions[key], value) for key, value in payload.items()}
     )
+    for key in [key for key, value in payload.items() if value is not None]:  # a null leaves the flag required
+        actions[key].required = False
 
 
 def main(argv=None):

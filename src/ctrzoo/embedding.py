@@ -4,11 +4,12 @@ One table per field maps category indices to d-dimensional vectors; the
 field-aware variant keeps a separate table per (field, target-field) pair.
 Tables live in a `ParameterStore` under fixed slot names, initialized
 Xavier-uniform with fans (vocab_size, d). Reserved rows (missing, OOV) are
-ordinary trainable rows. A plain lookup is one `Tape.lookup` node that
-reads every field's table at once and hands the interaction layer one
-stacked value; the field-aware lookup hands it two, one per side of each
-field pair i < j. Lookup gradients are sparse: rows that do not appear in a
-batch receive exact zeros.
+ordinary trainable rows. A lookup joins the tables it reads into one
+parameter leaf, a (rows, d) view of the store, and gathers their rows with
+one `Tape.take`. A plain lookup hands the interaction layer one stacked
+value; the field-aware lookup hands it two, one per side of each field pair
+i < j. Lookup gradients are sparse: rows that do not appear in a batch
+receive exact zeros.
 """
 from __future__ import annotations
 
@@ -68,6 +69,26 @@ def _check_indices(indices):
         raise ShapeError(f"indices must be (B, n), got {indices.shape}")
 
 
+def lookup(tape, store, names, indices):
+    """Row gather from k 2-D slots: indices (B, k) -> value (B, k, d), column j from `names[j]`.
+
+    The slots join into one parameter leaf (`ParameterStore.row_view`) read by one `Tape.take`,
+    whose backward adds repeated rows in batch order. An index outside its slot raises
+    DomainError naming the slot."""
+    names = tuple(names)
+    table = store.row_view(names)
+    idx = np.asarray(indices)
+    if idx.ndim != 2 or idx.shape[1] != len(names) or idx.dtype.kind not in "iu":
+        raise ShapeError(f"lookup indices must be a (B, {len(names)}) integer array")
+    flat = np.array(idx, dtype=np.int64, order="C")  # a copy, so offsets can be added in place
+    over = flat.view(np.uint64) >= table.sizes  # read as unsigned, a negative index is out of range too
+    if np.logical_or.reduce(over, axis=None):
+        j = np.flatnonzero(np.logical_or.reduce(over, axis=0))[0]
+        raise DomainError(f"lookup index out of range for slot {names[j]!r} (rows={table.sizes[j]})")
+    flat += table.offsets
+    return tape.take(tape.parameter(store, names), flat)
+
+
 def lookup_fields(tape, store, indices, slot=emb_slot):
     """Embed a batch: indices (B, n) -> one (B, n, d) node, field i in [:, i].
 
@@ -75,7 +96,7 @@ def lookup_fields(tape, store, indices, slot=emb_slot):
     `linear_slot` for the first-order weights, which give (B, n, 1).
     """
     _check_indices(indices)
-    return tape.lookup(store, [slot(i) for i in range(indices.shape[1])], indices)
+    return lookup(tape, store, [slot(i) for i in range(indices.shape[1])], indices)
 
 
 def lookup_field_aware(tape, store, indices):
@@ -90,7 +111,7 @@ def lookup_field_aware(tape, store, indices):
     n = indices.shape[1]
     if n < 2:
         raise DomainError("field-aware embeddings need at least two fields")
-    return tuple(tape.lookup(store, names, indices[:, own]) for own, names in _pair_sides(n))
+    return tuple(lookup(tape, store, names, indices[:, own]) for own, names in _pair_sides(n))
 
 
 @lru_cache(maxsize=None)

@@ -83,8 +83,9 @@ def mlp_nodes(tape, spec, store, x, *, drop_rng=None):
     for k, (w_name, b_name) in enumerate(_layer_slots(spec.depth)):
         if k:
             h = tape.relu(h)
-            if drop_rng is not None and spec.dropout > 0.0:
-                h = tape.dropout(h, spec.dropout, drop_rng)
+            if drop_rng is not None and spec.dropout > 0.0:  # inverted: survivors scaled by 1/(1-rate)
+                mask = (drop_rng.random(h.value.shape) >= spec.dropout) / (1.0 - spec.dropout)
+                h = tape.contract("bp,bp->bp", h, tape.constant(mask))
         w, b = tape.parameter(store, w_name), tape.parameter(store, b_name)
         h = tape.add(tape.contract("bp,pq->bq", h, w), b)
     return h

@@ -22,24 +22,27 @@ comes out +0.0 where `np.multiply` gives -0.0; no other bit differs.
 `add` is the one op that broadcasts, by one rule: an operand of lower
 rank equals the trailing axes of the other, so (B, m) + (m,) adds a bias
 to every row and (B,) + () shifts every entry, while (3,) + (3, 1) and
-(2, 3) + (1, 3) raise ShapeError. `take(x, index, axis)` gathers along `axis`
-at a constant integer `index`, whose axes replace it (an entry equal to the
-axis length reads zero); `lookup` gathers the rows of k tables with one `take`
-from a (rows, d) view of the store's `values`, so the tables must lie whole
-rows apart there; every value it makes is in C order. Both backwards sum the
-reads with one `_scatter_rows`. `softmax` takes its max, which is exact, as one
-reduce over a contiguous copy with the normalized axes first. `logloss` is
-the training loss as one node: sigmoid, clamp and mean log-loss fused.
+(2, 3) + (1, 3) raise ShapeError. `take(x, index, axis)` is the one gather:
+it reads along `axis` at a constant integer `index`, whose axes replace it,
+and an entry equal to the axis length reads zero; only then is x copied to
+append that zero. Its backward sums the reads with one `_scatter_rows`. An
+embedding lookup (`embedding.lookup`) is a `take` of a parameter leaf over k
+tables joined as one (rows, d) view of the store (`ParameterStore.row_view`).
+`softmax` takes its max, which is exact, as one reduce over a contiguous copy
+with the normalized axes first. `logloss` is the training loss as one node:
+sigmoid, clamp and mean log-loss fused.
 
 Every op checks its operands and its result the same way on either kind of
-tape: a non-finite value raises NumericError naming the op, a broadcast or
-batch mismatch or a non-integer take index ShapeError, an out-of-range
-lookup DomainError naming the slot and a take index outside [0, axis length]
-one naming that range. A tape built with `record=False` drops each op's
+tape: a non-finite value raises NumericError naming the op (and, for a
+parameter leaf, the slot), a broadcast or batch mismatch or a non-integer
+take index ShapeError, and a take index outside [0, axis length] DomainError
+naming that range. A tape built with `record=False` drops each op's
 backward closure and keeps no node list, so intermediates are freed as soon
 as they are dead and `backward` raises ContractError. `Model.forward`
 (so `predict`, validation and `verify_equivalence`), `Model.loss` and the
 finite differences of `gradient_check` run on one; training steps record.
+`backward` frees each node's gradient once it has passed it back, so no
+node holds one after the sweep.
 
 A `ParameterStore` keeps its slots in one flat `values` and one flat `grads`
 buffer. Gradients are accumulation-only: `backward` adds into them and never
@@ -155,10 +158,10 @@ _SAVE_BLOCK = 4096  # floats formatted at once by `ParameterStore.save`; bounds 
 
 
 class _Slot:
-    __slots__ = ("name", "span", "shape", "value", "grad")
+    __slots__ = ("name", "span", "shape", "value", "grad", "offsets", "sizes")
 
-    def __init__(self, name, span, shape):
-        self.name, self.span, self.shape = name, span, shape
+    def __init__(self, name, span, shape, offsets=None, sizes=None):
+        self.name, self.span, self.shape, self.offsets, self.sizes = name, span, shape, offsets, sizes
 
 
 class ParameterStore:
@@ -175,7 +178,7 @@ class ParameterStore:
         self.seed = seed
         self.rng = np.random.default_rng([int(seed), 3])
         self._slots: dict[str, _Slot] = {}
-        self._row_views: dict[tuple, tuple] = {}
+        self._row_views: dict[tuple, _Slot] = {}
         self._buffer = np.zeros((2, 0))  # values, then gradients; spare columns at the end
         self.values, self.grads = self._buffer
 
@@ -194,7 +197,7 @@ class ParameterStore:
             old, self._buffer = self._buffer, np.zeros((2, max(end, 2 * self._buffer.shape[1])))
             self._buffer[:, :start] = old[:, :start]
         values, grads = self._buffer[0], self._buffer[1]
-        for s in self._slots.values() if moved else [slot]:
+        for s in [*self._slots.values(), *self._row_views.values()] if moved else [slot]:
             s.value, s.grad = values[s.span].reshape(s.shape), grads[s.span].reshape(s.shape)
         self.values, self.grads = values[:end], grads[:end]
         slot.value[...] = value
@@ -215,6 +218,9 @@ class ParameterStore:
     # -- access ------------------------------------------------------------
 
     def slot(self, name) -> _Slot:
+        """The slot `name`; a tuple of names gives their joined `row_view`."""
+        if isinstance(name, tuple):
+            return self.row_view(name)
         try:
             return self._slots[name]
         except KeyError:
@@ -237,10 +243,11 @@ class ParameterStore:
         return name in self._slots
 
     def row_view(self, names):
-        """(start, end, d, offsets, rows): the 2-D slots `names`, of one width d, as rows of the
-        (rows, d) views of `values[start:end]` and `grads[start:end]`, slot j's rows[j] rows
-        from row offsets[j] on. Cached per names: slot spans never move."""
-        if names not in self._row_views:
+        """The 2-D slots `names`, of one width d, joined into one (rows, d) slot over `values`
+        and `grads` from the first of them to the last: slot names[j] is its sizes[j] rows from
+        row offsets[j] on. Cached per names, and re-bound by `add_value` when the buffers move."""
+        view = self._row_views.get(names)
+        if view is None:
             slots = [self.slot(name) for name in names]
             if len({s.shape[1:] for s in slots}) != 1 or len(slots[0].shape) != 2 or slots[0].shape[1] < 1:
                 raise ShapeError(f"lookup slots must be 2-D tables of one positive width, got {list(names)}")
@@ -249,9 +256,12 @@ class ParameterStore:
             for s, at in zip(slots, starts):
                 if at % d:
                     raise ShapeError(f"lookup slots {first.name!r} and {s.name!r} are not whole {d}-wide rows apart")
-            self._row_views[names] = (first.span.start, max(s.span.stop for s in slots), d,
-                                      np.array(starts) // d, np.array([s.shape[0] for s in slots], np.uint64))
-        return self._row_views[names]
+            start, stop = first.span.start, max(s.span.stop for s in slots)
+            view = _Slot(names, slice(start, stop), ((stop - start) // d, d),
+                         np.array(starts) // d, np.array([s.shape[0] for s in slots], np.uint64))
+            view.value, view.grad = (buffer[start:stop].reshape(view.shape) for buffer in (self.values, self.grads))
+            self._row_views[names] = view
+        return view
 
     def names(self):
         return list(self._slots)
@@ -546,8 +556,8 @@ class Tape:
         return self._emitted
 
     def _emit(self, value, backward=None, moved=False):
-        """Append a node. `moved` marks a value that only rearranges entries
-        of nodes already on the tape, which were checked to be finite."""
+        """Append a node. `moved` marks a value already known to be finite: it only
+        rearranges entries of nodes on the tape, which were checked, or its op checked it."""
         value = np.asarray(value, dtype=np.float64)
         if not (moved or _finite(value)):
             # the op is named on this path alone, so the finite path pays nothing for it
@@ -565,47 +575,22 @@ class Tape:
         return self._emit(value)
 
     def parameter(self, store, name):
-        """Whole slot as a leaf; gradient accumulates into the slot buffer.
-
-        A slot gets one leaf per tape: later calls return the same node.
-        """
+        """Whole slot as a leaf, a tuple of names giving their `row_view`; gradient accumulates into the
+        slot buffer. A slot gets one leaf per tape: later calls return the same node. A non-finite
+        entry raises NumericError naming the slot, or the first slot in a joined one's span holding it."""
         slot = store.slot(name)
         node = self._params.get(slot)
         if node is None:
+            if not _finite(slot.value):  # the slot is named on this path alone
+                at = slot.span.start + np.flatnonzero(~np.isfinite(store.values[slot.span]))[0]
+                bad = next(s.name for s in store.slots() if s.span.start <= at < s.span.stop)
+                raise NumericError(f"non-finite value produced on tape by parameter: slot {bad!r}")
 
             def backward(g):
                 slot.grad += g
 
-            node = self._params[slot] = self._emit(slot.value, backward)
+            node = self._params[slot] = self._emit(slot.value, backward, moved=True)
         return node
-
-    def lookup(self, store, names, indices):
-        """Batched row gather from k 2-D slots: indices (B, k) -> value (B, k, d), C order.
-
-        Column j of `indices` reads rows of the slot `names[j]`; the slots share
-        the width d and lie whole rows apart (`ParameterStore.row_view`). One
-        `take` reads every row and the backward sums the gradient rows into
-        `store.grads` with one `_scatter_rows`, both in (B, k) order, so
-        repeated indices accumulate in batch order.
-        """
-        names = tuple(names)
-        start, end, d, offsets, rows = store.row_view(names)
-        idx = np.asarray(indices)
-        if idx.ndim != 2 or idx.shape[1] != len(rows) or idx.dtype.kind not in "iu":
-            raise ShapeError(f"lookup indices must be a (B, {len(rows)}) integer array")
-        flat = np.array(idx, dtype=np.int64, order="C")  # a copy: the caller may reuse `indices`
-        if flat.size:  # read as unsigned, a negative index is out of range too
-            for j in np.flatnonzero(flat.view(np.uint64).max(axis=0) >= rows)[:1]:
-                raise DomainError(f"lookup index out of range for slot {names[j]!r} (rows={rows[j]})")
-        flat += offsets
-        # in range, checked above; "clip" skips a second check
-        value = store.values[start:end].reshape(-1, d).take(flat, axis=0, mode="clip")
-
-        def backward(g):
-            grads = store.grads[start:end].reshape(-1, d)
-            grads += _scatter_rows(flat.reshape(-1), g.reshape(-1, d), len(grads))
-
-        return self._emit(value, backward)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -672,7 +657,9 @@ class Tape:
         # a max is exact: one reduce over a contiguous copy with the normalized axes first keeps its bits
         lead = np.ascontiguousarray(v.transpose(axes + tuple(a for a in range(v.ndim) if a not in axes)))
         top = np.maximum.reduce(lead.reshape(math.prod(lead.shape[: len(axes)]), -1))
-        e = np.exp(v - top.reshape([1 if a in axes else n for a, n in enumerate(v.shape)]))
+        shift = top.reshape([1 if a in axes else n for a, n in enumerate(v.shape)])
+        # in C order, so the sum adds in one order whatever the memory order of x
+        e = np.exp(np.subtract(v, shift, order="C"))
         p = e / e.sum(axis=axes, keepdims=True)
 
         def backward(g):
@@ -680,19 +667,6 @@ class Tape:
             _bump(x, p * (g - dot))
 
         return self._emit(p, backward)
-
-    def dropout(self, x, rate, rng):
-        """Inverted dropout: zero with probability `rate`, scale kept by 1/(1-rate)."""
-        if not 0.0 <= rate < 1.0:
-            raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
-        if rate == 0.0:
-            return x
-        mask = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
-
-        def backward(g):
-            _bump(x, g * mask)
-
-        return self._emit(x.value * mask, backward)
 
     # -- shape plumbing ----------------------------------------------------
 
@@ -728,16 +702,18 @@ class Tape:
         n, head, tail = v.shape[axis], v.shape[:axis], v.shape[axis + 1 :]
         if index.dtype.kind not in "iu":
             raise ShapeError(f"take index must be an integer array, got {index.dtype}")
-        if index.size and not 0 <= index.min() <= index.max() <= n:
-            raise DomainError(f"take index outside [0, {n}]; {n} reads zero")
         rows = index.reshape(-1).astype(np.int64)  # a copy: the caller may reuse `index`
+        top = rows.view(np.uint64).max() if rows.size else 0  # as unsigned, a negative entry is huge
+        if top > n:
+            raise DomainError(f"take index outside [0, {n}]; {n} reads zero")
 
         def backward(g):
             sums = _scatter_rows(rows, g.reshape(head + (-1,) + tail), n + 1, axis)
             _bump(x, sums[(slice(None),) * axis + (slice(n),)])
 
-        padded = np.concatenate((v, np.zeros(head + (1,) + tail)), axis)
-        return self._emit(padded.take(index, axis), backward, moved=True)
+        if top == n:  # the zero is read: only then is x copied to append it
+            v = np.concatenate((v, np.zeros(head + (1,) + tail)), axis)
+        return self._emit(v.take(rows.reshape(index.shape), axis), backward, moved=True)
 
     def sum_axis(self, x, axis):
         """Sum over `axis` (an int or a tuple of axes), dropping it."""
@@ -785,21 +761,20 @@ class Tape:
     def backward(self, root):
         """Accumulate d(root)/d(slot) into every store gradient buffer.
 
-        `root` must be a 0-d node on this tape. Node-local gradients are
-        reset here; store buffers are not (accumulation is the caller's
-        contract, cleared via `ParameterStore.zero_grads`).
+        `root` must be a 0-d node on this tape. Each node's gradient is freed as
+        it is passed back, every consumer having added to it, so none is kept;
+        store buffers are not reset (accumulation is the caller's contract,
+        cleared via `ParameterStore.zero_grads`).
         """
         if not self.record:
             raise ContractError("backward on a tape that records no backward (record=False)")
         if root.value.shape != ():
             raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
-        for node in self._nodes:
-            node.grad = None
         root.grad = np.ones((), dtype=np.float64)
         for node in reversed(self._nodes):
-            if node.grad is None or node._backward is None:
-                continue
-            node._backward(node.grad)
+            g, node.grad = node.grad, None
+            if g is not None and node._backward is not None:
+                node._backward(g)
 
 
 # ---------------------------------------------------------------------------

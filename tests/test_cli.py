@@ -822,6 +822,37 @@ def test_config_file_values_go_through_each_flags_type(ws, synth_dir, key, value
     assert config.name in proc.stderr and repr(key) in proc.stderr
 
 
+def _prepare_inputs(where):
+    raw, fields = where / "req_raw.tsv", where / "req_fields.json"
+    raw.write_text("1\ta\n0\tb\n" * 10)
+    fields.write_text(json.dumps({"fields": [{"name": "city"}]}))
+    return {"raw": str(raw), "fields": str(fields)}
+
+
+def test_a_config_file_may_hold_the_required_flags(ws, synth_dir):
+    runs = {
+        "train": {"model": "FM", "data": str(synth_dir), "d": 3, "epochs": 1},
+        "prepare": _prepare_inputs(ws),
+    }
+    for command, settings_ in runs.items():
+        config, out = ws / f"required_{command}.json", ws / f"required_{command}"
+        config.write_text(json.dumps({**settings_, "out": str(out)}))
+        proc = run_cli(command, "--config", config)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / ("params.json" if command == "train" else "schema.json")).is_file()
+
+
+@pytest.mark.parametrize("command, flag", [("train", "model"), ("train", "out"), ("prepare", "raw")])
+def test_a_null_config_value_leaves_its_flag_required(tmp_path, synth_dir, command, flag):
+    settings_ = {"model": "FM", "data": str(synth_dir)} if command == "train" else _prepare_inputs(tmp_path)
+    config = tmp_path / "null.json"
+    config.write_text(json.dumps({**settings_, "out": str(tmp_path / "out"), flag: None}))
+    proc = run_cli(command, "--config", config)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"the following arguments are required: --{flag}" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "ablation"])
 def test_every_spec_field_read_from_flags_has_a_flag(tmp_path, synth_dir, monkeypatch, command):
     # a new SyntheticSpec, TrainConfig or ModelSpec field without a flag fails here, not at run time

@@ -172,3 +172,43 @@ def test_dropout_keeps_expected_activation_scale():
     # per-entry standard error: ref * sqrt(rate/(keep)) / sqrt(trials)
     spread = np.abs(ref) * np.sqrt(0.4 / 0.6) / np.sqrt(trials)
     assert np.all(np.abs(mean - ref) <= 4.0 * spread + 1e-12)
+
+
+def _dropout_stack(rate, width=8):
+    """A one-hidden-layer stack whose hidden ReLU gives 1.0 for an input of 1.0 and whose
+    identity head passes the hidden layer through exactly."""
+    spec = MLPSpec(1, hidden=(width,), out_dim=width, dropout=rate)
+    store = ParameterStore()
+    add_mlp_slots(store, spec)
+    store.set_value("st.l0.w", np.ones((1, width)))
+    store.set_value("st.l1.w", np.eye(width))
+    return spec, store
+
+
+def test_dropout_zero_rate_is_identity():
+    spec, store = _dropout_stack(0.0)
+    x = np.random.default_rng(4).normal(size=(5, 1))
+    runs = []
+    for rng in (None, np.random.default_rng(0)):
+        tape = Tape()
+        runs.append((mlp_nodes(tape, spec, store, tape.constant(x), drop_rng=rng).value.tobytes(), len(tape)))
+    assert runs[0] == runs[1]  # the same bits from the same nodes: a zero rate draws no mask
+
+
+def test_dropout_mask_values_are_inverted_scale():
+    spec, store = _dropout_stack(0.25)
+    tape = Tape()
+    out = mlp_nodes(tape, spec, store, tape.constant(np.ones((64, 1))), drop_rng=np.random.default_rng(3))
+    vals = np.unique(out.value)
+    np.testing.assert_allclose(vals, [0.0, 1.0 / 0.75], rtol=0, atol=1e-15)
+    # the mask is one (B, hidden) constant, applied by `contract` and passed back through it
+    store.zero_grads()
+    tape.backward(tape.sum_axis(out, (0, 1)))
+    kept = out.value != 0.0
+    np.testing.assert_allclose(store.grad("st.l0.b"), kept.sum(axis=0) / 0.75, rtol=1e-14, atol=0)
+
+
+def test_dropout_rate_bounds():
+    for rate in (1.0, -0.1, 1.5):
+        with pytest.raises(ConfigError):
+            MLPSpec(3, hidden=(4,), dropout=rate)

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import platform
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -401,7 +402,7 @@ def test_lookup_scatter_accumulates_repeated_rows():
     store.add_zeros("table", (3, 2))
 
     def build(tape):
-        rows = tape.reshape(tape.lookup(store, ["table"], np.array([0, 0, 1])[:, None]), (3, 2))
+        rows = tape.reshape(embedding.lookup(tape, store, ["table"], np.array([0, 0, 1])[:, None]), (3, 2))
         return _total(tape, rows)
 
     _run_backward(build, store)
@@ -413,7 +414,7 @@ def test_lookup_untouched_rows_get_exact_zero_gradient():
     store.add_xavier("table", (5, 3))
 
     def build(tape):
-        rows = tape.reshape(tape.lookup(store, ["table"], np.array([1, 3])[:, None]), (2, 3))
+        rows = tape.reshape(embedding.lookup(tape, store, ["table"], np.array([1, 3])[:, None]), (2, 3))
         return _total(tape, tape.contract("bd,bd->bd", rows, rows))
 
     _run_backward(build, store)
@@ -428,11 +429,11 @@ def test_lookup_range_and_shape_guards():
     store.add_zeros("table", (3, 2))
     tape = Tape()
     with pytest.raises(DomainError):
-        tape.lookup(store, ["table"], np.array([0, 3])[:, None])
+        embedding.lookup(tape, store, ["table"], np.array([0, 3])[:, None])
     with pytest.raises(DomainError):
-        tape.lookup(store, ["table"], np.array([-1])[:, None])
+        embedding.lookup(tape, store, ["table"], np.array([-1])[:, None])
     with pytest.raises(ShapeError):
-        tape.lookup(store, ["table"], np.array([0.5, 1.0])[:, None])
+        embedding.lookup(tape, store, ["table"], np.array([0.5, 1.0])[:, None])
 
 
 def test_lookup_index_snapshot_is_defensive():
@@ -440,7 +441,7 @@ def test_lookup_index_snapshot_is_defensive():
     store.add_zeros("table", (3, 2))
     idx = np.array([0, 1])
     tape = Tape()
-    rows = tape.lookup(store, ["table"], idx[:, None])
+    rows = embedding.lookup(tape, store, ["table"], idx[:, None])
     idx[0] = 2  # caller mutates after the fact
     root = _total(tape, rows)
     tape.backward(root)
@@ -467,7 +468,7 @@ def test_lookup_scatter_is_bitwise_np_add_at(b, rows, d, seed):
 
     store.zero_grads()
     tape = Tape()
-    looked_up = tape.lookup(store, names, idx)
+    looked_up = embedding.lookup(tape, store, names, idx)
     root = _total(tape, tape.contract("bkd,bkd->bkd", looked_up, tape.constant(weights)))
     tape.backward(root)
 
@@ -520,7 +521,7 @@ def test_lookups_over_a_loaded_store_are_bitwise_the_per_table_referee(tmp_path)
     emb, lin = [[f"{kind}.{i}" for i in range(11)] for kind in ("emb", "lin")]
 
     def lookups(tape):
-        return [(tape.lookup(store, names, indices), names, indices) for names in (emb, lin)]
+        return [(embedding.lookup(tape, store, names, indices), names, indices) for names in (emb, lin)]
 
     _check_lookups_per_table(store, lookups, seed=5)
 
@@ -543,10 +544,10 @@ def test_lookup_tables_must_lie_whole_rows_apart():
     store.add_zeros("odd", (1,))
     store.add_zeros("t1", (3, 2))
     store.add_zeros("t2", (2, 2))
-    assert Tape().lookup(store, ["t1", "t2"], np.zeros((1, 2), np.int64)).value.shape == (1, 2, 2)
+    assert embedding.lookup(Tape(), store, ["t1", "t2"], np.zeros((1, 2), np.int64)).value.shape == (1, 2, 2)
     for names in (["t0", "t1"], ["t2", "t0"]):
         with pytest.raises(ShapeError, match="'t0' and 't[12]' are not whole 2-wide rows apart"):
-            Tape().lookup(store, names, np.zeros((1, 2), np.int64))
+            embedding.lookup(Tape(), store, names, np.zeros((1, 2), np.int64))
 
 
 def test_tape_rejects_nonfinite_result():
@@ -569,27 +570,6 @@ def test_a_non_finite_result_names_the_op_that_produced_it(record):
         message = f"^non-finite value produced on tape by {op}$"
         with pytest.raises(NumericError, match=message), np.errstate(over="ignore"):
             make()
-
-
-def test_dropout_zero_rate_is_identity():
-    tape = Tape()
-    x = tape.constant(np.ones((2, 3)))
-    assert tape.dropout(x, 0.0, np.random.default_rng(0)) is x
-
-
-def test_dropout_mask_values_are_inverted_scale():
-    tape = Tape()
-    x = tape.constant(np.ones((64, 8)))
-    out = tape.dropout(x, 0.25, np.random.default_rng(3))
-    vals = np.unique(out.value)
-    np.testing.assert_allclose(vals, [0.0, 1.0 / 0.75], rtol=0, atol=1e-15)
-
-
-def test_dropout_rate_bounds():
-    tape = Tape()
-    x = tape.constant(np.ones(4))
-    with pytest.raises(DomainError):
-        tape.dropout(x, 1.0, np.random.default_rng(0))
 
 
 def test_softmax_rows_sum_to_one():
@@ -655,7 +635,7 @@ def test_composite_network_checks_below_1e8():
     idx = np.array([0, 2, 2, 4])
 
     def build(tape):
-        x = tape.reshape(tape.lookup(store, ["table"], idx[:, None]), (4, 3))
+        x = tape.reshape(embedding.lookup(tape, store, ["table"], idx[:, None]), (4, 3))
         y = tape.contract("bq,pq->bp", x, tape.parameter(store, "m"))  # (4, 2)
         y = tape.add(y, tape.parameter(store, "b"))
         p = tape.softmax(y)  # rows sum to one
@@ -755,13 +735,12 @@ def _chain_logloss_grad(z, y):
 
 
 def _logloss_on_tape(z, y):
+    """A store whose slot "z" holds `z`, with the log-loss gradient in its buffer."""
     store = ParameterStore()
     store.add_value("z", z)
     tape = Tape()
-    logit = tape.parameter(store, "z")
-    loss = tape.logloss(logit, y)
-    tape.backward(loss)
-    return store, logit, loss
+    tape.backward(tape.logloss(tape.parameter(store, "z"), y))
+    return store
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -772,17 +751,22 @@ def _logloss_on_tape(z, y):
 def test_logloss_node_is_bitwise_the_metric_and_the_chain_gradient(z, seed):
     z = np.array(z)
     y = np.random.default_rng(seed).integers(0, 2, size=z.size).astype(np.float64)
-    _, logit, loss = _logloss_on_tape(z, y)
+    store = ParameterStore()
+    store.add_value("z", z)
+    tape = Tape()
+    logit = tape.parameter(store, "z")
+    loss = tape.logloss(logit, y)
     assert loss.value.shape == ()
     assert float(loss.value) == logloss(sigmoid(z), y)
-    # the node's own gradient, before a buffer turns a -0.0 into 0.0
+    # the node's own gradient, from its own backward, before a buffer turns a -0.0 into 0.0
+    loss._backward(np.ones(()))
     assert logit.grad.tobytes() == _chain_logloss_grad(z, y).tobytes()
 
 
 def test_logloss_node_checks_against_finite_differences():
     rng = np.random.default_rng(31)
     z, y = rng.normal(scale=2.0, size=12), rng.integers(0, 2, size=12).astype(np.float64)
-    store, _, _ = _logloss_on_tape(z, y)
+    store = _logloss_on_tape(z, y)
 
     def f():
         tape = Tape()
@@ -797,7 +781,7 @@ def test_logloss_gradient_is_zero_where_the_clamp_is_active():
     clamped = (s <= PROB_FLOOR) | (s >= 1.0 - PROB_FLOOR)
     assert clamped.tolist() == [True, True, False, False, False, True, True]
     for y in (np.zeros(7), np.ones(7)):
-        store, _, _ = _logloss_on_tape(z, y)
+        store = _logloss_on_tape(z, y)
         g = store.grad("z")
         assert np.all(g[clamped] == 0.0) and np.all(g[~clamped] != 0.0)
 
@@ -861,8 +845,8 @@ def test_every_op_check_holds_on_either_tape(record):
     for row in (2, -1, 2**63 + 1):
         dtype = np.uint64 if row > 0 else np.int64
         with pytest.raises(DomainError, match="slot 'b' \\(rows=2\\)"):
-            tape.lookup(store, ["a", "b"], np.array([[0, 1], [2, row]], dtype=dtype))
-    assert tape.lookup(store, ["a", "b"], np.array([[2, 1]], dtype=np.uint8)).value.shape == (1, 2, 2)
+            embedding.lookup(tape, store, ["a", "b"], np.array([[0, 1], [2, row]], dtype=dtype))
+    assert embedding.lookup(tape, store, ["a", "b"], np.array([[2, 1]], dtype=np.uint8)).value.shape == (1, 2, 2)
     for index in (np.array([0.0, 1.0]), np.array([True]), [[0], [1.5]]):
         with pytest.raises(ShapeError, match="integer array"):
             tape.take(x, index, axis=1)
@@ -884,6 +868,55 @@ def test_take_keeps_its_index_when_the_caller_reuses_it():
     index[:] = 1
     tape.backward(tape.contract("i,i->", out, tape.constant([1.0, 10.0, 100.0])))
     np.testing.assert_array_equal(store.grad("x"), [11.0, 0.0, 100.0])
+
+
+def test_take_copies_no_table_whose_zero_row_it_does_not_read():
+    store = ParameterStore()
+    store.add_zeros("table", (100_000, 16))  # 12.8 MB
+    index = np.arange(0, 100_000, 97)  # never the zero row, at 100_000
+    tape = Tape()
+    leaf = tape.parameter(store, "table")
+    tracemalloc.start()
+    try:
+        out = tape.take(leaf, index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.value.shape == (index.size, 16)
+    assert peak < 1 << 20, f"take allocated {peak} bytes"
+
+
+def test_backward_frees_every_node_gradient_and_a_second_sweep_doubles_the_buffers():
+    store = ParameterStore(seed=3)
+    store.add_xavier("table", (5, 2))
+    store.add_value("w", [0.5, -1.5])
+    tape = Tape()
+    rows = embedding.lookup(tape, store, ["table"], np.array([[1], [3], [1]]))
+    h = tape.relu(tape.contract("bkd,d->bk", rows, tape.parameter(store, "w")))
+    root = _total(tape, tape.add(h, tape.constant([2.0])))
+    tape.backward(root)
+    assert all(node.grad is None for node in tape._nodes)
+    once = store.grads.copy()
+    assert np.any(once)
+    tape.backward(root)
+    assert store.grads.tobytes() == (2.0 * once).tobytes()
+
+
+def test_a_row_view_follows_the_buffers_when_they_move():
+    store = ParameterStore(seed=1)
+    store.add_xavier("t0", (2, 3))
+    store.add_xavier("t1", (4, 3))
+    view = store.row_view(("t0", "t1"))
+    assert store.slot(("t0", "t1")) is view and view.shape == (6, 3)
+    assert view.offsets.tolist() == [0, 2] and view.sizes.tolist() == [2, 4]
+    buffer = store.values
+    for k in range(8):
+        store.add_xavier(f"later{k}", (k + 1, 5))
+    assert not np.shares_memory(buffer, store.values), "the buffers never moved"
+    assert np.shares_memory(view.value, store.values) and np.shares_memory(view.grad, store.grads)
+    np.testing.assert_array_equal(view.value, np.concatenate([store.value("t0"), store.value("t1")]))
+    tape = Tape()
+    assert tape.parameter(store, ("t0", "t1")) is tape.parameter(store, ("t0", "t1"))
 
 
 # ---------------------------------------------------------------------------
@@ -1175,6 +1208,11 @@ _PINNED = {
         lambda e, x: e * x,
         [lambda g, e, x: g * x, lambda g, e, x: g * e],
     ),
+    "bp,bp->bp": (  # inverted dropout's mask on a hidden layer
+        [(_B, _T), (_B, _T)],
+        lambda x, mask: x * mask,
+        [lambda g, x, mask: g * mask, lambda g, x, mask: g * x],
+    ),
 }
 
 
@@ -1208,11 +1246,12 @@ def test_contract_makes_the_numpy_calls_of_the_ops_it_replaced(spec, transposed)
     assert any(not x.flags.c_contiguous for x in xs) == transposed
     out = tape.contract(spec, *nodes)
     assert _same_bits(out.value, value(*xs))
-    sub = spec.split("->")[1]
-    tape.backward(tape.contract(f"{sub},{sub}->", out, tape.constant(rng.normal(size=out.value.shape))))
+    # the op's own backward: a sweep frees each node's gradient once it has passed it on
+    g = rng.normal(size=out.value.shape)
+    out._backward(g)
     for node, grad in zip(nodes, grads):
         if grad is not None:
-            assert _same_bits(node.grad, grad(out.grad, *xs))
+            assert _same_bits(node.grad, grad(g, *xs))
 
 
 def test_pinned_specs_are_every_spec_the_zoo_contracts(monkeypatch):
@@ -1229,6 +1268,8 @@ def test_pinned_specs_are_every_spec_the_zoo_contracts(monkeypatch):
         for switches in [{}] + ([{"self_product": True}] if name == "SAM2_E" else []):
             model = build_model(ModelSpec(name, schema, d=3, mlp_hidden=(4,), **switches), seed=0)
             model.loss(*random_batch(schema, 5))
+            # a training loss: the deep heads' dropout runs
+            model.loss_node(Tape(record=False), *random_batch(schema, 5), drop_rng=np.random.default_rng(0))
     assert seen == set(_PINNED)
 
 
@@ -1253,7 +1294,6 @@ def test_take_is_bitwise_the_one_hot_product_it_replaced(spec, shape, index, axi
     rng = np.random.default_rng(37)
     x = rng.normal(size=shape)
     hot = (index[..., None] == np.arange(shape[axis])).astype(np.float64)  # (n, n, pairs)
-    sub = spec.split("->")[1]
     weights = rng.normal(size=shape[:axis] + index.shape + shape[axis + 1 :])
 
     def run(op):
@@ -1261,7 +1301,7 @@ def test_take_is_bitwise_the_one_hot_product_it_replaced(spec, shape, index, axi
         store.add_value("x", x)
         node = tape.parameter(store, "x")
         out = op(tape, node)
-        tape.backward(tape.contract(f"{sub},{sub}->", out, tape.constant(weights)))
+        out._backward(weights)  # the op's own backward, which leaves the operand's gradient on it
         return out.value, node.grad
 
     if spec.startswith("ijp"):

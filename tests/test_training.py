@@ -303,6 +303,16 @@ def test_poisoned_parameters_raise_training_error_with_location():
     assert excinfo.value.batch == 0
 
 
+@pytest.mark.parametrize("name, slot", [("FM", "emb.2"), ("FFM", "emb.2.0")])
+def test_a_non_finite_table_stops_training_naming_its_slot(name, slot):
+    data, split = synth_split(count=300)
+    model = build_model(ModelSpec(name, data.schema, d=2), seed=0)
+    model.store.value(slot)[-1, 0] = float("nan")
+    with pytest.raises(TrainingError, match=f"slot '{slot}'") as excinfo:
+        train(model, split.train, split.valid, TrainConfig(lr=1e-3, batch_size=64, epochs=2, seed=0))
+    assert (excinfo.value.epoch, excinfo.value.batch) == (0, 0)
+
+
 def test_train_validates_schema_and_nonempty_splits():
     data, split = synth_split(count=300)
     model = build_model(ModelSpec("LR", data.schema), seed=0)

@@ -109,6 +109,23 @@ def test_a_non_finite_slot_entry_is_a_numeric_error_on_either_tape(record):
                 model.logit_node(Tape(record=record), BATCH)
 
 
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize(
+    "name, planted, named",
+    [
+        ("FM", ["emb.3", "emb.2"], "emb.2"),
+        # both of FFM's lookup leaves span emb.2.0 and emb.2.1, which lie in that order
+        ("FFM", ["emb.2.1", "emb.2.0"], "emb.2.0"),
+    ],
+)
+def test_a_non_finite_table_entry_names_the_first_slot_holding_one(name, planted, named, record):
+    model = build_model(small_spec(name), seed=0)
+    for slot in planted:  # in the table's last row, which a batch need not read
+        model.store.value(slot)[-1, 0] = np.nan
+    with pytest.raises(NumericError, match=f"^non-finite value produced on tape by parameter: slot '{named}'$"):
+        model.logit_node(Tape(record=record), BATCH)
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_loss_tape_size_is_independent_of_field_count(name):
     size = {}
