@@ -35,14 +35,15 @@ def embedding_shapes(schema, d, field_aware=False):
     """Slot name -> shape of every embedding table, in creation order.
 
     Plain: one (vocab_i, d) table per field. Field-aware: one (vocab_i, d)
-    table per ordered (field, other-field) pair, n*(n-1) tables in total.
+    table per ordered (field, other-field) pair, n*(n-1) tables in total,
+    in the order `lookup_field_aware` reads them: field i's for partner j
+    over the pairs i < j, then field j's for partner i, so each side's
+    lookup leaf spans its own tables alone.
     """
-    n = schema.n
-    return {
-        emb_slot(i, t): (size, d)
-        for i, size in enumerate(schema.vocab_sizes)
-        for t in ([t for t in range(n) if t != i] if field_aware else [None])
-    }
+    sizes = schema.vocab_sizes
+    if not field_aware:
+        return {emb_slot(i): (size, d) for i, size in enumerate(sizes)}
+    return {name: (sizes[i], d) for own, names in _pair_sides(schema.n) for i, name in zip(own.tolist(), names)}
 
 
 def linear_shapes(schema):

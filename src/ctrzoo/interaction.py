@@ -12,12 +12,14 @@ switches into it. `add_fi_slots` creates the weights a row reads, and
 
 Conventions: "others" neighborhoods sum over ordered pairs j != i, so
 symmetric similarities count each unordered pair twice (the model layer
-compensates where the classical form sums i < j). A similarity that costs
-work per pair, FFM's field-aware inner product and AFM's attention
-network, is computed once per pair i < j and mirrored onto (j, i) by an
-integer index map, one `Tape.take` (`_pair_index`), as is FwFM's pair weight.
-Softmax-normalized similarities renormalize per target field;
-attention-pooled ones (AFM) renormalize jointly over all ordered pairs.
+compensates where the classical form sums i < j). The "pairs" neighborhood
+is the m = n(n-1)/2 pairs i < j themselves, in `np.triu_indices` order:
+FFM and AFM, whose classical forms sum over them, compute each pair's
+similarity once and return one value per pair, AFM's attention softmax
+running over the pairs. FwFM's pair weight is read once per pair i < j
+and mirrored onto (j, i) by an integer index map, one `Tape.take`
+(`_pair_index`). Softmax-normalized similarities on the "all"
+neighborhood renormalize per target field.
 Grid configurations (SAM2) weigh one vector per ordered pair, i == j
 included (per pair i < j with `upper_only`), and are only ever read through
 the affine head that follows them, so `fi_forward` returns the grid already
@@ -26,9 +28,10 @@ index map places the head rows on the (n, n) grid.
 
 `fi_forward` evaluates a row on the whole (B, n, d) field tensor: the
 similarity is one (B, n, n) matrix, each neighborhood a constant (n, n)
-mask, and the utility one contraction with the weights, so the tape
-records a fixed number of nodes whatever n is. A `residual` row adds a
-linear map of the layer's input to the utility.
+mask, and the utility one contraction with the weights, or on the two
+(B, m, d) sides of the pairs, so the tape records a fixed number of nodes
+whatever n is. A `residual` row adds a linear map of the layer's input to
+the utility.
 """
 from __future__ import annotations
 
@@ -52,11 +55,10 @@ class FIConfig:
     model: str
     similarity: str
     utility: str
-    neighborhood: str  # "self" | "others" | "all" | "grid"
+    neighborhood: str  # "self" | "others" | "all" | "pairs" | "grid"
     aggregation: str  # "sum" | "concat" | "field_combination"
     transform: str  # "none" | "affine" | "mlp"
-    softmax: bool = False
-    pair_softmax: bool = False
+    softmax: bool = False  # over the last axis: per target field, or over the pairs
     field_aware: bool = False
     self_product: bool = False  # the grid hadamard reads f_i * f_i instead of f_i * f_j
     upper_only: bool = False  # a grid reads the pairs i < j only
@@ -71,6 +73,10 @@ class FIConfig:
     def __post_init__(self):
         if self.self_product and (self.utility, self.neighborhood) != ("hadamard", "grid"):
             raise ConfigError(f"self_product only applies to the element-wise grid of SAM2_E, not {self.model}")
+        if self.field_aware and self.neighborhood != "pairs":
+            raise ConfigError(f"{self.model}: field-aware embeddings are read on the pairs i < j alone")
+        if self.softmax and self.neighborhood not in ("all", "pairs"):
+            raise ConfigError(f"{self.model}: a softmax needs the 'all' or 'pairs' neighborhood, not {self.neighborhood!r}")
 
 
 _CATALOG = {
@@ -79,13 +85,13 @@ _CATALOG = {
         FIConfig("LR", "one", "identity", "self", "sum", "none", bias_default=True, d_fixed=1),
         FIConfig("FM", "inner", "one", "others", "sum", "none",
                  halve_pairs=True, linear_default=True, bias_default=True),
-        FIConfig("FFM", "inner", "one", "others", "sum", "none", field_aware=True, halve_pairs=True),
+        FIConfig("FFM", "inner", "one", "pairs", "sum", "none", field_aware=True),
         FIConfig("FwFM", "inner", "scalar_pair_sym", "others", "sum", "none", halve_pairs=True),
         FIConfig("IPNN", "inner", "scalar_inner", "all", "concat", "mlp"),
         FIConfig("DCN", "one", "scaled_identity", "self", "concat", "affine"),
         FIConfig("DeepFM-deep", "one", "identity", "self", "concat", "mlp"),
         FIConfig("CIN2", "inner", "scalar_pair", "all", "concat", "affine"),
-        FIConfig("AFM", "afm", "projected_inner", "others", "sum", "none", pair_softmax=True),
+        FIConfig("AFM", "afm", "projected_inner", "pairs", "sum", "none", softmax=True),
         FIConfig("AutoInt", "proj_qk", "linear_map", "all", "concat", "affine", softmax=True, layered=True),
         FIConfig("SAM1", "one", "identity", "self", "concat", "affine"),
         FIConfig("SAM2_A", "inner", "vector_pair", "grid", "concat", "affine"),
@@ -139,7 +145,9 @@ def _neighborhood_mask(kind, n):
 
 @lru_cache(maxsize=None)
 def _field_pairs(n):
-    """One-hot (m, n) rows picking field i, and field j, of the m = n(n-1)/2 pairs i < j: AFM's pair picks."""
+    """One-hot (m, n) rows picking field i, and field j, of the m = n(n-1)/2 pairs i < j: AFM's pair sides.
+
+    Their product's backward is one BLAS call; two lookups of the pair rows ran slower at n=10 and n=40."""
     return tuple(_frozen(np.eye(n)[fields]) for fields in np.triu_indices(n, 1))
 
 
@@ -154,14 +162,6 @@ def _pair_index(n, upper_only, mirrored):
     return _frozen(np.minimum(index, index.T) if mirrored else index)
 
 
-def _fields_of_pairs(m):
-    """The field count n with n(n-1)/2 == m."""
-    n = int(round((1.0 + np.sqrt(1.0 + 8.0 * m)) / 2.0))
-    if n * (n - 1) // 2 != m:
-        raise ContractError(f"{m} pairs are not the pairs i < j of any field count")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # forward evaluation
 
@@ -172,52 +172,50 @@ def fi_forward(tape, cfg, fields, store, *, prefix="fi.", head=None):
     `fields` is one stacked (B, n, d) node of field embeddings or, for
     field-aware configs, the two (B, m, d) nodes `lookup_field_aware` gives
     for the m = n(n-1)/2 pairs i < j: column p = (i, j) of the first holds
-    field i's vector for partner j, of the second field j's for partner i,
-    so each pair's similarity is computed once. The similarity is a
-    (B, n, n) matrix, the neighborhood N a constant (n, n) mask, the
-    optional softmax runs per target field (or jointly over every pair for
-    `pair_softmax`), and the utility is contracted against the weights.
-    A `residual` row then adds `res` @ f_i to each field's output. The
-    weights are the `store` slots named `prefix` + their role, bound
-    through `tape.parameter`.
+    field i's vector for partner j, of the second field j's for partner i.
+    The similarity is a (B, n, n) matrix, the neighborhood N a constant
+    (n, n) mask, the optional softmax runs per target field, and the
+    utility is contracted against the weights. A `residual` row then adds
+    `res` @ f_i to each field's output. The weights are the `store` slots
+    named `prefix` + their role, bound through `tape.parameter`.
 
     Returns (B, n, d) for per-field vector utilities and (B, n) for scalar
-    utilities. A grid config returns its logit contribution (B,): the sum
-    over its P = `grid_size(cfg, n)` pairs p = (i, j), in row-major order, of
-    w_p . S(f_i, f_j) U(f_i, f_j), where `head` names the (P*d, 1) slot of
-    the affine head that reads the grid, row p*d + k weighing coordinate k
-    of pair p; the `pairvec` slot of a vector-pair grid has one row per pair.
+    utilities. A "pairs" config returns (B, m), one S(f_i, f_j) U(f_i, f_j)
+    per pair p = (i, j) in `np.triu_indices` order: its two (B, m, d) sides
+    are the field-aware nodes or, otherwise, two one-hot picks of fields i
+    and j, each pair's similarity is computed once, and the optional
+    softmax runs over the pairs. A grid config returns its logit
+    contribution (B,): the sum over its P = `grid_size(cfg, n)` pairs
+    p = (i, j), in row-major order, of w_p . S(f_i, f_j) U(f_i, f_j), where
+    `head` names the (P*d, 1) slot of the affine head that reads the grid,
+    row p*d + k weighing coordinate k of pair p; the `pairvec` slot of a
+    vector-pair grid has one row per pair.
     """
     if cfg.field_aware:
         pair = isinstance(fields, tuple) and len(fields) == 2
         if not (pair and fields[0].value.ndim == 3 and fields[0].value.shape == fields[1].value.shape):
             raise ContractError(f"{cfg.model}: fi_forward needs the two (B, m, d) pair embeddings")
-        n = _fields_of_pairs(fields[0].value.shape[1])
     elif fields is None or fields.value.ndim != 3:
         raise ContractError(f"{cfg.model}: fi_forward needs the stacked (B, n, d) field embeddings")
-    else:
-        n = fields.value.shape[1]
-    if cfg.field_aware and cfg.similarity != "inner":
-        raise CatalogError(f"{cfg.model}: field-aware embeddings only support the inner similarity")
 
     def param(name):
         return tape.parameter(store, prefix + name)
 
+    if cfg.neighborhood == "pairs":
+        return _pairs(tape, cfg, fields, param)
     if cfg.neighborhood == "grid":
         if head is None:
             raise ContractError(f"{cfg.model}: a grid is read through its head weights")
         return _grid(tape, cfg, fields, param, tape.parameter(store, head))
 
-    mask = _neighborhood_mask(cfg.neighborhood, n)
+    mask = _neighborhood_mask(cfg.neighborhood, fields.value.shape[1])
     scores = _similarity(tape, cfg, fields, param)
     if scores is None:
         if cfg.neighborhood != "self":
             raise CatalogError(f"{cfg.model}: the unit similarity needs the 'self' neighborhood")
         weights = None
-    elif cfg.pair_softmax:
-        weights = tape.softmax(scores, axis=(1, 2), mask=mask)
     elif cfg.softmax:
-        weights = tape.softmax(scores, axis=-1, mask=mask)
+        weights = tape.softmax(scores)
     elif mask.all():
         weights = scores
     else:
@@ -284,11 +282,6 @@ def _similarity(tape, cfg, E, param):
     if kind == "one":
         return None
     if kind == "inner":
-        if cfg.field_aware:
-            # <e_i^(j), e_j^(i)>, once per pair i < j, spread over (i, j) and (j, i)
-            mine, theirs = E
-            spread = _pair_index(_fields_of_pairs(mine.value.shape[1]), True, True)
-            return tape.take(tape.contract("bpd,bpd->bp", mine, theirs), spread, axis=1)
         gram = tape.contract("bid,bjd->bij", E, E)
         # a matrix product does not promise S_ij == S_ji to the last bit; the
         # symmetric part does, which keeps symmetric grids exactly symmetric
@@ -299,15 +292,6 @@ def _similarity(tape, cfg, E, param):
         q = tape.contract("bid,ed->bie", E, param("q"))
         k = tape.contract("bid,ed->bie", E, param("k"))
         return tape.contract("bid,bjd->bij", q, k)
-    if kind == "afm":
-        # h . relu(W (f_i * f_j) + b) is symmetric in the pair and the
-        # diagonal is masked out: run the attention network once per pair i < j
-        n = E.value.shape[1]
-        first, second = (tape.constant(c) for c in _field_pairs(n))
-        pairs = tape.contract("bpd,bpd->bpd", tape.contract("pi,bid->bpd", first, E),
-                              tape.contract("pi,bid->bpd", second, E))
-        hidden = tape.relu(tape.add(tape.contract("bpd,td->bpt", pairs, param("attn_w")), param("attn_b")))
-        return tape.take(tape.contract("bpt,t->bp", hidden, param("attn_h")), _pair_index(n, True, True), axis=1)
     raise CatalogError(f"unknown similarity kind {kind!r}")
 
 
@@ -342,10 +326,6 @@ def _utility(tape, cfg, E, W, param):
     table = _pair_scalars(tape, cfg, param, n)
     if table is not None:
         return tape.sum_axis(tape.contract("bij,ij->bij", W, table), -1)
-    if kind == "projected_inner":
-        # <p, f_i * f_j> for every pair as (E * p) E^T
-        util = tape.contract("bid,bjd->bij", tape.contract("bid,d->bid", E, param("proj_p")), E)
-        return tape.sum_axis(tape.contract("bij,bij->bij", W, util), -1)
     if kind == "vector_pair":
         vecs = tape.reshape(param("pairvec"), (n, n, E.value.shape[-1]))
         return tape.contract("bij,ijd->bid", W, vecs)
@@ -362,6 +342,33 @@ def _utility(tape, cfg, E, W, param):
     if kind == "hadamard":
         return tape.contract("bid,bid->bid", E, mixed(E))
     raise CatalogError(f"unknown utility kind {kind!r}")
+
+
+def _pairs(tape, cfg, fields, param):
+    """S(f_i, f_j) U(f_i, f_j) for every pair p = (i, j), i < j, as (B, m), normalized over the pairs
+    with `cfg.softmax`: FFM's <e_i^(j), e_j^(i)>, or AFM's h . relu(W (f_i * f_j) + b) weighing
+    <p, f_i * f_j>."""
+    if cfg.field_aware:
+        mine, theirs = fields
+    else:
+        mine, theirs = (tape.contract("pi,bid->bpd", tape.constant(c), fields)
+                        for c in _field_pairs(fields.value.shape[1]))
+    if mine.value.shape[1] == 0:
+        raise DomainError(f"{cfg.model}: the pairs i < j need at least two fields")
+    if cfg.similarity == "inner":
+        scores = tape.contract("bpd,bpd->bp", mine, theirs)
+    elif cfg.similarity == "afm":
+        prod = tape.contract("bpd,bpd->bpd", mine, theirs)
+        hidden = tape.relu(tape.add(tape.contract("bpd,td->bpt", prod, param("attn_w")), param("attn_b")))
+        scores = tape.contract("bpt,t->bp", hidden, param("attn_h"))
+    else:
+        raise CatalogError(f"{cfg.model}: similarity {cfg.similarity!r} is not supported on pairs")
+    weights = tape.softmax(scores) if cfg.softmax else scores
+    if cfg.utility == "one":
+        return weights
+    if (cfg.similarity, cfg.utility) == ("afm", "projected_inner"):
+        return tape.contract("bp,bp->bp", weights, tape.contract("bpd,d->bp", prod, param("proj_p")))
+    raise CatalogError(f"{cfg.model}: utility {cfg.utility!r} is not supported on pairs")
 
 
 def _grid(tape, cfg, E, param, head):

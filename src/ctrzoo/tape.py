@@ -28,9 +28,9 @@ and an entry equal to the axis length reads zero; only then is x copied to
 append that zero. Its backward sums the reads with one `_scatter_rows`. An
 embedding lookup (`embedding.lookup`) is a `take` of a parameter leaf over k
 tables joined as one (rows, d) view of the store (`ParameterStore.row_view`).
-`softmax` takes its max, which is exact, as one reduce over a contiguous copy
-with the normalized axes first. `logloss` is the training loss as one node:
-sigmoid, clamp and mean log-loss fused.
+`softmax` normalizes over the last axis, and takes its max, which is exact,
+as one reduce over a contiguous copy with that axis first. `logloss` is the
+training loss as one node: sigmoid, clamp and mean log-loss fused.
 
 Every op checks its operands and its result the same way on either kind of
 tape: a non-finite value raises NumericError naming the op (and, for a
@@ -632,38 +632,22 @@ class Tape:
 
         return self._emit(np.maximum(x.value, 0.0), backward)
 
-    def softmax(self, x, axis=-1, mask=None):
-        """Softmax over `axis` (an int, or a tuple of axes normalized jointly).
-
-        `mask` is an optional boolean array that broadcasts against x;
-        entries where it is False get exactly zero weight, however large
-        their score. Every slice being normalized must keep at least one
-        entry.
-        """
+    def softmax(self, x):
+        """Softmax over the last axis."""
         v = x.value
         if v.ndim == 0:
             raise ShapeError("softmax of a 0-d node")
-        axes = _axes(axis, v.ndim)
-        if any(v.shape[a] == 0 for a in axes):
+        n = v.shape[-1]
+        if n == 0:
             raise DomainError("softmax over an empty axis")
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.ndim != v.ndim or any(m not in (1, n) for m, n in zip(mask.shape, v.shape)):
-                raise ShapeError(f"softmax mask {mask.shape} does not match {v.shape}")
-            if not np.all(np.any(mask, axis=axes)):
-                raise DomainError("softmax over a slice whose entries are all masked")
-            if not mask.all():
-                v = np.where(mask, v, -np.inf)
-        # a max is exact: one reduce over a contiguous copy with the normalized axes first keeps its bits
-        lead = np.ascontiguousarray(v.transpose(axes + tuple(a for a in range(v.ndim) if a not in axes)))
-        top = np.maximum.reduce(lead.reshape(math.prod(lead.shape[: len(axes)]), -1))
-        shift = top.reshape([1 if a in axes else n for a, n in enumerate(v.shape)])
+        # a max is exact: one reduce over a contiguous copy with the normalized axis first keeps its bits
+        top = np.maximum.reduce(np.ascontiguousarray(np.moveaxis(v, -1, 0)).reshape(n, -1))
         # in C order, so the sum adds in one order whatever the memory order of x
-        e = np.exp(np.subtract(v, shift, order="C"))
-        p = e / e.sum(axis=axes, keepdims=True)
+        e = np.exp(np.subtract(v, top.reshape(v.shape[:-1] + (1,)), order="C"))
+        p = e / e.sum(axis=-1, keepdims=True)
 
         def backward(g):
-            dot = np.sum(g * p, axis=axes, keepdims=True)
+            dot = np.sum(g * p, axis=-1, keepdims=True)
             _bump(x, p * (g - dot))
 
         return self._emit(p, backward)

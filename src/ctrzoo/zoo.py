@@ -8,13 +8,14 @@ first-order table (d=1 embeddings summed into the logit) and a global
 bias. The row sets the defaults: LR and FM carry the extras, matching
 their classical definitions, and the attention-style models leave them off.
 
-"Others"-neighborhood models with a symmetric similarity (FM, FFM, FwFM)
-sum every unordered pair twice, so their aggregated output is halved to
-recover the classical sum over i < j. AFM needs no halving: its attention
-weights are normalized over the same ordered pairs, which absorbs the
-factor. The SAM2 grid comes back from `fi_forward` already read by the
-weights of its affine head (`st.l0.w`), so the model only adds the head's
-bias; the head's slots are the same as for any other affine head.
+"Others"-neighborhood models with a symmetric similarity (FM, FwFM) sum
+every unordered pair twice, so their aggregated output is halved to
+recover the classical sum over i < j. FFM and AFM need no halving: their
+"pairs" neighborhood is the pairs i < j, over which AFM's attention
+weights are normalized. The SAM2 grid comes back from `fi_forward`
+already read by the weights of its affine head (`st.l0.w`), so the model
+only adds the head's bias; the head's slots are the same as for any other
+affine head.
 """
 from __future__ import annotations
 
@@ -46,11 +47,12 @@ class ModelSpec:
     """Everything needed to build a model, minus the seed.
 
     `dropout` and the linear/bias toggles default per model family when
-    left as None. `softmax_enabled` turns similarity normalization off for
-    the SAM3 variants (raw similarity mode); `self_product` switches the
-    SAM2_E grid to the literal f_i*f_i utility and raises ConfigError for
-    any other model; `sam2_upper_only` restricts the SAM2 grid to pairs
-    with i < j.
+    left as None. `softmax_enabled` turns the softmax off where the row
+    has one (AutoInt, AFM and the SAM3 variants), so the raw similarity
+    weighs the utilities: AFM then gives sum_p s_p u_p over its pairs
+    i < j. `self_product` switches the SAM2_E grid to the literal f_i*f_i
+    utility and raises ConfigError for any other model; `sam2_upper_only`
+    restricts the SAM2 grid to pairs with i < j.
     """
 
     name: str
@@ -81,7 +83,7 @@ class ModelSpec:
             raise ConfigError(f"attention width must be positive, got {self.afm_width}")
         if self.name == "LR" and self.include_linear:
             raise ConfigError("LR is the first-order model; include_linear does not apply")
-        if cfg.neighborhood == "others" and self.n < 2:
+        if cfg.neighborhood in ("others", "pairs") and self.n < 2:
             raise ConfigError(f"{self.name} sums over pairs of fields and needs at least two, got {self.n}")
         if cfg.upper_only and self.n < 2:
             raise ConfigError(f"{self.name} with sam2_upper_only needs two fields for a pair i < j, got {self.n}")

@@ -7,6 +7,7 @@ import pytest
 
 from ctrzoo.data import FieldSchema
 from ctrzoo.embedding import (
+    _pair_sides,
     add_embedding_tables,
     add_linear_table,
     emb_slot,
@@ -38,6 +39,17 @@ def test_field_aware_tables_one_per_ordered_pair():
     assert emb_slot(0, 1) in store
     assert emb_slot(0, 0) not in store
     assert store.value(emb_slot(2, 0)).shape == (4, 2)
+
+
+def test_field_aware_tables_lie_in_lookup_order():
+    # each side of the pairs i < j joins only its own tables into one lookup leaf
+    schema = FieldSchema.of_sizes([5, 7, 4, 6])
+    store = ParameterStore(seed=0)
+    add_embedding_tables(store, schema, d=2, field_aware=True)
+    sides = _pair_sides(schema.n)
+    assert store.names() == [name for _, names in sides for name in names]
+    for own, names in sides:
+        assert store.row_view(names).shape == (sum(schema.vocab_sizes[i] for i in own), 2)
 
 
 def test_embedding_dimension_must_be_positive():

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ctrzoo.errors import CatalogError, ContractError, DomainError
+from ctrzoo.errors import CatalogError, ConfigError, ContractError, DomainError
 from ctrzoo.interaction import MODEL_NAMES, fi_catalog, fi_forward, grid_size
 from ctrzoo.tape import ParameterStore, Tape
 
@@ -115,6 +115,7 @@ def oracle_fm(f, p):
 
 
 def oracle_ffm(aware, n):
+    """FFM per field over the ordered pairs j != i, so each pair i < j counts twice in the total."""
     out = []
     for i in range(n):
         z = 0.0
@@ -123,6 +124,11 @@ def oracle_ffm(aware, n):
                 z = z + np.sum(aware[(i, j)] * aware[(j, i)], axis=1)
         out.append(z)
     return out
+
+
+def oracle_ffm_pairs(aware, n):
+    """FFM's classical terms, one per pair i < j: <e_i^(j), e_j^(i)>."""
+    return [np.sum(aware[(i, j)] * aware[(j, i)], axis=1) for i in range(n) for j in range(i + 1, n)]
 
 
 def upper_pair_index(i, j, n):
@@ -166,6 +172,7 @@ def oracle_cin2(f, p):
 
 
 def oracle_afm(f, p):
+    """AFM per field, its attention a softmax over all ordered pairs."""
     n = len(f)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     scores = []
@@ -177,6 +184,20 @@ def oracle_afm(f, p):
     for k, (i, j) in enumerate(pairs):
         out[i] = out[i] + w[:, k] * ((f[i] * f[j]) @ p["fi.proj_p"])
     return out
+
+
+def oracle_afm_pairs(f, p, softmax=True):
+    """AFM's classical terms, one per pair i < j: a_ij <p, f_i * f_j>, the attention a softmax over
+    the pairs of h . relu(W (f_i * f_j) + b), or without `softmax` the raw score."""
+    n = len(f)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    scores = []
+    for i, j in pairs:
+        hidden = np.maximum((f[i] * f[j]) @ p["fi.attn_w"].T + p["fi.attn_b"], 0.0)
+        scores.append(hidden @ p["fi.attn_h"])
+    w = np.stack(scores, axis=-1)
+    w = softmax_np(w) if softmax else w
+    return [w[:, k] * ((f[i] * f[j]) @ p["fi.proj_p"]) for k, (i, j) in enumerate(pairs)]
 
 
 def oracle_autoint(f, p):
@@ -245,7 +266,7 @@ ORACLES = {
     "DCN": oracle_dcn,
     "DeepFM-deep": oracle_identity,
     "CIN2": oracle_cin2,
-    "AFM": oracle_afm,
+    "AFM": oracle_afm_pairs,
     "AutoInt": oracle_autoint,
     "SAM1": oracle_identity,
     "SAM2_A": oracle_sam2a,
@@ -351,8 +372,9 @@ def test_catalog_covers_all_models():
 def test_catalog_spot_rows():
     fm = fi_catalog("FM")
     assert (fm.similarity, fm.utility, fm.neighborhood) == ("inner", "one", "others")
-    assert fi_catalog("FFM").field_aware
-    assert fi_catalog("AFM").pair_softmax
+    ffm, afm = fi_catalog("FFM"), fi_catalog("AFM")
+    assert ffm.field_aware and ffm.neighborhood == "pairs" and not ffm.halve_pairs
+    assert afm.softmax and afm.neighborhood == "pairs"
     assert fi_catalog("AutoInt").softmax
     assert fi_catalog("SAM2_E").utility == "hadamard"
     assert fi_catalog("SAM3_A").similarity == "proj_k"
@@ -362,6 +384,13 @@ def test_catalog_spot_rows():
 def test_catalog_unknown_model_rejected():
     with pytest.raises(CatalogError):
         fi_catalog("FM2000")
+
+
+@pytest.mark.parametrize("name", ["FM", "SAM1", "SAM2_A"])
+def test_a_softmax_outside_the_all_and_pairs_neighborhoods_is_rejected(name):
+    # "others", "self" and "grid": a softmax runs over the last axis, which holds no other neighborhood
+    with pytest.raises(ConfigError, match=name):
+        replace(fi_catalog(name), softmax=True)
 
 
 def test_unit_similarity_with_a_pair_utility_is_rejected():
@@ -397,6 +426,9 @@ def test_forward_matches_oracle(name):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    if name == "AFM":
+        # one value per pair i < j, whose total is the per-field form's
+        np.testing.assert_allclose(sum(got), sum(oracle_afm(f, params)), rtol=0, atol=1e-12)
 
 
 def test_ffm_matches_oracle():
@@ -405,9 +437,11 @@ def test_ffm_matches_oracle():
         (i, j): rng.normal(size=(B, D)) for i in range(N) for j in range(N) if i != j
     }
     got = run_config(fi_catalog("FFM"), None, ParameterStore(), aware=aware)
-    want = oracle_ffm(aware, N)
+    want = oracle_ffm_pairs(aware, N)
+    assert len(got) == len(want) == N * (N - 1) // 2
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sum(got), 0.5 * sum(oracle_ffm(aware, N)), rtol=0, atol=1e-12)
 
 
 def test_sam1_is_the_identity_on_fields():

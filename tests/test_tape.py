@@ -28,7 +28,15 @@ from ctrzoo.tape import (
     xavier_uniform,
 )
 from ctrzoo.zoo import ModelSpec, build_model, random_batch
-from test_interaction import ORACLES, make_fields, make_slots, oracle_ffm, run_config
+from test_interaction import (
+    ORACLES,
+    make_fields,
+    make_slots,
+    oracle_afm,
+    oracle_ffm,
+    oracle_ffm_pairs,
+    run_config,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1108,6 +1116,11 @@ _PINNED = {
         lambda x, h: (x.reshape(-1, _T) @ h).reshape(_B, _M),
         [lambda g, x, h: g[..., None] * h, lambda g, x, h: g.reshape(-1) @ x.reshape(-1, _T)],
     ),
+    "bpd,d->bp": (  # AFM's projected pair products
+        [(_B, _M, _D), (_D,)],
+        lambda x, p: (x.reshape(-1, _D) @ p).reshape(_B, _M),
+        [lambda g, x, p: g[..., None] * p, lambda g, x, p: g.reshape(-1) @ x.reshape(-1, _D)],
+    ),
     "id,jd->ij": (  # IPNN's theta Gram
         [(_N, _D), (_N, _D)],
         lambda a, b: _rows_at(a, b.T),
@@ -1188,16 +1201,6 @@ _PINNED = {
         lambda u, v: u * v,
         [lambda g, u, v: g * v, lambda g, u, v: g * u],
     ),
-    "bid,d->bid": (  # AFM's projection of the first field
-        [(_B, _N, _D), (_D,)],
-        lambda x, p: x * p,
-        [lambda g, x, p: g * p, lambda g, x, p: np.einsum("abc,abc->c", g, x)],
-    ),
-    "bij,bij->bij": (  # AFM's projected inner products weighed
-        [(_B, _N, _N), (_B, _N, _N)],
-        lambda w, u: w * u,
-        [lambda g, w, u: g * u, lambda g, w, u: g * w],
-    ),
     "bid,i->bid": (  # DCN's field weights
         [(_B, _N, _D), (_N,)],
         lambda x, w: x * w.reshape(1, _N, 1),
@@ -1208,7 +1211,7 @@ _PINNED = {
         lambda e, x: e * x,
         [lambda g, e, x: g * x, lambda g, e, x: g * e],
     ),
-    "bp,bp->bp": (  # inverted dropout's mask on a hidden layer
+    "bp,bp->bp": (  # inverted dropout's mask on a hidden layer, and AFM's weights on its pair utilities
         [(_B, _T), (_B, _T)],
         lambda x, mask: x * mask,
         [lambda g, x, mask: g * mask, lambda g, x, mask: g * x],
@@ -1280,7 +1283,8 @@ def test_pinned_specs_are_every_spec_the_zoo_contracts(monkeypatch):
 @pytest.mark.parametrize(
     "spec, shape, index, axis",
     [
-        # FFM's and AFM's (B, m) pair scores and FwFM's (m,) pair weights, spread over (i, j) and (j, i)
+        # (B, m) pair values read along axis 1, and FwFM's (m,) pair weights along axis 0, each
+        # spread over (i, j) and (j, i)
         pytest.param("bp,pij->bij", (_B, _M), _pair_index(_N, True, True), 1, id="bp,pij->bij"),
         pytest.param("p,pij->ij", (_M,), _pair_index(_N, True, True), 0, id="p,pij->ij"),
         # SAM2's head rows and pair coefficients placed on the full and the upper-only grid
@@ -1391,71 +1395,36 @@ def test_contract_matches_einsum_and_finite_differences_on_random_specs(case, se
     assert _grad_error(store, build, eps=1.0) < 1e-8
 
 
-def test_masked_softmax_checks_against_finite_differences():
-    store = ParameterStore(seed=24)
-    store.add_xavier("s", (2, 3, 3))
-    store.add_xavier("u", (2, 3, 3))
-    others = ~np.eye(3, dtype=bool)[None]
-
-    def build(tape):
-        s, u = tape.parameter(store, "s"), tape.parameter(store, "u")
-        rows = tape.softmax(s, axis=-1, mask=others)
-        joint = tape.softmax(s, axis=(1, 2), mask=others)
-        return _total(tape, tape.contract("bij,bij->bij", tape.add(rows, joint), u))
-
-    assert _grad_error(store, build) < 1e-8
-
-
-def test_masked_entry_gets_exactly_zero_weight_whatever_its_score():
-    store = ParameterStore()
-    store.add_value("s", [[1e300, 0.5, -0.25], [2.0, -1e300, 1e3]])
-    mask = np.array([[False, True, True], [True, True, False]])
-    tape = Tape()
-    p = tape.softmax(tape.parameter(store, "s"), mask=mask)
-    assert p.value[0, 0] == 0.0 and p.value[1, 2] == 0.0
-    np.testing.assert_allclose(p.value.sum(axis=1), [1.0, 1.0], rtol=0, atol=1e-15)
-    # and no gradient flows back to the masked scores
-    store.zero_grads()
-    tape.backward(_total(tape, tape.contract("ij,ij->ij", p, tape.constant(np.arange(6.0).reshape(2, 3)))))
-    assert store.grad("s")[0, 0] == 0.0 and store.grad("s")[1, 2] == 0.0
-
-
 @settings(max_examples=80, deadline=None, database=None)
 @given(
-    b=st.integers(0, 4),
+    lead=st.lists(st.integers(0, 4), max_size=2),
     n=st.integers(1, 5),
-    case=st.sampled_from(["none", "all", "partial", "joint"]),
     transposed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_softmax_is_bitwise_the_masked_max_formula(b, n, case, transposed, seed):
-    # referee: the masked `np.max` and `exp` formula, which the contiguous max must equal bit for bit
+def test_softmax_is_bitwise_the_masked_max_formula(lead, n, transposed, seed):
+    # referee: the `np.max` and `exp` formula over the last axis, which the contiguous max must equal bit
+    # for bit on ranks 1 to 3, read in C order or, `transposed`, as the reversed view of a C-order slot
     rng = np.random.default_rng(seed)
-    scores = rng.normal(scale=30.0, size=(b, n, n))
+    shape = (*lead, n)
+    reverse = tuple(reversed(range(len(shape))))
     store = ParameterStore()
-    store.add_value("s", scores)
-    v = store.value("s").transpose(0, 2, 1) if transposed else store.value("s")  # the layout the op reads
-    weights = rng.normal(size=(b, n, n))
-    axes = (1, 2) if case == "joint" else (2,)
-    mask = None if case == "none" else np.ones((1, n, n), bool)
-    if case in ("partial", "joint"):
-        mask = rng.random((1, n, n)) < 0.5
-        mask[0, :, rng.integers(n)] = True  # every row and the joint slice keep an entry
-    full = np.ones((1, n, n), bool) if mask is None else mask
-    top = np.max(v, axis=axes, keepdims=True, where=full, initial=-np.inf)
-    e = np.exp(np.where(full, v - top, -np.inf))
-    want = e / e.sum(axis=axes, keepdims=True)
-    want_grad = want * (weights - np.sum(weights * want, axis=axes, keepdims=True))
+    store.add_value("s", rng.normal(scale=30.0, size=shape[::-1] if transposed else shape))
+    v = store.value("s").transpose(reverse) if transposed else store.value("s")  # the layout the op reads
+    weights = rng.normal(size=shape)
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    want_grad = want * (weights - np.sum(weights * want, axis=-1, keepdims=True))
 
     store.zero_grads()
     tape = Tape()
     x = tape.parameter(store, "s")
-    x = tape.transpose(x, (0, 2, 1)) if transposed else x
-    p = tape.softmax(x, axis=axes if case == "joint" else -1, mask=mask)
-    tape.backward(_total(tape, tape.contract("bij,bij->bij", p, tape.constant(weights))))
+    p = tape.softmax(tape.transpose(x, reverse) if transposed else x)
+    axes = "abc"[: len(shape)]
+    tape.backward(_total(tape, tape.contract(f"{axes},{axes}->{axes}", p, tape.constant(weights))))
     assert p.value.tobytes() == want.tobytes()
     # added into a zeroed gradient buffer, which turns a -0.0 into 0.0
-    assert store.grad("s").tobytes() == (0.0 + (want_grad.transpose(0, 2, 1) if transposed else want_grad)).tobytes()
+    assert store.grad("s").tobytes() == (0.0 + (want_grad.transpose(reverse) if transposed else want_grad)).tobytes()
 
 
 @pytest.mark.parametrize("name", ["AFM", "AutoInt", "SAM3_A", "SAM3_E"])
@@ -1465,15 +1434,6 @@ def test_an_empty_batch_reaches_the_loss_through_the_softmax(name):
     assert model.forward(indices).shape == (0,)
     with pytest.raises(DomainError, match="log-loss of an empty batch"):
         model.loss(indices, labels)
-
-
-def test_fully_masked_row_is_a_domain_error():
-    tape = Tape()
-    x = tape.constant(np.zeros((2, 3)))
-    with pytest.raises(DomainError):
-        tape.softmax(x, mask=np.array([[True, False, False], [False, False, False]]))
-    with pytest.raises(DomainError):
-        tape.softmax(tape.constant(np.zeros((1, 2, 2))), axis=(1, 2), mask=np.zeros((1, 2, 2), bool))
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -1492,13 +1452,17 @@ def test_tensor_fi_forward_matches_the_double_loop_oracles(n, b, d, seed):
         cfg = fi_catalog(name)
         if cfg.field_aware:
             aware = {(i, j): rng.normal(size=(b, d)) for i in range(n) for j in range(n) if i != j}
-            got, want = run_config(cfg, None, ParameterStore(), aware=aware), oracle_ffm(aware, n)
+            got, want = run_config(cfg, None, ParameterStore(), aware=aware), oracle_ffm_pairs(aware, n)
+            # the per-field form sums the ordered pairs, each pair i < j twice
+            np.testing.assert_allclose(sum(got), 0.5 * sum(oracle_ffm(aware, n)), rtol=0, atol=1e-12)
         else:
             slots = store
             if cfg.utility == "scalar_pair_sym":
                 slots = ParameterStore()
                 slots.add_value("fi.pairw", params["fi.pairw_sym"])
             got, want = run_config(cfg, f, slots), ORACLES[name](f, params)
+        if name == "AFM":
+            np.testing.assert_allclose(sum(got), sum(oracle_afm(f, params)), rtol=0, atol=1e-12)
         assert len(got) == len(want), name
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)

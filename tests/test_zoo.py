@@ -18,6 +18,7 @@ from ctrzoo.zoo import (
     gradient_check,
     random_batch,
 )
+from test_interaction import oracle_afm_pairs
 
 SCHEMA = FieldSchema.of_sizes([5, 7, 4, 6])
 BATCH, _LABELS = random_batch(SCHEMA, 6, seed=0)
@@ -114,7 +115,7 @@ def test_a_non_finite_slot_entry_is_a_numeric_error_on_either_tape(record):
     "name, planted, named",
     [
         ("FM", ["emb.3", "emb.2"], "emb.2"),
-        # both of FFM's lookup leaves span emb.2.0 and emb.2.1, which lie in that order
+        # FFM's second lookup leaf, the j side of the pairs i < j, spans emb.2.0 and emb.2.1 in that order
         ("FFM", ["emb.2.1", "emb.2.0"], "emb.2.0"),
     ],
 )
@@ -204,9 +205,16 @@ def test_upper_triangle_grid_shrinks_the_head():
 
 
 def test_softmax_can_be_disabled_for_raw_similarity():
-    on = build_model(small_spec("SAM3_A"), seed=4)
-    off = build_model(small_spec("SAM3_A", softmax_enabled=False), seed=4)
-    assert not np.allclose(on.forward(BATCH), off.forward(BATCH))
+    for name in ("SAM3_A", "AFM"):
+        on = build_model(small_spec(name), seed=4)
+        off = build_model(small_spec(name, softmax_enabled=False), seed=4)
+        assert not np.allclose(on.forward(BATCH), off.forward(BATCH))
+    # AFM without its softmax: sum_p s_p u_p over the pairs i < j, its raw attention scores s
+    store = off.store
+    f = np.stack([store.value(f"emb.{i}")[BATCH[:, i]] for i in range(SCHEMA.n)])
+    params = {"fi." + role: store.value("fi.l0." + role) for role in ("attn_w", "attn_b", "attn_h", "proj_p")}
+    want = sum(oracle_afm_pairs(f, params, softmax=False))
+    np.testing.assert_allclose(off.forward(BATCH), want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

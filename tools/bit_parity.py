@@ -4,7 +4,7 @@ For the `ctrzoo` found on `sys.path`, each configuration line gives the
 model, its switches, the field count n, width d, batch B, layer count, the
 recorded tape's length, and one sha256 over the store's initial values,
 `Model.forward`, the training loss and every gradient (dropout drawn from a
-fixed generator). The configurations are the 15 models and 7 variants at
+fixed generator). The configurations are the 15 models and 8 variants at
 three sizes, then the 15 models at the middle size once more on a store
 that went through `ParameterStore.save` and `load`, whose slots lie in
 sorted order, so lookups read their tables at other offsets. Then one line
@@ -46,6 +46,7 @@ VARIANTS = (
     ("SAM2_E", {"sam2_upper_only": True}),
     ("SAM3_A", {"softmax_enabled": False}),
     ("AFM", {"afm_width": 3}),
+    ("AFM", {"softmax_enabled": False}),
     ("FM", {"include_linear": False}),
     ("AutoInt", {"layers": 3}),
 )
