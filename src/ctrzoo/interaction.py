@@ -10,16 +10,11 @@ a logit (aggregation, transform, layers, residual maps) and its extras
 switches into it. `add_fi_slots` creates the weights a row reads, and
 `fi_forward` evaluates the row on a tape.
 
-Conventions: "others" neighborhoods sum over ordered pairs j != i, so
-symmetric similarities count each unordered pair twice (the model layer
-compensates where the classical form sums i < j). The "pairs" neighborhood
-is the m = n(n-1)/2 pairs i < j themselves, in `np.triu_indices` order:
-FFM and AFM, whose classical forms sum over them, compute each pair's
-similarity once and return one value per pair, AFM's attention softmax
-running over the pairs. FwFM's pair weight is read once per pair i < j
-and mirrored onto (j, i) by an integer index map, one `Tape.take`
-(`_pair_index`). Softmax-normalized similarities on the "all"
-neighborhood renormalize per target field.
+Conventions: the "pairs" neighborhood is the m = n(n-1)/2 pairs i < j, in
+`np.triu_indices` order: FM, FFM, FwFM and AFM, whose classical forms sum
+over them, compute each pair's similarity once and return one value per
+pair, AFM's attention softmax running over the pairs. Softmax-normalized
+similarities on the "all" neighborhood renormalize per target field.
 Grid configurations (SAM2) weigh one vector per ordered pair, i == j
 included (per pair i < j with `upper_only`), and are only ever read through
 the affine head that follows them, so `fi_forward` returns the grid already
@@ -27,11 +22,10 @@ contracted with the head weights and never forms a vector per pair; an
 index map places the head rows on the (n, n) grid.
 
 `fi_forward` evaluates a row on the whole (B, n, d) field tensor: the
-similarity is one (B, n, n) matrix, each neighborhood a constant (n, n)
-mask, and the utility one contraction with the weights, or on the two
-(B, m, d) sides of the pairs, so the tape records a fixed number of nodes
-whatever n is. A `residual` row adds a linear map of the layer's input to
-the utility.
+similarity is one (B, n, n) matrix and the utility one contraction with
+the weights, or on the (B, m) pairs, so the tape records a fixed number of
+nodes whatever n is. A `residual` row adds a linear map of the layer's
+input to the utility.
 """
 from __future__ import annotations
 
@@ -55,7 +49,7 @@ class FIConfig:
     model: str
     similarity: str
     utility: str
-    neighborhood: str  # "self" | "others" | "all" | "pairs" | "grid"
+    neighborhood: str  # "self" | "all" | "pairs" | "grid"
     aggregation: str  # "sum" | "concat" | "field_combination"
     transform: str  # "none" | "affine" | "mlp"
     softmax: bool = False  # over the last axis: per target field, or over the pairs
@@ -63,7 +57,6 @@ class FIConfig:
     self_product: bool = False  # the grid hadamard reads f_i * f_i instead of f_i * f_j
     upper_only: bool = False  # a grid reads the pairs i < j only
     attention_width: int | None = None  # AFM's attention network width; None is d
-    halve_pairs: bool = False  # the sum over ordered pairs is halved back to i < j
     layered: bool = False  # one FI layer per `ModelSpec.layers`
     residual: bool = False  # each layer adds a linear map of its input, slot `res`
     linear_default: bool = False  # first-order table unless the spec says otherwise
@@ -71,10 +64,15 @@ class FIConfig:
     d_fixed: int | None = None  # embedding width, whatever the spec asks
 
     def __post_init__(self):
+        if self.neighborhood not in ("self", "all", "pairs", "grid"):
+            raise CatalogError(f"{self.model}: unknown neighborhood {self.neighborhood!r}")
+        # `fi_forward` reads a unit similarity as the identity weights, and any other over all fields
+        if (self.similarity == "one") != (self.neighborhood == "self"):
+            raise CatalogError(f"{self.model}: the unit similarity goes with the 'self' neighborhood, and only with it")
         if self.self_product and (self.utility, self.neighborhood) != ("hadamard", "grid"):
             raise ConfigError(f"self_product only applies to the element-wise grid of SAM2_E, not {self.model}")
-        if self.field_aware and self.neighborhood != "pairs":
-            raise ConfigError(f"{self.model}: field-aware embeddings are read on the pairs i < j alone")
+        if self.field_aware and (self.similarity, self.neighborhood) != ("inner", "pairs"):
+            raise ConfigError(f"{self.model}: field-aware embeddings are read by the inner similarity on the pairs i < j alone")
         if self.softmax and self.neighborhood not in ("all", "pairs"):
             raise ConfigError(f"{self.model}: a softmax needs the 'all' or 'pairs' neighborhood, not {self.neighborhood!r}")
 
@@ -83,10 +81,9 @@ _CATALOG = {
     row.model: row
     for row in (
         FIConfig("LR", "one", "identity", "self", "sum", "none", bias_default=True, d_fixed=1),
-        FIConfig("FM", "inner", "one", "others", "sum", "none",
-                 halve_pairs=True, linear_default=True, bias_default=True),
+        FIConfig("FM", "inner", "one", "pairs", "sum", "none", linear_default=True, bias_default=True),
         FIConfig("FFM", "inner", "one", "pairs", "sum", "none", field_aware=True),
-        FIConfig("FwFM", "inner", "scalar_pair_sym", "others", "sum", "none", halve_pairs=True),
+        FIConfig("FwFM", "inner", "scalar_pair", "pairs", "sum", "none"),
         FIConfig("IPNN", "inner", "scalar_inner", "all", "concat", "mlp"),
         FIConfig("DCN", "one", "scaled_identity", "self", "concat", "affine"),
         FIConfig("DeepFM-deep", "one", "identity", "self", "concat", "mlp"),
@@ -128,19 +125,9 @@ def _frozen(arr):
 
 
 @lru_cache(maxsize=None)
-def _neighborhood_mask(kind, n):
-    """(1, n, n) boolean mask: entry [0, i, j] is True when field j is in field i's neighborhood."""
-    if kind == "self":
-        mask = np.eye(n, dtype=bool)
-    elif kind == "others":
-        if n < 2:
-            raise DomainError("an 'others' neighborhood needs at least two fields")
-        mask = ~np.eye(n, dtype=bool)
-    elif kind == "all":
-        mask = np.ones((n, n), dtype=bool)
-    else:
-        raise CatalogError(f"unknown neighborhood {kind!r}")
-    return _frozen(mask[None])
+def _upper_pairs(n):
+    """Position i*n + j of each pair i < j, in `np.triu_indices` order, in a row-major (n, n) grid."""
+    return _frozen(np.ravel_multi_index(np.triu_indices(n, 1), (n, n)))
 
 
 @lru_cache(maxsize=None)
@@ -152,14 +139,14 @@ def _field_pairs(n):
 
 
 @lru_cache(maxsize=None)
-def _pair_index(n, upper_only, mirrored):
+def _pair_index(n, upper_only):
     """(n, n) map from entry (i, j) to the position of pair p = (i, j) for `Tape.take`: row-major over
-    all n*n pairs or, `upper_only`, the P pairs i < j. With `mirrored` (j, i) reads p too; every entry
-    left out reads position P, the zero `take` appends."""
+    all n*n pairs or, `upper_only`, the P pairs i < j; every entry left out reads position P, the zero
+    `take` appends."""
     first, second = np.triu_indices(n, 1) if upper_only else np.indices((n, n)).reshape(2, -1)
     index = np.full((n, n), len(first))
     index[first, second] = np.arange(len(first))
-    return _frozen(np.minimum(index, index.T) if mirrored else index)
+    return _frozen(index)
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +154,25 @@ def _pair_index(n, upper_only, mirrored):
 
 
 def fi_forward(tape, cfg, fields, store, *, prefix="fi.", head=None):
-    """Evaluate one FI layer on a whole batch: sum_j N_ij S(f_i, f_j) U(f_i, f_j).
+    """Evaluate one FI layer on a whole batch: S(f_i, f_j) U(f_i, f_j) summed over a neighborhood.
 
     `fields` is one stacked (B, n, d) node of field embeddings or, for
     field-aware configs, the two (B, m, d) nodes `lookup_field_aware` gives
     for the m = n(n-1)/2 pairs i < j: column p = (i, j) of the first holds
     field i's vector for partner j, of the second field j's for partner i.
-    The similarity is a (B, n, n) matrix, the neighborhood N a constant
-    (n, n) mask, the optional softmax runs per target field, and the
-    utility is contracted against the weights. A `residual` row then adds
+    The similarity is a (B, n, n) matrix over all fields, or the identity
+    on the "self" neighborhood, the optional softmax runs per target field,
+    and the utility is contracted against the weights. A `residual` row then adds
     `res` @ f_i to each field's output. The weights are the `store` slots
     named `prefix` + their role, bound through `tape.parameter`.
 
     Returns (B, n, d) for per-field vector utilities and (B, n) for scalar
     utilities. A "pairs" config returns (B, m), one S(f_i, f_j) U(f_i, f_j)
-    per pair p = (i, j) in `np.triu_indices` order: its two (B, m, d) sides
-    are the field-aware nodes or, otherwise, two one-hot picks of fields i
-    and j, each pair's similarity is computed once, and the optional
-    softmax runs over the pairs. A grid config returns its logit
+    per pair p = (i, j) in `np.triu_indices` order: the inner similarity is
+    read off one Gram matrix or, field-aware, the two nodes, AFM's two
+    (B, m, d) sides are one-hot picks of fields i and j, each pair's
+    similarity is computed once, and the optional softmax runs over the
+    pairs. A grid config returns its logit
     contribution (B,): the sum over its P = `grid_size(cfg, n)` pairs
     p = (i, j), in row-major order, of w_p . S(f_i, f_j) U(f_i, f_j), where
     `head` names the (P*d, 1) slot of the affine head that reads the grid,
@@ -208,18 +196,8 @@ def fi_forward(tape, cfg, fields, store, *, prefix="fi.", head=None):
             raise ContractError(f"{cfg.model}: a grid is read through its head weights")
         return _grid(tape, cfg, fields, param, tape.parameter(store, head))
 
-    mask = _neighborhood_mask(cfg.neighborhood, fields.value.shape[1])
     scores = _similarity(tape, cfg, fields, param)
-    if scores is None:
-        if cfg.neighborhood != "self":
-            raise CatalogError(f"{cfg.model}: the unit similarity needs the 'self' neighborhood")
-        weights = None
-    elif cfg.softmax:
-        weights = tape.softmax(scores)
-    elif mask.all():
-        weights = scores
-    else:
-        weights = tape.contract("bij,ij->bij", scores, tape.constant(mask[0]))
+    weights = tape.softmax(scores) if cfg.softmax else scores
     out = _utility(tape, cfg, fields, weights, param)
     return tape.add(out, tape.contract("bid,ed->bie", fields, param("res"))) if cfg.residual else out
 
@@ -246,10 +224,9 @@ def add_fi_slots(store, cfg, prefix, n, d):
     if util == "scaled_identity":
         store.add_xavier(prefix + "fieldw", (n,), fans=(n, 1))
     elif util == "scalar_pair":
-        store.add_xavier(prefix + "pairw", (n, n), fans=(n * n, 1))
-    elif util == "scalar_pair_sym":
-        m = n * (n - 1) // 2
-        store.add_xavier(prefix + "pairw", (m,), fans=(m, 1))
+        # one weight per pair i < j, or per ordered pair
+        shape = (n * (n - 1) // 2,) if cfg.neighborhood == "pairs" else (n, n)
+        store.add_xavier(prefix + "pairw", shape, fans=(int(np.prod(shape)), 1))
     elif util == "scalar_inner":
         store.add_xavier(prefix + "theta", (n, d), fans=(n, d))
     elif util == "vector_pair":
@@ -272,7 +249,7 @@ def fi_output_width(cfg, n, d):
         return d
     if cfg.neighborhood == "grid":
         return grid_size(cfg, n) * d
-    scalar = cfg.utility in ("one", "scalar_pair", "scalar_pair_sym", "scalar_inner", "projected_inner")
+    scalar = cfg.utility in ("one", "scalar_pair", "scalar_inner", "projected_inner")
     return n if scalar else n * d
 
 
@@ -295,23 +272,10 @@ def _similarity(tape, cfg, E, param):
     raise CatalogError(f"unknown similarity kind {kind!r}")
 
 
-def _pair_scalars(tape, cfg, param, n):
-    """(n, n) node of the per-pair scalar utility, or None if it is not one."""
-    kind = cfg.utility
-    if kind == "scalar_pair":
-        return param("pairw")
-    if kind == "scalar_pair_sym":
-        return tape.take(param("pairw"), _pair_index(n, True, True))
-    if kind == "scalar_inner":
-        theta = param("theta")
-        return tape.contract("id,jd->ij", theta, theta)
-    return None
-
-
 def _utility(tape, cfg, E, W, param):
     """sum_j W[b, i, j] U(f_i, f_j) for every field.
 
-    W is the masked (and possibly normalized) similarity; None stands for
+    W is the similarity, or its softmax; None stands for
     the identity, i.e. the unit similarity over the self neighborhood,
     which only the per-field utilities read.
     """
@@ -322,10 +286,12 @@ def _utility(tape, cfg, E, W, param):
         return tape.sum_axis(W, -1)
     if W is None and kind not in ("identity", "scaled_identity", "linear_map", "hadamard"):
         raise CatalogError(f"{cfg.model}: the unit similarity needs a per-field utility, not {kind!r}")
+    if kind == "scalar_pair":
+        return tape.sum_axis(tape.contract("bij,ij->bij", W, param("pairw")), -1)
+    if kind == "scalar_inner":
+        theta = param("theta")
+        return tape.sum_axis(tape.contract("bij,ij->bij", W, tape.contract("id,jd->ij", theta, theta)), -1)
     n = E.value.shape[1]
-    table = _pair_scalars(tape, cfg, param, n)
-    if table is not None:
-        return tape.sum_axis(tape.contract("bij,ij->bij", W, table), -1)
     if kind == "vector_pair":
         vecs = tape.reshape(param("pairvec"), (n, n, E.value.shape[-1]))
         return tape.contract("bij,ijd->bid", W, vecs)
@@ -346,18 +312,24 @@ def _utility(tape, cfg, E, W, param):
 
 def _pairs(tape, cfg, fields, param):
     """S(f_i, f_j) U(f_i, f_j) for every pair p = (i, j), i < j, as (B, m), normalized over the pairs
-    with `cfg.softmax`: FFM's <e_i^(j), e_j^(i)>, or AFM's h . relu(W (f_i * f_j) + b) weighing
-    <p, f_i * f_j>."""
+    with `cfg.softmax`: FM's <f_i, f_j>, weighed by w_p in FwFM; FFM's <e_i^(j), e_j^(i)>; or AFM's
+    h . relu(W (f_i * f_j) + b) weighing <p, f_i * f_j>."""
     if cfg.field_aware:
         mine, theirs = fields
+        m = mine.value.shape[1]
     else:
-        mine, theirs = (tape.contract("pi,bid->bpd", tape.constant(c), fields)
-                        for c in _field_pairs(fields.value.shape[1]))
-    if mine.value.shape[1] == 0:
+        b, n, _ = fields.value.shape
+        m = n * (n - 1) // 2
+    if m == 0:
         raise DomainError(f"{cfg.model}: the pairs i < j need at least two fields")
-    if cfg.similarity == "inner":
+    if cfg.field_aware:
         scores = tape.contract("bpd,bpd->bp", mine, theirs)
+    elif cfg.similarity == "inner":
+        # one Gram matrix read at the pairs i < j; only the SAM2 grids need it symmetric to the last bit
+        gram = tape.contract("bid,bjd->bij", fields, fields)
+        scores = tape.take(tape.reshape(gram, (b, n * n)), _upper_pairs(n), axis=1)
     elif cfg.similarity == "afm":
+        mine, theirs = (tape.contract("pi,bid->bpd", tape.constant(c), fields) for c in _field_pairs(n))
         prod = tape.contract("bpd,bpd->bpd", mine, theirs)
         hidden = tape.relu(tape.add(tape.contract("bpd,td->bpt", prod, param("attn_w")), param("attn_b")))
         scores = tape.contract("bpt,t->bp", hidden, param("attn_h"))
@@ -366,6 +338,8 @@ def _pairs(tape, cfg, fields, param):
     weights = tape.softmax(scores) if cfg.softmax else scores
     if cfg.utility == "one":
         return weights
+    if cfg.utility == "scalar_pair":
+        return tape.contract("bp,p->bp", weights, param("pairw"))
     if (cfg.similarity, cfg.utility) == ("afm", "projected_inner"):
         return tape.contract("bp,bp->bp", weights, tape.contract("bpd,d->bp", prod, param("proj_p")))
     raise CatalogError(f"{cfg.model}: utility {cfg.utility!r} is not supported on pairs")
@@ -383,9 +357,7 @@ def _grid(tape, cfg, E, param, head):
     if head.value.shape != (pairs * d, 1):
         raise ShapeError(f"{cfg.model}: head weights {head.value.shape} do not read {pairs} pairs of {d}")
     scores = _similarity(tape, cfg, E, param)
-    if scores is None:
-        raise CatalogError(f"{cfg.model}: a grid needs a similarity")
-    place = _pair_index(n, cfg.upper_only, False)
+    place = _pair_index(n, cfg.upper_only)
     w = tape.reshape(head, (pairs, d))
     if cfg.utility == "hadamard":
         weights = tape.take(w, place)

@@ -11,7 +11,7 @@ included. Its spec is explicit einsum subscripts ("bid,bjd->bij" for a
 Gram matrix, "bid,d->bid" for a scaled vector): letters and one '->', no
 index repeated within an operand, every operand index also in the output
 or another operand, and one size per index, so it never broadcasts a
-size-1 axis. Operand k's gradient is the contraction `out,<others>->ins[k]`
+size-1 axis. Operand k's gradient is the contraction `out,<rest>->ins[k]`
 of the output gradient with the other operands. A plan cached per (spec,
 shapes) makes one numpy call, forward and backward alike: one `@` of two
 operands transposed and reshaped into (stacked, own, summed) blocks when an
@@ -450,7 +450,7 @@ def _einsum_operands(spec, shapes):
 def _contraction(spec, shapes):
     """(run, gradients) of `spec` on operands of `shapes`: `run(*arrays)` makes
     the numpy call, and entry k of `gradients` is the run of operand k's
-    gradient, whose operands are the output gradient and the others."""
+    gradient, whose operands are the output gradient and the rest."""
     ins, out, sizes = _einsum_operands(spec, shapes)
     out_shape = tuple(map(sizes.get, out))
     grads = tuple(
@@ -527,6 +527,8 @@ def _unless(value, same):
 
 def _axes(axis, ndim):
     """An int or tuple axis argument as a sorted tuple of non-negative axes."""
+    if type(axis) is int and -ndim <= axis < ndim:  # a plain axis, as every take and most sums pass
+        return (axis % ndim,)
     axes = (axis,) if isinstance(axis, (int, np.integer)) else tuple(axis)
     if any(not -ndim <= a < ndim for a in axes):
         raise ShapeError(f"axis {axis} out of range for a {ndim}-D node")

@@ -8,11 +8,9 @@ first-order table (d=1 embeddings summed into the logit) and a global
 bias. The row sets the defaults: LR and FM carry the extras, matching
 their classical definitions, and the attention-style models leave them off.
 
-"Others"-neighborhood models with a symmetric similarity (FM, FwFM) sum
-every unordered pair twice, so their aggregated output is halved to
-recover the classical sum over i < j. FFM and AFM need no halving: their
-"pairs" neighborhood is the pairs i < j, over which AFM's attention
-weights are normalized. The SAM2 grid comes back from `fi_forward`
+FM, FFM, FwFM and AFM sum over their "pairs" neighborhood, the pairs
+i < j of their classical forms, over which AFM's attention weights are
+normalized. The SAM2 grid comes back from `fi_forward`
 already read by the weights of its affine head (`st.l0.w`), so the model
 only adds the head's bias; the head's slots are the same as for any other
 affine head.
@@ -83,7 +81,7 @@ class ModelSpec:
             raise ConfigError(f"attention width must be positive, got {self.afm_width}")
         if self.name == "LR" and self.include_linear:
             raise ConfigError("LR is the first-order model; include_linear does not apply")
-        if cfg.neighborhood in ("others", "pairs") and self.n < 2:
+        if cfg.neighborhood == "pairs" and self.n < 2:
             raise ConfigError(f"{self.name} sums over pairs of fields and needs at least two, got {self.n}")
         if cfg.upper_only and self.n < 2:
             raise ConfigError(f"{self.name} with sam2_upper_only needs two fields for a pair i < j, got {self.n}")
@@ -286,8 +284,6 @@ class Model:
             core = tape.add(z, tape.reshape(tape.parameter(self.store, "st.l0.b"), ()))
         elif agg_kind == "sum":
             total = sum_nodes(tape, z)
-            if self.cfg.halve_pairs:
-                total = tape.scale_const(total, 0.5)
             core = tape.reshape(total, (len(indices),)) if total.value.ndim == 2 else total
         else:
             if agg_kind == "field_combination":

@@ -57,13 +57,23 @@ def make_slots(rng, n=N, d=D):
     store.add_value("fi.attn_b", rng.normal(size=(AFM_T,)))
     store.add_value("fi.fieldw", rng.normal(size=(n,)))
     store.add_value("fi.pairw", rng.normal(size=(n, n)))
-    store.add_value("fi.pairw_sym", rng.normal(size=(n * (n - 1) // 2,)))
+    store.add_value("fi.pairw_upper", rng.normal(size=(n * (n - 1) // 2,)))
     store.add_value("fi.theta", rng.normal(size=(n, d)))
     store.add_value("fi.pairvec", rng.normal(size=(n * n, d)))
     store.add_value("fi.proj_p", rng.normal(size=(d,)))
     store.add_value("head", rng.normal(size=(n * n * d, 1)))
     store.add_value("fi.res", np.zeros((d, d)))
     return store
+
+
+def slots_for(cfg, store):
+    """`store`, or for a weight per pair i < j (FwFM's row) a store whose `fi.pairw` is the (m,)
+    `fi.pairw_upper`: the generic store's `fi.pairw` is CIN2's (n, n) table."""
+    if (cfg.utility, cfg.neighborhood) != ("scalar_pair", "pairs"):
+        return store
+    upper = ParameterStore()
+    upper.add_value("fi.pairw", store.value("fi.pairw_upper"))
+    return upper
 
 
 def grid_entries(cfg, f, store):
@@ -108,10 +118,17 @@ def oracle_identity(f, p):
 
 
 def oracle_fm(f, p):
+    """FM per field over the ordered pairs j != i, so each pair i < j counts twice in the total."""
     n = len(f)
     return [
         sum(np.sum(f[i] * f[j], axis=1) for j in range(n) if j != i) for i in range(n)
     ]
+
+
+def oracle_fm_pairs(f, p):
+    """FM's classical terms, one per pair i < j: <f_i, f_j>."""
+    n = len(f)
+    return [np.sum(f[i] * f[j], axis=1) for i in range(n) for j in range(i + 1, n)]
 
 
 def oracle_ffm(aware, n):
@@ -138,8 +155,9 @@ def upper_pair_index(i, j, n):
 
 
 def oracle_fwfm(f, p):
+    """FwFM per field over the ordered pairs j != i, each reading the weight of its pair i < j."""
     n = len(f)
-    w = p["fi.pairw_sym"]
+    w = p["fi.pairw_upper"]
     return [
         sum(
             np.sum(f[i] * f[j], axis=1) * w[upper_pair_index(i, j, n)]
@@ -148,6 +166,13 @@ def oracle_fwfm(f, p):
         )
         for i in range(n)
     ]
+
+
+def oracle_fwfm_pairs(f, p):
+    """FwFM's classical terms, one per pair i < j: w_ij <f_i, f_j>."""
+    n = len(f)
+    w = p["fi.pairw_upper"]
+    return [np.sum(f[i] * f[j], axis=1) * w[upper_pair_index(i, j, n)] for i in range(n) for j in range(i + 1, n)]
 
 
 def oracle_ipnn(f, p):
@@ -260,8 +285,8 @@ def oracle_sam3e(f, p):
 
 ORACLES = {
     "LR": oracle_identity,
-    "FM": oracle_fm,
-    "FwFM": oracle_fwfm,
+    "FM": oracle_fm_pairs,
+    "FwFM": oracle_fwfm_pairs,
     "IPNN": oracle_ipnn,
     "DCN": oracle_dcn,
     "DeepFM-deep": oracle_identity,
@@ -274,6 +299,11 @@ ORACLES = {
     "SAM3_A": oracle_sam3a,
     "SAM3_E": oracle_sam3e,
 }
+
+# the per-field forms of the rows that return one value per pair i < j, and the share of their total
+# that the pairs sum to: FM's and FwFM's per-field sums count each pair twice, while AFM's softmax
+# over the ordered pairs halves each weight, so its total is the pairs' total
+PER_FIELD = {"FM": (oracle_fm, 0.5), "FwFM": (oracle_fwfm, 0.5), "AFM": (oracle_afm, 1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +347,11 @@ def test_pair_nothing_to_emit_rejected():
 
 
 def test_sum_singleton_equals_pair():
-    # with two fields each "others" neighborhood holds one partner
+    # two fields make the one pair (0, 1)
     f = np.array([[[0.5, -1.0]], [[2.0, 3.0]]])
     out = run_config(fi_catalog("FM"), f, ParameterStore())
-    pair = np.sum(f[0] * f[1], axis=1)
-    np.testing.assert_array_equal(out[0], pair)
-    np.testing.assert_array_equal(out[1], pair)
+    assert len(out) == 1
+    np.testing.assert_array_equal(out[0], np.sum(f[0] * f[1], axis=1))
 
 
 def test_sum_uniform_softmax_averages_utilities():
@@ -341,12 +370,13 @@ def test_sum_uniform_softmax_averages_utilities():
 def test_sum_pairwise_inner_hand_value():
     fields = [[[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 1.0]]]
     out = run_config(fi_catalog("FM"), fields, ParameterStore())
-    # field 1 against fields 0 and 2: <f1, f0> + <f1, f2> = 0 + 1
-    np.testing.assert_array_equal(out[1], [1.0])
+    # the pairs (0, 1), (0, 2), (1, 2); field 1 against fields 0 and 2: <f1, f0> + <f1, f2> = 0 + 1
+    np.testing.assert_array_equal(np.stack(out), [[0.0], [1.0], [1.0]])
+    np.testing.assert_array_equal(out[0] + out[2], [1.0])
 
 
 def test_sum_empty_neighborhood_rejected():
-    # one field leaves an "others" neighborhood empty
+    # one field leaves no pair i < j
     store = make_slots(np.random.default_rng(0), n=1)
     for name in ("FM", "FFM", "FwFM", "AFM"):
         cfg = fi_catalog(name)
@@ -371,9 +401,11 @@ def test_catalog_covers_all_models():
 
 def test_catalog_spot_rows():
     fm = fi_catalog("FM")
-    assert (fm.similarity, fm.utility, fm.neighborhood) == ("inner", "one", "others")
+    assert (fm.similarity, fm.utility, fm.neighborhood) == ("inner", "one", "pairs")
+    assert fm.linear_default and fm.bias_default
+    assert (fi_catalog("FwFM").utility, fi_catalog("FwFM").neighborhood) == ("scalar_pair", "pairs")
     ffm, afm = fi_catalog("FFM"), fi_catalog("AFM")
-    assert ffm.field_aware and ffm.neighborhood == "pairs" and not ffm.halve_pairs
+    assert ffm.field_aware and ffm.neighborhood == "pairs"
     assert afm.softmax and afm.neighborhood == "pairs"
     assert fi_catalog("AutoInt").softmax
     assert fi_catalog("SAM2_E").utility == "hadamard"
@@ -386,11 +418,28 @@ def test_catalog_unknown_model_rejected():
         fi_catalog("FM2000")
 
 
-@pytest.mark.parametrize("name", ["FM", "SAM1", "SAM2_A"])
+@pytest.mark.parametrize("name", ["SAM1", "SAM2_A"])
 def test_a_softmax_outside_the_all_and_pairs_neighborhoods_is_rejected(name):
-    # "others", "self" and "grid": a softmax runs over the last axis, which holds no other neighborhood
+    # "self" and "grid": a softmax runs over the last axis, which holds no other neighborhood
     with pytest.raises(ConfigError, match=name):
         replace(fi_catalog(name), softmax=True)
+
+
+@pytest.mark.parametrize(
+    "name, changes",
+    [
+        # "others", the ordered pairs j != i, is no neighborhood: FM sums over the pairs i < j
+        pytest.param("FM", {"neighborhood": "others"}, id="FM-others"),
+        pytest.param("FM", {"neighborhood": "ring"}, id="FM-unknown"),
+        # a real similarity on "self" would run as "all"
+        pytest.param("FM", {"neighborhood": "self"}, id="FM-inner-on-self"),
+        # the unit similarity weighs no other field
+        pytest.param("SAM1", {"neighborhood": "all"}, id="SAM1-unit-on-all"),
+    ],
+)
+def test_a_row_with_an_unknown_neighborhood_or_a_misplaced_unit_similarity_is_rejected(name, changes):
+    with pytest.raises(CatalogError, match=name):
+        replace(fi_catalog(name), **changes)
 
 
 def test_unit_similarity_with_a_pair_utility_is_rejected():
@@ -411,24 +460,16 @@ def test_forward_matches_oracle(name):
     f = make_fields(rng)
     store = make_slots(rng)
     cfg = fi_catalog(name)
-    if cfg.utility == "scalar_pair_sym":
-        # the generic store names the symmetric table differently; remap
-        cfg = replace(cfg)
-        store2 = ParameterStore(seed=0)
-        store2.add_value("fi.pairw", store.value("fi.pairw_sym"))
-        for extra in ("fi.k", "fi.q", "fi.v"):
-            store2.add_value(extra, store.value(extra))
-        got = run_config(cfg, f, store2)
-    else:
-        got = run_config(cfg, f, store)
+    got = run_config(cfg, f, slots_for(cfg, store))
     params = {name_: store.value(name_) for name_ in store.names()}
     want = ORACLES[name](f, params)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-    if name == "AFM":
-        # one value per pair i < j, whose total is the per-field form's
-        np.testing.assert_allclose(sum(got), sum(oracle_afm(f, params)), rtol=0, atol=1e-12)
+    if name in PER_FIELD:
+        # one value per pair i < j, whose total is a share of the per-field form's
+        oracle, share = PER_FIELD[name]
+        np.testing.assert_allclose(sum(got), share * sum(oracle(f, params)), rtol=0, atol=1e-12)
 
 
 def test_ffm_matches_oracle():
@@ -577,11 +618,7 @@ def test_fi_forward_emits_as_many_nodes_at_eight_fields_as_at_three(name):
     emitted = []
     for n in (3, 8):
         rng = np.random.default_rng(37)
-        store = make_slots(rng, n=n)
-        if cfg.utility == "scalar_pair_sym":
-            sym = ParameterStore()
-            sym.add_value("fi.pairw", store.value("fi.pairw_sym"))
-            store = sym
+        store = slots_for(cfg, make_slots(rng, n=n))
         tape = Tape()
         if cfg.field_aware:
             aware = {(i, j): rng.normal(size=(B, D)) for i in range(n) for j in range(n) if i != j}

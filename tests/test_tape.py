@@ -30,12 +30,13 @@ from ctrzoo.tape import (
 from ctrzoo.zoo import ModelSpec, build_model, random_batch
 from test_interaction import (
     ORACLES,
+    PER_FIELD,
     make_fields,
     make_slots,
-    oracle_afm,
     oracle_ffm,
     oracle_ffm_pairs,
     run_config,
+    slots_for,
 )
 
 
@@ -1191,10 +1192,15 @@ _PINNED = {
     # element-wise products: the multiply they replaced, whose bits np.einsum
     # keeps on nonzero products, and the gradient g * other, or one einsum
     # over the axes an operand lacks
-    "bij,ij->bij": (  # the neighborhood mask, and the pair-scalar tables
+    "bij,ij->bij": (  # CIN2's and IPNN's pair-scalar tables
         [(_B, _N, _N), (_N, _N)],
         lambda w, t: w * t,
         [lambda g, w, t: g * t, lambda g, w, t: np.einsum("abc,abc->bc", g, w)],
+    ),
+    "bp,p->bp": (  # FwFM's pair weights
+        [(_B, _M), (_M,)],
+        lambda s, w: s * w,
+        [lambda g, s, w: g * w, lambda g, s, w: np.einsum("ab,ab->b", g, s)],
     ),
     "bpd,bpd->bpd": (  # AFM's pair products
         [(_B, _M, _D), (_B, _M, _D)],
@@ -1280,18 +1286,25 @@ def test_pinned_specs_are_every_spec_the_zoo_contracts(monkeypatch):
 # take: the gather that replaced the one-hot pair products
 
 
+def _mirrored_pair_index(n):
+    """(n, n) map reading pair p = (i, j), i < j, at both (i, j) and (j, i), and the appended zero on
+    the diagonal: every pair is read twice, which covers take's repeated reads."""
+    index = _pair_index(n, True)
+    return np.minimum(index, index.T)
+
+
 @pytest.mark.parametrize(
     "spec, shape, index, axis",
     [
-        # (B, m) pair values read along axis 1, and FwFM's (m,) pair weights along axis 0, each
-        # spread over (i, j) and (j, i)
-        pytest.param("bp,pij->bij", (_B, _M), _pair_index(_N, True, True), 1, id="bp,pij->bij"),
-        pytest.param("p,pij->ij", (_M,), _pair_index(_N, True, True), 0, id="p,pij->ij"),
+        # (B, m) pair values read along axis 1, and (m,) pair weights along axis 0, each spread over
+        # (i, j) and (j, i)
+        pytest.param("bp,pij->bij", (_B, _M), _mirrored_pair_index(_N), 1, id="bp,pij->bij"),
+        pytest.param("p,pij->ij", (_M,), _mirrored_pair_index(_N), 0, id="p,pij->ij"),
         # SAM2's head rows and pair coefficients placed on the full and the upper-only grid
-        pytest.param("ijp,pk->ijk", (_P, _D), _pair_index(_N, False, False), 0, id="ijp,pk->ijk"),
-        pytest.param("ijp,pk->ijk", (_M, _D), _pair_index(_N, True, False), 0, id="ijp,pk->ijk-upper"),
-        pytest.param("ijp,p->ij", (_P,), _pair_index(_N, False, False), 0, id="ijp,p->ij"),
-        pytest.param("ijp,p->ij", (_M,), _pair_index(_N, True, False), 0, id="ijp,p->ij-upper"),
+        pytest.param("ijp,pk->ijk", (_P, _D), _pair_index(_N, False), 0, id="ijp,pk->ijk"),
+        pytest.param("ijp,pk->ijk", (_M, _D), _pair_index(_N, True), 0, id="ijp,pk->ijk-upper"),
+        pytest.param("ijp,p->ij", (_P,), _pair_index(_N, False), 0, id="ijp,p->ij"),
+        pytest.param("ijp,p->ij", (_M,), _pair_index(_N, True), 0, id="ijp,p->ij-upper"),
     ],
 )
 def test_take_is_bitwise_the_one_hot_product_it_replaced(spec, shape, index, axis):
@@ -1456,13 +1469,10 @@ def test_tensor_fi_forward_matches_the_double_loop_oracles(n, b, d, seed):
             # the per-field form sums the ordered pairs, each pair i < j twice
             np.testing.assert_allclose(sum(got), 0.5 * sum(oracle_ffm(aware, n)), rtol=0, atol=1e-12)
         else:
-            slots = store
-            if cfg.utility == "scalar_pair_sym":
-                slots = ParameterStore()
-                slots.add_value("fi.pairw", params["fi.pairw_sym"])
-            got, want = run_config(cfg, f, slots), ORACLES[name](f, params)
-        if name == "AFM":
-            np.testing.assert_allclose(sum(got), sum(oracle_afm(f, params)), rtol=0, atol=1e-12)
+            got, want = run_config(cfg, f, slots_for(cfg, store)), ORACLES[name](f, params)
+        if name in PER_FIELD:
+            oracle, share = PER_FIELD[name]
+            np.testing.assert_allclose(sum(got), share * sum(oracle(f, params)), rtol=0, atol=1e-12)
         assert len(got) == len(want), name
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
