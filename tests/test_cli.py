@@ -8,6 +8,7 @@ to see that no fit starts before the output directory is made.
 """
 
 import ast
+import base64
 import dataclasses
 import json
 import resource
@@ -15,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -340,24 +342,80 @@ def test_eval_rejects_a_checkpoint_missing_an_entry(ws, synth_dir, run_dir, key)
     assert "params.json" in proc.stderr and repr(key) in proc.stderr
 
 
-def test_eval_rejects_checkpoint_values_that_do_not_fit_their_shape(ws, synth_dir, run_dir):
+def set_v2_values(slot, floats):
+    """Give a v2 checkpoint slot the float64 entries `floats`, with their crc32."""
+    raw = np.asarray(floats, "<f8").tobytes()
+    slot.update(values=base64.b64encode(raw).decode("ascii"), crc32=zlib.crc32(raw))
+
+
+def as_v1(text):
+    """A v2 checkpoint's text rewritten as the v1 payload, each slot's values a list of floats."""
+    payload = json.loads(text)
+    payload["format"] = "ctrzoo-params-v1"
+    for slot in payload["slots"].values():
+        del slot["crc32"]
+        slot["values"] = np.frombuffer(base64.b64decode(slot["values"]), "<f8").tolist()
+    return json.dumps(payload, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def v1_run_dir(ws, run_dir):
+    """The trained run with its checkpoint in the v1 format, as runs trained before v2 hold it."""
+    return broken_run(ws, run_dir, "run_v1", as_v1)
+
+
+def test_eval_reads_a_v1_checkpoint_to_the_same_scores(synth_dir, run_dir, v1_run_dir):
+    assert json.loads((v1_run_dir / "params.json").read_text())["format"] == "ctrzoo-params-v1"
+    scores = []
+    for run in (run_dir, v1_run_dir):
+        proc = run_cli("eval", "--run", run, "--data", synth_dir, "--split", "test")
+        assert proc.returncode == 0, proc.stderr
+        scores.append(json.loads(proc.stdout))
+    assert scores[0] == scores[1]
+
+
+def test_eval_rejects_checkpoint_values_that_do_not_fit_their_shape(ws, synth_dir, v1_run_dir):
     def truncate(payload):
         payload["slots"]["emb.0"]["values"].pop()
 
-    run = broken_run(ws, run_dir, "run_short_values", edit_json(truncate))
+    run = broken_run(ws, v1_run_dir, "run_short_values", edit_json(truncate))
     proc = run_cli("eval", "--run", run, "--data", synth_dir)
     assert_data_error(proc)
     assert "params.json" in proc.stderr and "emb.0" in proc.stderr
 
 
-def test_eval_rejects_a_checkpoint_slot_of_the_wrong_shape(ws, synth_dir, run_dir):
+def test_eval_rejects_v2_checkpoint_values_that_do_not_fit_their_shape(ws, synth_dir, run_dir):
+    def truncate(payload):
+        slot = payload["slots"]["emb.0"]
+        set_v2_values(slot, np.frombuffer(base64.b64decode(slot["values"]), "<f8")[:-1])
+
+    run = broken_run(ws, run_dir, "run_short_values_v2", edit_json(truncate))
+    proc = run_cli("eval", "--run", run, "--data", synth_dir)
+    assert_data_error(proc)
+    assert "params.json" in proc.stderr and "emb.0" in proc.stderr
+
+
+def test_eval_rejects_a_checkpoint_slot_of_the_wrong_shape(ws, synth_dir, v1_run_dir):
     def widen(payload):
         slot = payload["slots"]["emb.0"]
         rows, d = slot["shape"]
         slot["shape"] = [rows, d + 1]
         slot["values"] = [0.1] * (rows * (d + 1))
 
-    run = broken_run(ws, run_dir, "run_wide_slot", edit_json(widen))
+    run = broken_run(ws, v1_run_dir, "run_wide_slot", edit_json(widen))
+    proc = run_cli("eval", "--run", run, "--data", synth_dir)
+    assert_data_error(proc)
+    assert "'emb.0' has shape" in proc.stderr
+
+
+def test_eval_rejects_a_v2_checkpoint_slot_of_the_wrong_shape(ws, synth_dir, run_dir):
+    def widen(payload):
+        slot = payload["slots"]["emb.0"]
+        rows, d = slot["shape"]
+        slot["shape"] = [rows, d + 1]
+        set_v2_values(slot, [0.1] * (rows * (d + 1)))
+
+    run = broken_run(ws, run_dir, "run_wide_slot_v2", edit_json(widen))
     proc = run_cli("eval", "--run", run, "--data", synth_dir)
     assert_data_error(proc)
     assert "'emb.0' has shape" in proc.stderr

@@ -1,10 +1,12 @@
 """Math kernel tests: pure ops, the reverse-mode tape, and parameter storage."""
 
+import base64
 import importlib
 import json
 import math
 import platform
 import tracemalloc
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -106,6 +108,35 @@ def test_relu_values():
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+_VIEWS = {
+    "plain": lambda x: x,
+    "transposed": lambda x: x.T,
+    "axes-permuted": lambda x: x.reshape(x.shape[:1] + (1,) + x.shape[1:]).swapaxes(0, -1),
+    "strided": lambda x: x[..., ::2] if x.ndim else x,
+    "reversed": lambda x: x[::-1] if x.ndim else x,
+    "fortran": np.asfortranarray,
+}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    shape=st.lists(st.integers(0, 5), max_size=3).map(tuple),
+    scale=st.sampled_from([1.0, 1e-300, 1e150, 1e154, 1e155, 1e200, 1.7e308]),
+    bad=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    view=st.sampled_from(sorted(_VIEWS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_finite_agrees_with_isfinite_all(shape, scale, bad, where, view, seed):
+    # an inf or a NaN anywhere, entries whose squares overflow, views that are not one
+    # dense block, 0-d and empty arrays
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape) * scale
+    if bad is not None and x.size:
+        x.flat[int(where * x.size)] = bad
+    x = _VIEWS[view](x)
+    assert tape_module._finite(x) == bool(np.isfinite(x).all())
 
 
 def test_sigmoid_hand_values():
@@ -288,16 +319,9 @@ _slot_values = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(
-    seed=st.integers(0, 2**40),
-    slots=st.dictionaries(st.text(max_size=6), _slot_values, max_size=5),
-    scalar=st.sampled_from(_EDGE_FLOATS),
-    long=st.sampled_from([4095, 4096, 4097, 8193]),
-)
-def test_store_save_writes_the_stdlib_encoding_of_the_v1_payload(tmp_path_factory, seed, slots, scalar, long):
-    # a 0-d slot, an empty slot and one long enough to be formatted in several
-    # blocks always, plus named random slots of any length
+def _edge_store(seed, slots, scalar, long):
+    """A 0-d slot, an empty slot and one long enough to be encoded in several blocks, plus
+    named random slots of any length."""
     store = ParameterStore(seed=seed)
     store.add_value("zero-d", np.array(scalar))
     store.add_zeros("empty", (0, 3))
@@ -305,17 +329,60 @@ def test_store_save_writes_the_stdlib_encoding_of_the_v1_payload(tmp_path_factor
     for name, values in slots.items():
         if name not in store:
             store.add_value(name, values)
-    payload = {
-        "format": "ctrzoo-params-v1",
-        "seed": seed,
+    return store
+
+
+def _v2(values):
+    """A v2 slot's `values` and `crc32` entries for the float64 entries `values`."""
+    raw = np.asarray(values, "<f8").tobytes()
+    return {"crc32": zlib.crc32(raw), "values": base64.b64encode(raw).decode("ascii")}
+
+
+def _payload(store, version):
+    """The checkpoint payload of `store` in format `version`: v1 lists the floats, v2 holds base64."""
+    def entries(value):
+        return {"values": value.ravel().tolist()} if version == 1 else _v2(value)
+
+    return {
+        "format": f"ctrzoo-params-v{version}",
+        "seed": store.seed,
         "slots": {
-            name: {"shape": list(slot.shape), "trainable": True, "values": slot.value.ravel().tolist()}
+            name: {"shape": list(slot.shape), "trainable": True, **entries(slot.value)}
             for name, slot in zip(store.names(), store.slots())
         },
     }
+
+
+_edge_stores = dict(
+    seed=st.integers(0, 2**40),
+    slots=st.dictionaries(st.text(max_size=6), _slot_values, max_size=5),
+    scalar=st.sampled_from(_EDGE_FLOATS),
+    long=st.sampled_from([4094, 4095, 4096, 8190, 8191, 8193]),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(**_edge_stores)
+def test_store_save_writes_the_stdlib_encoding_of_the_v2_payload(tmp_path_factory, seed, slots, scalar, long):
+    store = _edge_store(seed, slots, scalar, long)
     path = tmp_path_factory.mktemp("save") / "params.json"
     store.save(path)
-    assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True, allow_nan=False)
+    assert path.read_text(encoding="utf-8") == json.dumps(_payload(store, 2), sort_keys=True)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(**_edge_stores)
+def test_store_v1_and_v2_checkpoints_load_bit_exact_in_sorted_order(tmp_path_factory, seed, slots, scalar, long):
+    store = _edge_store(seed, slots, scalar, long)
+    root = tmp_path_factory.mktemp("round")
+    store.save(root / "v2.json")
+    (root / "v1.json").write_text(json.dumps(_payload(store, 1), sort_keys=True), encoding="utf-8")
+    for path in (root / "v2.json", root / "v1.json"):
+        loaded = ParameterStore.load(path)
+        assert loaded.seed == seed and loaded.names() == sorted(store.names())
+        for name in store.names():  # -0.0, subnormals and +-max keep their bits
+            assert loaded.value(name).shape == store.value(name).shape
+            assert loaded.value(name).tobytes() == store.value(name).tobytes()
 
 
 def test_store_save_refuses_a_non_finite_value_before_opening_the_file(tmp_path):
@@ -1500,6 +1567,58 @@ def test_store_load_rejects_malformed_checkpoints_as_data_errors(tmp_path, text)
     path.write_text(text)
     with pytest.raises(DataError, match="params.json"):
         ParameterStore.load(path)
+
+
+def _one_slot(version, shape, floats, **entries):
+    """A checkpoint of one slot "w" holding `floats`, its entries then replaced by `entries`."""
+    slot = {"shape": shape, "trainable": True, **({"values": floats} if version == 1 else _v2(floats)), **entries}
+    return json.dumps({"format": f"ctrzoo-params-v{version}", "seed": 0, "slots": {"w": slot}})
+
+
+_B64_2 = _v2([1.5, -2.0])["values"]  # "AAAAAAAA+D8AAAAAAAAAwA=="
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(_one_slot(2, [2], [1.5, -2.0], values=[1.5, -2.0]), id="values-a-list"),
+        pytest.param(_one_slot(2, [2], [1.5, -2.0], values=_B64_2.replace("+", "*")), id="non-base64-character"),
+        pytest.param(_one_slot(2, [2], [1.5, -2.0], values=_B64_2.replace("D8", "D\u00e98")), id="non-ascii"),
+        pytest.param(_one_slot(2, [2], [1.5, -2.0], values=_B64_2[:-1]), id="bad-padding"),
+        pytest.param(_one_slot(2, [2], [1.5, -2.0], values=_B64_2 + "AA=="), id="padding-inside"),
+        pytest.param(_one_slot(2, [2], [1.5]), id="8-bytes-too-few"),
+        pytest.param(_one_slot(2, [2], [1.5, -2.0, 3.0]), id="8-bytes-too-many"),
+        pytest.param(_one_slot(2, [2], [], values="AAAA" * 5, crc32=zlib.crc32(bytes(15))), id="15-bytes"),
+        pytest.param(_one_slot(2, [2], [1.5, np.nan]), id="nan"),
+        pytest.param(_one_slot(2, [1], [-np.inf]), id="inf"),
+        pytest.param(_one_slot(2, [2], [1.5, -2.0], values=_B64_2.replace("D8", "D9")), id="crc32-mismatch"),
+        pytest.param(_one_slot(2, [2], [1.5, -2.0], crc32=None), id="crc32-null"),
+        pytest.param(_one_slot(2, [2], [1.5, -2.0], crc32=str(_v2([1.5, -2.0])["crc32"])), id="crc32-a-string"),
+    ],
+)
+def test_store_load_rejects_malformed_v2_values_naming_the_file_and_slot(tmp_path, text):
+    path = tmp_path / "params.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=r"params\.json: .*slot 'w'"):
+        ParameterStore.load(path)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("shape", [[-1, 2], [2, -1], [-4], [2.0, 2], [True, 4], "4", 4, None, {"rows": 4}], ids=json.dumps)
+def test_store_load_rejects_a_shape_that_is_not_a_list_of_non_negative_integers(tmp_path, version, shape):
+    # numpy would infer a -1 axis, and read a bare 4 as (4,)
+    path = tmp_path / "params.json"
+    path.write_text(_one_slot(version, shape, [1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(DataError, match=r"params\.json: slot 'w' shape is not a list of non-negative integers"):
+        ParameterStore.load(path)
+
+
+def test_store_load_lays_out_the_slots_in_sorted_order_whatever_the_file_order(tmp_path):
+    slots = {name: {"shape": [1], "trainable": True, **_v2([k])} for k, name in enumerate("cab")}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"format": "ctrzoo-params-v2", "seed": 0, "slots": slots}))
+    store = ParameterStore.load(path)
+    assert store.names() == ["a", "b", "c"] and store.values.tolist() == [1.0, 2.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ fixed generator). The configurations are the 15 models and 8 variants at
 three sizes, then the 15 models at the middle size once more on a store
 that went through `ParameterStore.save` and `load`, whose slots lie in
 sorted order, so lookups read their tables at other offsets. Then one line
-per model gives the sha256 of the `params.json` and `history.csv` a short
-`ctrzoo train` writes on a fixed synthetic set, and a last `TOTAL` line
-hashes every fingerprint above it. Tape lengths are
+per model gives the sha256 of the parameters a short `ctrzoo train` on a
+fixed synthetic set leaves in `params.json`, as `ParameterStore.load` reads
+them (names, shapes and values, so it does not depend on the checkpoint
+format), and of its `history.csv`; a last `TOTAL` line hashes every
+fingerprint above it. Tape lengths are
 printed but left out of `TOTAL`, so a change that only adds or removes
 nodes keeps it.
 
@@ -82,15 +84,18 @@ def fingerprint(name, switches, n, d, b, layers, checkpoint=None):
 
 
 def trained(name, data, out):
-    """sha256 of the params.json and history.csv of a short `ctrzoo train` of `name`."""
+    """sha256 of the loaded parameters and the history.csv of a short `ctrzoo train` of `name`."""
     argv = ["train", "--data", data, "--out", out, "--model", name, "--d", "4", "--layers", "2",
             "--mlp-hidden", "8,8", "--epochs", "2", "--batch", "64", "--seed", "1"]
     with contextlib.redirect_stdout(io.StringIO()):
         if cli_main(argv) != 0:
             raise SystemExit(f"ctrzoo train --model {name} failed")
+    store = ParameterStore.load(Path(out) / "params.json")
     h = hashlib.sha256()
-    for artifact in ("params.json", "history.csv"):
-        h.update((Path(out) / artifact).read_bytes())
+    for slot in sorted(store.names()):
+        h.update(f"{slot} {store.value(slot).shape}".encode())
+        h.update(np.ascontiguousarray(store.value(slot), "<f8").tobytes())
+    h.update((Path(out) / "history.csv").read_bytes())
     return h.hexdigest()
 
 
