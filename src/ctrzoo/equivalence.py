@@ -104,10 +104,7 @@ def lift_fm_to_sam2a(fm_model):
     _copy_slots(fm_model, target, [emb_slot(i) for i in range(n)])
     _copy_extras(fm_model, target)
     pairvec = np.zeros((n * n, d))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                pairvec[i * n + j, 0] = 0.5
+    pairvec[:, 0] = 0.5 * (1.0 - np.eye(n)).reshape(-1)
     target.store.set_value("fi.l0.pairvec", pairvec)
     target.store.set_value("st.l0.w", _basis_head(n * n, d))
     target.store.set_value("st.l0.b", np.zeros(1))

@@ -259,10 +259,8 @@ def _similarity(tape, cfg, E, param):
     if kind == "one":
         return None
     if kind == "inner":
-        gram = tape.contract("bid,bjd->bij", E, E)
-        # a matrix product does not promise S_ij == S_ji to the last bit; the
-        # symmetric part does, which keeps symmetric grids exactly symmetric
-        return tape.scale_const(tape.add(gram, tape.transpose(gram, (0, 2, 1))), 0.5)
+        # S_ij == S_ji to the last bit, as the SAM2 grids need, with no symmetrizing (tape.py says why)
+        return tape.contract("bid,bjd->bij", E, E)
     if kind == "proj_k":
         return tape.contract("bid,bjd->bij", E, tape.contract("bid,ed->bie", E, param("k")))
     if kind == "proj_qk":
@@ -287,10 +285,10 @@ def _utility(tape, cfg, E, W, param):
     if W is None and kind not in ("identity", "scaled_identity", "linear_map", "hadamard"):
         raise CatalogError(f"{cfg.model}: the unit similarity needs a per-field utility, not {kind!r}")
     if kind == "scalar_pair":
-        return tape.sum_axis(tape.contract("bij,ij->bij", W, param("pairw")), -1)
+        return tape.contract("bij,ij->bi", W, param("pairw"))
     if kind == "scalar_inner":
         theta = param("theta")
-        return tape.sum_axis(tape.contract("bij,ij->bij", W, tape.contract("id,jd->ij", theta, theta)), -1)
+        return tape.contract("bij,ij->bi", W, tape.contract("id,jd->ij", theta, theta))
     n = E.value.shape[1]
     if kind == "vector_pair":
         vecs = tape.reshape(param("pairvec"), (n, n, E.value.shape[-1]))
@@ -325,9 +323,7 @@ def _pairs(tape, cfg, fields, param):
     if cfg.field_aware:
         scores = tape.contract("bpd,bpd->bp", mine, theirs)
     elif cfg.similarity == "inner":
-        # one Gram matrix read at the pairs i < j; only the SAM2 grids need it symmetric to the last bit
-        gram = tape.contract("bid,bjd->bij", fields, fields)
-        scores = tape.take(tape.reshape(gram, (b, n * n)), _upper_pairs(n), axis=1)
+        scores = tape.take(tape.reshape(_similarity(tape, cfg, fields, param), (b, n * n)), _upper_pairs(n), axis=1)
     elif cfg.similarity == "afm":
         mine, theirs = (tape.contract("pi,bid->bpd", tape.constant(c), fields) for c in _field_pairs(n))
         prod = tape.contract("bpd,bpd->bpd", mine, theirs)

@@ -19,6 +19,11 @@ index is summed and one operand owns an index alone, and `np.einsum` for
 everything else, element-wise products included. `np.einsum` adds each
 product into a zeroed output, so an exactly zero product of a negative factor
 comes out +0.0 where `np.multiply` gives -0.0; no other bit differs.
+A Gram matrix `contract("bid,bjd->bij", E, E)` is bitwise symmetric, so
+it needs no symmetrizing: its `@` of E with a transposed view of the same
+buffer is BLAS's syrk, which computes one triangle and mirrors it, or,
+for a layout BLAS cannot read, numpy's own loop, which adds the same
+products in the same order for (i, j) and (j, i).
 `add` is the one op that broadcasts, by one rule: an operand of lower
 rank equals the trailing axes of the other, so (B, m) + (m,) adds a bias
 to every row and (B,) + () shifts every entry, while (3,) + (3, 1) and
@@ -622,14 +627,6 @@ class Tape:
 
         return self._emit(a.value + b.value, backward)
 
-    def scale_const(self, a, c):
-        c = float(c)
-
-        def backward(g):
-            _bump(a, g * c)
-
-        return self._emit(a.value * c, backward)
-
     def contract(self, spec, *nodes):
         """Contract `nodes` by explicit einsum subscripts, "bid,bjd->bij" say; a node may come twice."""
         values = [node.value for node in nodes]
@@ -683,18 +680,6 @@ class Tape:
             _bump(x, g.reshape(x.value.shape))
 
         return self._emit(value, backward, moved=True)
-
-    def transpose(self, x, axes):
-        """Permute the axes of x; `axes` lists them in their new order."""
-        axes = tuple(int(a) for a in axes)
-        if sorted(axes) != list(range(x.value.ndim)):
-            raise ShapeError(f"transpose axes {axes} do not permute a {x.value.ndim}-D node")
-        inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-
-        def backward(g):
-            _bump(x, g.transpose(inverse))
-
-        return self._emit(x.value.transpose(axes), backward, moved=True)
 
     def take(self, x, index, axis=0):
         """x read along `axis` at the integer array `index`, whose axes replace it; an entry

@@ -276,6 +276,7 @@ def _generating_probs(synth, part):
     return sigmoid((h - synth.theta) / synth.spec.noise)
 
 
+@pytest.mark.slow
 def test_trained_models_approach_the_bayes_oracle_on_synthetic_clicks():
     start = time.perf_counter()
     spec = SyntheticSpec(
