@@ -278,10 +278,6 @@ def _utility(tape, cfg, E, W, param):
     which only the per-field utilities read.
     """
     kind = cfg.utility
-    if kind == "one":
-        if W is None:
-            raise ContractError("similarity 'one' with utility 'one' leaves nothing to emit")
-        return tape.sum_axis(W, -1)
     if W is None and kind not in ("identity", "scaled_identity", "linear_map", "hadamard"):
         raise CatalogError(f"{cfg.model}: the unit similarity needs a per-field utility, not {kind!r}")
     if kind == "scalar_pair":

@@ -36,12 +36,11 @@ class MLPSpec:
 
     input_dim: int
     hidden: tuple = (32, 32, 32)
-    out_dim: int = 1
     dropout: float = 0.0
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.out_dim < 1:
-            raise ConfigError("mlp dimensions must be positive")
+        if self.input_dim < 1:
+            raise ConfigError(f"mlp input width must be positive, got {self.input_dim}")
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"mlp hidden widths must be positive, got {self.hidden}")
         if not 0.0 <= self.dropout < 1.0:
@@ -49,7 +48,7 @@ class MLPSpec:
 
     @property
     def widths(self):
-        return (self.input_dim,) + tuple(self.hidden) + (self.out_dim,)
+        return (self.input_dim,) + tuple(self.hidden) + (1,)
 
     @property
     def depth(self):
@@ -72,7 +71,7 @@ def add_mlp_slots(store, spec):
 
 
 def mlp_nodes(tape, spec, store, x, *, drop_rng=None):
-    """Run the stack on a (B, input_dim) node; returns (B, out_dim).
+    """Run the stack on a (B, input_dim) node; returns the (B, 1) logits.
 
     The weights are the `store` slots `st.l{k}.w` and `st.l{k}.b` that `add_mlp_slots` creates.
     Given a `drop_rng`, dropout follows each hidden ReLU; without one, none does.

@@ -30,7 +30,9 @@ to every row and (B,) + () shifts every entry, while (3,) + (3, 1) and
 (2, 3) + (1, 3) raise ShapeError. `take(x, index, axis)` is the one gather:
 it reads along `axis` at a constant integer `index`, whose axes replace it,
 and an entry equal to the axis length reads zero; only then is x copied to
-append that zero. Its backward sums the reads with one `_scatter_rows`. An
+append that zero. Its backward sums the reads with one `_scatter_rows`.
+`take` and `sum_axis(x, axis)` each take one plain int axis; anything else
+(a tuple, a numpy integer, an axis out of range) raises ShapeError. An
 embedding lookup (`embedding.lookup`) is a `take` of a parameter leaf over k
 tables joined as one (rows, d) view of the store (`ParameterStore.row_view`).
 `softmax` normalizes over the last axis, and takes its max, which is exact,
@@ -44,8 +46,8 @@ take index ShapeError, and a take index outside [0, axis length] DomainError
 naming that range. A tape built with `record=False` drops each op's
 backward closure and keeps no node list, so intermediates are freed as soon
 as they are dead and `backward` raises ContractError. `Model.forward`
-(so `predict`, validation and `verify_equivalence`), `Model.loss` and the
-finite differences of `gradient_check` run on one; training steps record.
+(so `predict`, validation and `verify_equivalence`) and the finite
+differences of `gradient_check` run on one; training steps record.
 `backward` frees each node's gradient once it has passed it back, so no
 node holds one after the sweep.
 
@@ -245,9 +247,6 @@ class ParameterStore:
     def value(self, name):
         return self.slot(name).value
 
-    def grad(self, name):
-        return self.slot(name).grad
-
     def set_value(self, name, value):
         slot = self.slot(name)
         value = np.asarray(value, dtype=np.float64)
@@ -294,11 +293,13 @@ class ParameterStore:
         return self.values.size
 
     def snapshot(self):
-        return {name: slot.value.copy() for name, slot in self._slots.items()}
+        """A copy of the flat `values` buffer, for `restore`."""
+        return self.values.copy()
 
     def restore(self, snap):
-        for name, value in snap.items():
-            self.set_value(name, value)
+        if np.shape(snap) != self.values.shape:
+            raise ShapeError(f"snapshot of shape {np.shape(snap)} does not fit a store of {self.values.size} values")
+        self.values[...] = snap
 
     # -- serialization -----------------------------------------------------
 
@@ -546,17 +547,11 @@ def _unless(value, same):
     return None if value == tuple(same) else value
 
 
-def _axes(axis, ndim):
-    """An int or tuple axis argument as a sorted tuple of non-negative axes."""
-    if type(axis) is int and -ndim <= axis < ndim:  # a plain axis, as every take and most sums pass
-        return (axis % ndim,)
-    axes = (axis,) if isinstance(axis, (int, np.integer)) else tuple(axis)
-    if any(not -ndim <= a < ndim for a in axes):
-        raise ShapeError(f"axis {axis} out of range for a {ndim}-D node")
-    unique = tuple(sorted({int(a) % ndim for a in axes}))
-    if len(unique) != len(axes):
-        raise ShapeError(f"repeated axis in {axis}")
-    return unique
+def _axis(axis, ndim):
+    """A plain int axis of an `ndim`-D node, as a non-negative one."""
+    if type(axis) is not int or not -ndim <= axis < ndim:
+        raise ShapeError(f"axis {axis!r} is not one int axis of a {ndim}-D node")
+    return axis % ndim
 
 
 class Tape:
@@ -685,7 +680,7 @@ class Tape:
         """x read along `axis` at the integer array `index`, whose axes replace it; an entry
         equal to the axis length reads zero. The backward sums each entry's reads, in order."""
         index, v = np.asarray(index), x.value
-        (axis,) = _axes(axis, v.ndim)
+        axis = _axis(axis, v.ndim)
         n, head, tail = v.shape[axis], v.shape[:axis], v.shape[axis + 1 :]
         if index.dtype.kind not in "iu":
             raise ShapeError(f"take index must be an integer array, got {index.dtype}")
@@ -703,13 +698,13 @@ class Tape:
         return self._emit(v.take(rows.reshape(index.shape), axis), backward, moved=True)
 
     def sum_axis(self, x, axis):
-        """Sum over `axis` (an int or a tuple of axes), dropping it."""
-        axes = _axes(axis, x.value.ndim)
+        """Sum over the one int `axis`, dropping it."""
+        axis = _axis(axis, x.value.ndim)
 
         def backward(g):
-            _bump(x, np.broadcast_to(np.expand_dims(g, axes), x.value.shape))
+            _bump(x, np.broadcast_to(np.expand_dims(g, axis), x.value.shape))
 
-        return self._emit(np.add.reduce(x.value, axis=axes), backward)
+        return self._emit(np.add.reduce(x.value, axis=axis), backward)
 
     # -- loss --------------------------------------------------------------
 

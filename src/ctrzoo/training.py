@@ -129,8 +129,6 @@ def _epoch_pass(model, indices, labels, order, config, adam, epoch):
             tape.backward(loss)
         except NumericError as exc:
             raise TrainingError(str(exc), epoch=epoch, batch=b) from exc
-        if not np.isfinite(loss.value):
-            raise TrainingError("non-finite training loss", epoch=epoch, batch=b)
         adam_step(model.store, adam, config.lr, config.l2)
         loss_sum += float(loss.value) * len(rows)
     return loss_sum / len(order)

@@ -246,7 +246,7 @@ class Model:
         if self.cfg.transform != "none":
             hidden = spec.mlp_hidden if self.cfg.transform == "mlp" else ()
             width = fi_output_width(self.cfg, spec.n, spec.dim)
-            self.st_spec = MLPSpec(width, hidden, 1, dropout=spec.drop_rate)
+            self.st_spec = MLPSpec(width, hidden, dropout=spec.drop_rate)
 
     @property
     def name(self):
@@ -318,9 +318,6 @@ class Model:
         """Mean log-loss of the batch as a 0-d node on `tape`."""
         logit = self.logit_node(tape, indices, drop_rng=drop_rng)
         return tape.logloss(logit, labels)
-
-    def loss(self, indices, labels):
-        return float(self.loss_node(Tape(record=False), indices, labels).value)
 
 
 # ---------------------------------------------------------------------------

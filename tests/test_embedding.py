@@ -18,6 +18,7 @@ from ctrzoo.embedding import (
 from ctrzoo.errors import ConfigError, ShapeError
 from ctrzoo.tape import ParameterStore, Tape
 from ctrzoo.training import AdamState, adam_step
+from test_interaction import sum_all
 
 SCHEMA = FieldSchema.of_sizes([5, 7, 4])
 
@@ -124,9 +125,9 @@ def test_gradients_touch_only_active_rows():
     indices = np.array([[0, 2, 1], [0, 2, 3]])
     store.zero_grads()
     tape = Tape()
-    tape.backward(tape.sum_axis(lookup_fields(tape, store, indices), (0, 1, 2)))
+    tape.backward(sum_all(tape, lookup_fields(tape, store, indices)))
     # field 0 used row 0 twice: gradient 2 there, exact zero elsewhere
-    g0 = store.grad("emb.0")
+    g0 = store.slot("emb.0").grad
     np.testing.assert_array_equal(g0[0], np.full(3, 2.0))
     np.testing.assert_array_equal(g0[1:], np.zeros((4, 3)))
 
@@ -139,7 +140,7 @@ def test_adam_leaves_untouched_rows_bit_identical():
     indices = np.array([[0, 0, 0]])
     store.zero_grads()
     tape = Tape()
-    tape.backward(tape.sum_axis(lookup_fields(tape, store, indices), (0, 1, 2)))
+    tape.backward(sum_all(tape, lookup_fields(tape, store, indices)))
     adam_step(store, state, lr=0.1)
     for i in range(SCHEMA.n):
         table = store.value(emb_slot(i))

@@ -32,6 +32,13 @@ def as_nodes(tape, f):
     return tape.constant(np.transpose(f, (1, 0, 2)))
 
 
+def sum_all(tape, x):
+    """Sum of every entry of node x as a 0-d node, one axis at a time."""
+    for _ in range(x.value.ndim):
+        x = tape.sum_axis(x, 0)
+    return x
+
+
 def as_aware_node(tape, aware):
     """Field-aware arrays keyed (i, j) as the two (B, m, d) nodes over the pairs i < j."""
     n = max(i for i, _ in aware) + 1
@@ -341,8 +348,9 @@ def test_pair_softmax_over_one_neighbor_weighs_it_fully():
 
 
 def test_pair_nothing_to_emit_rejected():
+    # the unit utility is read on the pairs alone; with the unit similarity nothing is left to emit
     cfg = replace(fi_catalog("SAM1"), utility="one")
-    with pytest.raises(ContractError):
+    with pytest.raises(CatalogError):
         run_config(cfg, [[[1.0]]], ParameterStore())
 
 
@@ -532,14 +540,17 @@ def test_sam2e_grid_is_symmetric_in_the_pair():
 
 
 def test_softmax_similarity_weights_sum_to_one_per_field():
-    # swap in a unit utility: each output reduces to the weight total
+    # swap in the identity utility on fields whose last coordinate is 1: that coordinate of
+    # each output, sum_j w_ij f_j, reduces to the weight total
     rng = np.random.default_rng(17)
     f = make_fields(rng)
+    f[..., -1] = 1.0
     store = make_slots(rng)
-    cfg = replace(fi_catalog("SAM3_A"), utility="one", residual=False)
+    cfg = replace(fi_catalog("SAM3_A"), utility="identity", residual=False)
     got = run_config(cfg, f, store)
+    assert len(got) == N
     for z in got:
-        np.testing.assert_allclose(z, np.ones(B), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z[:, -1], np.ones(B), rtol=0, atol=1e-12)
 
 
 def test_afm_attention_weights_sum_to_one_overall():

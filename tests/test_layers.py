@@ -6,7 +6,7 @@ import pytest
 from ctrzoo.errors import ConfigError, ShapeError
 from ctrzoo.layers import MLPSpec, add_mlp_slots, combine_fields_nodes, mlp_nodes, sum_nodes
 from ctrzoo.tape import ParameterStore, Tape
-from test_interaction import as_nodes
+from test_interaction import as_nodes, sum_all
 
 
 def mlp_forward(spec, weights, x):
@@ -64,10 +64,10 @@ def test_combine_fields_nodes_matches_value_level():
 
 
 def test_mlp_spec_widths_and_depth():
-    spec = MLPSpec(6, hidden=(8, 4), out_dim=2)
-    assert spec.widths == (6, 8, 4, 2)
+    spec = MLPSpec(6, hidden=(8, 4))
+    assert spec.widths == (6, 8, 4, 1)  # the head always outputs one logit
     assert spec.depth == 3
-    assert spec.weight_count() == 6 * 8 + 8 * 4 + 4 * 2
+    assert spec.weight_count() == 6 * 8 + 8 * 4 + 4 * 1
 
 
 def test_mlp_spec_validation():
@@ -80,17 +80,17 @@ def test_mlp_spec_validation():
 
 
 def test_zero_depth_stack_is_affine():
-    spec = MLPSpec(3, hidden=(), out_dim=2)
+    spec = MLPSpec(3, hidden=())
     assert spec.depth == 1
-    w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    b = np.array([0.5, -0.5])
+    w = np.array([[1.0], [-2.0], [0.5]])
+    b = np.array([0.5])
     x = np.array([2.0, 3.0, 4.0])
     out = mlp_forward(spec, [(w, b)], x)
     np.testing.assert_array_equal(out, x @ w + b)
 
 
 def test_all_zero_weights_output_the_bias():
-    spec = MLPSpec(4, hidden=(5,), out_dim=1)
+    spec = MLPSpec(4, hidden=(5,))
     weights = [
         (np.zeros((4, 5)), np.zeros(5)),
         (np.zeros((5, 1)), np.array([0.7])),
@@ -103,11 +103,11 @@ def test_positive_region_stack_collapses_to_matrix_product():
     # with all preactivations positive the relu is the identity, so the
     # stack equals one affine map with composed weights
     rng = np.random.default_rng(5)
-    spec = MLPSpec(3, hidden=(4,), out_dim=2)
+    spec = MLPSpec(3, hidden=(4,))
     w1 = np.abs(rng.normal(size=(3, 4))) + 0.1
     b1 = np.abs(rng.normal(size=4)) + 0.1
-    w2 = rng.normal(size=(4, 2))
-    b2 = rng.normal(size=2)
+    w2 = rng.normal(size=(4, 1))
+    b2 = rng.normal(size=1)
     x = np.abs(rng.normal(size=(6, 3))) + 0.1  # positive inputs keep h positive
     out = mlp_forward(spec, [(w1, b1), (w2, b2)], x)
     want = (x @ w1 + b1) @ w2 + b2
@@ -115,7 +115,7 @@ def test_positive_region_stack_collapses_to_matrix_product():
 
 
 def test_mlp_nodes_matches_value_level_eval():
-    spec = MLPSpec(5, hidden=(7, 3), out_dim=1)
+    spec = MLPSpec(5, hidden=(7, 3))
     store = ParameterStore(seed=21)
     add_mlp_slots(store, spec)
     x = np.random.default_rng(2).normal(size=(4, 5))
@@ -152,36 +152,39 @@ def test_eval_mode_ignores_dropout():
 def test_dropout_keeps_expected_activation_scale():
     # inverted dropout divides survivors by the keep rate, so the average
     # over many masks recovers the eval-mode activation
-    spec = MLPSpec(2, hidden=(3,), out_dim=3, dropout=0.4)
+    spec = MLPSpec(2, hidden=(3,), dropout=0.4)
     store = ParameterStore(seed=3)
     add_mlp_slots(store, spec)
-    # identity-ish second layer so the hidden activations pass through
-    store.set_value("st.l1.w", np.eye(3))
-    store.set_value("st.l1.b", np.zeros(3))
+    # a summing head, so the logit is the sum of the hidden activations
+    store.set_value("st.l1.w", np.ones((3, 1)))
+    store.set_value("st.l1.b", np.zeros(1))
     x = np.array([[0.8, -0.3]])
     rng = np.random.default_rng(9)
     trials = 20000
-    acc = np.zeros(3)
+    acc = 0.0
     for _ in range(trials):
         tape = Tape()
         out = mlp_nodes(tape, spec, store, tape.constant(x), drop_rng=rng)
-        acc += out.value[0]
+        acc += out.value[0, 0]
     mean = acc / trials
     tape = Tape()
-    ref = mlp_nodes(tape, spec, store, tape.constant(x)).value[0]
-    # per-entry standard error: ref * sqrt(rate/(keep)) / sqrt(trials)
-    spread = np.abs(ref) * np.sqrt(0.4 / 0.6) / np.sqrt(trials)
-    assert np.all(np.abs(mean - ref) <= 4.0 * spread + 1e-12)
+    hidden = np.maximum(x @ store.value("st.l0.w") + store.value("st.l0.b"), 0.0)[0]
+    ref = mlp_nodes(tape, spec, store, tape.constant(x)).value[0, 0]
+    assert np.any(hidden > 0) and abs(ref - hidden.sum()) <= 1e-12
+    # standard error of a sum of independently dropped units: sqrt(sum h_k^2 * rate/keep) / sqrt(trials)
+    spread = np.sqrt(np.sum(hidden**2) * 0.4 / 0.6) / np.sqrt(trials)
+    assert abs(mean - ref) <= 4.0 * spread + 1e-12
 
 
 def _dropout_stack(rate, width=8):
     """A one-hidden-layer stack whose hidden ReLU gives 1.0 for an input of 1.0 and whose
-    identity head passes the hidden layer through exactly."""
-    spec = MLPSpec(1, hidden=(width,), out_dim=width, dropout=rate)
+    head weighs hidden unit k by 2**k, so the logit times the keep rate spells out in binary
+    which units survived."""
+    spec = MLPSpec(1, hidden=(width,), dropout=rate)
     store = ParameterStore()
     add_mlp_slots(store, spec)
     store.set_value("st.l0.w", np.ones((1, width)))
-    store.set_value("st.l1.w", np.eye(width))
+    store.set_value("st.l1.w", 2.0 ** np.arange(width)[:, None])
     return spec, store
 
 
@@ -199,13 +202,16 @@ def test_dropout_mask_values_are_inverted_scale():
     spec, store = _dropout_stack(0.25)
     tape = Tape()
     out = mlp_nodes(tape, spec, store, tape.constant(np.ones((64, 1))), drop_rng=np.random.default_rng(3))
-    vals = np.unique(out.value)
-    np.testing.assert_allclose(vals, [0.0, 1.0 / 0.75], rtol=0, atol=1e-15)
+    # every survivor reads 1 / 0.75, every dropped unit 0
+    code = np.rint(out.value[:, 0] * 0.75)
+    np.testing.assert_allclose(out.value[:, 0], code / 0.75, rtol=1e-14, atol=0)
+    kept = (code.astype(np.int64)[:, None] >> np.arange(8)) & 1
+    assert 0 < kept.mean() < 1
     # the mask is one (B, hidden) constant, applied by `contract` and passed back through it
     store.zero_grads()
-    tape.backward(tape.sum_axis(out, (0, 1)))
-    kept = out.value != 0.0
-    np.testing.assert_allclose(store.grad("st.l0.b"), kept.sum(axis=0) / 0.75, rtol=1e-14, atol=0)
+    tape.backward(sum_all(tape, out))
+    np.testing.assert_allclose(store.slot("st.l0.b").grad, kept.sum(axis=0) * 2.0 ** np.arange(8) / 0.75, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(store.slot("st.l1.w").grad[:, 0], kept.sum(axis=0) / 0.75, rtol=1e-14, atol=0)
 
 
 def test_dropout_rate_bounds():

@@ -11,9 +11,12 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_bit_parity_prints_every_fingerprint_and_the_same_total_twice():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     totals = []
-    for _ in range(2):  # fresh processes: no cache or heap state carries over
+    # fresh processes, so no cache or heap state carries over; the second one runs BLAS on one
+    # thread, so a result that depends on the thread count shows as two TOTALs
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}):
         proc = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "bit_parity.py")], capture_output=True, text=True, env=env, cwd=ROOT
+            [sys.executable, str(ROOT / "tools" / "bit_parity.py")],
+            capture_output=True, text=True, env={**env, **threads}, cwd=ROOT,
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()

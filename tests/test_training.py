@@ -9,7 +9,7 @@ from ctrzoo.data import Dataset, FieldSchema, SyntheticSpec, generate_dcm, split
 from ctrzoo.errors import ConfigError, ContractError, DataError, TrainingError
 from ctrzoo.interaction import MODEL_NAMES
 from ctrzoo.metrics import auc, logloss
-from ctrzoo.tape import ParameterStore
+from ctrzoo.tape import ParameterStore, Tape
 from ctrzoo.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -60,7 +60,7 @@ def test_adam_first_step_is_signed_learning_rate():
     store = ParameterStore()
     store.add_value("w", [1.0, 1.0, 1.0])
     store.zero_grads()
-    store.grad("w")[...] = [2.0, -0.5, 1e-3]
+    store.slot("w").grad[...] = [2.0, -0.5, 1e-3]
     adam_step(store, AdamState(store), lr=0.01)
     delta = store.value("w") - 1.0
     np.testing.assert_allclose(delta, [-0.01, 0.01, -0.01], rtol=1e-4, atol=0)
@@ -73,7 +73,7 @@ def test_adam_constant_gradient_step_magnitude_stays_lr():
     prev = 0.0
     for _ in range(10):
         store.zero_grads()
-        store.grad("w")[...] = 3.0
+        store.slot("w").grad[...] = 3.0
         adam_step(store, state, lr=0.05)
         step = store.value("w")[0] - prev
         prev = store.value("w")[0]
@@ -100,7 +100,7 @@ def test_adam_biased_moments_match_reference_formula():
     for t in range(1, 6):
         g = rng.normal(size=4)
         store.zero_grads()
-        store.grad("w")[...] = g
+        store.slot("w").grad[...] = g
         adam_step(store, state, lr=0.01)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
@@ -126,7 +126,7 @@ def test_blocked_adam_with_l2_is_bitwise_a_per_slot_loop():
         store.zero_grads()
         for name, w in ref.items():
             g = rng.normal(size=w.shape)
-            store.grad(name)[...] = g
+            store.slot(name).grad[...] = g
             g += 2.0 * l2 * w
             m[name] = m[name] * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
             v[name] = v[name] * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
@@ -138,6 +138,11 @@ def test_blocked_adam_with_l2_is_bitwise_a_per_slot_loop():
 
 # ---------------------------------------------------------------------------
 # descent and regularization
+
+
+def eval_loss(model, indices, labels):
+    """The batch's mean log-loss in evaluation mode, as a float."""
+    return float(model.loss_node(Tape(record=False), indices, labels).value)
 
 
 def squared_norm(store):
@@ -152,12 +157,10 @@ def test_one_small_adam_step_decreases_regularized_loss(name):
     l2 = 1e-4
 
     def objective():
-        return model.loss(indices, labels) + l2 * squared_norm(model.store)
+        return eval_loss(model, indices, labels) + l2 * squared_norm(model.store)
 
     before = objective()
     model.store.zero_grads()
-    from ctrzoo.tape import Tape
-
     tape = Tape()
     tape.backward(model.loss_node(tape, indices, labels))
     for slot in model.store.slots():
@@ -187,7 +190,7 @@ def test_l2_gradient_matches_penalty_finite_difference():
 def test_eval_loss_equals_logloss_of_predictions():
     model = small_model("FM", seed=6)
     indices, labels = random_batch(SCHEMA, 32, seed=3)
-    assert abs(model.loss(indices, labels) - logloss(model.predict(indices), labels)) < 1e-12
+    assert abs(eval_loss(model, indices, labels) - logloss(model.predict(indices), labels)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +215,7 @@ def test_huge_weight_decay_collapses_to_even_odds():
     config = TrainConfig(lr=1e-2, batch_size=256, epochs=60, l2=1e6, seed=2, patience=60)
     train(model, split.train, split.valid, config)
     assert squared_norm(model.store) < min(0.1, start_norm / 50.0)
-    final_loss = model.loss(split.valid.indices, split.valid.labels)
+    final_loss = eval_loss(model, split.valid.indices, split.valid.labels)
     assert abs(final_loss - math.log(2.0)) < 0.05
 
 
