@@ -542,6 +542,9 @@ def main(argv=None):
     except MemoryError as exc:  # an array larger than the memory the process may take
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: 130, the shell's code for SIGINT
+        print("error: interrupted", file=sys.stderr)
+        return 130
     finally:
         release_memory()  # what the command's steps kept for reuse goes back to the kernel
 

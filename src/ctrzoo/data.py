@@ -7,6 +7,11 @@ building, so after encoding every field is categorical. Index 0 of every
 field is reserved for missing values and index 1 for out-of-vocabulary
 values; real values start at 2.
 
+`prepare`'s text pass works by field column: lines are checked in file order,
+the rows transposed once, each column counted with one Counter and encoded
+through one dict, and each distinct value formatted once. Its files are
+byte-identical to a cell-by-cell pass.
+
 The synthetic generator draws records from a discrete choice model: each
 record has a latent utility H(X), and the click probability is
 sigmoid((H(X) - theta) / k). Labels are Bernoulli draws from that
@@ -20,6 +25,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -185,7 +191,8 @@ def tokenize(raw, kind):
 
 @dataclass
 class RawTable:
-    """Tokenized rows: labels plus per-field tokens (None = missing)."""
+    """Tokenized rows: labels plus per-field tokens (None = missing). `columns`, the rows transposed,
+    is computed on its first read and kept for `build_vocab` and `encode`: do not change `rows` after it."""
 
     fields: list[Field]
     labels: list[int]
@@ -194,11 +201,16 @@ class RawTable:
     def __len__(self):
         return len(self.labels)
 
+    @cached_property
+    def columns(self):
+        return list(zip(*self.rows))
+
 
 def read_raw(path, fields, delimiter="tab"):
     sep = _DELIMITERS.get(delimiter, delimiter)
     if sep not in _DELIMITERS.values():
         raise ConfigError(f"unsupported delimiter {delimiter!r} (use tab or comma)")
+    cats = [f.kind == "categorical" for f in fields]
     labels, rows = [], []
     with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -212,8 +224,8 @@ def read_raw(path, fields, delimiter="tab"):
                 )
             if cells[0] not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {cells[0]!r}")
-            try:
-                rows.append([tokenize(c, f.kind) for c, f in zip(cells[1:], fields)])
+            try:  # a categorical cell is its own token
+                rows.append([c or None if cat else tokenize(c, "numeric") for c, cat in zip(cells[1:], cats)])
             except (DataError, DomainError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
             labels.append(int(cells[0]))
@@ -288,9 +300,9 @@ def build_vocab(table, min_count=10):
     if not len(table):
         raise DataError("cannot build a vocabulary from zero records")
     maps = []
-    for column in zip(*table.rows):
-        counts = Counter(t for t in column if t is not None)  # keeps first-appearance order
-        kept = [t for t, c in counts.items() if c >= min_count]
+    for column in table.columns:
+        # kept in first-appearance order; None, a missing cell, is counted and left out
+        kept = [t for t, c in Counter(column).items() if c >= min_count and t is not None]
         maps.append({t: N_RESERVED + k for k, t in enumerate(kept)})
     return Vocabulary(list(table.fields), maps, min_count)
 
@@ -298,9 +310,9 @@ def build_vocab(table, min_count=10):
 def encode(table, vocab):
     """Encode every tokenized row; unseen tokens go to OOV, None to missing."""
     indices = np.empty((len(table), len(table.fields)), dtype=np.int64)
-    for r, row in enumerate(table.rows):
-        for i, token in enumerate(row):
-            indices[r, i] = vocab.encode_token(i, token)
+    for i, column in enumerate(table.columns):
+        lookup = {**vocab.maps[i], None: MISSING_INDEX}.get  # `vocab.encode_token(i, ·)` as one dict
+        indices[:, i] = list(map(lookup, column, itertools.repeat(OOV_INDEX)))
     return Dataset(indices, np.asarray(table.labels, dtype=np.float64))
 
 
@@ -470,8 +482,15 @@ def load_fields(path):
 
 
 def save_encoded(dataset, path):
+    r"""One line per record, `"\t".join(map(str, record)) + "\n"`, label first; each distinct value
+    is formatted once, and the text is joined 4,096 records at a time."""
     table = np.column_stack([dataset.labels.astype(np.int64), dataset.indices])
-    write_text(path, ("\t".join(map(str, row.tolist())) + "\n" for row in table))
+    values, inverse = np.unique(table, return_inverse=True)
+    texts = np.array([f"{v}{end}" for end in "\t\n" for v in values.tolist()], dtype=object)
+    inverse = inverse.reshape(table.shape)
+    inverse[:, -1] += len(values)  # a record's last value ends its line
+    blocks = range(0, len(table), 4096)
+    write_text(path, ("".join(texts[inverse[s : s + 4096]].ravel().tolist()) for s in blocks))
 
 
 def load_encoded(path, schema=None):

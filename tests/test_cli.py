@@ -961,6 +961,20 @@ def test_main_releases_memory_after_every_command(monkeypatch, capsys):
     assert "error: --batch must be at least 1" in capsys.readouterr().err
 
 
+def test_an_interrupt_is_one_error_line_and_exit_130(monkeypatch, capsys):
+    released = []
+    monkeypatch.setattr(cli, "release_memory", lambda: released.append(True))
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_complexity", interrupted)
+    assert cli.main(["complexity", "--fields", "3"]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n" and captured.out == ""
+    assert released == [True]
+
+
 # ---------------------------------------------------------------------------
 # dependencies
 

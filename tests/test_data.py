@@ -506,3 +506,133 @@ def test_write_raw_read_raw_round_trip(tmp_path):
     back = read_raw(path, table.fields)
     assert back.labels == table.labels
     assert back.rows == table.rows
+
+
+# ---------------------------------------------------------------------------
+# prepare's column pass against a row-by-row reference
+
+
+def _reference_prepare(labels, cell_rows, kinds, min_count):
+    """Tokens, vocabulary maps, indices and record text of `prepare`, one cell at a time."""
+    rows = [[tokenize(c, k) for c, k in zip(cells, kinds)] for cells in cell_rows]
+    maps = []
+    for i in range(len(kinds)):
+        counts = {}
+        for row in rows:
+            if row[i] is not None:
+                counts[row[i]] = counts.get(row[i], 0) + 1
+        kept = [t for t, c in counts.items() if c >= min_count]
+        maps.append({t: N_RESERVED + k for k, t in enumerate(kept)})
+    indices = []
+    for row in rows:
+        record = []
+        for i, token in enumerate(row):
+            record.append(data.MISSING_INDEX if token is None else maps[i].get(token, OOV_INDEX))
+        indices.append(record)
+    text = ""
+    for label, record in zip(labels, indices):
+        text += "\t".join(str(v) for v in [label] + record) + "\n"
+    return rows, maps, indices, text
+
+
+_CATEGORICAL_CELLS = st.sampled_from(["", "a", "b", "0", "-1", "a b", " a", "b "]) | st.text("xyz", min_size=1, max_size=3)
+_NUMERIC_CELLS = (
+    st.sampled_from(["", "0", "2", "-2", "1e3", "-0.0", repr(math.exp(1.5)), repr(math.exp(2.0)), "3.0000000001"])
+    | st.floats(-1e9, 1e9).map(repr)
+)
+
+
+@st.composite
+def _raw_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(["categorical", "numeric"]), min_size=1, max_size=4))
+    n_records = draw(st.integers(1, 12))
+    cell_rows = [
+        [draw(_CATEGORICAL_CELLS if k == "categorical" else _NUMERIC_CELLS) for k in kinds]
+        for _ in range(n_records)
+    ]
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n_records, max_size=n_records))
+    return labels, cell_rows, kinds
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(table=_raw_tables(), min_count=st.integers(1, 3))
+@example(table=([1], [["a"]], ["categorical"]), min_count=1)  # one field, one record
+@example(table=([0, 1], [[""], [""]], ["numeric"]), min_count=1)  # every cell missing
+def test_prepare_by_columns_agrees_with_a_row_by_row_reference(tmp_path_factory, table, min_count):
+    labels, cell_rows, kinds = table
+    rows, maps, indices, text = _reference_prepare(labels, cell_rows, kinds, min_count)
+    root = tmp_path_factory.mktemp("prepare")
+    raw = root / "raw.tsv"
+    raw.write_text("".join("\t".join([str(y), *cells]) + "\n" for y, cells in zip(labels, cell_rows)))
+    fields = [Field(f"f{i}", k) for i, k in enumerate(kinds)]
+    parsed = read_raw(raw, fields)
+    assert parsed.labels == labels and parsed.rows == rows
+    vocab = build_vocab(parsed, min_count=min_count)
+    assert [list(m.items()) for m in vocab.maps] == [list(m.items()) for m in maps]  # the order too
+    ds = encode(parsed, vocab)
+    assert ds.indices.shape == (len(labels), len(kinds)) and ds.indices.tolist() == indices
+    assert ds.labels.tolist() == labels
+    save_encoded(ds, root / "encoded.tsv")
+    assert (root / "encoded.tsv").read_bytes() == text.encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# raw faults are reported at the first bad line in file order
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["1\ta\t5", "0\tb\toops", "1\tc"], "2: bad numeric value 'oops'"),
+        (["1\ta\t5", "0\tb", "1\tc\toops"], "2: expected 3 columns, got 2"),
+        (["1\ta\t5", "2\tb\t4", "1\tc\toops"], "2: label must be 0 or 1, got '2'"),
+        (["1\ta\t5", "1\tb\tinf", "x\tc\t4"], "2: cannot discretize non-finite value inf"),
+        (["1\ta\t5", "0\t\tnan", "1\tc"], "2: cannot discretize non-finite value nan"),
+        (["1\ta\toops", "2\tb\t4"], "1: bad numeric value 'oops'"),
+        (["2\ta\toops"], "1: label must be 0 or 1, got '2'"),
+    ],
+    ids=["numeric-then-width", "width-then-numeric", "label-then-numeric", "domain-then-label",
+         "domain-then-width", "numeric-then-label", "label-and-numeric-on-one-line"],
+)
+def test_read_raw_reports_the_first_bad_line_in_file_order(tmp_path, lines, message):
+    path = tmp_path / "raw.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as err:
+        read_raw(path, [Field("cat"), Field("num", "numeric")])
+    assert str(err.value) == f"{path}:{message}"
+    assert err.value.exit_code == 3
+
+
+# ---------------------------------------------------------------------------
+# encoded record text at the edges of int64
+
+
+def test_save_encoded_writes_each_record_as_its_joined_values(tmp_path):
+    indices = np.array(
+        [[-(2**63), 2**63 - 1, -1], [0, -7, 2**63 - 1], [-(2**63), -(2**63), 12], [5, 5, 5]], dtype=np.int64
+    )
+    rng = np.random.default_rng(3)
+    many = Dataset(rng.integers(-4, 40, size=(2 * 4096 + 5, 3)), rng.integers(0, 2, size=2 * 4096 + 5))  # several blocks
+    cases = [
+        Dataset(indices, np.array([1.0, 0.0, 0.0, 1.0])),  # values far apart: each distinct value formatted once
+        Dataset(indices[:1, :1], np.array([0.0])),
+        Dataset(np.array([[-3, 0, 2], [-1, 5, -3]]), np.array([0.0, 1.0])),  # a few values, some below zero
+        many,
+    ]
+    for ds in cases:
+        path = tmp_path / "encoded.tsv"
+        save_encoded(ds, path)
+        table = np.column_stack([ds.labels.astype(np.int64), ds.indices])
+        expected = "".join("\t".join(map(str, row)) + "\n" for row in table.tolist())
+        assert path.read_bytes() == expected.encode("ascii")
+        back = load_encoded(path)
+        assert back.indices.tolist() == ds.indices.tolist() and back.labels.tolist() == ds.labels.tolist()
+
+
+def test_save_encoded_writes_an_empty_file_for_zero_records(tmp_path):
+    path = tmp_path / "encoded.tsv"
+    save_encoded(Dataset(np.empty((0, 3), dtype=np.int64), np.empty(0)), path)
+    assert path.read_bytes() == b""
+    with pytest.raises(DataError) as err:
+        load_encoded(path)
+    assert str(err.value) == f"{path}: no records"
