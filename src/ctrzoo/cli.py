@@ -22,6 +22,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import data as datamod
 from . import equivalence as eqmod
 from .errors import (
@@ -271,9 +273,14 @@ def cmd_eval(args):
         recorded = run_config.get("split")
         if not isinstance(recorded, dict) or not {"ratios", "seed"} <= set(recorded):
             raise DataError(f"{args.run}: model.json has no 'split' entry with ratios and seed")
+        ratios, seed = recorded["ratios"], recorded["seed"]  # JSON numbers, as `train` writes them
+        if not (isinstance(ratios, list) and all(type(r) in (int, float) for r in ratios)):
+            raise DataError(f"{args.run}: model.json 'split' ratios must be a list of numbers, got {json.dumps(ratios)}")
+        if type(seed) is not int or seed < 0:
+            raise DataError(f"{args.run}: model.json 'split' seed must be a non-negative integer, got {json.dumps(seed)}")
         try:
-            split = datamod.split_dataset(dataset, tuple(recorded["ratios"]), seed=recorded["seed"])
-        except (ConfigError, TypeError, ValueError) as exc:
+            split = datamod.split_dataset(dataset, ratios, seed=seed)
+        except (ConfigError, OverflowError) as exc:
             raise DataError(f"{args.run}: model.json 'split' entry is unusable: {exc}") from exc
         part = getattr(split, args.split)
     report = evaluate(model.predict(part.indices), part.labels)
@@ -535,7 +542,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # an overflow shows as the tape's NumericError, not as a warning
+            return args.fn(args)
     except CtrZooError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

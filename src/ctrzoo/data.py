@@ -7,10 +7,10 @@ building, so after encoding every field is categorical. Index 0 of every
 field is reserved for missing values and index 1 for out-of-vocabulary
 values; real values start at 2.
 
-`prepare`'s text pass works by field column: lines are checked in file order,
-the rows transposed once, each column counted with one Counter and encoded
-through one dict, and each distinct value formatted once. Its files are
-byte-identical to a cell-by-cell pass.
+`prepare`'s text pass works by field column: `read_raw` checks lines in file
+order and transposes the rows once into the `RawTable`'s columns, each column
+is counted with one Counter and encoded through one dict, and each distinct
+value is formatted once. Its files are byte-identical to a cell-by-cell pass.
 
 The synthetic generator draws records from a discrete choice model: each
 record has a latent utility H(X), and the click probability is
@@ -25,7 +25,6 @@ import math
 import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -191,19 +190,14 @@ def tokenize(raw, kind):
 
 @dataclass
 class RawTable:
-    """Tokenized rows: labels plus per-field tokens (None = missing). `columns`, the rows transposed,
-    is computed on its first read and kept for `build_vocab` and `encode`: do not change `rows` after it."""
+    """Tokenized records by field: labels plus one tuple of tokens per field (None = missing)."""
 
     fields: list[Field]
     labels: list[int]
-    rows: list[list]
+    columns: list[tuple]
 
     def __len__(self):
         return len(self.labels)
-
-    @cached_property
-    def columns(self):
-        return list(zip(*self.rows))
 
 
 def read_raw(path, fields, delimiter="tab"):
@@ -231,7 +225,7 @@ def read_raw(path, fields, delimiter="tab"):
             labels.append(int(cells[0]))
     if not labels:
         raise DataError(f"{path}: no records")
-    return RawTable(list(fields), labels, rows)
+    return RawTable(list(fields), labels, list(zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +247,6 @@ class Vocabulary:
                 for f, m in zip(self.fields, self.maps)
             ]
         )
-
-    def encode_token(self, i, token):
-        if token is None:
-            return MISSING_INDEX
-        return self.maps[i].get(token, OOV_INDEX)
 
     def to_dict(self):
         return {
@@ -308,10 +297,10 @@ def build_vocab(table, min_count=10):
 
 
 def encode(table, vocab):
-    """Encode every tokenized row; unseen tokens go to OOV, None to missing."""
+    """Encode every tokenized record; unseen tokens go to OOV, None to missing."""
     indices = np.empty((len(table), len(table.fields)), dtype=np.int64)
     for i, column in enumerate(table.columns):
-        lookup = {**vocab.maps[i], None: MISSING_INDEX}.get  # `vocab.encode_token(i, ·)` as one dict
+        lookup = {**vocab.maps[i], None: MISSING_INDEX}.get
         indices[:, i] = list(map(lookup, column, itertools.repeat(OOV_INDEX)))
     return Dataset(indices, np.asarray(table.labels, dtype=np.float64))
 
@@ -325,8 +314,6 @@ class DatasetSplit:
     train: Dataset
     valid: Dataset
     test: Dataset
-    seed: int
-    ratios: tuple
 
 
 def split_dataset(dataset, ratios=(0.8, 0.1, 0.1), seed=0):
@@ -349,13 +336,7 @@ def split_dataset(dataset, ratios=(0.8, 0.1, 0.1), seed=0):
     if empty:
         raise DataError(f"splitting {n} records by {ratios} leaves these parts empty: {', '.join(empty)}")
     perm = np.random.default_rng([int(seed), 5]).permutation(n)
-    return DatasetSplit(
-        train=dataset.subset(perm[:cut1]),
-        valid=dataset.subset(perm[cut1:cut2]),
-        test=dataset.subset(perm[cut2:]),
-        seed=seed,
-        ratios=ratios,
-    )
+    return DatasetSplit(*map(dataset.subset, np.split(perm, [cut1, cut2])))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 One table per field maps category indices to d-dimensional vectors; the
 field-aware variant keeps a separate table per (field, target-field) pair.
-Tables live in a `ParameterStore` under fixed slot names, initialized
-Xavier-uniform with fans (vocab_size, d). Reserved rows (missing, OOV) are
-ordinary trainable rows. A lookup joins the tables it reads into one
-parameter leaf, a (rows, d) view of the store, and gathers their rows with
-one `Tape.take`. A plain lookup hands the interaction layer one stacked
-value; the field-aware lookup hands it two, one per side of each field pair
-i < j. Lookup gradients are sparse: rows that do not appear in a batch
-receive exact zeros.
+`add_embedding_tables` and `add_linear_table` create them in a
+`ParameterStore` under fixed slot names, in the order the lookups read
+them, initialized Xavier-uniform with fans (vocab_size, d). Reserved rows
+(missing, OOV) are ordinary trainable rows. A lookup joins the tables it
+reads into one parameter leaf, a (rows, d) view of the store, and gathers
+their rows with one `Tape.take`. A plain lookup hands the interaction layer
+one stacked value; the field-aware lookup hands it two, one per side of
+each field pair i < j. Lookup gradients are sparse: rows that do not appear
+in a batch receive exact zeros.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ def linear_slot(i):
     return f"{LINEAR}.{i}"
 
 
-def embedding_shapes(schema, d, field_aware=False):
-    """Slot name -> shape of every embedding table, in creation order.
+def add_embedding_tables(store, schema, d, field_aware=False):
+    """Create the Xavier-initialized embedding tables, fans (vocab_i, d).
 
     Plain: one (vocab_i, d) table per field. Field-aware: one (vocab_i, d)
     table per ordered (field, other-field) pair, n*(n-1) tables in total,
@@ -40,29 +41,20 @@ def embedding_shapes(schema, d, field_aware=False):
     over the pairs i < j, then field j's for partner i, so each side's
     lookup leaf spans its own tables alone.
     """
-    sizes = schema.vocab_sizes
-    if not field_aware:
-        return {emb_slot(i): (size, d) for i, size in enumerate(sizes)}
-    return {name: (sizes[i], d) for own, names in _pair_sides(schema.n) for i, name in zip(own.tolist(), names)}
-
-
-def linear_shapes(schema):
-    """Slot name -> shape of the first-order weights: a d=1 table per field."""
-    return {linear_slot(i): (size, 1) for i, size in enumerate(schema.vocab_sizes)}
-
-
-def add_embedding_tables(store, schema, d, field_aware=False):
-    """Create the embedding slots for every field (see `embedding_shapes`)."""
     if d < 1:
         raise ConfigError(f"embedding dimension must be positive, got {d}")
-    for name, shape in embedding_shapes(schema, d, field_aware).items():
-        store.add_xavier(name, shape, fans=shape)
+    sizes = schema.vocab_sizes
+    tables = enumerate(map(emb_slot, range(schema.n)))  # (field, slot name) pairs
+    if field_aware:
+        tables = [(i, name) for own, names in _pair_sides(schema.n) for i, name in zip(own.tolist(), names)]
+    for i, name in tables:
+        store.add_xavier(name, (sizes[i], d), fans=(sizes[i], d))
 
 
 def add_linear_table(store, schema):
     """First-order weights: a d=1 embedding table per field."""
-    for name, shape in linear_shapes(schema).items():
-        store.add_xavier(name, shape, fans=shape)
+    for i, size in enumerate(schema.vocab_sizes):
+        store.add_xavier(linear_slot(i), (size, 1), fans=(size, 1))
 
 
 def _check_indices(indices):

@@ -57,12 +57,13 @@ class NumericError(CtrZooError):
 
 
 class TrainingError(CtrZooError):
-    """Training diverged or could not proceed; carries epoch/batch context."""
+    """Training diverged or could not proceed; the message starts with the epoch and batch, when known."""
 
     exit_code = 4
 
     def __init__(self, message, epoch=None, batch=None):
-        super().__init__(message)
+        where = ", ".join(f"{k} {v}" for k, v in (("epoch", epoch), ("batch", batch)) if v is not None)
+        super().__init__(f"{where}: {message}" if where else message)
         self.epoch = epoch
         self.batch = batch
 

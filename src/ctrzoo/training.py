@@ -138,7 +138,8 @@ def train(model, train_data, valid_data, config=None):
     """Fit `model` on `train_data`, early-stopping on `valid_data` AUC.
 
     The model keeps the parameters of its best validation epoch (ties keep
-    the earlier one). Returns a `TrainHistory`.
+    the earlier one). Returns a `TrainHistory`. A non-finite value in a step
+    or a validation pass raises TrainingError naming the epoch (and batch).
     """
     config = config or TrainConfig()
     train_data.check_schema(model.schema)
@@ -157,7 +158,10 @@ def train(model, train_data, valid_data, config=None):
         train_loss = _epoch_pass(
             model, train_data.indices, train_data.labels, order, config, adam, epoch
         )
-        val_probs = sigmoid(model.forward(valid_data.indices))
+        try:
+            val_probs = sigmoid(model.forward(valid_data.indices))
+        except NumericError as exc:
+            raise TrainingError(f"validation pass: {exc}", epoch=epoch) from exc
         stats = EpochStats(
             epoch=epoch,
             train_loss=train_loss,

@@ -139,10 +139,13 @@ class ModelSpec:
         Switches take a JSON boolean; `d`, `layers`, `afm_width` and the
         `mlp_hidden` widths a JSON integer; `dropout` a number. null is
         accepted only for the optional fields, and an absent entry keeps
-        its default. Anything else raises ConfigError.
+        its default. Anything else, an unknown key too, raises ConfigError.
         """
         if not isinstance(payload, dict):
             raise ConfigError(f"malformed model config: expected an object, got {type(payload).__name__}")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"model config has unknown keys: {', '.join(map(repr, unknown))}")
         for key in ("name", "schema"):
             if key not in payload:
                 raise ConfigError(f"model config missing key {key!r}")

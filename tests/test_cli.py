@@ -534,6 +534,12 @@ def test_eval_rejects_a_run_config_that_is_not_json(ws, synth_dir, run_dir):
         pytest.param(lambda c: c["split"].update(ratios=[0.8, 0.2]), id="split-two-ratios"),
         pytest.param(lambda c: c["split"].update(ratios="abc"), id="split-ratios-not-numbers"),
         pytest.param(lambda c: c["split"].update(seed="x"), id="split-seed-not-a-number"),
+        pytest.param(lambda c: c["model"].update(softmax_enable=False), id="misspelt-key"),
+        pytest.param(lambda c: c["split"].update(seed="1"), id="split-seed-string"),
+        pytest.param(lambda c: c["split"].update(seed=True), id="split-seed-bool"),
+        pytest.param(lambda c: c["split"].update(seed=1.0), id="split-seed-float"),
+        pytest.param(lambda c: c["split"].update(ratios=["0.8", "0.1", "0.1"]), id="split-ratios-strings"),
+        pytest.param(lambda c: c["split"].update(ratios=[10**400, 0.1, 0.1]), id="split-ratio-beyond-float"),
     ],
 )
 def test_eval_rejects_a_malformed_model_config(tmp_path, synth_dir, run_dir, change):
@@ -565,6 +571,15 @@ def test_eval_survives_any_corrupted_artifact_byte(ws, synth_dir, run_dir, targe
     assert "Traceback" not in proc.stderr
     if proc.returncode:
         assert proc.stderr.startswith("error: ")
+
+
+def test_a_diverging_train_is_one_error_line_naming_its_epoch(tmp_path, synth_dir):
+    # one batch an epoch, so the first Adam step sends every weight to about 1e300 and the
+    # validation pass overflows; numpy's overflow warning does not reach stderr
+    proc = run_cli("train", "--data", synth_dir, "--out", tmp_path / "run", "--model", "FM", "--lr", "1e300")
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: epoch 0"), proc.stderr
 
 
 @pytest.mark.parametrize("name", ["FM", "FFM", "FwFM", "AFM"])

@@ -82,18 +82,24 @@ def test_tokenize_bad_numeric_rejected():
 
 
 def _table(rows, labels=None, kinds=None):
+    """A RawTable of `rows`, one token per field each, stored as its columns."""
     n = len(rows[0])
     kinds = kinds or ["categorical"] * n
     fields = [Field(f"f{i}", k) for i, k in enumerate(kinds)]
     labels = labels if labels is not None else [0] * len(rows)
-    return RawTable(fields, labels, [list(r) for r in rows])
+    return RawTable(fields, labels, list(zip(*rows)))
+
+
+def _encoded(vocab, token):
+    """The index `vocab` gives `token` in its one field, as `encode` writes it."""
+    return int(encode(_table([[token]]), vocab).indices[0, 0])
 
 
 def test_vocab_single_value_gets_size_three():
     table = _table([["x"], ["x"], ["x"]])
     vocab = build_vocab(table, min_count=1)
     assert vocab.schema().vocab_sizes == [3]
-    assert vocab.encode_token(0, "x") == 2
+    assert _encoded(vocab, "x") == 2
 
 
 def test_vocab_first_appearance_order():
@@ -107,18 +113,18 @@ def test_vocab_min_count_drops_rare_tokens():
     vocab = build_vocab(_table(rows), min_count=10)
     assert "A" in vocab.maps[0]
     assert "B" not in vocab.maps[0]
-    assert vocab.encode_token(0, "B") == OOV_INDEX
+    assert _encoded(vocab, "B") == OOV_INDEX
 
 
 def test_vocab_missing_encodes_to_reserved_zero():
     vocab = build_vocab(_table([["x"], [None]]), min_count=1)
-    assert vocab.encode_token(0, None) == 0
+    assert _encoded(vocab, None) == 0
 
 
 def test_vocab_rejects_bad_min_count_and_empty_table():
     with pytest.raises(ConfigError):
         build_vocab(_table([["x"]]), min_count=0)
-    empty = RawTable([Field("f0")], [], [])
+    empty = RawTable([Field("f0")], [], [()])
     with pytest.raises(DataError):
         build_vocab(empty, min_count=1)
 
@@ -141,8 +147,7 @@ def test_read_raw_parses_and_skips_blank_lines(tmp_path):
     fields = [Field("cat"), Field("num", "numeric")]
     table = read_raw(path, fields)
     assert table.labels == [1, 0]
-    assert table.rows[0] == ["a", str(discretize_numeric(3.0))]
-    assert table.rows[1] == ["b", None]
+    assert table.columns == [("a", "b"), (str(discretize_numeric(3.0)), None)]
 
 
 def test_read_raw_reports_line_numbers(tmp_path):
@@ -184,7 +189,7 @@ def test_read_raw_comma_delimiter(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("1,a,b\n0,c,d\n")
     table = read_raw(path, [Field("x"), Field("y")], delimiter="comma")
-    assert table.rows == [["a", "b"], ["c", "d"]]
+    assert table.columns == [("a", "c"), ("b", "d")]
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +505,12 @@ def test_write_raw_read_raw_round_trip(tmp_path):
     path = tmp_path / "raw.tsv"
     lines = [
         "\t".join([str(y)] + ["" if t is None else t for t in row])
-        for y, row in zip(table.labels, table.rows)
+        for y, row in zip(table.labels, zip(*table.columns))
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     back = read_raw(path, table.fields)
     assert back.labels == table.labels
-    assert back.rows == table.rows
+    assert back.columns == table.columns
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +571,7 @@ def test_prepare_by_columns_agrees_with_a_row_by_row_reference(tmp_path_factory,
     raw.write_text("".join("\t".join([str(y), *cells]) + "\n" for y, cells in zip(labels, cell_rows)))
     fields = [Field(f"f{i}", k) for i, k in enumerate(kinds)]
     parsed = read_raw(raw, fields)
-    assert parsed.labels == labels and parsed.rows == rows
+    assert parsed.labels == labels and parsed.columns == list(zip(*rows))
     vocab = build_vocab(parsed, min_count=min_count)
     assert [list(m.items()) for m in vocab.maps] == [list(m.items()) for m in maps]  # the order too
     ds = encode(parsed, vocab)

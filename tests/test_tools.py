@@ -21,10 +21,11 @@ def test_bit_parity_prints_every_fingerprint_and_the_same_total_twice():
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         # 15 models and 8 variants at three sizes, the 15 on a saved and loaded store,
-        # one short training run per model, then TOTAL
+        # one short training run per model, one prepare run, then TOTAL
         assert sum(" nodes=" in line for line in lines) == 84
         assert sum(" loaded " in line and " nodes=" in line for line in lines) == 15
         assert sum(" train params.json+history.csv " in line for line in lines) == 15
-        assert len(lines) == 100 and lines[-1].startswith("TOTAL ")
+        assert sum(line.startswith("prepare ") for line in lines) == 1
+        assert len(lines) == 101 and lines[-1].startswith("TOTAL ")
         totals.append(lines[-1])
     assert totals[0] == totals[1]

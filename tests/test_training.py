@@ -316,6 +316,22 @@ def test_a_non_finite_table_stops_training_naming_its_slot(name, slot):
     assert (excinfo.value.epoch, excinfo.value.batch) == (0, 0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_divergence_in_the_validation_pass_names_its_epoch():
+    data, split = synth_split(count=300)
+    model = build_model(ModelSpec("FM", data.schema, d=2), seed=0)
+    config = TrainConfig(lr=1e300, batch_size=len(split.train), epochs=2, seed=0)  # one step, then validation
+    with pytest.raises(TrainingError, match="^epoch 0: validation pass: non-finite") as excinfo:
+        train(model, split.train, split.valid, config)
+    assert (excinfo.value.epoch, excinfo.value.batch) == (0, None)
+
+
+def test_a_training_error_message_starts_with_its_epoch_and_batch():
+    assert str(TrainingError("diverged", epoch=2, batch=5)) == "epoch 2, batch 5: diverged"
+    assert str(TrainingError("diverged", epoch=2)) == "epoch 2: diverged"
+    assert str(TrainingError("no records")) == "no records"
+
+
 def test_train_validates_schema_and_nonempty_splits():
     data, split = synth_split(count=300)
     model = build_model(ModelSpec("LR", data.schema), seed=0)

@@ -11,9 +11,12 @@ sorted order, so lookups read their tables at other offsets. Then one line
 per model gives the sha256 of the parameters a short `ctrzoo train` on a
 fixed synthetic set leaves in `params.json`, as `ParameterStore.load` reads
 them (names, shapes and values, so it does not depend on the checkpoint
-format), and of its `history.csv`; a last `TOTAL` line hashes every
-fingerprint above it. Tape lengths are
-printed but left out of `TOTAL`, so a change that only adds or removes
+format), and of its `history.csv`. One more line gives the sha256 of the
+six files `ctrzoo prepare` writes (all but `manifest.json`, which holds a
+timestamp) from a fixed raw TSV the tool writes itself: categorical and
+numeric fields, missing cells, tokens below the minimum count and a blank
+line. A last `TOTAL` line hashes every fingerprint above it. Tape lengths
+are printed but left out of `TOTAL`, so a change that only adds or removes
 nodes keeps it.
 
 Run it from the repository root on two checkouts and compare:
@@ -29,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -53,6 +57,7 @@ VARIANTS = (
     ("AutoInt", {"layers": 3}),
 )
 SEED = 7
+PREPARED = ("vocab.json", "schema.json", "encoded.tsv", "train.tsv", "valid.tsv", "test.tsv")
 
 
 def _digest(*arrays):
@@ -99,6 +104,40 @@ def trained(name, data, out):
     return h.hexdigest()
 
 
+def raw_records():
+    """The raw TSV lines `prepared` encodes: a label, two categorical fields and two numeric ones."""
+    for r in range(300):
+        cells = [
+            "" if r % 11 == 0 else f"c{r * r % 13}",
+            f"rare{r}" if r % 17 == 0 else f"k{r % 5}",  # seen once each: out of vocabulary
+            "" if r % 9 == 0 else repr((r * 37 % 101 - 20) / 3.0),
+            "" if r % 7 == 3 else f"{r * 1.5e3:g}",
+        ]
+        yield "\t".join([str(r * 7 % 3 % 2), *cells]) + "\n"
+        if r == 150:
+            yield "\n"
+
+
+def prepared(tmp):
+    """sha256 of the six files a `ctrzoo prepare` of `raw_records` writes, names and bytes in order."""
+    root = Path(tmp) / "prepared"
+    root.mkdir()
+    (root / "raw.tsv").write_text("".join(raw_records()), encoding="utf-8")
+    kinds = ("categorical", "categorical", "numeric", "numeric")
+    fields = {"fields": [{"name": f"f{i}", "kind": kind} for i, kind in enumerate(kinds)]}
+    (root / "fields.json").write_text(json.dumps(fields), encoding="utf-8")
+    argv = ["prepare", "--raw", str(root / "raw.tsv"), "--fields", str(root / "fields.json"),
+            "--out", str(root / "out"), "--min-count", "2", "--seed", "1"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli_main(argv) != 0:
+            raise SystemExit("ctrzoo prepare failed")
+    h = hashlib.sha256()
+    for name in PREPARED:
+        h.update(name.encode())
+        h.update((root / "out" / name).read_bytes())
+    return h.hexdigest()
+
+
 def main():
     print(f"ctrzoo from {Path(ctrzoo.__file__).parent}", file=sys.stderr)
     total = hashlib.sha256()
@@ -120,6 +159,9 @@ def main():
             sha = trained(name, data, str(Path(tmp) / name))
             print(f"{name:<12} train params.json+history.csv {sha}")
             total.update(sha.encode())
+        sha = prepared(tmp)
+        print(f"{'prepare':<12} {'+'.join(PREPARED)} {sha}")
+        total.update(sha.encode())
     print(f"TOTAL {total.hexdigest()}")
 
 
