@@ -264,7 +264,7 @@ class Vocabulary:
             # JSON integers: a float or a string is not truncated or parsed
             maps = [{k: operator.index(v) for k, v in f["values"].items()} for f in payload["fields"]]
             return cls(fields, maps, operator.index(payload["min_count"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: `values` not an object
             raise ConfigError(f"malformed vocabulary payload: {exc}") from exc
 
     def save(self, path):

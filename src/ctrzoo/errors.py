@@ -93,12 +93,13 @@ def reading(path, error=DataError):
 
 
 def read_json(path, error=DataError):
-    """The JSON value in `path`; every way the file can fail to parse raises `error`."""
+    """The JSON value in `path`; every parse failure raises `error`, an overlong integer or too deep a nesting too."""
     with reading(path, error) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error(f"{path}: not valid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from exc
 
 
 def write_text(path, chunks):

@@ -43,13 +43,14 @@ Every op checks its operands and its result the same way on either kind of
 tape: a non-finite value raises NumericError naming the op (and, for a
 parameter leaf, the slot), a broadcast or batch mismatch or a non-integer
 take index ShapeError, and a take index outside [0, axis length] DomainError
-naming that range. A tape built with `record=False` drops each op's
-backward closure and keeps no node list, so intermediates are freed as soon
-as they are dead and `backward` raises ContractError. `Model.forward`
-(so `predict`, validation and `verify_equivalence`) and the finite
-differences of `gradient_check` run on one; training steps record.
-`backward` frees each node's gradient once it has passed it back, so no
-node holds one after the sweep.
+naming that range. Each op computes its value with one closure over its input nodes;
+`rerun(root)` calls those of a recording tape in order, recomputing every node from the
+store's current values through the same finite checks. A tape built with `record=False` keeps
+no closure and no node list, so intermediates are freed as soon as they are dead, and
+`backward` and `rerun` raise ContractError, as `backward` does after a `rerun`.
+`Model.forward` (so `predict`, validation and `verify_equivalence`) runs on one; training
+steps and `gradient_check`, which re-runs its loss for each perturbed entry, record.
+`backward` frees each node's gradient once it has passed it back, so no node holds one.
 
 A `ParameterStore` keeps its slots in one flat `values` and one flat `grads`
 buffer. Gradients are accumulation-only: `backward` adds into them and never
@@ -69,7 +70,6 @@ import ctypes
 import json
 import math
 import string
-import sys
 import zlib
 from functools import lru_cache
 
@@ -136,12 +136,13 @@ keep_freed_memory(_LIBC)
 
 
 def _finite(arr):
-    """True when every entry of the float array is finite. For one dense block a finite `np.vdot`
-    with itself (no overflow warning, unlike `@`) proves it: a square is >= 0 or NaN, so nothing
-    cancels an inf or a NaN. Otherwise (an entry past ~1e154, a strided view) `isfinite` decides."""
-    if arr.flags.c_contiguous or arr.flags.f_contiguous:
-        flat = arr.ravel(order="K")
-        if math.isfinite(np.vdot(flat, flat)):
+    """True when every entry of the float array is finite. For one dense block a finite `np.vdot` with
+    itself (in place in C order; no overflow warning, unlike `@`) proves it: a square is >= 0 or NaN,
+    so nothing cancels an inf or a NaN. Otherwise (an entry past ~1e154, a strided view) `isfinite` decides."""
+    flags = arr.flags
+    if flags.c_contiguous or flags.f_contiguous:
+        block = arr if flags.c_contiguous else arr.T
+        if math.isfinite(np.vdot(block, block)):
             return True
     return np.logical_and.reduce(np.isfinite(arr), axis=None)
 
@@ -386,9 +387,9 @@ class ParameterStore:
 
 
 class Node:
-    """One value on the tape plus the closure that pushes its gradient back."""
+    """One value, the closure that pushes its gradient back and, on a recording tape, `_forward`."""
 
-    __slots__ = ("value", "grad", "_backward")
+    __slots__ = ("value", "grad", "_backward", "_forward")
 
     def __init__(self, value, backward=None):
         self.value = value
@@ -554,14 +555,23 @@ def _axis(axis, ndim):
     return axis % ndim
 
 
+def _computed(forward, moved):
+    """The float64 array `forward()` computes; unless `moved`, a non-finite one raises NumericError."""
+    value = np.asarray(forward())
+    if not (moved or _finite(value)):
+        # the op, read off the closure's name, is named on this path alone, so the finite path pays nothing
+        raise NumericError(f"non-finite value produced on tape by {forward.__qualname__.split('.')[1]}")
+    return value
+
+
 class Tape:
     """Ordered record of whole-tensor operations for one forward pass.
 
     Operations append nodes in topological order by construction, so
     `backward` is a single reversed sweep that touches each node once.
     Build a fresh tape per forward pass; nodes alias parameter-store
-    values, so a tape is only valid until those values change. `len` counts
-    the nodes emitted, also with `record=False` (module docstring).
+    values, so a tape is only valid until those values change or `rerun`
+    recomputes it. `len` counts the nodes emitted, also with `record=False`.
     """
 
     def __init__(self, record=True):
@@ -569,28 +579,36 @@ class Tape:
         self._nodes: list[Node] = []
         self._emitted = 0
         self._params: dict[_Slot, Node] = {}
+        self._rerun = False
 
     def __len__(self):
         return self._emitted
 
-    def _emit(self, value, backward=None, moved=False):
-        """Append a node. `moved` marks a value already known to be finite: it only
-        rearranges entries of nodes on the tape, which were checked, or its op checked it."""
-        value = np.asarray(value, dtype=np.float64)
-        if not (moved or _finite(value)):
-            # the op is named on this path alone, so the finite path pays nothing for it
-            raise NumericError(f"non-finite value produced on tape by {sys._getframe(1).f_code.co_name}")
+    def _emit(self, forward, backward=None, moved=False):
+        """Append the node `forward()` computes. `moved` marks a value already known to be finite:
+        it only rearranges entries of nodes on the tape, which were checked, or its op checked it."""
+        node = Node(_computed(forward, moved), backward if self.record else None)
         self._emitted += 1
-        if not self.record:
-            return Node(value)
-        node = Node(value, backward)
-        self._nodes.append(node)
+        if self.record:
+            node._forward = forward, moved  # what computes the node's value, and how it is checked
+            self._nodes.append(node)
         return node
+
+    def rerun(self, root):
+        """Root's value, every recorded node recomputed in order from the store's current values through
+        the checks of a fresh forward. `backward` then raises: one stopped part way left two points mixed."""
+        if not self.record:
+            raise ContractError("rerun on a tape that records no forwards (record=False)")
+        self._rerun = True
+        for node in self._nodes:
+            node.value = _computed(*node._forward)
+        return root.value
 
     # -- leaves ------------------------------------------------------------
 
     def constant(self, value):
-        return self._emit(value)
+        value = np.asarray(value, dtype=np.float64)
+        return self._emit(lambda: value)
 
     def parameter(self, store, name):
         """Whole slot as a leaf, a tuple of names giving their `row_view`; gradient accumulates into the
@@ -599,15 +617,18 @@ class Tape:
         slot = store.slot(name)
         node = self._params.get(slot)
         if node is None:
-            if not _finite(slot.value):  # the slot is named on this path alone
-                at = slot.span.start + np.flatnonzero(~np.isfinite(store.values[slot.span]))[0]
-                bad = next(s.name for s in store.slots() if s.span.start <= at < s.span.stop)
-                raise NumericError(f"non-finite value produced on tape by parameter: slot {bad!r}")
+
+            def forward():
+                if not _finite(slot.value):  # the slot is named on this path alone
+                    at = slot.span.start + np.flatnonzero(~np.isfinite(store.values[slot.span]))[0]
+                    bad = next(s.name for s in store.slots() if s.span.start <= at < s.span.stop)
+                    raise NumericError(f"non-finite value produced on tape by parameter: slot {bad!r}")
+                return slot.value
 
             def backward(g):
                 slot.grad += g
 
-            node = self._params[slot] = self._emit(slot.value, backward, moved=True)
+            node = self._params[slot] = self._emit(forward, backward, moved=True)
         return node
 
     # -- arithmetic --------------------------------------------------------
@@ -620,19 +641,19 @@ class Tape:
             _bump(a, _unbroadcast(g, a.value.shape))
             _bump(b, _unbroadcast(g, b.value.shape))
 
-        return self._emit(a.value + b.value, backward)
+        return self._emit(lambda: a.value + b.value, backward)
 
     def contract(self, spec, *nodes):
         """Contract `nodes` by explicit einsum subscripts, "bid,bjd->bij" say; a node may come twice."""
-        values = [node.value for node in nodes]
-        run, grads = _contraction(spec, tuple([x.shape for x in values]))
+        run, grads = _contraction(spec, tuple([node.value.shape for node in nodes]))
 
         def backward(g):
+            values = [node.value for node in nodes]
             for k, node in enumerate(nodes):
                 if node._backward is not None:  # not a constant
                     _bump(node, grads[k](g, *values[:k], *values[k + 1 :]))
 
-        return self._emit(run(*values), backward)
+        return self._emit(lambda: run(*[node.value for node in nodes]), backward)
 
     # -- nonlinearities ----------------------------------------------------
 
@@ -640,62 +661,67 @@ class Tape:
         def backward(g):
             _bump(x, g * (x.value > 0))
 
-        return self._emit(np.maximum(x.value, 0.0), backward)
+        return self._emit(lambda: np.maximum(x.value, 0.0), backward)
 
     def softmax(self, x):
         """Softmax over the last axis."""
-        v = x.value
-        if v.ndim == 0:
+        if x.value.ndim == 0:
             raise ShapeError("softmax of a 0-d node")
-        n = v.shape[-1]
+        n, p = x.value.shape[-1], None  # forward sets p for backward
         if n == 0:
             raise DomainError("softmax over an empty axis")
-        # a max is exact: one reduce over a contiguous copy with the normalized axis first keeps its bits
-        top = np.maximum.reduce(np.ascontiguousarray(np.moveaxis(v, -1, 0)).reshape(n, -1))
-        # in C order, so the sum adds in one order whatever the memory order of x
-        e = np.exp(np.subtract(v, top.reshape(v.shape[:-1] + (1,)), order="C"))
-        p = e / e.sum(axis=-1, keepdims=True)
+
+        def forward():
+            nonlocal p
+            v = x.value
+            # a max is exact: one reduce over a contiguous copy with the normalized axis first keeps its bits
+            top = np.maximum.reduce(np.ascontiguousarray(np.moveaxis(v, -1, 0)).reshape(n, -1))
+            # in C order, so the sum adds in one order whatever the memory order of x
+            e = np.exp(np.subtract(v, top.reshape(v.shape[:-1] + (1,)), order="C"))
+            p = e / e.sum(axis=-1, keepdims=True)
+            return p
 
         def backward(g):
             dot = np.sum(g * p, axis=-1, keepdims=True)
             _bump(x, p * (g - dot))
 
-        return self._emit(p, backward)
+        return self._emit(forward, backward)
 
     # -- shape plumbing ----------------------------------------------------
 
     def reshape(self, x, shape):
         """Same entries in a new shape (C order)."""
-        try:
-            value = x.value.reshape(shape)
-        except ValueError:
-            raise ShapeError(f"cannot reshape {x.value.shape} to {shape}") from None
-
         def backward(g):
             _bump(x, g.reshape(x.value.shape))
 
-        return self._emit(value, backward, moved=True)
+        try:
+            return self._emit(lambda: x.value.reshape(shape), backward, moved=True)
+        except ValueError:
+            raise ShapeError(f"cannot reshape {x.value.shape} to {shape}") from None
 
     def take(self, x, index, axis=0):
         """x read along `axis` at the integer array `index`, whose axes replace it; an entry
         equal to the axis length reads zero. The backward sums each entry's reads, in order."""
-        index, v = np.asarray(index), x.value
-        axis = _axis(axis, v.ndim)
-        n, head, tail = v.shape[axis], v.shape[:axis], v.shape[axis + 1 :]
+        index, shape = np.asarray(index), x.value.shape
+        axis = _axis(axis, len(shape))
+        n, head, tail = shape[axis], shape[:axis], shape[axis + 1 :]
         if index.dtype.kind not in "iu":
             raise ShapeError(f"take index must be an integer array, got {index.dtype}")
         rows = index.reshape(-1).astype(np.int64)  # a copy: the caller may reuse `index`
         top = rows.view(np.uint64).max() if rows.size else 0  # as unsigned, a negative entry is huge
         if top > n:
             raise DomainError(f"take index outside [0, {n}]; {n} reads zero")
+        picks = rows.reshape(index.shape)
+
+        def forward():  # only an index that reads the zero copies x to append it
+            v = x.value if top < n else np.concatenate((x.value, np.zeros(head + (1,) + tail)), axis)
+            return v.take(picks, axis)
 
         def backward(g):
             sums = _scatter_rows(rows, g.reshape(head + (-1,) + tail), n + 1, axis)
             _bump(x, sums[(slice(None),) * axis + (slice(n),)])
 
-        if top == n:  # the zero is read: only then is x copied to append it
-            v = np.concatenate((v, np.zeros(head + (1,) + tail)), axis)
-        return self._emit(v.take(rows.reshape(index.shape), axis), backward, moved=True)
+        return self._emit(forward, backward, moved=True)
 
     def sum_axis(self, x, axis):
         """Sum over the one int `axis`, dropping it."""
@@ -704,7 +730,7 @@ class Tape:
         def backward(g):
             _bump(x, np.broadcast_to(np.expand_dims(g, axis), x.value.shape))
 
-        return self._emit(np.add.reduce(x.value, axis=axis), backward)
+        return self._emit(lambda: np.add.reduce(x.value, axis=axis), backward)
 
     # -- loss --------------------------------------------------------------
 
@@ -722,10 +748,17 @@ class Tape:
             raise DataError("labels must be 0 or 1")
         if y.size == 0:
             raise DomainError("log-loss of an empty batch")
-        s = _logistic(logit.value)  # a tape value, finite already
-        # the clamp as np.clip computes it on finite values
-        p = np.minimum(np.maximum(s, PROB_FLOOR), 1.0 - PROB_FLOOR)
-        y_off, q = 1.0 - y, 1.0 - p
+        y_off, s, p, q = 1.0 - y, None, None, None  # forward sets s, p and q for backward
+
+        def forward():
+            nonlocal s, p, q
+            s = _logistic(logit.value)  # a tape value, finite already
+            # the clamp as np.clip computes it on finite values
+            p = np.minimum(np.maximum(s, PROB_FLOOR), 1.0 - PROB_FLOOR)
+            q = 1.0 - p
+            # the mean as ndarray.mean forms it: one sum, one division
+            terms = y * np.log(p) + y_off * np.log(q)
+            return -(np.add.reduce(terms, axis=None) / y.size)
 
         def backward(g):
             # d/dp of the mean, the clamp mask, then s(1 - s), in the order that
@@ -734,9 +767,7 @@ class Tape:
             inside = (s > PROB_FLOOR) & (s < 1.0 - PROB_FLOOR)
             _bump(logit, (-(c * y_off / q) + c * y / p) * inside * s * (1.0 - s))
 
-        # the mean as ndarray.mean forms it: one sum, one division
-        terms = y * np.log(p) + y_off * np.log(q)
-        return self._emit(-(np.add.reduce(terms, axis=None) / y.size), backward)
+        return self._emit(forward, backward)
 
     # -- reverse sweep -----------------------------------------------------
 
@@ -748,8 +779,9 @@ class Tape:
         store buffers are not reset (accumulation is the caller's contract,
         cleared via `ParameterStore.zero_grads`).
         """
-        if not self.record:
-            raise ContractError("backward on a tape that records no backward (record=False)")
+        if not self.record or self._rerun:
+            why = "has been re-run" if self._rerun else "records no backward (record=False)"
+            raise ContractError(f"backward on a tape that {why}")
         if root.value.shape != ():
             raise ContractError(f"backward root must be scalar, got shape {root.value.shape}")
         root.grad = np.ones((), dtype=np.float64)
@@ -767,9 +799,9 @@ def finite_diff_check(f, store, eps=1e-5):
     """Compare store gradient buffers against central differences of `f`.
 
     `f` is a deterministic zero-argument callable returning the scalar being
-    differentiated, re-reading current store values on every call. The caller
-    is expected to have populated the gradient buffers (zero_grads, forward,
-    backward) before invoking this. Returns the maximum over all store
+    differentiated, re-reading current store values on every call (a fresh forward, or
+    a `Tape.rerun`). The caller is expected to have populated the gradient buffers
+    (zero_grads, forward, backward) before invoking this. Returns the maximum over all store
     entries of |analytic - central| / max(1, |central|), or NaN once either
     value is NaN, so a non-finite gradient fails every `err < tol` check.
     """

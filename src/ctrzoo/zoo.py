@@ -340,23 +340,20 @@ def random_batch(schema, batch_size, seed=0):
 def gradient_check(model, indices, labels, eps=1e-5, dropout_seed=None, corrupt=0.0):
     """Max relative error between tape gradients and central differences.
 
-    With a `dropout_seed`, dropout masks are redrawn identically on every
-    evaluation, so the checked function stays deterministic.
+    The loss is recorded once, on the tape swept backward, and every evaluation of the
+    differences is a `Tape.rerun` of it, so the masks of a `dropout_seed` are drawn once.
     A nonzero `corrupt` is added to one analytic gradient entry before the
     comparison; the checker must then report at least that much error
     (sensitivity self-test).
     """
-
-    def loss(tape):
-        rng = None if dropout_seed is None else np.random.default_rng([int(dropout_seed), 13])
-        return model.loss_node(tape, indices, labels, drop_rng=rng)
-
+    rng = None if dropout_seed is None else np.random.default_rng([int(dropout_seed), 13])
     model.store.zero_grads()
     tape = Tape()
-    tape.backward(loss(tape))
+    root = model.loss_node(tape, indices, labels, drop_rng=rng)
+    tape.backward(root)
     if corrupt:
         model.store.grads[0] += corrupt
-    return finite_diff_check(lambda: float(loss(Tape(record=False)).value), model.store, eps)
+    return finite_diff_check(lambda: float(tape.rerun(root)), model.store, eps)
 
 
 # ---------------------------------------------------------------------------

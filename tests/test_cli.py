@@ -872,6 +872,28 @@ def test_config_file_rejects_unknown_settings(ws):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        # json raises a plain ValueError past Python's int-string limit of 4,300 digits
+        '{"split": {"seed": ' + "1" * 5000 + "}}",
+        "[" * 200_000 + "]" * 200_000,  # a RecursionError
+    ],
+    ids=["5000-digit-integer", "200000-deep-array"],
+)
+def test_json_the_parser_cannot_hold_is_a_typed_error(tmp_path, synth_dir, run_dir, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    run = broken_run(tmp_path, run_dir, "run", lambda _: text, target="model.json")
+    for argv, code, name in (
+        (["train", "--config", config], 2, "config.json"),
+        (["eval", "--run", run, "--data", synth_dir], 3, "model.json"),
+    ):
+        assert cli.main([str(a) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}") and name in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("epochs", 2.5),

@@ -489,8 +489,8 @@ def test_vocab_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "values, min_count",
-    [({"x": "two"}, 1), ({"x": 2.7}, 1), ({"x": 2}, "abc")],
-    ids=["index-string", "index-float", "min-count-string"],
+    [({"x": "two"}, 1), ({"x": 2.7}, 1), ({"x": 2}, "abc"), (["x"], 1)],
+    ids=["index-string", "index-float", "min-count-string", "values-list"],
 )
 def test_vocab_load_rejects_a_malformed_file_naming_it(tmp_path, values, min_count):
     path = tmp_path / "vocab.json"

@@ -907,6 +907,28 @@ def test_a_tape_that_records_no_backward_counts_nodes_and_refuses_backward():
     assert not np.any(store.grads)
 
 
+def test_a_rerun_recomputes_every_op_as_a_fresh_forward_does():
+    store = ParameterStore(seed=4)
+    store.add_xavier("w", (3, 4))
+    store.add_value("b", [2.0, 2.5, 3.0, 3.5])  # keeps the relu open, so every entry moves the loss
+
+    def loss(tape):  # every op, and a take that reads the zero appended to an op's 3 rows
+        w = tape.parameter(store, "w")
+        rows = tape.take(tape.relu(tape.add(w, tape.parameter(store, "b"))), np.array([[0, 3], [2, 1]]))
+        h = tape.reshape(tape.contract("bkd,kd->bd", rows, tape.take(w, [1, 2])), (4, 2))
+        p = tape.softmax(tape.contract("ij,ij->ij", h, tape.constant(np.full((4, 2), 1.5))))
+        return tape.logloss(tape.sum_axis(tape.contract("ij,ij->ij", p, h), 1), [1.0, 0.0, 0.0, 1.0])
+
+    tape = Tape()
+    root = loss(tape)
+    seen = {float(root.value)}
+    for k in range(store.values.size):
+        store.values[k] += 0.5 * (-1) ** k
+        assert tape.rerun(root).tobytes() == loss(Tape(record=False)).value.tobytes()
+        seen.add(float(root.value))
+    assert len(tape) == 14 and len(seen) == 1 + store.values.size  # every step moved the loss
+
+
 @pytest.mark.parametrize("record", [True, False])
 def test_every_op_check_holds_on_either_tape(record):
     store = ParameterStore()

@@ -1,12 +1,14 @@
 """Model zoo tests: builds, forward passes, closed forms, complexity counts."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctrzoo.data import FieldSchema
-from ctrzoo.errors import CatalogError, ConfigError, DomainError, NumericError
+from ctrzoo.errors import CatalogError, ConfigError, ContractError, DomainError, NumericError
 from ctrzoo.interaction import MODEL_NAMES, grid_size
 from ctrzoo.tape import Tape
 from ctrzoo.zoo import (
@@ -390,6 +392,73 @@ def test_training_mode_gradients_check_through_dropout(name, dropout_seed):
     assert float(dropped.value) != float(model.loss_node(Tape(record=False), indices, labels).value)
     err = gradient_check(model, indices, labels, dropout_seed=dropout_seed)
     assert err < 1e-6
+
+
+def _bit_parity_variants():
+    path = Path(__file__).resolve().parents[1] / "tools" / "bit_parity.py"
+    spec = importlib.util.spec_from_file_location("bit_parity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.VARIANTS
+
+
+# the 15 rows and the variants tools/bit_parity.py fingerprints, at the `ctrzoo gradcheck` defaults:
+# n=5, vocab 7, d=4, B=8, layers 2
+REPLAYED = [(name, {}) for name in MODEL_NAMES] + list(_bit_parity_variants())
+REFEREE = FieldSchema.of_sizes([7] * 5)
+
+
+@pytest.mark.parametrize("dropout_seed", [None, 0])
+@pytest.mark.parametrize(
+    "name, switches", REPLAYED, ids=[name + "".join(f"-{k}={v}" for k, v in sw.items()) for name, sw in REPLAYED]
+)
+def test_a_rerun_tape_is_bitwise_a_fresh_forward_whichever_entry_moves(name, switches, dropout_seed):
+    # the referee gradient_check replays its recorded tape, so the loss it differences must be
+    # the loss a fresh forward computes, bit for bit, at every perturbed entry
+    model = build_model(ModelSpec(name, REFEREE, d=4, **{"layers": 2, **switches}), seed=0)
+    indices, labels = random_batch(REFEREE, 8, seed=0)
+
+    def loss(tape):
+        rng = None if dropout_seed is None else np.random.default_rng([dropout_seed, 13])
+        return model.loss_node(tape, indices, labels, drop_rng=rng)
+
+    tape = Tape()
+    root = loss(tape)
+    values, pick = model.store.values, np.random.default_rng(11)
+    for slot in model.store.slots():
+        start, stop = slot.span.start, slot.span.stop
+        for k in sorted({start, stop - 1, *pick.integers(start, stop, size=3).tolist()}):
+            saved = values[k]
+            for step in (1e-5, -1e-5, 0.5):
+                values[k] = saved + step
+                assert tape.rerun(root).tobytes() == loss(Tape(record=False)).value.tobytes(), (slot.name, k, step)
+            values[k] = saved
+    assert tape.rerun(root).tobytes() == loss(Tape(record=False)).value.tobytes()
+
+
+def test_a_rerun_raises_what_a_fresh_forward_raises():
+    model = build_model(ModelSpec("FM", REFEREE, d=4, layers=2), seed=0)
+    indices, labels = random_batch(REFEREE, 8, seed=0)
+    tape = Tape()
+    root = model.loss_node(tape, indices, labels)
+
+    def message(run):
+        with pytest.raises(NumericError) as info, np.errstate(over="ignore"):
+            run()
+        return str(info.value)
+
+    table, row = model.store.value("emb.0"), indices[0, 0]  # a row the batch reads
+    for entry, op in ((1e200, "contract"), (np.inf, "parameter: slot 'emb.0'")):
+        table[row, 0] = entry  # 1e200 is finite, and its square in the Gram matrix is not
+        fresh = message(lambda: model.loss_node(Tape(record=False), indices, labels))
+        assert message(lambda: tape.rerun(root)) == fresh == f"non-finite value produced on tape by {op}"
+    table[row, 0] = 0.0
+    # a sweep belongs to the recorded forward; this rerun stopped part way, leaving two points mixed
+    with pytest.raises(ContractError, match="re-run"):
+        tape.backward(root)
+    unrecorded = Tape(record=False)
+    with pytest.raises(ContractError, match="record=False"):
+        unrecorded.rerun(model.loss_node(unrecorded, indices, labels))
 
 
 def test_gradient_check_corruption_is_reported():

@@ -15,9 +15,10 @@ format), and of its `history.csv`. One more line gives the sha256 of the
 six files `ctrzoo prepare` writes (all but `manifest.json`, which holds a
 timestamp) from a fixed raw TSV the tool writes itself: categorical and
 numeric fields, missing cells, tokens below the minimum count and a blank
-line. A last `TOTAL` line hashes every fingerprint above it. Tape lengths
-are printed but left out of `TOTAL`, so a change that only adds or removes
-nodes keeps it.
+line. A `gradcheck` line gives the sha256 of the 15 `gradient_check` results
+at the `ctrzoo gradcheck` defaults. A last `TOTAL` line hashes every
+fingerprint above it. Tape lengths are printed but left out of `TOTAL`, so a
+change that only adds or removes nodes keeps it.
 
 Run it from the repository root on two checkouts and compare:
 
@@ -43,7 +44,7 @@ import ctrzoo
 from ctrzoo.cli import main as cli_main
 from ctrzoo.data import FieldSchema
 from ctrzoo.tape import ParameterStore, Tape
-from ctrzoo.zoo import MODEL_NAMES, ModelSpec, build_model, model_on_store, random_batch
+from ctrzoo.zoo import MODEL_NAMES, ModelSpec, build_model, gradient_check, model_on_store, random_batch
 
 SIZES = ((5, 4, 8, 2), (10, 16, 1024, 2), (4, 5, 37, 3))  # (n, d, B, layers)
 VARIANTS = (
@@ -104,6 +105,16 @@ def trained(name, data, out):
     return h.hexdigest()
 
 
+def gradchecked():
+    """sha256 of the 15 `gradient_check` results at the `ctrzoo gradcheck` defaults (n=5, vocab 7, d=4,
+    B=8, layers 2, seed 0, eps 1e-5)."""
+    schema = FieldSchema.of_sizes([7] * 5)
+    indices, labels = random_batch(schema, 8, seed=0)
+    errs = [gradient_check(build_model(ModelSpec(name, schema, d=4, layers=2), seed=0), indices, labels)
+            for name in MODEL_NAMES]
+    return _digest(errs)
+
+
 def raw_records():
     """The raw TSV lines `prepared` encodes: a label, two categorical fields and two numeric ones."""
     for r in range(300):
@@ -162,6 +173,9 @@ def main():
         sha = prepared(tmp)
         print(f"{'prepare':<12} {'+'.join(PREPARED)} {sha}")
         total.update(sha.encode())
+    sha = gradchecked()
+    print(f"{'gradcheck':<12} 15 models at the ctrzoo gradcheck defaults {sha}")
+    total.update(sha.encode())
     print(f"TOTAL {total.hexdigest()}")
 
 
