@@ -183,8 +183,8 @@ def cmd_synth(args):
 
 
 def cmd_prepare(args):
-    out = _ensure_dir(args.out)
     fields = datamod.load_fields(args.fields)
+    out = _ensure_dir(args.out)
     table = datamod.read_raw(args.raw, fields, delimiter=args.delimiter)
     vocab = datamod.build_vocab(table, min_count=args.min_count)
     dataset = datamod.encode(table, vocab)
@@ -313,33 +313,17 @@ def cmd_gradcheck(args):
     return 5 if failures else 0
 
 
-_EQUIVALENCE_CHECKS = ("lr-sam1", "sam1-lr", "fm-sam2a", "sam2a-sam3a")
-
-
-def _equivalence_pair(which, schema, d, seed):
-    if which == "lr-sam1":
-        src = build_model(ModelSpec("LR", schema), seed=seed)
-        return src, eqmod.lift_lr_to_sam1(src, d=d)
-    if which == "sam1-lr":
-        src = build_model(ModelSpec("SAM1", schema, d=d), seed=seed)
-        return src, eqmod.reduce_sam1_to_lr(src)
-    if which == "fm-sam2a":
-        src = build_model(ModelSpec("FM", schema, d=d), seed=seed)
-        return src, eqmod.lift_fm_to_sam2a(src)
-    if which == "sam2a-sam3a":
-        src = build_model(ModelSpec("SAM2_A", schema, d=d), seed=seed)
-        return src, eqmod.lift_sam2a_to_sam3a(src)
-    raise ConfigError(f"unknown equivalence check {which!r}; know: {', '.join(_EQUIVALENCE_CHECKS)}")
-
-
 def cmd_equivalence(args):
     _check_tol(args.tol)
-    checks = _EQUIVALENCE_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
+    checks = tuple(eqmod.CHECKS) if args.checks == "all" else tuple(args.checks.split(","))
     schema = datamod.FieldSchema.of_sizes([args.vocab] * args.fields)
     failures = 0
     for which in checks:
-        src, dst = _equivalence_pair(which, schema, args.d, args.seed)
-        report = eqmod.verify_equivalence(dst, src, tol=args.tol, seed=args.seed)
+        if which not in eqmod.CHECKS:
+            raise ConfigError(f"unknown equivalence check {which!r}; know: {', '.join(eqmod.CHECKS)}")
+        source, lift = eqmod.CHECKS[which]
+        src = build_model(ModelSpec(source, schema, d=args.d), seed=args.seed)
+        report = eqmod.verify_equivalence(lift(src), src, tol=args.tol, seed=args.seed)
         verdict = PASS if report.passed else FAIL
         failures += verdict == FAIL
         print(f"{verdict} {which} {json.dumps(report.to_dict())}")

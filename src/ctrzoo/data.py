@@ -261,9 +261,17 @@ class Vocabulary:
     def from_dict(cls, payload):
         try:
             fields = [Field(f["name"], f["kind"]) for f in payload["fields"]]
-            # JSON integers: a float or a string is not truncated or parsed
-            maps = [{k: operator.index(v) for k, v in f["values"].items()} for f in payload["fields"]]
-            return cls(fields, maps, operator.index(payload["min_count"]))
+            maps = [dict(f["values"].items()) for f in payload["fields"]]
+            min_count = payload["min_count"]
+            # JSON integers only: a bool, a float or a string is not cast
+            if type(min_count) is not int or min_count < 1:
+                raise ValueError(f"min_count must be an integer of at least 1, got {min_count!r}")
+            for field, m in zip(fields, maps):
+                # exactly the indices `schema()` sizes the field for, so `encode` stays inside its table
+                top = N_RESERVED + len(m)
+                if any(type(v) is not int for v in m.values()) or sorted(m.values()) != list(range(N_RESERVED, top)):
+                    raise ValueError(f"field {field.name!r} needs the integer indices {N_RESERVED}..{top - 1}, each once")
+            return cls(fields, maps, min_count)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: `values` not an object
             raise ConfigError(f"malformed vocabulary payload: {exc}") from exc
 
@@ -457,9 +465,12 @@ def load_fields(path):
     """Field descriptors (name, kind) for raw data, label column implicit."""
     payload = read_json(path, ConfigError)
     try:
-        return [Field(f["name"], f.get("kind", "categorical")) for f in payload["fields"]]
+        fields = [Field(f["name"], f.get("kind", "categorical")) for f in payload["fields"]]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: malformed field list: {exc}") from exc
+    if not fields:
+        raise ConfigError(f"{path}: the field list is empty; a schema needs at least one field")
+    return fields
 
 
 def save_encoded(dataset, path):

@@ -29,24 +29,22 @@ from itertools import product
 
 import numpy as np
 
-from .embedding import emb_slot, linear_slot
+from .embedding import EMB, LINEAR, emb_slot
 from .errors import ContractError
 from .zoo import ModelSpec, build_model
 
 LIFT_SEED = 97
 
 
-def _copy_slots(src, dst, names):
-    for name in names:
-        dst.store.set_value(name, src.store.value(name))
-
-
-def _copy_extras(src, dst):
-    """Carry first-order tables and the global bias when the source has them."""
-    if src.spec.use_linear:
-        _copy_slots(src, dst, [linear_slot(i) for i in range(src.schema.n)])
-    if src.spec.use_bias:
-        dst.store.set_value("bias", src.store.value("bias"))
+def _widened(src, name, **switches):
+    """`name` at the source's width, linear and bias settings, holding a copy of its `emb.*`, `lin.*` and bias."""
+    spec = ModelSpec(name, src.schema, d=src.spec.dim, include_linear=src.spec.use_linear,
+                     include_bias=src.spec.use_bias, **switches)
+    target = build_model(spec, seed=LIFT_SEED)
+    for slot in src.store.names():
+        if slot.startswith((f"{EMB}.", f"{LINEAR}.")) or slot == "bias":
+            target.store.set_value(slot, src.store.value(slot))
+    return target
 
 
 def _basis_head(n_blocks, d):
@@ -56,10 +54,11 @@ def _basis_head(n_blocks, d):
     return head
 
 
-def lift_lr_to_sam1(lr_model, d=4):
-    """Embed a first-order model in the affine family at width d."""
+def lift_lr_to_sam1(lr_model, d=None):
+    """Embed a first-order model in the affine family at width d, by default the LR spec's `d`."""
     if lr_model.name != "LR":
         raise ContractError(f"expected an LR model, got {lr_model.name}")
+    d = lr_model.spec.d if d is None else d
     spec = ModelSpec("SAM1", lr_model.schema, d=d)
     target = build_model(spec, seed=LIFT_SEED)
     for i, size in enumerate(lr_model.schema.vocab_sizes):
@@ -91,18 +90,8 @@ def lift_fm_to_sam2a(fm_model):
     """Embed the pairwise-inner model in the pair-matrix family."""
     if fm_model.name != "FM":
         raise ContractError(f"expected an FM model, got {fm_model.name}")
-    schema = fm_model.schema
-    n, d = schema.n, fm_model.spec.dim
-    spec = ModelSpec(
-        "SAM2_A",
-        schema,
-        d=d,
-        include_linear=fm_model.spec.use_linear,
-        include_bias=fm_model.spec.use_bias,
-    )
-    target = build_model(spec, seed=LIFT_SEED)
-    _copy_slots(fm_model, target, [emb_slot(i) for i in range(n)])
-    _copy_extras(fm_model, target)
+    n, d = fm_model.schema.n, fm_model.spec.dim
+    target = _widened(fm_model, "SAM2_A")
     pairvec = np.zeros((n * n, d))
     pairvec[:, 0] = 0.5 * (1.0 - np.eye(n)).reshape(-1)
     target.store.set_value("fi.l0.pairvec", pairvec)
@@ -123,20 +112,8 @@ def lift_sam2a_to_sam3a(sam2a_model):
         raise ContractError(f"expected a SAM2_A model, got {sam2a_model.name}")
     if sam2a_model.spec.sam2_upper_only:
         raise ContractError("the lift needs the full pair grid, not the upper triangle")
-    schema = sam2a_model.schema
-    n, d = schema.n, sam2a_model.spec.dim
-    spec = ModelSpec(
-        "SAM3_A",
-        schema,
-        d=d,
-        softmax_enabled=False,
-        include_linear=sam2a_model.spec.use_linear,
-        include_bias=sam2a_model.spec.use_bias,
-    )
-    target = build_model(spec, seed=LIFT_SEED)
-    _copy_slots(sam2a_model, target, [emb_slot(i) for i in range(n)])
-    _copy_extras(sam2a_model, target)
-
+    n, d = sam2a_model.schema.n, sam2a_model.spec.dim
+    target = _widened(sam2a_model, "SAM3_A", softmax_enabled=False)
     head2 = sam2a_model.store.value("st.l0.w")[:, 0]
     pair2 = sam2a_model.store.value("fi.l0.pairvec")
     coeff = np.array([head2[p * d : (p + 1) * d] @ pair2[p] for p in range(n * n)])
@@ -151,6 +128,15 @@ def lift_sam2a_to_sam3a(sam2a_model):
     target.store.set_value("st.l0.w", head3)
     target.store.set_value("st.l0.b", sam2a_model.store.value("st.l0.b"))
     return target
+
+
+# The checks `ctrzoo equivalence` runs: name -> (source model, map).
+CHECKS = {
+    "lr-sam1": ("LR", lift_lr_to_sam1),
+    "sam1-lr": ("SAM1", reduce_sam1_to_lr),
+    "fm-sam2a": ("FM", lift_fm_to_sam2a),
+    "sam2a-sam3a": ("SAM2_A", lift_sam2a_to_sam3a),
+}
 
 
 # ---------------------------------------------------------------------------

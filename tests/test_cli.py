@@ -194,6 +194,17 @@ def test_prepare_surfaces_malformed_rows_as_data_errors(ws):
     assert "raw_bad.tsv:2:" in proc.stderr
 
 
+def test_prepare_rejects_an_empty_field_list_before_writing(tmp_path, capsys):
+    (tmp_path / "raw.tsv").write_text("1\ta\n0\tb\n")
+    fields = tmp_path / "fields.json"
+    fields.write_text(json.dumps({"fields": []}))
+    out = tmp_path / "out"
+    assert cli.main(["prepare", "--raw", str(tmp_path / "raw.tsv"), "--fields", str(fields), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(fields) in err and err.count("\n") == 1, err
+    assert not (out / "vocab.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # train and eval
 

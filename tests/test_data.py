@@ -489,8 +489,30 @@ def test_vocab_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "values, min_count",
-    [({"x": "two"}, 1), ({"x": 2.7}, 1), ({"x": 2}, "abc"), (["x"], 1)],
-    ids=["index-string", "index-float", "min-count-string", "values-list"],
+    [
+        ({"x": "two"}, 1),
+        ({"x": 2.7}, 1),
+        ({"x": 2}, "abc"),
+        (["x"], 1),
+        ({"x": True, "y": 3}, 1),
+        ({"x": 0, "y": 2}, 1),
+        ({"x": 2, "y": 7}, 1),
+        ({"x": 2, "y": 2}, 1),
+        ({"x": 2}, True),
+        ({"x": 2}, 0),
+    ],
+    ids=[
+        "index-string",
+        "index-float",
+        "min-count-string",
+        "values-list",
+        "index-bool",
+        "index-reserved",
+        "index-beyond-size",
+        "index-twice",
+        "min-count-bool",
+        "min-count-zero",
+    ],
 )
 def test_vocab_load_rejects_a_malformed_file_naming_it(tmp_path, values, min_count):
     path = tmp_path / "vocab.json"

@@ -5,6 +5,7 @@ import pytest
 
 from ctrzoo.data import FieldSchema
 from ctrzoo.equivalence import (
+    CHECKS,
     enumerate_records,
     lift_fm_to_sam2a,
     lift_lr_to_sam1,
@@ -13,7 +14,7 @@ from ctrzoo.equivalence import (
     verify_equivalence,
 )
 from ctrzoo.errors import ContractError
-from ctrzoo.zoo import ModelSpec, build_model
+from ctrzoo.zoo import MODEL_NAMES, ModelSpec, build_model
 
 SCHEMA = FieldSchema.of_sizes([4, 5, 3])  # 60 joint combinations, exhaustible
 WIDE = FieldSchema.of_sizes([10, 10, 10, 10, 10])
@@ -63,6 +64,8 @@ def test_first_order_lift_matches_everywhere():
     report = verify_equivalence(lr, lifted, tol=1e-8)
     assert report.exhaustive and report.passed
     assert report.max_abs_diff < 1e-12
+    # without `d`, the lift takes the LR spec's width, which LR itself ignores
+    assert lift_lr_to_sam1(fresh("LR", d=3)).spec.dim == 3
 
 
 def test_first_order_lift_works_at_width_one():
@@ -154,15 +157,16 @@ def test_attention_lift_disables_score_normalization():
 # guard rails
 
 
-def test_lifts_reject_the_wrong_source_family():
-    with pytest.raises(ContractError):
-        lift_lr_to_sam1(fresh("FM"))
-    with pytest.raises(ContractError):
-        reduce_sam1_to_lr(fresh("LR"))
-    with pytest.raises(ContractError):
-        lift_fm_to_sam2a(fresh("LR"))
-    with pytest.raises(ContractError):
-        lift_sam2a_to_sam3a(fresh("FM"))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+@pytest.mark.parametrize("check", CHECKS)
+def test_lifts_reject_the_wrong_source_family(check, name):
+    source, lift = CHECKS[check]
+    model = fresh(name, d=2, mlp_hidden=(4,))
+    if name == source:
+        assert verify_equivalence(model, lift(model), tol=1e-8).passed
+    else:
+        with pytest.raises(ContractError):
+            lift(model)
 
 
 def test_attention_lift_rejects_the_upper_triangle_layout():

@@ -21,12 +21,14 @@ def test_bit_parity_prints_every_fingerprint_and_the_same_total_twice():
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         # 15 models and 8 variants at three sizes, the 15 on a saved and loaded store,
-        # one short training run per model, one prepare run, the 15 gradient checks, then TOTAL
+        # one short training run per model, one prepare run, the 15 gradient checks, the four
+        # containment pairs, then TOTAL
         assert sum(" nodes=" in line for line in lines) == 84
         assert sum(" loaded " in line and " nodes=" in line for line in lines) == 15
         assert sum(" train params.json+history.csv " in line for line in lines) == 15
         assert sum(line.startswith("prepare ") for line in lines) == 1
         assert sum(line.startswith("gradcheck ") for line in lines) == 1
-        assert len(lines) == 102 and lines[-1].startswith("TOTAL ")
+        assert sum(line.startswith("equivalence ") for line in lines) == 1
+        assert len(lines) == 103 and lines[-1].startswith("TOTAL ")
         totals.append(lines[-1])
     assert totals[0] == totals[1]

@@ -16,7 +16,11 @@ six files `ctrzoo prepare` writes (all but `manifest.json`, which holds a
 timestamp) from a fixed raw TSV the tool writes itself: categorical and
 numeric fields, missing cells, tokens below the minimum count and a blank
 line. A `gradcheck` line gives the sha256 of the 15 `gradient_check` results
-at the `ctrzoo gradcheck` defaults. A last `TOTAL` line hashes every
+at the `ctrzoo gradcheck` defaults, and an `equivalence` line the sha256 of
+the four containment pairs at the `ctrzoo equivalence` defaults: each source
+and lifted store, and both forwards on the enumerated records. The pairs are
+built with the public lift functions, so the line can be compared with a
+checkout that predates `equivalence.CHECKS`. A last `TOTAL` line hashes every
 fingerprint above it. Tape lengths are printed but left out of `TOTAL`, so a
 change that only adds or removes nodes keeps it.
 
@@ -43,6 +47,13 @@ import numpy as np
 import ctrzoo
 from ctrzoo.cli import main as cli_main
 from ctrzoo.data import FieldSchema
+from ctrzoo.equivalence import (
+    enumerate_records,
+    lift_fm_to_sam2a,
+    lift_lr_to_sam1,
+    lift_sam2a_to_sam3a,
+    reduce_sam1_to_lr,
+)
 from ctrzoo.tape import ParameterStore, Tape
 from ctrzoo.zoo import MODEL_NAMES, ModelSpec, build_model, gradient_check, model_on_store, random_batch
 
@@ -115,6 +126,19 @@ def gradchecked():
     return _digest(errs)
 
 
+def lifted():
+    """sha256 of the four containment pairs at the `ctrzoo equivalence` defaults (n=5, vocab 4, d=3,
+    seed 0): the source's and the lifted model's stores, then both forwards on the enumerated records."""
+    schema = FieldSchema.of_sizes([4] * 5)
+    rows, _ = enumerate_records(schema)
+    lr = build_model(ModelSpec("LR", schema), seed=0)
+    sam1, fm, sam2a = (build_model(ModelSpec(name, schema, d=3), seed=0) for name in ("SAM1", "FM", "SAM2_A"))
+    pairs = [(lr, lift_lr_to_sam1(lr, d=3)), (sam1, reduce_sam1_to_lr(sam1)), (fm, lift_fm_to_sam2a(fm)),
+             (sam2a, lift_sam2a_to_sam3a(sam2a))]
+    return _digest(*(arr for src, dst in pairs
+                     for arr in (src.store.values, dst.store.values, src.forward(rows), dst.forward(rows))))
+
+
 def raw_records():
     """The raw TSV lines `prepared` encodes: a label, two categorical fields and two numeric ones."""
     for r in range(300):
@@ -175,6 +199,9 @@ def main():
         total.update(sha.encode())
     sha = gradchecked()
     print(f"{'gradcheck':<12} 15 models at the ctrzoo gradcheck defaults {sha}")
+    total.update(sha.encode())
+    sha = lifted()
+    print(f"{'equivalence':<12} 4 containment pairs at the ctrzoo equivalence defaults {sha}")
     total.update(sha.encode())
     print(f"TOTAL {total.hexdigest()}")
 
